@@ -32,6 +32,12 @@ class LabeledDataset:
             raise ContractViolation(
                 f"{self.x.shape[0]} covariate rows vs {self.y.shape[0]} labels"
             )
+        bad = ~(np.isfinite(self.x).all(axis=1) & np.isfinite(self.y))
+        if bad.any():
+            raise ContractViolation(
+                f"{int(bad.sum())} samples hold non-finite values, "
+                f"first at row {int(np.argmax(bad))}"
+            )
         if self.corrupted is not None:
             self.corrupted = np.asarray(self.corrupted, dtype=bool).ravel()
             if self.corrupted.shape[0] != self.y.shape[0]:

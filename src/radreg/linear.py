@@ -152,9 +152,10 @@ def _recover(X, y, depth, branch, trace, config):
             f"{Xnz.shape[0]} nonzero points in dim {d} at recursion level {depth}",
             level=depth,
         )
-    if matrix_rank(Xnz) < d:
+    rank = matrix_rank(Xnz)
+    if rank < d:
         raise NonIdentifiable(
-            f"nonzero covariates span only rank {matrix_rank(Xnz)} in dim {d} "
+            f"nonzero covariates span only rank {rank} in dim {d} "
             f"at recursion level {depth}",
             level=depth,
         )

@@ -1,0 +1,39 @@
+import numpy as np
+import pytest
+
+from radreg.data import LabeledDataset, load_dataset_csv
+from radreg.errors import ContractViolation
+
+
+def _finite_dataset():
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20, 3))
+    return X, X @ np.array([1.0, 2.0, -1.0])
+
+
+class TestNonFiniteRejected:
+    def test_nan_covariate_row(self):
+        # a NaN row would otherwise pass as a zero covariate in recover_linear
+        X, y = _finite_dataset()
+        X[4] = np.nan
+        with pytest.raises(ContractViolation, match="row 4"):
+            LabeledDataset(X, y)
+
+    def test_inf_label(self):
+        # an inf label would otherwise reach the LP's cost vector
+        X, y = _finite_dataset()
+        y[7] = np.inf
+        with pytest.raises(ContractViolation, match="row 7"):
+            LabeledDataset(X, y)
+
+    def test_nan_label(self):
+        X, y = _finite_dataset()
+        y[0] = np.nan
+        with pytest.raises(ContractViolation, match="row 0"):
+            LabeledDataset(X, y)
+
+    def test_nan_cell_in_csv_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("x1,x2,y\n1,2,3\nnan,1,2\n")
+        with pytest.raises(ContractViolation):
+            load_dataset_csv(path)

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from radreg.data import LabeledDataset
-from radreg.errors import ContractViolation, Degenerate
+from radreg.errors import ContractViolation, Degenerate, SolverStalled
+import radreg.l1
 from radreg.l1 import (
     check_structural_condition,
     l0_fit_bruteforce,
@@ -30,6 +32,53 @@ def basic_solution_oracle(samples):
             continue
         best = min(best, float(np.sum(np.abs(y - X @ w))))
     return best
+
+
+def primal_lp_objective(samples):
+    """Independent LAD optimum from the primal epigraph LP
+
+        min sum t_i  s.t.  -t_i <= y_i - w.x_i <= t_i,  w free,
+
+    which l1_fit_linear does not build (it solves the dual)."""
+    X, y = samples.x, samples.y
+    m, d = X.shape
+    eye = np.eye(m)
+    result = linprog(
+        np.concatenate([np.zeros(d), np.ones(m)]),
+        A_ub=np.block([[-X, -eye], [X, -eye]]),
+        b_ub=np.concatenate([-y, y]),
+        bounds=[(None, None)] * d + [(0, None)] * m,
+        method="highs",
+    )
+    assert result.success
+    return result.fun
+
+
+def is_unique_lad_minimizer(samples, w):
+    """True when w is the only minimizer of sum |y_i - w.x_i|.
+
+    With Z the samples w fits exactly, N the rest and s_i the residual signs
+    on N, the directional derivative at w along r is
+    sum_Z |x_i.r| - g.r with g = sum_N s_i x_i. It is positive for every
+    r != 0 exactly when g lies in the interior of the zonotope
+    {sum_Z v_i x_i : |v_i| <= 1}, i.e. when some t > 1 puts t*g inside it.
+    """
+    X, y = samples.x, samples.y
+    residuals = y - X @ w
+    fits = np.abs(residuals) <= 1e-9 * (1.0 + np.abs(y))
+    XZ = X[fits]
+    if np.linalg.matrix_rank(XZ) < X.shape[1]:
+        return False
+    g = np.sign(residuals[~fits]) @ X[~fits]
+    n_fit = int(fits.sum())
+    result = linprog(
+        np.concatenate([np.zeros(n_fit), [-1.0]]),  # maximize t
+        A_eq=np.column_stack([XZ.T, -g]),
+        b_eq=np.zeros(X.shape[1]),
+        bounds=[(-1, 1)] * n_fit + [(0, 2)],
+        method="highs",
+    )
+    return bool(result.success and -result.fun > 1.0 + 1e-9)
 
 
 class TestL1FitLinear:
@@ -85,6 +134,48 @@ class TestL1FitLinear:
         cum = np.cumsum(np.abs(x)[order])
         median_idx = order[np.searchsorted(cum, cum[-1] / 2.0)]
         assert fit.w[0] == pytest.approx(ratios[median_idx], abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_primal_lp(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        ds = LabeledDataset(rng.standard_normal((60, 5)),
+                            rng.standard_cauchy(60))
+        fit = l1_fit_linear(ds)
+        assert fit.objective == pytest.approx(primal_lp_objective(ds), rel=1e-9)
+
+    @pytest.mark.parametrize("m,d", [(8, 2), (40, 3), (120, 10), (300, 30)])
+    def test_solution_is_a_vertex(self, m, d):
+        # labels in general position: only a basic solution fits d samples
+        rng = np.random.default_rng(m + d)
+        ds = LabeledDataset(rng.standard_normal((m, d)), rng.standard_normal(m))
+        fit = l1_fit_linear(ds)
+        interpolated = np.abs(fit.residuals) <= 1e-9 * (1.0 + np.abs(ds.y))
+        assert interpolated.sum() >= d
+        assert np.linalg.matrix_rank(ds.x[interpolated]) == d
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_recovers_target_under_massart(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        X = rng.standard_normal((200, 5))
+        w_star = np.array([1.0, -2.0, 0.5, 3.0, -1.25])
+        corrupted, _ = corrupt_massart(
+            LabeledDataset(X, X @ w_star), MassartSpec(0.2, FlipNegate(), seed=seed)
+        )
+        assert is_unique_lad_minimizer(corrupted, w_star)
+        snapped = snap_to_rational(l1_fit_linear(corrupted).w)
+        assert snapped.to_fractions() == tuple(Fraction(v) for v in w_star)
+
+    def test_flipped_marginal_sign_fails_the_duality_gap_check(self, monkeypatch):
+        def flipped(*args, **kwargs):
+            result = linprog(*args, **kwargs)
+            result.eqlin.marginals = -result.eqlin.marginals
+            return result
+
+        monkeypatch.setattr(radreg.l1, "linprog", flipped)
+        rng = np.random.default_rng(9)
+        ds = LabeledDataset(rng.standard_normal((30, 3)), rng.standard_normal(30))
+        with pytest.raises(SolverStalled, match="duality gap"):
+            l1_fit_linear(ds)
 
 
 class TestL0Bruteforce:
