@@ -13,7 +13,6 @@ from .errors import (
     DimensionMismatch,
     EmptyComplement,
     HalfspaceEmpty,
-    HeavySubspaceEncountered,
     InsufficientPoints,
     InvalidNoiseRate,
     MalformedCsv,
@@ -36,8 +35,6 @@ from .isotropy import (
 from .l1 import (
     L1FitResult,
     RationalVector,
-    check_structural_condition,
-    l0_fit_bruteforce,
     l1_fit_linear,
     snap_to_rational,
 )
@@ -46,7 +43,6 @@ from .linear import (
     RecoveryConfig,
     RecoveryReport,
     recover_linear,
-    recover_linear_simple,
     recover_with_retries,
 )
 from .noise import (

@@ -57,20 +57,6 @@ class NonIdentifiable(RadregError):
         super().__init__(msg)
 
 
-class HeavySubspaceEncountered(RadregError):
-    """Single-shot recovery hit a heavy subspace; the recursive variant is needed.
-
-    Carries the detected subspace in ``heavy``.
-    """
-
-    def __init__(self, heavy):
-        self.heavy = heavy
-        super().__init__(
-            f"heavy subspace of dim {heavy.dim} holds fraction "
-            f"{heavy.fraction:.3f} > {heavy.dim}/{heavy.ambient_dim}"
-        )
-
-
 class HalfspaceEmpty(RadregError):
     """No sample lies in the closed positive halfspace of the query."""
 

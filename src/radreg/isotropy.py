@@ -19,6 +19,8 @@ detector maps the dominant eigenvectors of M back through A^{-1}, snaps the
 nearby points onto their own span, and verifies the count; a verified
 subspace is correct regardless of how it was found. For d <= 6 an exhaustive
 search over subspaces spanned by point subsets settles the question exactly.
+A rank-deficient set, including any set of fewer than d points, is the
+trivial case: its span holds all of it.
 """
 
 import itertools
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, InsufficientPoints, RadregError
+from .errors import ContractViolation, RadregError
 from .linalg import OrthonormalBasis, matrix_rank, span_basis
 
 logger = logging.getLogger(__name__)
@@ -198,16 +200,14 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA, max_iters=None):
     Points are unit-normalized internally (label co-scaling is the caller's
     job). On success returns a RadialTransform whose recomputed images
     satisfy lambda_min(M) >= 1 - gamma; on structural failure returns a
-    verified HeavySubspace.
+    verified HeavySubspace. Points that do not span R^d (fewer than d of
+    them, say) come back as their span with fraction 1.0.
     """
     if not 0.0 < gamma < 1.0:
         raise ContractViolation(f"gamma must lie in (0, 1), got {gamma}")
     Xu = _unit_rows(points)
     n, d = Xu.shape
-    if n < d:
-        raise InsufficientPoints(f"need at least d={d} points, got {n}")
-    rank = matrix_rank(Xu)
-    if rank < d:
+    if matrix_rank(Xu) < d:
         basis = span_basis(Xu)
         members = basis.distance(Xu) <= MEMBER_RTOL
         return HeavySubspace(basis, 1.0, member_mask=members)
@@ -249,7 +249,7 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA, max_iters=None):
     raise AssertionError("unreachable")
 
 
-def check_forster_condition(points, d=None):
+def check_forster_condition(points):
     """Exact existence test by enumerating subspaces spanned by point subsets.
 
     Returns (satisfiable, witness): satisfiable is True when every
@@ -257,40 +257,29 @@ def check_forster_condition(points, d=None):
     which case arbitrarily good transforms exist; otherwise witness is a
     HeavySubspace certifying non-existence. Desk scale only.
     """
-    Xu = _unit_rows(points)
-    if d is not None and d != Xu.shape[1]:
-        raise ContractViolation(f"points live in dim {Xu.shape[1]}, not {d}")
-    witness = _exhaustive_heavy(Xu)
+    witness = _exhaustive_heavy(_unit_rows(points))
     return witness is None, witness
 
 
-def find_heavy_subspace(points, d=None, max_iters=None):
+def find_heavy_subspace(points):
     """Locate a heavy subspace, or return None when none exists.
 
     Runs the isotropy fixed point past the certifying gap of
-    ``certifying_gamma``; convergence certifies absence. A stalled iteration
-    falls back on eigenspace candidates, then on exhaustive search for
-    d <= 6. For d > 6 a stall without a verified subspace returns None with
-    a logged warning.
+    ``certifying_gamma``; convergence certifies absence. Points that do not
+    span the space return their span. A stalled iteration falls back on
+    eigenspace candidates, then on exhaustive search for d <= 6. For d > 6 a
+    stall without a verified subspace returns None with a logged warning.
     """
     Xu = _unit_rows(points)
-    if d is not None and d != Xu.shape[1]:
-        raise ContractViolation(f"points live in dim {Xu.shape[1]}, not {d}")
-    n, dim = Xu.shape
-    if dim == 1:
-        return None  # the only proper subspace is {0}, which holds no point
-    if matrix_rank(Xu) < dim:
-        basis = span_basis(Xu)
-        members = basis.distance(Xu) <= MEMBER_RTOL
-        return HeavySubspace(basis, 1.0, member_mask=members)
+    n, d = Xu.shape
     try:
-        result = radial_isotropize(Xu, certifying_gamma(n, dim), max_iters)
-    except (ContractViolation, InsufficientPoints):
+        result = radial_isotropize(Xu, min(DEFAULT_GAMMA, certifying_gamma(n, d)))
+    except ContractViolation:
         raise
     except RadregError as exc:
-        # stalled without a verified subspace; for dim <= 6 the exhaustive
+        # stalled without a verified subspace; for d <= 6 the exhaustive
         # search already ran inside radial_isotropize and found nothing
-        if dim > EXHAUSTIVE_MAX_DIM:
+        if d > EXHAUSTIVE_MAX_DIM:
             logger.warning("heavy-subspace search inconclusive: %s", exc)
         return None
     return result if isinstance(result, HeavySubspace) else None

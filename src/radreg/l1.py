@@ -1,5 +1,5 @@
-"""Least-absolute-deviations fitting, brute-force exact-fit search, rational
-snapping, and the clean-vs-corrupted mass comparison used as a test oracle.
+"""Least-absolute-deviations fitting, the exact-fit test and rational
+snapping.
 
 The LAD problem min_w sum_i |y_i - w.x_i| is solved through its LP dual
 
@@ -19,15 +19,13 @@ a vertex of the primal: the kind of basic solution every LAD optimum can be
 taken from, and the one rational snapping recovers the target from.
 """
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import ContractViolation, Degenerate, SolverStalled
+from .errors import ContractViolation, SolverStalled
 
 FIT_RTOL = 1e-7  # |y - prediction| <= FIT_RTOL * (1 + |y|) counts as an exact fit
 # Optimal solves on the benchmark's instances leave relative gaps up to about
@@ -82,50 +80,6 @@ def l1_fit_linear(samples, fit_tol=FIT_RTOL):
     )
 
 
-def _relu(t):
-    return np.maximum(t, 0.0)
-
-
-def _predict(X, w, model):
-    z = X @ w
-    return z if model == "linear" else _relu(z)
-
-
-def l0_fit_bruteforce(samples, model="linear", fit_tol=FIT_RTOL):
-    """Parameter fitting the most samples exactly, by subset enumeration.
-
-    Every d-subset of samples is interpolated exactly (for the relu model the
-    right-hand side is tried with both signs, so corrupted-to-negated subsets
-    also generate candidates). Ties break toward the lexicographically
-    smallest parameter vector. Desk scale: the cost is C(m, d) solves.
-    """
-    if model not in ("linear", "relu"):
-        raise ContractViolation(f"model must be 'linear' or 'relu', got {model!r}")
-    X, y = samples.x, samples.y
-    m, d = X.shape
-    if m < d:
-        raise Degenerate(f"need at least d={d} samples, got {m}")
-    tol = fit_tolerances(y, fit_tol)
-    signs = (1.0,) if model == "linear" else (1.0, -1.0)
-    best_w, best_count = None, -1
-    for subset in itertools.combinations(range(m), d):
-        idx = list(subset)
-        Xs = X[idx]
-        for sign in signs:
-            try:
-                w = np.linalg.solve(Xs, sign * y[idx])
-            except np.linalg.LinAlgError:
-                continue
-            count = int((np.abs(_predict(X, w, model) - y) <= tol).sum())
-            if count > best_count or (
-                count == best_count and tuple(w) < tuple(best_w)
-            ):
-                best_w, best_count = w, count
-    if best_w is None:
-        raise Degenerate("every sample subset was singular")
-    return best_w, best_count
-
-
 @dataclass
 class RationalVector:
     """Per-coordinate reduced fractions with a shared denominator bound."""
@@ -175,42 +129,3 @@ def snap_to_rational(w, max_denominator=10**6):
         denominators=tuple(f.denominator for f in fracs),
         max_denominator=int(max_denominator),
     )
-
-
-def _direction_grid(d, budget, seed=0):
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
-        angles = np.linspace(0.0, np.pi, budget, endpoint=False)
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((budget, d))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    return np.vstack([dirs, np.eye(d), -np.eye(d)])
-
-
-def check_structural_condition(samples, w_true, model="linear",
-                               direction_budget=360, fit_tol=FIT_RTOL, seed=0):
-    """Compare clean vs corrupted perturbation mass over a direction set.
-
-    For each tested unit direction r the margin is
-
-        sum_clean |f((w*+r).x) - f(w*.x)| - sum_corrupted (same),
-
-    where clean means y_i matches f(w*.x_i) within fit_tol. Returns
-    (holds, worst_margin): holds is True when every tested margin is
-    strictly positive. Grid/sampling checker; a test oracle, not a proof
-    for d >= 3.
-    """
-    X, y = samples.x, samples.y
-    m, d = X.shape
-    f = (lambda t: t) if model == "linear" else _relu
-    clean = exact_fit_mask(_predict(X, w_true, model), y, fit_tol)
-    base = f(X @ w_true)
-    worst = math.inf
-    for r in _direction_grid(d, direction_budget, seed):
-        delta = np.abs(f(X @ (w_true + r)) - base)
-        margin = float(delta[clean].sum() - delta[~clean].sum())
-        if margin < worst:
-            worst = margin
-    return worst > 0.0, worst

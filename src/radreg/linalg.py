@@ -89,12 +89,6 @@ def sym_eigendecomp(M, rtol=SYM_RTOL):
     return evals[::-1].copy(), OrthonormalBasis(evecs[:, ::-1].copy())
 
 
-def _eigh_desc(M):
-    """Raw descending eigh without contract validation (hot paths)."""
-    evals, evecs = np.linalg.eigh(0.5 * (M + M.T))
-    return evals[::-1], evecs[:, ::-1]
-
-
 def inv_sqrt_psd(M, rtol=SYM_RTOL, psd_rtol=PSD_RTOL):
     """Inverse square root A of a positive definite symmetric M: A M A = I."""
     M = check_symmetric(M, rtol)

@@ -7,8 +7,9 @@ a query that already fits a majority of the samples; otherwise it restricts
 to the closed positive halfspace of the query, puts those covariates in
 radial-isotropic position, and returns the back-transformed rescaled-l1
 subgradient direction as a cutting hyperplane. When the positive-side points
-concentrate on a subspace the oracle recurses: first inside the subspace,
-then (if the inside check accepts) on the deflated complement.
+concentrate on a subspace (fewer than d of them always do) the oracle
+recurses: first inside the subspace, then (if the inside check accepts) on
+the deflated complement.
 """
 
 import math
@@ -21,6 +22,7 @@ from .errors import ContractViolation, HalfspaceEmpty, NoRecovery, RadregError
 from .isotropy import DEFAULT_GAMMA, RadialTransform, certifying_gamma, radial_isotropize
 from .l1 import FIT_RTOL, exact_fit_mask, snap_to_rational
 from .linalg import inv_sqrt_psd, orthonormal_complement
+from .linear import RecoveryReport
 
 BOUNDARY_RTOL = 1e-12  # half-space test: w.x >= -BOUNDARY_RTOL * |x| * max(1, |w|)
 
@@ -101,10 +103,6 @@ class SepResult:
     offset: float = 0.0
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def is_yes(self):
-        return self.accepted
-
 
 def sep_oracle(samples, w0, config, _depth=0):
     """Separation oracle for the ReLU l1 landscape at query w0.
@@ -164,7 +162,7 @@ def sep_oracle(samples, w0, config, _depth=0):
     inner = sep_oracle(
         LabeledDataset(XS[members] @ B, yS[members]), B.T @ w0, config, _depth + 1
     )
-    if not inner.is_yes:
+    if not inner.accepted:
         g = B @ inner.normal
         return SepResult(
             False, normal=g, offset=float(g @ w0),
@@ -180,7 +178,7 @@ def sep_oracle(samples, w0, config, _depth=0):
     outer = sep_oracle(
         LabeledDataset(XS[rest] @ C, y_defl), C.T @ w0, config, _depth + 1
     )
-    if not outer.is_yes:
+    if not outer.accepted:
         g = C @ outer.normal
         return SepResult(
             False, normal=g, offset=float(g @ w0),
@@ -240,8 +238,6 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     NoRecovery (with the final state in ``diagnostics``) when steps or the
     ellipsoid radius run out, and lets HalfspaceEmpty propagate.
     """
-    from .linear import RecoveryReport  # local import avoids a cycle at import time
-
     X, y = samples.x, samples.y
     m, d = X.shape
     state = EllipsoidState(
@@ -274,7 +270,7 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
                     diagnostics=diagnostics,
                 )
         result = sep_oracle(samples, state.center, config)
-        if result.is_yes:
+        if result.accepted:
             raise NoRecovery(
                 "oracle accepted the center but its snapped value failed the "
                 "majority certificate; max_denominator may not match the "

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radreg.errors import ContractViolation, InsufficientPoints
+from radreg.errors import ContractViolation
 from radreg.isotropy import (
     HeavySubspace,
     RadialTransform,
@@ -65,8 +65,11 @@ class TestRadialIsotropize:
             assert out.fraction == pytest.approx(2.0 / 3.0)
 
     def test_too_few_points(self):
-        with pytest.raises(InsufficientPoints):
-            radial_isotropize(np.eye(3)[:2], gamma=0.5)
+        # fewer than d points never span R^d: their span is the heavy subspace
+        out = radial_isotropize(np.eye(3)[:2], gamma=0.5)
+        assert isinstance(out, HeavySubspace)
+        assert out.dim == 2
+        assert out.fraction == 1.0
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ContractViolation):
@@ -136,6 +139,13 @@ class TestHeavySubspaceVerification:
 
     def test_one_dim_has_no_heavy(self):
         assert find_heavy_subspace(np.array([[1.0], [-2.0], [3.0]])) is None
+
+    def test_fewer_points_than_dimensions(self):
+        # certifying_gamma(1, 2) is 1.0, which radial_isotropize rejects
+        one = find_heavy_subspace(np.array([[3.0, 4.0]]))
+        assert one.dim == 1 and one.fraction == 1.0
+        two = find_heavy_subspace(np.eye(3)[:2])
+        assert two.dim == 2 and two.fraction == 1.0
 
 
 class TestCheckForsterCondition:

@@ -8,14 +8,11 @@ from scipy.optimize import linprog
 from radreg.data import LabeledDataset
 from radreg.errors import ContractViolation, Degenerate, SolverStalled
 import radreg.l1
-from radreg.l1 import (
-    check_structural_condition,
-    l0_fit_bruteforce,
-    l1_fit_linear,
-    snap_to_rational,
-)
+from radreg.l1 import l1_fit_linear, snap_to_rational
 from radreg.isotropy import radial_isotropize
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
+
+from oracles import check_structural_condition, l0_fit_bruteforce
 
 
 def basic_solution_oracle(samples):

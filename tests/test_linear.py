@@ -2,21 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from radreg.bench import SyntheticSpec, make_synthetic_dataset
 from radreg.data import LabeledDataset
-from radreg.errors import (
-    HeavySubspaceEncountered,
-    InsufficientPoints,
-    NonIdentifiable,
-)
-from radreg.l1 import l0_fit_bruteforce, l1_fit_linear, snap_to_rational
-from radreg.linear import (
-    RecoveryConfig,
-    recover_linear,
-    recover_linear_simple,
-    recover_with_retries,
-)
+from radreg.errors import InsufficientPoints, NonIdentifiable
+from radreg.l1 import l1_fit_linear, snap_to_rational
+from radreg.linear import recover_linear, recover_with_retries
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart, gated_flip
+
+from oracles import l0_fit_bruteforce
 
 
 def fractions_of(vec):
@@ -40,14 +35,17 @@ def planted_heavy_instance(seed, m=300, on_line=180, w_star=(3.0, -2.0),
 
 
 class TestRecoverLinearSimple:
+    """Instances without a heavy subspace: one transform leaf at depth 0."""
+
     @pytest.mark.parametrize("d", [1, 2, 5, 10])
     def test_noiseless_exact(self, d):
         rng = np.random.default_rng(d)
         w_star = rng.integers(-5, 6, size=d).astype(float)
-        report = recover_linear_simple(realizable(d, 6 * d + 5, d, w_star))
+        report = recover_linear(realizable(d, 6 * d + 5, d, w_star))
         assert report.w_snapped.to_fractions() == fractions_of(w_star)
         assert report.inlier_fraction == 1.0
         assert report.majority_certified
+        assert report.recursion_depth == 0
 
     def test_desk_instance_agrees_with_l0_oracle(self):
         # small m keeps the subset enumeration oracle affordable
@@ -58,7 +56,7 @@ class TestRecoverLinearSimple:
         X[20:] *= 40.0  # a batch of far points, gated below
         clean = LabeledDataset(X, X @ w_star)
         corrupted, _ = corrupt_massart(clean, MassartSpec(0.25, gated_flip(20.0), 3))
-        report = recover_linear_simple(corrupted)
+        report = recover_linear(corrupted)
         l0_w, _ = l0_fit_bruteforce(corrupted)
         assert report.w_snapped == snap_to_rational(l0_w, 10**6)
         assert report.w_snapped.to_fractions() == fractions_of(w_star)
@@ -73,31 +71,16 @@ class TestRecoverLinearSimple:
         y[0] = -y[0]  # the adversary flips the far point
         ds = LabeledDataset(X, y)
         naive = snap_to_rational(l1_fit_linear(ds).w, 10**6)
-        report = recover_linear_simple(ds)
+        report = recover_linear(ds)
         assert report.w_snapped.to_fractions() == fractions_of(w_star)
         assert naive.to_fractions() != fractions_of(w_star)
 
-    def test_signals_heavy_subspace(self):
-        pts = np.vstack([np.column_stack([np.linspace(1, 2, 9), np.zeros(9)]),
-                         [[0.0, 1.0]]])
-        ds = LabeledDataset(pts, pts @ np.array([1.0, 1.0]))
-        with pytest.raises(HeavySubspaceEncountered) as exc_info:
-            recover_linear_simple(ds)
-        assert exc_info.value.heavy.dim == 1
-
     def test_too_few_points(self):
         with pytest.raises(InsufficientPoints):
-            recover_linear_simple(realizable(0, 2, 3, [1.0, 1.0, 1.0]))
+            recover_linear(realizable(0, 2, 3, [1.0, 1.0, 1.0]))
 
 
 class TestRecoverLinearRecursive:
-    def test_no_heavy_matches_simple(self):
-        ds = realizable(11, 40, 3, [1.0, -2.0, 3.0])
-        rec = recover_linear(ds)
-        simple = recover_linear_simple(ds)
-        assert rec.w_snapped == simple.w_snapped
-        assert rec.recursion_depth == 0
-
     def test_planted_heavy_exact_through_one_level(self):
         ds = planted_heavy_instance(seed=101)
         report = recover_linear(ds)
@@ -111,6 +94,14 @@ class TestRecoverLinearRecursive:
         ds = LabeledDataset(x, x @ np.array([3.0, -2.0]))
         with pytest.raises(NonIdentifiable):
             recover_linear(ds)
+
+    def test_tiny_rows_still_span(self):
+        # the rank of the rows is a property of their directions: rows
+        # scaled by 2^-40 must not drop out of it
+        X = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        X[3:] *= 2.0**-40
+        report = recover_linear(LabeledDataset(X, X @ np.array([3.0, -2.0])))
+        assert report.w_snapped.to_fractions() == fractions_of([3.0, -2.0])
 
     def test_recursion_conservation(self):
         ds = planted_heavy_instance(seed=202)
@@ -188,6 +179,21 @@ class TestEquivariance:
         if rep_orig.majority_certified and rep_mapped.majority_certified:
             expected = np.linalg.inv(T).T @ rep_orig.w_snapped.to_floats()
             assert rep_mapped.w_snapped.to_fractions() == fractions_of(expected)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       exponents=st.lists(st.integers(-40, 40), min_size=64, max_size=64))
+def test_per_point_rescaling_leaves_the_snapped_output_unchanged(seed, exponents):
+    # radial isotropy normalizes each point, so scaling one (x_i, y_i) pair
+    # by c > 0 must not change the output; powers of 2 scale exactly
+    spec = SyntheticSpec(d=8, n=64, seed=seed)
+    corrupted, _ = corrupt_massart(make_synthetic_dataset(spec),
+                                   MassartSpec(0.2, gated_flip(4.0), seed + 1))
+    scale = 2.0 ** np.array(exponents)
+    rescaled = LabeledDataset(corrupted.x * scale[:, None], corrupted.y * scale)
+    expected = recover_linear(corrupted).w_snapped
+    assert recover_linear(rescaled).w_snapped == expected
 
 
 class TestRetries:

@@ -5,7 +5,7 @@ import pytest
 
 from radreg.data import LabeledDataset
 from radreg.errors import HalfspaceEmpty, NoRecovery
-from radreg.l1 import l0_fit_bruteforce, snap_to_rational
+from radreg.l1 import snap_to_rational
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
 from radreg.relu import (
     EllipsoidConfig,
@@ -16,6 +16,8 @@ from radreg.relu import (
     relu_l1_loss,
     sep_oracle,
 )
+
+from oracles import l0_fit_bruteforce
 
 
 def fractions_of(vec):
@@ -35,6 +37,16 @@ def shifted_relu_instance(seed, d=3, m=2000, eta=0.3, w_range=5):
         clean, MassartSpec(eta, FlipNegate(), seed + 7919)
     )
     return corrupted, record, w_star
+
+
+def two_points_on_the_query_side():
+    """|N(0, I)| rows in R^3 with the first 2 negated and w* = (1, 1, 1):
+    only those 2 rows lie on the positive side of the query w0 = -w*."""
+    rng = np.random.default_rng(0)
+    X = np.abs(rng.standard_normal((40, 3)))
+    X[:2] *= -1.0
+    w_star = np.ones(3)
+    return LabeledDataset(X, np.maximum(X @ w_star, 0.0)), w_star
 
 
 def separation_margin(samples, record, w0, w_star, diag):
@@ -106,7 +118,7 @@ class TestSepOracle:
         X = rng.standard_normal((50, 3))
         w_star = np.array([2.0, 1.0, -1.0])
         ds = LabeledDataset(X, np.maximum(X @ w_star, 0.0))
-        assert sep_oracle(ds, w_star, self.config()).is_yes
+        assert sep_oracle(ds, w_star, self.config()).accepted
 
     def test_halfspace_empty(self):
         x = -np.linspace(0.5, 1.5, 10)[:, None]
@@ -123,12 +135,23 @@ class TestSepOracle:
         ds = LabeledDataset(x, y)
         w0 = np.array([5.0])  # overshoots: residuals w0*x - y > 0
         res = sep_oracle(ds, w0, self.config())
-        assert not res.is_yes
+        assert not res.accepted
         assert res.normal[0] > 0  # g.(w0 - w*) > 0 with w0 > w*
         w0 = np.array([1.0])  # undershoots
         res = sep_oracle(ds, w0, self.config())
-        assert not res.is_yes
+        assert not res.accepted
         assert res.normal[0] < 0
+
+    def test_fewer_than_d_positive_side_points_cut_from_their_span(self):
+        # 2 points in R^3 have no radial-isotropic transform; their span is
+        # the heavy subspace the oracle recurses into
+        ds, w_star = two_points_on_the_query_side()
+        w0 = -w_star
+        res = sep_oracle(ds, w0, self.config())
+        assert not res.accepted
+        assert res.diagnostics["lifted_from"] == "V"
+        assert res.diagnostics["heavy_dim"] == 2
+        assert res.normal @ (w0 - w_star) > 0
 
     @pytest.mark.parametrize("seed", range(25))
     def test_separation_soundness(self, seed):
@@ -137,7 +160,7 @@ class TestSepOracle:
         rng = np.random.default_rng(5000 + seed)
         w0 = w_star + rng.standard_normal(2) * 3.0
         res = sep_oracle(corrupted, w0, self.config())
-        if res.is_yes or "transform_matrix" not in res.diagnostics:
+        if res.accepted or "transform_matrix" not in res.diagnostics:
             pytest.skip("no full-dimensional cut at this query")
         margin = separation_margin(corrupted, record, w0, w_star,
                                    res.diagnostics)
@@ -240,7 +263,7 @@ class TestEllipsoid:
             if 2 * fits.sum() >= corrupted.m:
                 break
             res = sep_oracle(corrupted, state.center, cfg)
-            assert not res.is_yes
+            assert not res.accepted
             if "transform_matrix" in res.diagnostics:
                 margin = separation_margin(corrupted, record, state.center,
                                            w_star, res.diagnostics)
@@ -313,6 +336,12 @@ class TestGdReluTransformed:
                                   iters=5, w_star=spec.w_star)
         assert all(np.isfinite(s.loss) for s in orig + rad)
         assert not any(s.skipped for s in orig)
+
+    def test_fewer_than_d_positive_side_points_skip_the_step(self):
+        ds, w_star = two_points_on_the_query_side()
+        traj = gd_relu_transformed(ds, "radial-isotropic", iters=1, w_init=-w_star)
+        assert traj[0].skipped
+        assert np.array_equal(traj[0].w, -w_star)
 
     def test_default_alpha_for_original_tracks_scale(self):
         ds, _ = self.make_instance(seed=3)
