@@ -15,6 +15,7 @@ from .errors import (
     HalfspaceEmpty,
     InsufficientPoints,
     InvalidNoiseRate,
+    IsotropyStalled,
     MalformedCsv,
     NoRecovery,
     NonIdentifiable,

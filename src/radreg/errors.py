@@ -41,6 +41,11 @@ class InsufficientPoints(RadregError):
         super().__init__(msg)
 
 
+class IsotropyStalled(RadregError):
+    """The isotropy fixed point reached no transform and no verified heavy
+    subspace within its iteration budget."""
+
+
 class SolverStalled(RadregError):
     """The LP backend failed to report an optimal solution."""
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, RadregError
+from .errors import ContractViolation, IsotropyStalled
 from .linalg import OrthonormalBasis, matrix_rank, span_basis
 
 logger = logging.getLogger(__name__)
@@ -201,7 +201,8 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA, max_iters=None):
     job). On success returns a RadialTransform whose recomputed images
     satisfy lambda_min(M) >= 1 - gamma; on structural failure returns a
     verified HeavySubspace. Points that do not span R^d (fewer than d of
-    them, say) come back as their span with fraction 1.0.
+    them, say) come back as their span with fraction 1.0. Raises
+    IsotropyStalled when max_iters iterations reach neither.
     """
     if not 0.0 < gamma < 1.0:
         raise ContractViolation(f"gamma must lie in (0, 1), got {gamma}")
@@ -240,7 +241,7 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA, max_iters=None):
                     found = _exhaustive_heavy(Xu)
                     if found is not None:
                         return found
-                raise RadregError(
+                raise IsotropyStalled(
                     f"no transform reached gamma={gamma} within {max_iters} "
                     "iterations and no heavy subspace could be verified"
                 )
@@ -274,9 +275,7 @@ def find_heavy_subspace(points):
     n, d = Xu.shape
     try:
         result = radial_isotropize(Xu, min(DEFAULT_GAMMA, certifying_gamma(n, d)))
-    except ContractViolation:
-        raise
-    except RadregError as exc:
+    except IsotropyStalled as exc:
         # stalled without a verified subspace; for d <= 6 the exhaustive
         # search already ran inside radial_isotropize and found nothing
         if d > EXHAUSTIVE_MAX_DIM:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from radreg.errors import ContractViolation
+from radreg import isotropy
+from radreg.errors import ContractViolation, IsotropyStalled, RadregError
 from radreg.isotropy import (
     HeavySubspace,
     RadialTransform,
@@ -24,6 +25,12 @@ def assert_valid_transform(t, points, gamma):
     lam_min = min_isotropy_eig(U)
     assert lam_min >= 1.0 - gamma - 1e-12
     assert lam_min >= 1.0 - t.gamma_achieved - 1e-12
+
+
+def stretched_cloud():
+    """Far from isotropic, no heavy subspace, and d > EXHAUSTIVE_MAX_DIM:
+    with no iterations allowed, the fixed point stalls."""
+    return np.random.default_rng(14).standard_normal((200, 8)) * np.geomspace(100.0, 1.0, 8)
 
 
 class TestRadialIsotropize:
@@ -78,6 +85,11 @@ class TestRadialIsotropize:
     def test_bad_gamma(self):
         with pytest.raises(ContractViolation):
             radial_isotropize(np.eye(3), gamma=0.0)
+
+    def test_stall_has_its_own_type(self):
+        with pytest.raises(IsotropyStalled) as info:
+            radial_isotropize(stretched_cloud(), gamma=0.5, max_iters=0)
+        assert isinstance(info.value, RadregError)
 
     def test_rank_deficient_cloud_is_heavy(self):
         rng = np.random.default_rng(12)
@@ -136,6 +148,10 @@ class TestHeavySubspaceVerification:
         assert out is not None
         assert out.dim == 2
         assert out.fraction == 1.0
+
+    def test_stall_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(isotropy, "default_max_iters", lambda d, gamma: 0)
+        assert find_heavy_subspace(stretched_cloud()) is None
 
     def test_one_dim_has_no_heavy(self):
         assert find_heavy_subspace(np.array([[1.0], [-2.0], [3.0]])) is None

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from radreg import linear
 from radreg.bench import SyntheticSpec, make_synthetic_dataset
 from radreg.data import LabeledDataset
 from radreg.errors import InsufficientPoints, NonIdentifiable
+from radreg.isotropy import certifying_gamma, radial_isotropize
 from radreg.l1 import l1_fit_linear, snap_to_rational
-from radreg.linear import recover_linear, recover_with_retries
+from radreg.linear import RecoveryConfig, recover_linear, recover_with_retries
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart, gated_flip
 
 from oracles import l0_fit_bruteforce
@@ -32,6 +34,22 @@ def planted_heavy_instance(seed, m=300, on_line=180, w_star=(3.0, -2.0),
     X = X[rng.permutation(m)]
     clean = LabeledDataset(X, X @ np.asarray(w_star))
     return corrupt_massart(clean, MassartSpec(eta, FlipNegate(), seed + 1))[0]
+
+
+def mixture_instance(seed, d, n, eta=0.2):
+    spec = SyntheticSpec(d=d, n=n, seed=seed)
+    return corrupt_massart(make_synthetic_dataset(spec),
+                           MassartSpec(eta, gated_flip(4.0), seed + 1))[0]
+
+
+def full_lp_snapped(ds):
+    """One transform leaf, solved on every row, built from the public parts."""
+    config = RecoveryConfig()
+    n, d = ds.x.shape
+    transform = radial_isotropize(ds.x, min(config.gamma, certifying_gamma(n, d)))
+    U, yt = transform.apply(ds.x, ds.y)
+    w = transform.matrix @ l1_fit_linear(LabeledDataset(U, yt), config.fit_tol).w
+    return snap_to_rational(w, config.max_denominator)
 
 
 class TestRecoverLinearSimple:
@@ -153,6 +171,48 @@ class TestRecoverLinearRecursive:
         assert obj["model"] == "linear"
         assert obj["recursion_depth"] == 1
         assert obj["w_snapped"]["values"] == [3.0, -2.0]
+        # both dim-1 leaves (180 and 120 points) certify their 3-row subset
+        leaves = [e for e in obj["recursion_trace"] if e["outcome"] == "transform"]
+        assert [(e["lp_rows"], e["lp_solves"]) for e in leaves] == [(3, 1), (3, 1)]
+
+
+class TestSubsetAndCertify:
+    """A leaf with n >= 6d rows solves its LP on 3d of them first."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_certified_subset_matches_the_full_lp(self, seed):
+        ds = mixture_instance(seed, d=5, n=200)
+        report = recover_linear(ds)
+        (leaf,) = report.recursion_trace
+        assert (leaf["lp_rows"], leaf["lp_solves"]) == (15, 1)
+        assert report.w_snapped == full_lp_snapped(ds)
+
+    def test_failed_certificate_falls_back_to_the_full_lp(self, monkeypatch):
+        rows = []
+
+        def first_answer_perturbed(samples, fit_tol):
+            fit = l1_fit_linear(samples, fit_tol)
+            rows.append(samples.m)
+            if len(rows) == 1:
+                fit.w = fit.w + 0.5
+            return fit
+
+        monkeypatch.setattr(linear, "l1_fit_linear", first_answer_perturbed)
+        ds = mixture_instance(0, d=5, n=200)
+        report = recover_linear(ds)
+        (leaf,) = report.recursion_trace
+        assert rows == [15, 200]
+        assert (leaf["lp_rows"], leaf["lp_solves"]) == (200, 2)
+        assert report.w_snapped == full_lp_snapped(ds)
+
+    @pytest.mark.parametrize("n, lp_rows", [(29, 29), (30, 15)])
+    def test_the_subset_needs_6d_rows(self, n, lp_rows):
+        # below 6d rows the level makes one solve on all of them
+        w_star = [2.0, -1.0, 3.0, 0.0, 5.0]
+        report = recover_linear(realizable(n, n, 5, w_star))
+        (leaf,) = report.recursion_trace
+        assert (leaf["lp_rows"], leaf["lp_solves"]) == (lp_rows, 1)
+        assert report.w_snapped.to_fractions() == fractions_of(w_star)
 
 
 class TestEquivariance:
@@ -187,13 +247,36 @@ class TestEquivariance:
 def test_per_point_rescaling_leaves_the_snapped_output_unchanged(seed, exponents):
     # radial isotropy normalizes each point, so scaling one (x_i, y_i) pair
     # by c > 0 must not change the output; powers of 2 scale exactly
-    spec = SyntheticSpec(d=8, n=64, seed=seed)
-    corrupted, _ = corrupt_massart(make_synthetic_dataset(spec),
-                                   MassartSpec(0.2, gated_flip(4.0), seed + 1))
+    corrupted = mixture_instance(seed, d=8, n=64)
     scale = 2.0 ** np.array(exponents)
     rescaled = LabeledDataset(corrupted.x * scale[:, None], corrupted.y * scale)
     expected = recover_linear(corrupted).w_snapped
     assert recover_linear(rescaled).w_snapped == expected
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(64)))
+def test_row_permutation_leaves_the_snapped_output_unchanged(seed, perm):
+    # at n = 8d the LP first sees a fixed-seed subset of the rows, so this
+    # checks that the choice of subset does not leak into the output
+    corrupted = mixture_instance(seed, d=8, n=64)
+    permuted = LabeledDataset(corrupted.x[list(perm)], corrupted.y[list(perm)])
+    expected = recover_linear(corrupted).w_snapped
+    assert recover_linear(permuted).w_snapped == expected
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(8)),
+       signs=st.lists(st.sampled_from([-1, 1]), min_size=8, max_size=8))
+def test_signed_column_permutation_moves_the_snapped_output_alike(seed, perm, signs):
+    # x -> T x with T[i, perm[i]] = signs[i] maps w to T w; a general
+    # rotation would make the snapped output irrational
+    corrupted = mixture_instance(seed, d=8, n=64)
+    mapped = LabeledDataset(corrupted.x[:, list(perm)] * np.array(signs, dtype=float),
+                            corrupted.y)
+    w = recover_linear(corrupted).w_snapped.to_fractions()
+    expected = tuple(s * w[p] for s, p in zip(signs, perm))
+    assert recover_linear(mapped).w_snapped.to_fractions() == expected
 
 
 class TestRetries:
