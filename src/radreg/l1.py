@@ -17,12 +17,19 @@ u_i at a bound. The multipliers w make the reduced cost y_i - w.x_i of each
 basic u_i zero, so w interpolates those d samples exactly. It is therefore
 a vertex of the primal: the kind of basic solution every LAD optimum can be
 taken from, and the one rational snapping recovers the target from.
+
+``lad_optimal`` certifies a candidate w without the LP. By complementary
+slackness w is optimal exactly when a dual point u has u_i = sign(r_i) on
+every row with a nonzero residual r_i; the rows w fits exactly are free in
+[-1, 1] and must cancel the rest, X_Z^T u_Z = -X_N^T sign(r_N). Alternating
+projections between that affine set and the box look for such a u.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import linprog
 
 from .errors import ContractViolation, SolverStalled
@@ -32,6 +39,12 @@ FIT_RTOL = 1e-7  # |y - prediction| <= FIT_RTOL * (1 + |y|) counts as an exact f
 # 8e-11; reading w with the wrong sign or off a wrong basis leaves gaps of
 # order 1.
 DUALITY_GAP_RTOL = 1e-8
+# |X^T u| a certifying dual point may leave: HiGHS's default primal
+# feasibility tolerance, which the LP's own dual point meets.
+DUAL_FEAS_TOL = 1e-7
+# Rounds of alternating projections before lad_optimal gives up; the
+# benchmark's certified candidates need at most about 30.
+CERTIFY_ROUNDS = 100
 
 
 def fit_tolerances(y, fit_tol=FIT_RTOL):
@@ -78,6 +91,32 @@ def l1_fit_linear(samples, fit_tol=FIT_RTOL):
         residuals=residuals,
         exact_fit_count=int(exact_fit_mask(pred, y, fit_tol).sum()),
     )
+
+
+def lad_optimal(samples, w, fit_tol=FIT_RTOL):
+    """Whether a dual point proves w a global minimizer of sum |y_i - w.x_i|.
+
+    True is a proof; False only means no proof was found within
+    CERTIFY_ROUNDS rounds. Rows fit to within ``fit_tol`` count as fit
+    exactly, so what is proven is that no w' lowers the objective by more
+    than twice the residuals of those rows.
+    """
+    X, y = samples.x, samples.y
+    pred = X @ w
+    free = exact_fit_mask(pred, y, fit_tol)
+    Xz = X[free]
+    target = -X[~free].T @ np.sign(y[~free] - pred[~free])
+    try:
+        gram = cho_factor(Xz.T @ Xz)
+    except LinAlgError:  # the exactly fit rows do not span
+        return False
+    u = np.zeros(Xz.shape[0])
+    for _ in range(CERTIFY_ROUNDS):
+        u += Xz @ cho_solve(gram, target - Xz.T @ u)
+        if np.abs(u).max(initial=0.0) <= 1.0:
+            return bool(np.abs(Xz.T @ u - target).max(initial=0.0) <= DUAL_FEAS_TOL)
+        np.clip(u, -1.0, 1.0, out=u)
+    return False
 
 
 @dataclass

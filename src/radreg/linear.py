@@ -5,15 +5,14 @@ Each recursion level drops the zero covariates and asks
 level solves the rescaled least-absolute-deviations LP and maps the
 minimizer back through the (symmetric) transform. A level with n >= 6d
 points first solves that LP on 3d of its rescaled rows, chosen with a
-fixed seed, and keeps the answer when it fits at least half of all n
-points exactly (subsample and certify, after Portnoy and Koenker, "The
-Gaussian hare and the Laplacian tortoise", Stat. Sci. 1997); otherwise it
-solves the LP on all n rows. When the points
-concentrate on a subspace V instead, it recovers the projection of the
-target onto V from the points inside it, subtracts that component from the
-labels of the remaining points, and recurses on the orthogonal complement.
-A subspace holding every point leaves the complement of the target
-unidentifiable.
+fixed seed, and keeps the answer when a dual point proves it a minimizer
+of the LP on all n rows (subsample and certify, after Portnoy and Koenker,
+"The Gaussian hare and the Laplacian tortoise", Stat. Sci. 1997); otherwise
+it solves the LP on all n rows. When the points concentrate on a subspace
+V instead, it recovers the projection of the target onto V from the points
+inside it, subtracts that component from the labels of the remaining
+points, and recurses on the orthogonal complement. A subspace holding
+every point leaves the complement of the target unidentifiable.
 
 The recovered parameter is snapped once to bounded-denominator rationals;
 reports carry the snapped vector, the fraction of samples it fits exactly,
@@ -27,7 +26,8 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import InsufficientPoints, NonIdentifiable, RadregError
 from .isotropy import DEFAULT_GAMMA, RadialTransform, certifying_gamma, radial_isotropize
-from .l1 import FIT_RTOL, RationalVector, exact_fit_mask, l1_fit_linear, snap_to_rational
+from .l1 import (FIT_RTOL, RationalVector, exact_fit_mask, l1_fit_linear, lad_optimal,
+                 snap_to_rational)
 from .linalg import orthonormal_complement
 
 SUBSET_ROWS_PER_DIM = 3  # rows of the first LP of a leaf, per dimension
@@ -87,36 +87,33 @@ def _fit_leaf(transform, X, y, config):
     """LAD fit on the rescaled points, mapped back: (w, lp_rows, lp_solves).
 
     With n >= 2k rows, k = SUBSET_ROWS_PER_DIM * d, the LP first sees k
-    rows drawn with a fixed seed. Its answer is kept when it fits at least
-    half of all n points exactly; otherwise the LP is solved again on all n.
-    The raw w is checked, not a snapped one: below the root the coordinates
-    are irrational.
+    rows drawn with a fixed seed. Its answer is kept when ``lad_optimal``
+    proves it a minimizer of the LP on all n rows; otherwise the LP is
+    solved again on all n.
     """
     n, d = X.shape
-    U, yt = transform.apply(X, y)
+    rescaled = LabeledDataset(*transform.apply(X, y))
     k = SUBSET_ROWS_PER_DIM * d
     subset = 2 * k <= n
     if subset:
         rows = np.sort(np.random.default_rng(SUBSET_SEED).choice(n, k, replace=False))
-        fit = l1_fit_linear(LabeledDataset(U[rows], yt[rows]), config.fit_tol)
-        w = transform.matrix @ fit.w
-        if 2 * int(exact_fit_mask(X @ w, y, config.fit_tol).sum()) >= n:
-            return w, k, 1
-    fit = l1_fit_linear(LabeledDataset(U, yt), config.fit_tol)
+        fit = l1_fit_linear(LabeledDataset(rescaled.x[rows], rescaled.y[rows]), config.fit_tol)
+        if lad_optimal(rescaled, fit.w, config.fit_tol):
+            return transform.matrix @ fit.w, k, 1
+    fit = l1_fit_linear(rescaled, config.fit_tol)
     return transform.matrix @ fit.w, n, 1 + subset
 
 
 def _recover(X, y, depth, branch, trace, config):
     """Recover the target's coordinates at one level; appends to ``trace``.
 
-    The subset answer of a transform leaf needs no LP optimality on all n
-    points to be exact. Suppose the target w* fits (1 - eta')n of the
-    level's points exactly (eta' is the share of rewritten labels) and the
-    kept w fits at least n/2. Then w and w* agree on at least
-    (1/2 - eta')n points. When those include d points in general position,
-    w - w* is orthogonal to d independent vectors, so w = w*. If the
-    certificate fails, the level solves the full LP, as it would without
-    the subset.
+    A transform leaf keeps a subset answer only when it minimizes the LP on
+    all of the level's points, so the leaf returns what the full LP returns
+    whenever that LP has one minimizer. Fitting a majority of the points
+    would not be enough: with 65% of the points of R^3 on a plane (no heavy
+    subspace, since 65% < 2/3), a w that fits every point of the plane
+    fits a majority whatever its third coordinate, which the subset may
+    take from a few corrupted points off the plane.
     """
     d = X.shape[1]
     nonzero = np.linalg.norm(X, axis=1) > 0.0

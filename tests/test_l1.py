@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 from radreg.data import LabeledDataset
 from radreg.errors import ContractViolation, Degenerate, SolverStalled
 import radreg.l1
-from radreg.l1 import l1_fit_linear, snap_to_rational
+from radreg.l1 import exact_fit_mask, l1_fit_linear, lad_optimal, snap_to_rational
 from radreg.isotropy import radial_isotropize
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
 
@@ -173,6 +173,39 @@ class TestL1FitLinear:
         ds = LabeledDataset(rng.standard_normal((30, 3)), rng.standard_normal(30))
         with pytest.raises(SolverStalled, match="duality gap"):
             l1_fit_linear(ds)
+
+
+class TestLadOptimal:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_certifies_the_lp_answer_and_the_target(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        X = rng.standard_normal((200, 5))
+        w_star = np.array([1.0, -2.0, 0.5, 3.0, -1.25])
+        corrupted, _ = corrupt_massart(
+            LabeledDataset(X, X @ w_star), MassartSpec(0.2, FlipNegate(), seed=seed)
+        )
+        assert lad_optimal(corrupted, l1_fit_linear(corrupted).w)
+        assert lad_optimal(corrupted, w_star)
+        assert not lad_optimal(corrupted, w_star + 1e-3)
+
+    def test_a_majority_fit_is_not_enough(self):
+        # 7 of 10 points on the line x2 = 0, where any w with w1 = 1 fits;
+        # off it two points fit (1, 2) and one fits (1, -3)
+        X = np.array([[1, 0], [2, 0], [-1, 0], [3, 0], [-2, 0], [1.5, 0], [0.5, 0],
+                      [1, 1], [0, 1], [2, -1]], dtype=float)
+        y = X @ np.array([1.0, 2.0])
+        y[-1] = X[-1] @ np.array([1.0, -3.0])
+        ds = LabeledDataset(X, y)
+        wrong = np.array([1.0, -3.0])
+        assert exact_fit_mask(X @ wrong, y).sum() == 8
+        assert not lad_optimal(ds, wrong)
+        assert lad_optimal(ds, np.array([1.0, 2.0]))
+        assert is_unique_lad_minimizer(ds, np.array([1.0, 2.0]))
+
+    def test_exact_fits_that_do_not_span_prove_nothing(self):
+        X = np.array([[1, 0], [2, 0], [0, 1], [0, 2]], dtype=float)
+        y = np.array([1.0, 2.0, 5.0, -5.0])
+        assert not lad_optimal(LabeledDataset(X, y), np.array([1.0, 7.0]))
 
 
 class TestL0Bruteforce:

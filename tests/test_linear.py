@@ -52,6 +52,24 @@ def full_lp_snapped(ds):
     return snap_to_rational(w, config.max_denominator)
 
 
+PLANE_TARGET = (2.0, -1.0, 3.0)
+
+
+def plane_instance(seed, n=200, on_plane=130, eta=0.3):
+    """65% of the points on the plane x3 = 0, which is not heavy (2/3 would
+    be). Each point off the plane is rewritten with probability eta, and all
+    of them to the same wrong third coordinate."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 3))
+    X[:on_plane, 2] = 0.0
+    w_star = np.array(PLANE_TARGET)
+    y = X @ w_star
+    rewritten = (np.arange(n) >= on_plane) & (rng.random(n) < eta)
+    y[rewritten] = X[rewritten] @ (w_star - [0.0, 0.0, 7.0])
+    order = rng.permutation(n)
+    return LabeledDataset(X[order], y[order])
+
+
 class TestRecoverLinearSimple:
     """Instances without a heavy subspace: one transform leaf at depth 0."""
 
@@ -186,6 +204,16 @@ class TestSubsetAndCertify:
         (leaf,) = report.recursion_trace
         assert (leaf["lp_rows"], leaf["lp_solves"]) == (15, 1)
         assert report.w_snapped == full_lp_snapped(ds)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_majority_fit_off_the_optimum_is_refused(self, seed):
+        # the 9-row subset LPs of seeds 2 and 3 take the third coordinate
+        # from rewritten points; the answer fits every point of the plane,
+        # a majority, but does not minimize the LP on all 200 rows
+        ds = plane_instance(seed)
+        report = recover_linear(ds)
+        assert report.w_snapped == full_lp_snapped(ds)
+        assert report.w_snapped.to_fractions() == fractions_of(PLANE_TARGET)
 
     def test_failed_certificate_falls_back_to_the_full_lp(self, monkeypatch):
         rows = []
