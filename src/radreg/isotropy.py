@@ -5,35 +5,46 @@ position when the normalized second-moment matrix (d/n) sum u_i u_i^T has
 smallest eigenvalue at least 1 - gamma; equivalently, the quadratic form in
 every unit direction is at least 1 - gamma. ``radial_isotropize`` searches
 for a symmetric positive definite A whose normalized images achieve this via
-the alternating normalization fixed point:
+the alternating normalization fixed point (Artstein-Avidan, Kaplan, Sharir,
+*On radial isotropic position: theory and algorithms*, 2020):
 
     u_i = A x_i / |A x_i|,   M = (d/n) sum u_i u_i^T,   A <- M^{-1/2} A.
 
-The multiplicative update destroys symmetry, so after each step A is replaced
-by its symmetric polar factor (A^T A)^{1/2}; this only rotates the images and
-leaves the eigenvalue certificate unchanged.
+The multiplicative update destroys symmetry, so A is carried as it is and
+replaced by its symmetric polar factor P = (A^T A)^{1/2} once, at exit.
+That is exact: with A = Q P and Q orthogonal, the images of A are Q times
+those of P, so the second moment is Q M_P Q^T (same spectrum, same
+certificate) and the next iterate Q M_P^{-1/2} P has the polar factor of
+M_P^{-1/2} P, the next symmetric iterate. The gap, iteration count and
+condition number are those of symmetrizing every step, without one SVD per
+iteration: an iteration costs one eigh of M. In floating point the returned
+P's images differ from those certified by about eps times its condition
+number.
 
 No transform exists exactly when some k-dimensional subspace holds strictly
-more than a k/d fraction of the points. When the iteration stalls, the
-detector maps the dominant eigenvectors of M back through A^{-1}, snaps the
-nearby points onto their own span, and verifies the count; a verified
-subspace is correct regardless of how it was found. For d <= 6 an exhaustive
-search over subspaces spanned by point subsets settles the question exactly.
+more than a k/d fraction of the points (Hardt & Moitra, COLT 2013). When
+the iteration stalls, the detector maps the eigenvectors of M back through
+A^{-1}, top first, and takes one QR of them: the first k columns of Q span
+the k-th candidate, so a point's distance to every candidate is the norm of
+its trailing coordinates. The points near a candidate are snapped onto
+their own span and counted; a verified subspace is correct regardless of
+how it was found, and a capture set once refuted is not verified again.
+For d <= 6 an exhaustive search over subspaces spanned by point subsets
+settles the question exactly.
+
 A rank-deficient set, including any set of fewer than d points, is the
-trivial case: its span holds all of it.
+trivial case: its span holds all of it. The rank SVD runs only when the
+first iteration's spectrum is near singular, which every rank deficit is.
 """
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractViolation, IsotropyStalled
-from .linalg import OrthonormalBasis, matrix_rank, span_basis
-
-logger = logging.getLogger(__name__)
+from .linalg import RANK_RTOL, OrthonormalBasis, matrix_rank, span_basis
 
 DEFAULT_GAMMA = 0.5
 ANGULAR_TOL = 1e-6      # loose capture radius around a candidate subspace
@@ -112,18 +123,11 @@ def _sym_polar(A):
     return (Vt.T * sig) @ Vt, sig[0], sig[-1]
 
 
-def _verify_candidate(Xu, directions):
-    """Snap points near span(directions) onto their own span and verify it is
-    heavy. Returns a HeavySubspace or None; a non-None result is always a
-    certified answer."""
+def _verify_candidate(Xu, loose):
+    """Snap the captured points onto their own span and verify it is heavy.
+    Returns a HeavySubspace or None; a non-None result is always a certified
+    answer, and the verdict depends on Xu and the capture set alone."""
     n, d = Xu.shape
-    try:
-        cand = span_basis(directions.T)
-    except ContractViolation:
-        return None
-    loose = cand.distance(Xu) <= ANGULAR_TOL
-    if not loose.any():
-        return None
     fitted = span_basis(Xu[loose])
     if fitted.size >= d:
         return None
@@ -140,16 +144,28 @@ def _verify_candidate(Xu, directions):
     return None
 
 
-def _detect_heavy(Xu, A, M):
-    """Try every top-k eigenspace of M, mapped back through A, as a candidate."""
+def _detect_heavy(Xu, A, evecs, refuted):
+    """Try every top-k eigenspace of M, mapped back through A, as a candidate.
+
+    ``evecs`` are the eigenvectors of M in ascending order. ``refuted``
+    holds the capture sets already verified and refuted in this call of
+    ``radial_isotropize``; new refutations are added to it.
+    """
     n, d = Xu.shape
-    _, evecs = np.linalg.eigh(M)  # ascending; heavy mass sits in the top end
+    Q, _ = np.linalg.qr(np.linalg.solve(A, evecs[:, ::-1]))
+    # tail[:, k]: squared distance of each point to the span of Q[:, :k]
+    tail = np.cumsum(((Xu @ Q) ** 2)[:, ::-1], axis=1)[:, ::-1]
     for k in range(1, d):
-        top = evecs[:, d - k:]
-        back = np.linalg.solve(A, top)
-        found = _verify_candidate(Xu, back)
+        loose = tail[:, k] <= ANGULAR_TOL ** 2
+        if not loose.any():
+            continue
+        key = np.packbits(loose).tobytes()
+        if key in refuted:
+            continue
+        found = _verify_candidate(Xu, loose)
         if found is not None:
             return found
+        refuted.add(key)
     return None
 
 
@@ -208,32 +224,40 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA, max_iters=None):
         raise ContractViolation(f"gamma must lie in (0, 1), got {gamma}")
     Xu = _unit_rows(points)
     n, d = Xu.shape
-    if matrix_rank(Xu) < d:
-        basis = span_basis(Xu)
-        members = basis.distance(Xu) <= MEMBER_RTOL
-        return HeavySubspace(basis, 1.0, member_mask=members)
     if max_iters is None:
         max_iters = default_max_iters(d, gamma)
 
-    A = np.eye(d)
-    sig_max = sig_min = 1.0
+    A = np.eye(d)  # carried unsymmetrized; its polar factor is returned
     target = 1.0 - gamma
+    refuted = set()
     for it in range(max_iters + 1):
         V = Xu @ A.T
         norms = np.linalg.norm(V, axis=1)
         U = V / norms[:, None]
         M = (d / n) * (U.T @ U)
         evals, evecs = np.linalg.eigh(M)
+        # At it == 0, M is the Gram matrix of Xu over n/d, so a rank deficit
+        # (a singular value at most RANK_RTOL times the largest) puts
+        # lambda_min at most RANK_RTOL**2 = 1e-18 times lambda_max. Forming
+        # and diagonalizing M moves its eigenvalues by about n * eps *
+        # lambda_max, orders of magnitude below RANK_RTOL * lambda_max, so
+        # this test catches every rank deficit and the SVD runs only on a
+        # near-singular spectrum.
+        if it == 0 and evals[0] <= RANK_RTOL * evals[-1] and matrix_rank(Xu) < d:
+            basis = span_basis(Xu)
+            members = basis.distance(Xu) <= MEMBER_RTOL
+            return HeavySubspace(basis, 1.0, member_mask=members)
         if evals[0] >= target:
+            P, sig_max, sig_min = _sym_polar(A)
             return RadialTransform(
-                matrix=A,
+                matrix=P,
                 gamma_achieved=max(0.0, 1.0 - float(evals[0])),
                 iterations_used=it,
                 log_condition_number=float(np.log(sig_max / sig_min)),
             )
         degenerate = evals[0] <= 1e-13 * max(evals[-1], 1.0)
         if degenerate or it % DETECT_EVERY == DETECT_EVERY - 1 or it == max_iters:
-            found = _detect_heavy(Xu, A, M)
+            found = _detect_heavy(Xu, A, evecs, refuted)
             if found is not None:
                 return found
             if degenerate or it == max_iters:
@@ -245,8 +269,7 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA, max_iters=None):
                     f"no transform reached gamma={gamma} within {max_iters} "
                     "iterations and no heavy subspace could be verified"
                 )
-        B = (evecs * (1.0 / np.sqrt(np.maximum(evals, 1e-300)))) @ evecs.T
-        A, sig_max, sig_min = _sym_polar(B @ A)
+        A = (evecs * (1.0 / np.sqrt(np.maximum(evals, 1e-300)))) @ (evecs.T @ A)
     raise AssertionError("unreachable")
 
 
@@ -269,16 +292,15 @@ def find_heavy_subspace(points):
     ``certifying_gamma``; convergence certifies absence. Points that do not
     span the space return their span. A stalled iteration falls back on
     eigenspace candidates, then on exhaustive search for d <= 6. For d > 6 a
-    stall without a verified subspace returns None with a logged warning.
+    stall without a verified subspace proves nothing either way, so
+    IsotropyStalled propagates: None always means "certified none".
     """
     Xu = _unit_rows(points)
     n, d = Xu.shape
     try:
         result = radial_isotropize(Xu, min(DEFAULT_GAMMA, certifying_gamma(n, d)))
-    except IsotropyStalled as exc:
-        # stalled without a verified subspace; for d <= 6 the exhaustive
-        # search already ran inside radial_isotropize and found nothing
+    except IsotropyStalled:
         if d > EXHAUSTIVE_MAX_DIM:
-            logger.warning("heavy-subspace search inconclusive: %s", exc)
-        return None
+            raise
+        return None  # the exhaustive search inside radial_isotropize found none
     return result if isinstance(result, HeavySubspace) else None

@@ -1,7 +1,11 @@
-"""Test oracles: brute-force l0 fitting and the structural-condition check.
+"""Test oracles: brute-force l0 fitting, the structural-condition check, and
+the direct forms of the isotropy layer's shortcuts.
 
-Both enumerate (sample subsets, or directions on a grid), so they only run
-at desk scale. The tests compare the library's l1 pipeline against them.
+The first two enumerate (sample subsets, or directions on a grid), so they
+only run at desk scale. The tests compare the library's l1 pipeline against
+them. The isotropy oracles do the work the library avoids: one SVD per
+heavy-subspace candidate, a rank SVD on every call, and a symmetric polar
+factor after every fixed-point step.
 """
 
 import itertools
@@ -10,7 +14,16 @@ import math
 import numpy as np
 
 from radreg.errors import ContractViolation, Degenerate
+from radreg.isotropy import (
+    ANGULAR_TOL,
+    MEMBER_RTOL,
+    HeavySubspace,
+    _sym_polar,
+    _verify_candidate,
+    second_moment,
+)
 from radreg.l1 import FIT_RTOL, exact_fit_mask, fit_tolerances
+from radreg.linalg import matrix_rank, span_basis
 
 
 def _relu(t):
@@ -95,3 +108,53 @@ def check_structural_condition(samples, w_true, model="linear",
         if margin < worst:
             worst = margin
     return worst > 0.0, worst
+
+
+def detect_heavy_per_candidate(Xu, A, M):
+    """The heavy-subspace detector with one SVD per candidate.
+
+    Every top-k eigenspace of M, mapped back through A, gets its own
+    orthonormal basis from ``span_basis``; the points within ANGULAR_TOL of
+    it are verified, the first heavy span found wins.
+    """
+    n, d = Xu.shape
+    _, evecs = np.linalg.eigh(M)
+    for k in range(1, d):
+        back = np.linalg.solve(A, evecs[:, d - k:])
+        try:
+            cand = span_basis(back.T)
+        except ContractViolation:
+            continue
+        loose = cand.distance(Xu) <= ANGULAR_TOL
+        if loose.any():
+            found = _verify_candidate(Xu, loose)
+            if found is not None:
+                return found
+    return None
+
+
+def rank_deficient_span(Xu):
+    """The eager rank check: the span of unit rows that do not span R^d, as a
+    HeavySubspace with fraction 1.0, or None when they do."""
+    if matrix_rank(Xu) >= Xu.shape[1]:
+        return None
+    basis = span_basis(Xu)
+    return HeavySubspace(basis, 1.0, member_mask=basis.distance(Xu) <= MEMBER_RTOL)
+
+
+def isotropize_polar_every_step(Xu, gamma, max_iters=1000):
+    """The isotropy fixed point with A symmetrized after every step.
+
+    Returns (A, iterations, gamma_achieved, log_condition_number) once
+    lambda_min reaches 1 - gamma; no heavy-subspace detection, so only for
+    sets that have a transform.
+    """
+    d = Xu.shape[1]
+    A, sig_max, sig_min = np.eye(d), 1.0, 1.0
+    for it in range(max_iters + 1):
+        V = Xu @ A.T
+        evals, evecs = np.linalg.eigh(second_moment(V / np.linalg.norm(V, axis=1)[:, None]))
+        if evals[0] >= 1.0 - gamma:
+            return A, it, 1.0 - evals[0], np.log(sig_max / sig_min)
+        A, sig_max, sig_min = _sym_polar((evecs / np.sqrt(evals)) @ evecs.T @ A)
+    raise AssertionError(f"no transform within {max_iters} iterations")

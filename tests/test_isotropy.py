@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    detect_heavy_per_candidate,
+    isotropize_polar_every_step,
+    rank_deficient_span,
+)
 from radreg import isotropy
 from radreg.errors import ContractViolation, IsotropyStalled, RadregError
 from radreg.isotropy import (
     HeavySubspace,
     RadialTransform,
+    _detect_heavy,
+    _unit_rows,
     certifying_gamma,
     check_forster_condition,
     find_heavy_subspace,
@@ -150,8 +157,14 @@ class TestHeavySubspaceVerification:
         assert out.fraction == 1.0
 
     def test_stall_is_inconclusive(self, monkeypatch):
+        # above EXHAUSTIVE_MAX_DIM a stall proves nothing, so it is no "none"
         monkeypatch.setattr(isotropy, "default_max_iters", lambda d, gamma: 0)
-        assert find_heavy_subspace(stretched_cloud()) is None
+        with pytest.raises(IsotropyStalled):
+            find_heavy_subspace(stretched_cloud())
+
+    def test_stall_at_desk_scale_is_settled_exhaustively(self, monkeypatch):
+        monkeypatch.setattr(isotropy, "default_max_iters", lambda d, gamma: 0)
+        assert find_heavy_subspace(stretched_cloud()[:40, :3]) is None
 
     def test_one_dim_has_no_heavy(self):
         assert find_heavy_subspace(np.array([[1.0], [-2.0], [3.0]])) is None
@@ -162,6 +175,160 @@ class TestHeavySubspaceVerification:
         assert one.dim == 1 and one.fraction == 1.0
         two = find_heavy_subspace(np.eye(3)[:2])
         assert two.dim == 2 and two.fraction == 1.0
+
+
+def iterates(Xu, steps):
+    """(A, M) after each of ``steps`` unsymmetrized fixed-point updates from I."""
+    A = np.eye(Xu.shape[1])
+    for step in range(max(steps) + 1):
+        V = Xu @ A.T
+        M = second_moment(V / np.linalg.norm(V, axis=1)[:, None])
+        if step in steps:
+            yield A, M
+        evals, evecs = np.linalg.eigh(M)
+        A = (evecs / np.sqrt(evals)) @ evecs.T @ A
+
+
+def on_subspace(rng, n, d, k, members):
+    """n Gaussian points of R^d, the first ``members`` on a random k-dim subspace."""
+    X = rng.standard_normal((n, d))
+    basis = np.linalg.qr(rng.standard_normal((d, k)))[0]
+    X[:members] = rng.standard_normal((members, k)) @ basis.T
+    return _unit_rows(X[rng.permutation(n)])
+
+
+DETECTOR_CASES = {
+    "heavy line in R^3": (lambda rng: on_subspace(rng, 100, 3, 1, 50), True),
+    "heavy plane in R^8": (lambda rng: on_subspace(rng, 300, 8, 2, 120), True),
+    # the V-perp level of the heavy_recursion benchmark: exactly 4/14, not heavy
+    "200 of 700 on 4 of 14 dims": (lambda rng: on_subspace(rng, 700, 14, 4, 200), False),
+    "Gaussian cloud in R^5": (lambda rng: on_subspace(rng, 60, 5, 1, 0), False),
+    "Gaussian cloud in R^12": (lambda rng: on_subspace(rng, 200, 12, 1, 0), False),
+}
+
+
+class TestDetectorMatchesPerCandidateSVDs:
+    """One QR of all back-mapped eigenvectors against one SVD per candidate."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("case", sorted(DETECTOR_CASES))
+    def test_same_answer_along_the_iteration(self, case, seed):
+        make, heavy = DETECTOR_CASES[case]
+        rng = np.random.default_rng(seed)
+        Xu = make(rng)
+        d = Xu.shape[1]
+        rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        refuted = set()  # shared across the calls, as in one radial_isotropize
+        found_any = False
+        for A, M in iterates(Xu, (0, 1, 3, 10, 24, 49)):
+            # A is not symmetric after the first step; a rotation on the left
+            # makes it less so and must change neither answer
+            for A_, M_ in ((A, M), (rotation @ A, rotation @ M @ rotation.T)):
+                new = _detect_heavy(Xu, A_, np.linalg.eigh(M_)[1], refuted)
+                old = detect_heavy_per_candidate(Xu, A_, M_)
+                assert (new is None) == (old is None)
+                if new is not None:
+                    found_any = True
+                    assert np.array_equal(new.basis.vectors, old.basis.vectors)
+                    assert np.array_equal(new.member_mask, old.member_mask)
+                    assert new.fraction == old.fraction
+        assert found_any == heavy
+
+
+class TestRankTrigger:
+    """The rank SVD runs only on a near-singular first spectrum."""
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 3), (4, 9)])
+    def test_fewer_points_than_dimensions(self, n, d, monkeypatch):
+        X = np.random.default_rng(n * d).standard_normal((n, d))
+        self.assert_span(X, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_scaled_by_huge_and_tiny_powers_of_two(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((30, 3)) @ np.linalg.qr(rng.standard_normal((6, 3)))[0].T
+        self.assert_span(X * np.exp2(rng.integers(-40, 41, size=30))[:, None], monkeypatch)
+
+    def test_well_conditioned_set_takes_no_rank_svd(self, monkeypatch):
+        calls = self.count_rank_svds(monkeypatch)
+        pts = np.random.default_rng(4).standard_normal((50, 5))
+        assert isinstance(radial_isotropize(pts, gamma=0.01), RadialTransform)
+        assert calls == []
+
+    @staticmethod
+    def count_rank_svds(monkeypatch):
+        calls = []
+        rank = isotropy.matrix_rank
+        monkeypatch.setattr(isotropy, "matrix_rank", lambda P: calls.append(P) or rank(P))
+        return calls
+
+    def assert_span(self, X, monkeypatch):
+        expected = rank_deficient_span(_unit_rows(X))
+        calls = self.count_rank_svds(monkeypatch)
+        out = radial_isotropize(X, gamma=0.5)
+        assert len(calls) == 1
+        assert isinstance(out, HeavySubspace) and out.fraction == 1.0
+        assert np.array_equal(out.basis.vectors, expected.basis.vectors)
+        assert np.array_equal(out.member_mask, expected.member_mask)
+
+    @staticmethod
+    def full_rank_with_ratio(ratio, d=8, n=40):
+        """Unit rows whose smallest singular value is about ``ratio`` times
+        the largest."""
+        U, _, Vt = np.linalg.svd(np.random.default_rng(3).standard_normal((n, d)),
+                                 full_matrices=False)
+        s = np.linspace(1.0, 0.5, d)
+        s[-1] = ratio
+        return _unit_rows((U * s) @ Vt)
+
+    def test_full_rank_near_singular_set_still_iterates(self, monkeypatch):
+        # eigenvalue ratio about 1e-12: the trigger fires, the SVD says full
+        # rank, and the fixed point goes on to a transform
+        Xu = self.full_rank_with_ratio(1e-6)
+        evals = np.linalg.eigvalsh(second_moment(Xu))
+        assert evals[0] <= 1e-9 * evals[-1]
+        assert rank_deficient_span(Xu) is None
+        calls = self.count_rank_svds(monkeypatch)
+        t = radial_isotropize(Xu, gamma=0.5)
+        assert len(calls) == 1
+        assert isinstance(t, RadialTransform) and t.iterations_used >= 1
+        assert min_isotropy_eig(t.apply(Xu)) >= 0.5
+
+    def test_full_rank_ratio_1e8_is_not_reported_as_its_span(self):
+        # the rank SVD keeps it full rank; an eigenvalue ratio near 1e-16 then
+        # stops the fixed point at its degeneracy guard, with or without the
+        # trigger
+        Xu = self.full_rank_with_ratio(1e-8)
+        assert rank_deficient_span(Xu) is None
+        with pytest.raises(IsotropyStalled):
+            radial_isotropize(Xu, gamma=0.5)
+
+
+class TestPolarFactorOnceAtExit:
+    """A stretched cloud needs many iterations; the factor is taken once."""
+
+    def points(self):
+        return np.random.default_rng(14).standard_normal((200, 8)) * np.geomspace(1e3, 1.0, 8)
+
+    def test_returned_transform(self):
+        pts = self.points()
+        t = radial_isotropize(pts, gamma=1e-9)
+        A = t.matrix
+        assert t.iterations_used >= 15
+        assert np.allclose(A, A.T, rtol=0.0, atol=1e-12 * np.abs(A).max())
+        assert np.linalg.eigvalsh(A)[0] > 0.0
+        assert t.log_condition_number == pytest.approx(np.log(np.linalg.cond(A)), abs=1e-9)
+        assert min_isotropy_eig(t.apply(pts)) >= 1.0 - t.gamma_achieved - 1e-12
+
+    def test_matches_a_polar_factor_every_step(self):
+        pts = self.points()
+        t = radial_isotropize(pts, gamma=1e-9)
+        A, iterations, gamma_achieved, log_cond = isotropize_polar_every_step(
+            _unit_rows(pts), 1e-9)
+        assert t.iterations_used == iterations
+        assert t.gamma_achieved == pytest.approx(gamma_achieved, abs=1e-12)
+        assert t.log_condition_number == pytest.approx(log_cond, abs=1e-9)
+        assert np.allclose(t.matrix, A, rtol=1e-8, atol=0.0)
 
 
 class TestCheckForsterCondition:
