@@ -48,7 +48,8 @@ print(f"inlier fraction:   {report.inlier_fraction:.3f} "
       f"(majority certified: {report.majority_certified})")
 
 iso = report.recursion_trace[0]["isotropy"]
-print(f"\ntransform diagnostics: {iso['iterations_used']} iterations, "
+print(f"\ntransform diagnostics: {iso['iterations_used']} iterations "
+      f"({iso['newton_steps']} of them Newton steps), "
       f"achieved gap {iso['gamma_achieved']:.2e}, "
       f"log condition number {iso['log_condition_number']:.2f}")
 

@@ -97,7 +97,8 @@ def lad_optimal(samples, w, fit_tol=FIT_RTOL):
     """Whether a dual point proves w a global minimizer of sum |y_i - w.x_i|.
 
     True is a proof; False only means no proof was found within
-    CERTIFY_ROUNDS rounds. Rows fit to within ``fit_tol`` count as fit
+    CERTIFY_ROUNDS rounds, or before the projections stalled at a positive
+    distance from the box. Rows fit to within ``fit_tol`` count as fit
     exactly, so what is proven is that no w' lowers the objective by more
     than twice the residuals of those rows.
     """
@@ -111,11 +112,19 @@ def lad_optimal(samples, w, fit_tol=FIT_RTOL):
     except LinAlgError:  # the exactly fit rows do not span
         return False
     u = np.zeros(Xz.shape[0])
+    gap = np.inf
     for _ in range(CERTIFY_ROUNDS):
         u += Xz @ cho_solve(gram, target - Xz.T @ u)
         if np.abs(u).max(initial=0.0) <= 1.0:
             return bool(np.abs(Xz.T @ u - target).max(initial=0.0) <= DUAL_FEAS_TOL)
-        np.clip(u, -1.0, 1.0, out=u)
+        clipped = np.clip(u, -1.0, 1.0)
+        # Alternating projections never widen the distance from the affine
+        # set to the box; when it stops shrinking, above rounding, they are
+        # at a fixed point and the two sets do not meet.
+        last, gap = gap, float(np.linalg.norm(u - clipped))
+        if DUAL_FEAS_TOL < gap >= last:
+            return False
+        u = clipped
     return False
 
 

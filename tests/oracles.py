@@ -4,8 +4,9 @@ the direct forms of the isotropy layer's shortcuts.
 The first two enumerate (sample subsets, or directions on a grid), so they
 only run at desk scale. The tests compare the library's l1 pipeline against
 them. The isotropy oracles do the work the library avoids: one SVD per
-heavy-subspace candidate, a rank SVD on every call, and a symmetric polar
-factor after every fixed-point step.
+heavy-subspace candidate, a rank SVD on every call, a symmetric polar
+factor after every fixed-point step, and fixed-point steps where the
+library takes Newton steps.
 """
 
 import itertools
@@ -16,9 +17,13 @@ import numpy as np
 from radreg.errors import ContractViolation, Degenerate
 from radreg.isotropy import (
     ANGULAR_TOL,
+    DETECT_EVERY,
     MEMBER_RTOL,
     HeavySubspace,
+    RadialTransform,
+    _detect_heavy,
     _sym_polar,
+    _unit_rows,
     _verify_candidate,
     second_moment,
 )
@@ -158,3 +163,30 @@ def isotropize_polar_every_step(Xu, gamma, max_iters=1000):
             return A, it, 1.0 - evals[0], np.log(sig_max / sig_min)
         A, sig_max, sig_min = _sym_polar((evecs / np.sqrt(evals)) @ evecs.T @ A)
     raise AssertionError(f"no transform within {max_iters} iterations")
+
+
+def isotropize_fixed_point(points, gamma, max_iters=2000):
+    """The isotropy loop with the fixed-point step A <- M^{-1/2} A on every
+    iteration and the heavy-subspace detector every DETECT_EVERY iterations.
+
+    Returns a RadialTransform or a verified HeavySubspace, computed with the
+    same expressions as ``radial_isotropize`` up to its first Newton step.
+    Full-rank sets only: no rank trigger and no degeneracy guard.
+    """
+    Xu = _unit_rows(points)
+    n, d = Xu.shape
+    A = np.eye(d)
+    for it in range(max_iters + 1):
+        V = Xu @ A.T
+        U = V / np.linalg.norm(V, axis=1)[:, None]
+        evals, evecs = np.linalg.eigh((d / n) * (U.T @ U))
+        if evals[0] >= 1.0 - gamma:
+            P, sig_max, sig_min = _sym_polar(A)
+            return RadialTransform(P, max(0.0, 1.0 - float(evals[0])), it,
+                                   float(np.log(sig_max / sig_min)))
+        if it % DETECT_EVERY == DETECT_EVERY - 1:
+            found = _detect_heavy(Xu, A, evecs)
+            if found is not None:
+                return found
+        A = (evecs * (1.0 / np.sqrt(np.maximum(evals, 1e-300)))) @ (evecs.T @ A)
+    raise AssertionError(f"neither a transform nor a heavy subspace within {max_iters} iterations")

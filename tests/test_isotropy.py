@@ -3,12 +3,16 @@ import pytest
 
 from oracles import (
     detect_heavy_per_candidate,
+    isotropize_fixed_point,
     isotropize_polar_every_step,
     rank_deficient_span,
 )
 from radreg import isotropy
+from radreg.bench import SyntheticSpec, sample_synthetic_mixture
 from radreg.errors import ContractViolation, IsotropyStalled, RadregError
 from radreg.isotropy import (
+    DETECT_EVERY,
+    NEWTON_AFTER,
     HeavySubspace,
     RadialTransform,
     _detect_heavy,
@@ -218,13 +222,12 @@ class TestDetectorMatchesPerCandidateSVDs:
         Xu = make(rng)
         d = Xu.shape[1]
         rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
-        refuted = set()  # shared across the calls, as in one radial_isotropize
         found_any = False
         for A, M in iterates(Xu, (0, 1, 3, 10, 24, 49)):
             # A is not symmetric after the first step; a rotation on the left
             # makes it less so and must change neither answer
             for A_, M_ in ((A, M), (rotation @ A, rotation @ M @ rotation.T)):
-                new = _detect_heavy(Xu, A_, np.linalg.eigh(M_)[1], refuted)
+                new = _detect_heavy(Xu, A_, np.linalg.eigh(M_)[1])
                 old = detect_heavy_per_candidate(Xu, A_, M_)
                 assert (new is None) == (old is None)
                 if new is not None:
@@ -323,6 +326,78 @@ class TestPolarFactorOnceAtExit:
         assert t.gamma_achieved == pytest.approx(gamma_achieved, abs=1e-12)
         assert t.log_condition_number == pytest.approx(log_cond, abs=1e-9)
         assert np.allclose(t.matrix, A, rtol=0.0, atol=1e-8 * np.abs(A).max())
+
+
+class TestNewtonPhase:
+    """Damped Newton steps on Barthe's potential once two detector runs miss."""
+
+    @staticmethod
+    def count_newton_steps(monkeypatch):
+        """Newton steps taken, not fallen back from, by later calls."""
+        taken = []
+        newton = isotropy._newton_moment
+
+        def counted(*args):
+            result = newton(*args)
+            if result is not None:
+                taken.append(1)
+            return result
+
+        monkeypatch.setattr(isotropy, "_newton_moment", counted)
+        return taken
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_exactly_k_over_d_stops_crawling(self, seed):
+        # 200 of 700 points on 4 of 14 dims: only approximate transforms exist,
+        # and the fixed point alone takes about 370 iterations
+        Xu = on_subspace(np.random.default_rng(seed), 700, 14, 4, 200)
+        gamma = certifying_gamma(700, 14)
+        t = radial_isotropize(Xu, gamma)
+        assert isinstance(t, RadialTransform)
+        assert t.iterations_used <= 3 * DETECT_EVERY
+        assert 1 <= t.newton_steps <= t.iterations_used - NEWTON_AFTER
+        assert t.gamma_achieved <= gamma
+        slack = np.finfo(float).eps * np.linalg.cond(t.matrix)
+        assert min_isotropy_eig(t.apply(Xu)) >= 1.0 - t.gamma_achieved - slack
+        assert isotropize_fixed_point(Xu, gamma).iterations_used > 3 * DETECT_EVERY
+
+    @pytest.mark.parametrize("n, d, k", [(200, 4, 2), (200, 6, 1)])
+    def test_barely_heavy_set_found_after_newton_steps(self, n, d, k, monkeypatch):
+        # one point more than k/d on a k-dim subspace: the first two detector
+        # runs miss it, the third finds it
+        Xu = on_subspace(np.random.default_rng(0), n, d, k, k * n // d + 1)
+        gamma = certifying_gamma(n, d)
+        taken = self.count_newton_steps(monkeypatch)
+        found = radial_isotropize(Xu, gamma)
+        expected = isotropize_fixed_point(Xu, gamma)
+        assert taken
+        assert isinstance(found, HeavySubspace) and found.dim == k
+        assert np.array_equal(found.basis.vectors, expected.basis.vectors)
+        assert np.array_equal(found.member_mask, expected.member_mask)
+        assert found.fraction == expected.fraction
+
+    @pytest.mark.parametrize("case", [
+        "Gaussian cloud in R^5", "Gaussian cloud in R^12", "stretched cloud in R^8",
+        "120-point mixture in R^30",
+    ])
+    def test_no_stall_is_the_fixed_point(self, case, monkeypatch):
+        # the mixture set passes the first detector run and converges at
+        # iteration 39, before the second
+        pts = {
+            "Gaussian cloud in R^5": lambda: on_subspace(np.random.default_rng(3), 60, 5, 1, 0),
+            "Gaussian cloud in R^12": lambda: on_subspace(np.random.default_rng(3), 200, 12, 1, 0),
+            "stretched cloud in R^8": TestPolarFactorOnceAtExit().points,
+            "120-point mixture in R^30": lambda: sample_synthetic_mixture(SyntheticSpec(30, 120)),
+        }[case]()
+        gamma = certifying_gamma(*pts.shape)
+        taken = self.count_newton_steps(monkeypatch)
+        t = radial_isotropize(pts, gamma)
+        expected = isotropize_fixed_point(pts, gamma)
+        assert taken == [] and t.newton_steps == 0
+        assert 0 < t.iterations_used <= NEWTON_AFTER
+        assert t.iterations_used == expected.iterations_used
+        assert t.gamma_achieved == expected.gamma_achieved
+        assert np.array_equal(t.matrix, expected.matrix)
 
 
 class TestCheckForsterCondition:

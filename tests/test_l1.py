@@ -10,7 +10,7 @@ from radreg.errors import ContractViolation, Degenerate, SolverStalled
 import radreg.l1
 from radreg.l1 import exact_fit_mask, l1_fit_linear, lad_optimal, snap_to_rational
 from radreg.isotropy import radial_isotropize
-from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
+from radreg.noise import FlipNegate, MassartSpec, Scale, corrupt_massart
 
 from oracles import check_structural_condition, l0_fit_bruteforce
 
@@ -188,19 +188,44 @@ class TestLadOptimal:
         assert lad_optimal(corrupted, w_star)
         assert not lad_optimal(corrupted, w_star + 1e-3)
 
-    def test_a_majority_fit_is_not_enough(self):
-        # 7 of 10 points on the line x2 = 0, where any w with w1 = 1 fits;
-        # off it two points fit (1, 2) and one fits (1, -3)
+    @staticmethod
+    def majority_on_a_line():
+        """7 of 10 points on the line x2 = 0, where any w with w1 = 1 fits;
+        off it two points fit (1, 2) and one fits (1, -3)."""
         X = np.array([[1, 0], [2, 0], [-1, 0], [3, 0], [-2, 0], [1.5, 0], [0.5, 0],
                       [1, 1], [0, 1], [2, -1]], dtype=float)
         y = X @ np.array([1.0, 2.0])
         y[-1] = X[-1] @ np.array([1.0, -3.0])
-        ds = LabeledDataset(X, y)
-        wrong = np.array([1.0, -3.0])
-        assert exact_fit_mask(X @ wrong, y).sum() == 8
+        return LabeledDataset(X, y), np.array([1.0, -3.0])
+
+    def test_a_majority_fit_is_not_enough(self):
+        ds, wrong = self.majority_on_a_line()
+        assert exact_fit_mask(ds.x @ wrong, ds.y).sum() == 8
         assert not lad_optimal(ds, wrong)
         assert lad_optimal(ds, np.array([1.0, 2.0]))
         assert is_unique_lad_minimizer(ds, np.array([1.0, 2.0]))
+
+    def test_certifies_through_a_gap_at_rounding_level(self):
+        # a 60-row answer on 150 rescaled rows in R^20 certifies at round 29;
+        # with OpenBLAS on x86-64 the box gap stops shrinking for one round
+        # just before, at about 3e-16: rounding, not a stall
+        rng = np.random.default_rng(29)
+        X = rng.standard_normal((150, 20))
+        w_star = rng.integers(-3, 4, size=20).astype(float)
+        noisy, _ = corrupt_massart(LabeledDataset(X, X @ w_star),
+                                   MassartSpec(0.2, Scale(-100.0), seed=29))
+        U, y = radial_isotropize(noisy.x, gamma=0.5).apply(noisy.x, noisy.y)
+        rows = np.sort(np.random.default_rng(0).choice(150, 60, replace=False))
+        fit = l1_fit_linear(LabeledDataset(U[rows], y[rows]))
+        assert lad_optimal(LabeledDataset(U, y), fit.w)
+
+    def test_refusal_stops_once_the_box_gap_stops_shrinking(self, monkeypatch):
+        rounds = []
+        solve = radreg.l1.cho_solve
+        monkeypatch.setattr(radreg.l1, "cho_solve", lambda *a: rounds.append(1) or solve(*a))
+        ds, wrong = self.majority_on_a_line()
+        assert not lad_optimal(ds, wrong)
+        assert len(rounds) <= 3 < radreg.l1.CERTIFY_ROUNDS
 
     def test_exact_fits_that_do_not_span_prove_nothing(self):
         X = np.array([[1, 0], [2, 0], [0, 1], [0, 2]], dtype=float)

@@ -192,6 +192,8 @@ class TestRecoverLinearRecursive:
         # both dim-1 leaves (180 and 120 points) certify their 3-row subset
         leaves = [e for e in obj["recursion_trace"] if e["outcome"] == "transform"]
         assert [(e["lp_rows"], e["lp_solves"]) for e in leaves] == [(3, 1), (3, 1)]
+        # dim-1 leaves converge long before the first detector run
+        assert [e["isotropy"]["newton_steps"] for e in leaves] == [0, 0]
 
 
 class TestSubsetAndCertify:
