@@ -9,7 +9,6 @@ minimizer to bounded-denominator rationals for exact recovery.
 from .data import LabeledDataset, load_dataset_csv, save_dataset_csv
 from .errors import (
     ContractViolation,
-    Degenerate,
     DimensionMismatch,
     EmptyComplement,
     HalfspaceEmpty,
@@ -21,13 +20,11 @@ from .errors import (
     NonIdentifiable,
     RadregError,
     SimulationInfeasible,
-    SingularMatrix,
     SolverStalled,
 )
 from .isotropy import (
     HeavySubspace,
     RadialTransform,
-    check_forster_condition,
     find_heavy_subspace,
     min_isotropy_eig,
     radial_isotropize,
@@ -39,7 +36,7 @@ from .l1 import (
     l1_fit_linear,
     snap_to_rational,
 )
-from .linalg import OrthonormalBasis, inv_sqrt_psd, orthonormal_complement, sym_eigendecomp
+from .linalg import OrthonormalBasis, orthonormal_complement
 from .linear import (
     RecoveryConfig,
     RecoveryReport,

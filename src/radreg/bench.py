@@ -23,6 +23,7 @@ import numpy as np
 
 from .data import LabeledDataset, load_dataset_csv, save_dataset_csv  # noqa: F401
 from .errors import ContractViolation, RadregError
+from .isotropy import _unit_rows
 from .l1 import l1_fit_linear, snap_to_rational
 from .linear import RecoveryConfig, recover_linear
 from .noise import MassartSpec, corrupt_massart, gated_flip
@@ -75,12 +76,15 @@ def sample_synthetic_mixture(spec):
     return means + noise
 
 
+def _labeled(X, w_star, model):
+    """Clean labels w*.x, or max(w*.x, 0) for the "relu" model."""
+    z = X @ w_star
+    return LabeledDataset(X, z if model == "linear" else np.maximum(z, 0.0))
+
+
 def make_synthetic_dataset(spec, model="linear"):
     """Mixture covariates with clean labels from the planted parameter."""
-    X = sample_synthetic_mixture(spec)
-    z = X @ spec.w_star
-    y = z if model == "linear" else np.maximum(z, 0.0)
-    return LabeledDataset(X, y)
+    return _labeled(sample_synthetic_mixture(spec), spec.w_star, model)
 
 
 def make_outlier_dataset(spec, model="linear", n_far=4, far_scale=100.0):
@@ -100,10 +104,7 @@ def make_outlier_dataset(spec, model="linear", n_far=4, far_scale=100.0):
     comps = rng.integers(0, d, size=n_far)
     far = rng.standard_normal((n_far, d)) / d
     far[np.arange(n_far), comps] += far_scale
-    X = np.vstack([near, far])[rng.permutation(n)]
-    z = X @ spec.w_star
-    y = z if model == "linear" else np.maximum(z, 0.0)
-    return LabeledDataset(X, y)
+    return _labeled(np.vstack([near, far])[rng.permutation(n)], spec.w_star, model)
 
 
 INSTANCE_FAMILIES = ("mixture", "outlier")
@@ -127,10 +128,7 @@ def _fit_naive_l1(samples, config):
 
 
 def _fit_normalized_l1(samples, config):
-    norms = np.linalg.norm(samples.x, axis=1)
-    if np.any(norms == 0.0):
-        raise ContractViolation("cannot normalize zero covariates")
-    scaled = LabeledDataset(samples.x / norms[:, None], samples.y / norms)
+    scaled = LabeledDataset(*_unit_rows(samples.x, samples.y))
     return snap_to_rational(l1_fit_linear(scaled).w, config.max_denominator)
 
 
@@ -211,7 +209,7 @@ def _trial_seeds(seed, grid_idx, trial):
 
 def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=None,
                          trials=200, seed=0, w_star=None, gamma=0.5,
-                         max_denominator=10**6, adversary=None, ridge_coeff=1.0,
+                         max_denominator=10**6, ridge_coeff=1.0,
                          instance="mixture", n_far=4, far_scale=100.0):
     """Exact-recovery rates over a noise grid or a sample-size grid.
 
@@ -252,11 +250,10 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
         "instance": instance,
     })
 
-    gate = d / 2.0 if instance == "mixture" else far_scale / 2.0
+    strategy = gated_flip(d / 2.0 if instance == "mixture" else far_scale / 2.0)
     for gi, gval in enumerate(grid):
         cur_eta = float(gval) if grid_param == "eta" else eta
         cur_n = int(gval) if grid_param == "n" else n
-        strategy = adversary if adversary is not None else gated_flip(gate)
         successes = {name: 0 for name in methods}
         elapsed = {name: 0.0 for name in methods}
         for trial in range(trials):

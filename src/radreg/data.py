@@ -6,7 +6,7 @@ reproduces the doubles bit for bit.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,15 +15,10 @@ from .errors import ContractViolation, DimensionMismatch, MalformedCsv
 
 @dataclass
 class LabeledDataset:
-    """Covariates ``x`` (m, d), labels ``y`` (m,), optional corruption mask.
-
-    ``corrupted`` is the ground-truth mask (True where the adversary changed
-    the label) and is only available for synthetic data.
-    """
+    """Covariates ``x`` (m, d) and labels ``y`` (m,), all finite."""
 
     x: np.ndarray
     y: np.ndarray
-    corrupted: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -38,10 +33,6 @@ class LabeledDataset:
                 f"{int(bad.sum())} samples hold non-finite values, "
                 f"first at row {int(np.argmax(bad))}"
             )
-        if self.corrupted is not None:
-            self.corrupted = np.asarray(self.corrupted, dtype=bool).ravel()
-            if self.corrupted.shape[0] != self.y.shape[0]:
-                raise ContractViolation("corruption mask length mismatch")
 
     @property
     def m(self):
@@ -50,13 +41,6 @@ class LabeledDataset:
     @property
     def d(self):
         return self.x.shape[1]
-
-    def replace_labels(self, y, corrupted=None):
-        return LabeledDataset(self.x.copy(), np.asarray(y, dtype=float), corrupted)
-
-    def subset(self, idx):
-        mask = None if self.corrupted is None else self.corrupted[idx]
-        return LabeledDataset(self.x[idx], self.y[idx], mask)
 
 
 def save_dataset_csv(dataset, path):

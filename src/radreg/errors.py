@@ -6,11 +6,7 @@ class RadregError(Exception):
 
 
 class ContractViolation(RadregError, ValueError):
-    """An input violates a documented precondition (e.g. non-symmetric matrix)."""
-
-
-class SingularMatrix(RadregError):
-    """Matrix is singular or indefinite where positive definiteness is required."""
+    """An input violates a documented precondition (e.g. a zero covariate row)."""
 
 
 class EmptyComplement(RadregError):
@@ -48,10 +44,6 @@ class IsotropyStalled(RadregError):
 
 class SolverStalled(RadregError):
     """The LP backend failed to report an optimal solution."""
-
-
-class Degenerate(RadregError):
-    """Brute-force enumeration found no invertible interpolation subset."""
 
 
 class NonIdentifiable(RadregError):

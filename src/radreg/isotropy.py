@@ -40,18 +40,19 @@ Woodbury, because L∘L = F F^T with F_i,(jk) = (d/n) c_jk w_ij w_ik, where
 w_i = M^{-1/2} v_i in M's eigenbasis and c is 1 on the diagonal and sqrt(2)
 off it. The step backtracks (Armijo) on f. A step that fails (a system
 singular to working precision, no descent, no decrease within the
-backtracking budget) falls back to the fixed-point step for that
-iteration. The switch waits for the detector because f has no minimizer
-on a set with a heavy subspace, and Newton steps there are wasted work:
-taken from iteration 0, they made a 1000-point set in R^16 with a heavy
-plane about 7 times slower to settle. It waits for a second run because
-many sets converge at the fixed point's own pace within a few dozen
-iterations. Newton steps would hand those a different certified
-transform, and a different transform can make a different LAD vertex
-optimal, which changes which noisy instances are recovered exactly. Sets
-that converge before the second detector run follow the fixed point
-exactly. Polar factor and certificate work as above: leverages do not
-change under a rotation of the images.
+backtracking budget) falls back to the fixed-point step, and so does every
+later iteration of the call: on a barely heavy set the images of the
+subspace's points collapse and the system stays singular. The switch waits
+for the detector because f has no minimizer on a set with a heavy
+subspace, and Newton steps there are wasted work: taken from iteration 0,
+they made a 1000-point set in R^16 with a heavy plane about 7 times slower
+to settle. It waits for a second run because many sets converge at the
+fixed point's own pace within a few dozen iterations. Newton steps would
+hand those a different certified transform, and a different transform can
+make a different LAD vertex optimal, which changes which noisy instances
+are recovered exactly. Sets that converge before the second detector run
+follow the fixed point exactly. Polar factor and certificate work as
+above: leverages do not change under a rotation of the images.
 
 No transform exists exactly when some k-dimensional subspace holds strictly
 more than a k/d fraction of the points (Hardt & Moitra, COLT 2013). When
@@ -60,9 +61,8 @@ A^{-1}, top first, and takes one QR of them: the first k columns of Q span
 the k-th candidate, so a point's distance to every candidate is the norm of
 its trailing coordinates. The points near a candidate are snapped onto
 their own span and counted; a verified subspace is correct regardless of
-how it was found.
-For d <= 6 an exhaustive search over subspaces spanned by point subsets
-settles the question exactly.
+how it was found. A stall that verifies none raises IsotropyStalled at
+every d: it proves nothing either way.
 
 A rank-deficient set, including any set of fewer than d points, is the
 trivial case: its span holds all of it. The rank SVD runs only when the
@@ -72,7 +72,6 @@ points, whose smallest singular value is resolved where M's smallest
 eigenvalue, its square, may be lost in rounding.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -85,7 +84,6 @@ DEFAULT_GAMMA = 0.5
 ANGULAR_TOL = 1e-6      # loose capture radius around a candidate subspace
 MEMBER_RTOL = 1e-9      # strict membership: dist(x, V) <= MEMBER_RTOL * |x|
 DETECT_EVERY = 25       # run the heavy-subspace detector every this many iters
-EXHAUSTIVE_MAX_DIM = 6  # subset-span enumeration allowed up to this dimension
 NEWTON_AFTER = 2 * DETECT_EVERY - 1  # Newton steps from the second detector run on
 NEWTON_BACKTRACKS = 20  # step halvings before a Newton step falls back
 NEWTON_RTOL = 1e-6      # relative residual above which the Newton system is singular
@@ -112,13 +110,7 @@ class RadialTransform:
 
     def apply(self, points, labels=None):
         """Map (x, y) to (A x / |A x|, y / |A x|); returns images or a pair."""
-        X = np.atleast_2d(np.asarray(points, dtype=float))
-        V = X @ self.matrix.T
-        norms = np.linalg.norm(V, axis=1)
-        U = V / norms[:, None]
-        if labels is None:
-            return U
-        return U, np.asarray(labels, dtype=float) / norms
+        return _unit_rows(np.atleast_2d(np.asarray(points, dtype=float)) @ self.matrix.T, labels)
 
     def to_json(self):
         return {
@@ -158,12 +150,15 @@ def min_isotropy_eig(points):
     return float(np.linalg.eigvalsh(second_moment(points))[0])
 
 
-def _unit_rows(points):
+def _unit_rows(points, labels=None):
+    """x / |x|, or the pair (x / |x|, y / |x|) when labels are given."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     norms = np.linalg.norm(X, axis=1)
     if np.any(norms == 0.0):
         raise ContractViolation("zero vector among input points")
-    return X / norms[:, None]
+    if labels is None:
+        return X / norms[:, None]
+    return X / norms[:, None], np.asarray(labels, dtype=float) / norms
 
 
 def _sym_polar(A):
@@ -208,27 +203,6 @@ def _detect_heavy(Xu, A, evecs):
             found = _verify_candidate(Xu, loose)
             if found is not None:
                 return found
-    return None
-
-
-def _exhaustive_heavy(Xu):
-    """Exact search over subspaces spanned by point subsets (desk scale)."""
-    n, d = Xu.shape
-    best = None
-    for k in range(1, d):
-        for subset in itertools.combinations(range(n), k):
-            basis = span_basis(Xu[list(subset)])
-            r = basis.size
-            if r < k:
-                continue  # span already enumerated at its true size
-            members = basis.distance(Xu) <= MEMBER_RTOL
-            count = int(members.sum())
-            if count * d > r * n:
-                cand = HeavySubspace(basis, count / n, member_mask=members)
-                if best is None or cand.fraction - cand.dim / d > best.fraction - best.dim / d:
-                    best = cand
-        if best is not None:
-            return best
     return None
 
 
@@ -335,6 +309,7 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA, max_iters=None):
     A = np.eye(d)  # carried unsymmetrized; its polar factor is returned
     target = 1.0 - gamma
     newton_steps = 0
+    newton = True  # until a Newton step fails
     for it in range(max_iters + 1):
         V = Xu @ A.T
         norms = np.linalg.norm(V, axis=1)
@@ -375,33 +350,19 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA, max_iters=None):
             if found is not None:
                 return found
             if degenerate or it == max_iters:
-                if d <= EXHAUSTIVE_MAX_DIM:
-                    found = _exhaustive_heavy(Xu)
-                    if found is not None:
-                        return found
                 raise IsotropyStalled(
                     f"no transform reached gamma={gamma} within {max_iters} "
                     "iterations and no heavy subspace could be verified"
                 )
-        if it >= NEWTON_AFTER:  # two detector runs found nothing: a stall
+        if newton and it >= NEWTON_AFTER:  # two detector runs found nothing: a stall
             step = _newton_moment(U, evals, evecs)
-            if step is not None:
+            if step is None:
+                newton = False
+            else:
                 evals, evecs = step
                 newton_steps += 1
         A = (evecs * (1.0 / np.sqrt(np.maximum(evals, 1e-300)))) @ (evecs.T @ A)
     raise AssertionError("unreachable")
-
-
-def check_forster_condition(points):
-    """Exact existence test by enumerating subspaces spanned by point subsets.
-
-    Returns (satisfiable, witness): satisfiable is True when every
-    k-dimensional subspace holds at most a k/d fraction of the points, in
-    which case arbitrarily good transforms exist; otherwise witness is a
-    HeavySubspace certifying non-existence. Desk scale only.
-    """
-    witness = _exhaustive_heavy(_unit_rows(points))
-    return witness is None, witness
 
 
 def find_heavy_subspace(points):
@@ -409,17 +370,10 @@ def find_heavy_subspace(points):
 
     Runs the isotropy fixed point past the certifying gap of
     ``certifying_gamma``; convergence certifies absence. Points that do not
-    span the space return their span. A stalled iteration falls back on
-    eigenspace candidates, then on exhaustive search for d <= 6. For d > 6 a
-    stall without a verified subspace proves nothing either way, so
-    IsotropyStalled propagates: None always means "certified none".
+    span the space return their span. A stall without a verified subspace
+    proves nothing either way, so IsotropyStalled propagates at every d:
+    None always means "certified none".
     """
     Xu = _unit_rows(points)
-    n, d = Xu.shape
-    try:
-        result = radial_isotropize(Xu, min(DEFAULT_GAMMA, certifying_gamma(n, d)))
-    except IsotropyStalled:
-        if d > EXHAUSTIVE_MAX_DIM:
-            raise
-        return None  # the exhaustive search inside radial_isotropize found none
+    result = radial_isotropize(Xu, min(DEFAULT_GAMMA, certifying_gamma(*Xu.shape)))
     return result if isinstance(result, HeavySubspace) else None

@@ -47,12 +47,9 @@ DUAL_FEAS_TOL = 1e-7
 CERTIFY_ROUNDS = 100
 
 
-def fit_tolerances(y, fit_tol=FIT_RTOL):
-    return fit_tol * (1.0 + np.abs(np.asarray(y, dtype=float)))
-
-
-def exact_fit_mask(pred, y, fit_tol=FIT_RTOL):
-    return np.abs(np.asarray(pred) - np.asarray(y)) <= fit_tolerances(y, fit_tol)
+def exact_fit_mask(pred, y):
+    y = np.asarray(y, dtype=float)
+    return np.abs(np.asarray(pred) - y) <= FIT_RTOL * (1.0 + np.abs(y))
 
 
 @dataclass
@@ -60,10 +57,9 @@ class L1FitResult:
     w: np.ndarray
     objective: float
     residuals: np.ndarray
-    exact_fit_count: int
 
 
-def l1_fit_linear(samples, fit_tol=FIT_RTOL):
+def l1_fit_linear(samples):
     """Global minimizer of sum |y_i - w.x_i| via the dual LP.
 
     Raises SolverStalled when HiGHS reports no optimum, or when the primal
@@ -76,8 +72,7 @@ def l1_fit_linear(samples, fit_tol=FIT_RTOL):
     if not result.success:
         raise SolverStalled(f"LP backend failed: {result.message}")
     w = -result.eqlin.marginals
-    pred = X @ w
-    residuals = y - pred
+    residuals = y - X @ w
     objective = float(np.sum(np.abs(residuals)))
     gap = abs(objective + result.fun) / (1.0 + float(np.sum(np.abs(y))))
     if gap > DUALITY_GAP_RTOL:
@@ -85,26 +80,21 @@ def l1_fit_linear(samples, fit_tol=FIT_RTOL):
             f"LAD duality gap {gap:.3g} exceeds {DUALITY_GAP_RTOL:g}: "
             f"primal {objective:.17g}, dual {-result.fun:.17g}"
         )
-    return L1FitResult(
-        w=w,
-        objective=objective,
-        residuals=residuals,
-        exact_fit_count=int(exact_fit_mask(pred, y, fit_tol).sum()),
-    )
+    return L1FitResult(w=w, objective=objective, residuals=residuals)
 
 
-def lad_optimal(samples, w, fit_tol=FIT_RTOL):
+def lad_optimal(samples, w):
     """Whether a dual point proves w a global minimizer of sum |y_i - w.x_i|.
 
     True is a proof; False only means no proof was found within
     CERTIFY_ROUNDS rounds, or before the projections stalled at a positive
-    distance from the box. Rows fit to within ``fit_tol`` count as fit
+    distance from the box. Rows fit to within FIT_RTOL count as fit
     exactly, so what is proven is that no w' lowers the objective by more
     than twice the residuals of those rows.
     """
     X, y = samples.x, samples.y
     pred = X @ w
-    free = exact_fit_mask(pred, y, fit_tol)
+    free = exact_fit_mask(pred, y)
     Xz = X[free]
     target = -X[~free].T @ np.sign(y[~free] - pred[~free])
     try:

@@ -1,9 +1,9 @@
-"""Dense symmetric linear algebra primitives.
+"""Orthonormal bases, complements, spans and ranks of dense point sets.
 
 Everything here operates on plain float ndarrays. The heavy lifting is
 delegated to LAPACK through numpy/scipy; this module pins down the contracts
-(symmetry checks, descending eigenvalue order, orthonormality validation)
-that the rest of the package relies on.
+(orthonormality validation, one rank cutoff) that the rest of the package
+relies on.
 """
 
 from dataclasses import dataclass
@@ -11,24 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ContractViolation, EmptyComplement, SingularMatrix
+from .errors import ContractViolation, EmptyComplement
 
-# Module-wide default tolerances; callers may override per call.
-SYM_RTOL = 1e-12       # |M - M.T| relative to max(1, |entry|)
-PSD_RTOL = 1e-10       # eigenvalue floor relative to lambda_max
 ORTHO_TOL = 1e-10      # orthonormality slack for basis validation
 RANK_RTOL = 1e-9       # singular-value cutoff for span/rank decisions
-
-
-def check_symmetric(M, rtol=SYM_RTOL):
-    """Validate symmetry and return the symmetrized copy of M."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ContractViolation(f"expected a square matrix, got shape {M.shape}")
-    scale = np.maximum(1.0, np.abs(M))
-    if not np.all(np.abs(M - M.T) <= rtol * scale):
-        raise ContractViolation("matrix is not symmetric within tolerance")
-    return 0.5 * (M + M.T)
 
 
 @dataclass
@@ -63,41 +49,11 @@ class OrthonormalBasis:
         x = np.asarray(x, dtype=float)
         return (x @ self.vectors) @ self.vectors.T
 
-    def coords(self, x):
-        """Coordinates of row vectors in this basis (shape (..., k))."""
-        return np.asarray(x, dtype=float) @ self.vectors
-
-    def lift(self, c):
-        """Map coordinate rows (..., k) back into the ambient space."""
-        return np.asarray(c, dtype=float) @ self.vectors.T
-
     def distance(self, x):
         """Euclidean distance of row vectors from the subspace."""
         x = np.asarray(x, dtype=float)
         resid = x - self.project(x)
         return np.linalg.norm(np.atleast_2d(resid), axis=1)
-
-
-def sym_eigendecomp(M, rtol=SYM_RTOL):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Returns (eigenvalues, basis) where basis.vectors[:, i] is the unit
-    eigenvector paired with eigenvalues[i].
-    """
-    M = check_symmetric(M, rtol)
-    evals, evecs = np.linalg.eigh(M)
-    return evals[::-1].copy(), OrthonormalBasis(evecs[:, ::-1].copy())
-
-
-def inv_sqrt_psd(M, rtol=SYM_RTOL, psd_rtol=PSD_RTOL):
-    """Inverse square root A of a positive definite symmetric M: A M A = I."""
-    M = check_symmetric(M, rtol)
-    evals, evecs = np.linalg.eigh(M)
-    if evals[0] <= psd_rtol * max(evals[-1], 0.0) or evals[0] <= 0.0:
-        raise SingularMatrix(
-            f"matrix is singular or indefinite (lambda_min={evals[0]:.3e})"
-        )
-    return (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
 
 
 def orthonormal_complement(basis):
@@ -110,19 +66,19 @@ def orthonormal_complement(basis):
     return OrthonormalBasis(comp)
 
 
-def span_basis(points, rtol=RANK_RTOL):
+def span_basis(points):
     """Orthonormal basis of the span of row vectors, rank by SV cutoff."""
     P = np.atleast_2d(np.asarray(points, dtype=float))
     U, s, Vt = np.linalg.svd(P, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise ContractViolation("cannot take the span of all-zero points")
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
     return OrthonormalBasis(Vt[:rank].T)
 
 
-def matrix_rank(points, rtol=RANK_RTOL):
+def matrix_rank(points):
     P = np.atleast_2d(np.asarray(points, dtype=float))
     s = np.linalg.svd(P, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))

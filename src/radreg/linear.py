@@ -26,8 +26,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import InsufficientPoints, NonIdentifiable, RadregError
 from .isotropy import DEFAULT_GAMMA, RadialTransform, certifying_gamma, radial_isotropize
-from .l1 import (FIT_RTOL, RationalVector, exact_fit_mask, l1_fit_linear, lad_optimal,
-                 snap_to_rational)
+from .l1 import RationalVector, exact_fit_mask, l1_fit_linear, lad_optimal, snap_to_rational
 from .linalg import orthonormal_complement
 
 SUBSET_ROWS_PER_DIM = 3  # rows of the first LP of a leaf, per dimension
@@ -39,14 +38,13 @@ class RecoveryConfig:
     """Knobs shared by the recovery algorithms.
 
     ``gamma`` is the isotropy gap requested at each level (capped by the
-    certifying gap, see ``certifying_gamma``); ``fit_tol`` is the relative
-    tolerance of an exact fit. ``max_denominator`` doubles as the
-    bit-complexity bound on the target: snapping is exact once the estimate
-    is within 1/(2*max_denominator^2) of the true rational parameter.
+    certifying gap, see ``certifying_gamma``). ``max_denominator`` doubles
+    as the bit-complexity bound on the target: snapping is exact once the
+    estimate is within 1/(2*max_denominator^2) of the true rational
+    parameter. An exact fit is one within ``l1.FIT_RTOL``.
     """
 
     gamma: float = DEFAULT_GAMMA
-    fit_tol: float = FIT_RTOL
     max_denominator: int = 10**6
 
     def __post_init__(self):
@@ -97,10 +95,10 @@ def _fit_leaf(transform, X, y, config):
     subset = 2 * k <= n
     if subset:
         rows = np.sort(np.random.default_rng(SUBSET_SEED).choice(n, k, replace=False))
-        fit = l1_fit_linear(LabeledDataset(rescaled.x[rows], rescaled.y[rows]), config.fit_tol)
-        if lad_optimal(rescaled, fit.w, config.fit_tol):
+        fit = l1_fit_linear(LabeledDataset(rescaled.x[rows], rescaled.y[rows]))
+        if lad_optimal(rescaled, fit.w):
             return transform.matrix @ fit.w, k, 1
-    fit = l1_fit_linear(rescaled, config.fit_tol)
+    fit = l1_fit_linear(rescaled)
     return transform.matrix @ fit.w, n, 1 + subset
 
 
@@ -179,7 +177,7 @@ def recover_linear(samples, config=None):
     trace = []
     w_hat = _recover(samples.x, samples.y, 0, "root", trace, config)
     snapped = snap_to_rational(w_hat, config.max_denominator)
-    fits = exact_fit_mask(samples.x @ snapped.to_floats(), samples.y, config.fit_tol)
+    fits = exact_fit_mask(samples.x @ snapped.to_floats(), samples.y)
     frac = float(fits.mean())
     return RecoveryReport(
         w_hat=w_hat,

@@ -192,7 +192,7 @@ def corrupt_massart(clean, spec):
     record = CorruptionRecord(
         mask=chosen, corruptible=flagged, originals=clean.y.copy()
     )
-    return LabeledDataset(clean.x.copy(), y_new, corrupted=chosen.copy()), record
+    return LabeledDataset(clean.x.copy(), y_new), record
 
 
 # --- oblivious corruption ----------------------------------------------------

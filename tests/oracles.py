@@ -1,12 +1,14 @@
-"""Test oracles: brute-force l0 fitting, the structural-condition check, and
-the direct forms of the isotropy layer's shortcuts.
+"""Test oracles: brute-force l0 fitting, the structural-condition check, the
+exact existence test for radial-isotropic transforms, and the direct forms
+of the isotropy layer's shortcuts.
 
-The first two enumerate (sample subsets, or directions on a grid), so they
-only run at desk scale. The tests compare the library's l1 pipeline against
-them. The isotropy oracles do the work the library avoids: one SVD per
-heavy-subspace candidate, a rank SVD on every call, a symmetric polar
-factor after every fixed-point step, and fixed-point steps where the
-library takes Newton steps.
+The first three enumerate (sample subsets, directions on a grid, or point
+subsets), so they only run at desk scale. The tests compare the library's
+l1 pipeline and heavy-subspace detector against them. The isotropy oracles
+do the work the library avoids: one SVD per heavy-subspace candidate, a
+rank SVD on every call, a symmetric polar factor after every fixed-point
+step, and fixed-point steps where the library takes Newton steps.
+``oracle_transform`` recomputes the transform behind a separation cut.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from radreg.errors import ContractViolation, Degenerate
+from radreg.errors import ContractViolation, RadregError
 from radreg.isotropy import (
     ANGULAR_TOL,
     DETECT_EVERY,
@@ -25,10 +27,17 @@ from radreg.isotropy import (
     _sym_polar,
     _unit_rows,
     _verify_candidate,
+    certifying_gamma,
+    radial_isotropize,
     second_moment,
 )
-from radreg.l1 import FIT_RTOL, exact_fit_mask, fit_tolerances
+from radreg.l1 import exact_fit_mask
 from radreg.linalg import matrix_rank, span_basis
+from radreg.relu import positive_side_mask
+
+
+class Degenerate(RadregError):
+    """Brute-force enumeration found no invertible interpolation subset."""
 
 
 def _relu(t):
@@ -40,7 +49,7 @@ def _predict(X, w, model):
     return z if model == "linear" else _relu(z)
 
 
-def l0_fit_bruteforce(samples, model="linear", fit_tol=FIT_RTOL):
+def l0_fit_bruteforce(samples, model="linear"):
     """Parameter fitting the most samples exactly, by subset enumeration.
 
     Every d-subset of samples is interpolated exactly (for the relu model the
@@ -54,7 +63,6 @@ def l0_fit_bruteforce(samples, model="linear", fit_tol=FIT_RTOL):
     m, d = X.shape
     if m < d:
         raise Degenerate(f"need at least d={d} samples, got {m}")
-    tol = fit_tolerances(y, fit_tol)
     signs = (1.0,) if model == "linear" else (1.0, -1.0)
     best_w, best_count = None, -1
     for subset in itertools.combinations(range(m), d):
@@ -65,7 +73,7 @@ def l0_fit_bruteforce(samples, model="linear", fit_tol=FIT_RTOL):
                 w = np.linalg.solve(Xs, sign * y[idx])
             except np.linalg.LinAlgError:
                 continue
-            count = int((np.abs(_predict(X, w, model) - y) <= tol).sum())
+            count = int(exact_fit_mask(_predict(X, w, model), y).sum())
             if count > best_count or (
                 count == best_count and tuple(w) < tuple(best_w)
             ):
@@ -73,7 +81,6 @@ def l0_fit_bruteforce(samples, model="linear", fit_tol=FIT_RTOL):
     if best_w is None:
         raise Degenerate("every sample subset was singular")
     return best_w, best_count
-
 
 
 def _direction_grid(d, budget, seed=0):
@@ -89,14 +96,14 @@ def _direction_grid(d, budget, seed=0):
 
 
 def check_structural_condition(samples, w_true, model="linear",
-                               direction_budget=360, fit_tol=FIT_RTOL, seed=0):
+                               direction_budget=360, seed=0):
     """Compare clean vs corrupted perturbation mass over a direction set.
 
     For each tested unit direction r the margin is
 
         sum_clean |f((w*+r).x) - f(w*.x)| - sum_corrupted (same),
 
-    where clean means y_i matches f(w*.x_i) within fit_tol. Returns
+    where clean means y_i matches f(w*.x_i) within FIT_RTOL. Returns
     (holds, worst_margin): holds is True when every tested margin is
     strictly positive. Grid/sampling checker; a test oracle, not a proof
     for d >= 3.
@@ -104,7 +111,7 @@ def check_structural_condition(samples, w_true, model="linear",
     X, y = samples.x, samples.y
     m, d = X.shape
     f = (lambda t: t) if model == "linear" else _relu
-    clean = exact_fit_mask(_predict(X, w_true, model), y, fit_tol)
+    clean = exact_fit_mask(_predict(X, w_true, model), y)
     base = f(X @ w_true)
     worst = math.inf
     for r in _direction_grid(d, direction_budget, seed):
@@ -113,6 +120,52 @@ def check_structural_condition(samples, w_true, model="linear",
         if margin < worst:
             worst = margin
     return worst > 0.0, worst
+
+
+def check_forster_condition(points):
+    """Exact existence test by enumerating subspaces spanned by point subsets.
+
+    Returns (satisfiable, witness): satisfiable is True when every
+    k-dimensional subspace holds at most a k/d fraction of the points, in
+    which case arbitrarily good transforms exist (Hardt & Moitra, COLT
+    2013); otherwise witness is a HeavySubspace certifying non-existence,
+    the one of least dimension and, among those, of largest excess over
+    k/d. The cost is C(n, k) spans per dimension k: desk scale only.
+    """
+    Xu = _unit_rows(points)
+    n, d = Xu.shape
+    best = None
+    for k in range(1, d):
+        for subset in itertools.combinations(range(n), k):
+            basis = span_basis(Xu[list(subset)])
+            r = basis.size
+            if r < k:
+                continue  # span already enumerated at its true size
+            members = basis.distance(Xu) <= MEMBER_RTOL
+            count = int(members.sum())
+            if count * d > r * n:
+                cand = HeavySubspace(basis, count / n, member_mask=members)
+                if best is None or cand.fraction - cand.dim / d > best.fraction - best.dim / d:
+                    best = cand
+        if best is not None:
+            return False, best
+    return True, None
+
+
+def oracle_transform(samples, w0, config):
+    """The transform behind ``sep_oracle``'s cut at w0, recomputed.
+
+    Returns (A, mask): the matrix of the radial-isotropic transform of the
+    positive-side points and the positive-side mask, or None when those
+    points hold a heavy subspace (the oracle then recurses).
+    """
+    X = samples.x
+    mask = positive_side_mask(X, w0)
+    XS = X[mask]
+    result = radial_isotropize(XS, min(config.gamma, certifying_gamma(*XS.shape)))
+    if not isinstance(result, RadialTransform):
+        return None
+    return result.matrix, mask
 
 
 def detect_heavy_per_candidate(Xu, A, M):

@@ -14,7 +14,7 @@ from radreg.bench import SyntheticSpec, exact_recovery_bench, make_synthetic_dat
 from radreg.data import LabeledDataset
 from radreg.errors import RadregError
 from radreg.isotropy import RadialTransform, min_isotropy_eig, radial_isotropize
-from radreg.l1 import l1_fit_linear, snap_to_rational
+from radreg.l1 import FIT_RTOL, l1_fit_linear, snap_to_rational
 from radreg.linear import recover_linear
 from radreg.noise import (
     FlipNegate,
@@ -31,7 +31,7 @@ from radreg.relu import (
     sep_oracle,
 )
 
-from oracles import check_structural_condition, l0_fit_bruteforce
+from oracles import check_structural_condition, l0_fit_bruteforce, oracle_transform
 
 
 def _report(num, desc, ok, detail=""):
@@ -181,10 +181,9 @@ def test_criterion_6_separation_soundness():
             attempts += 1
             w0 = w_star + rng.standard_normal(2) * rng.uniform(0.5, 4.0)
             res = sep_oracle(corrupted, w0, cfg)
-            if res.accepted or "transform_matrix" not in res.diagnostics:
+            if res.accepted or "transform" not in res.diagnostics:
                 continue
-            A = res.diagnostics["transform_matrix"]
-            mask = res.diagnostics["positive_mask"]
+            A, mask = oracle_transform(corrupted, w0, cfg)
             XS, yS = corrupted.x[mask], corrupted.y[mask]
             V = XS @ A.T
             U = V / np.linalg.norm(V, axis=1)[:, None]
@@ -278,7 +277,7 @@ def test_criterion_10_ellipsoid_invariants():
         if decreases.size:
             min_decrease = min(min_decrease, float(decreases.min()))
         pred = np.maximum(corrupted.x @ rep.w_snapped.to_floats(), 0.0)
-        fits = np.abs(pred - corrupted.y) <= cfg.fit_tol * (1 + np.abs(corrupted.y))
+        fits = np.abs(pred - corrupted.y) <= FIT_RTOL * (1 + np.abs(corrupted.y))
         certificates &= bool(2 * int(fits.sum()) >= corrupted.m)
     bound = 1.0 / (2 * (3 + 1)) - 1e-9
     ok = min_decrease >= bound and certificates

@@ -48,7 +48,7 @@ def full_lp_snapped(ds):
     n, d = ds.x.shape
     transform = radial_isotropize(ds.x, min(config.gamma, certifying_gamma(n, d)))
     U, yt = transform.apply(ds.x, ds.y)
-    w = transform.matrix @ l1_fit_linear(LabeledDataset(U, yt), config.fit_tol).w
+    w = transform.matrix @ l1_fit_linear(LabeledDataset(U, yt)).w
     return snap_to_rational(w, config.max_denominator)
 
 
@@ -220,8 +220,8 @@ class TestSubsetAndCertify:
     def test_failed_certificate_falls_back_to_the_full_lp(self, monkeypatch):
         rows = []
 
-        def first_answer_perturbed(samples, fit_tol):
-            fit = l1_fit_linear(samples, fit_tol)
+        def first_answer_perturbed(samples):
+            fit = l1_fit_linear(samples)
             rows.append(samples.m)
             if len(rows) == 1:
                 fit.w = fit.w + 0.5

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from radreg.data import LabeledDataset
 from radreg.errors import HalfspaceEmpty, NoRecovery
-from radreg.l1 import snap_to_rational
+from radreg.l1 import FIT_RTOL, snap_to_rational
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
 from radreg.relu import (
     EllipsoidConfig,
@@ -17,7 +18,7 @@ from radreg.relu import (
     sep_oracle,
 )
 
-from oracles import l0_fit_bruteforce
+from oracles import l0_fit_bruteforce, oracle_transform
 
 
 def fractions_of(vec):
@@ -49,12 +50,11 @@ def two_points_on_the_query_side():
     return LabeledDataset(X, np.maximum(X @ w_star, 0.0)), w_star
 
 
-def separation_margin(samples, record, w0, w_star, diag):
+def separation_margin(samples, record, w0, w_star, config):
     """Clean-vs-corrupted separation statistic on the oracle's own
     transformed positive-side points; positive means the returned cut is
     guaranteed sound."""
-    A = diag["transform_matrix"]
-    mask = diag["positive_mask"]
+    A, mask = oracle_transform(samples, w0, config)
     XS = samples.x[mask]
     V = XS @ A.T
     U = V / np.linalg.norm(V, axis=1)[:, None]
@@ -153,6 +153,21 @@ class TestSepOracle:
         assert res.diagnostics["heavy_dim"] == 2
         assert res.normal @ (w0 - w_star) > 0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_recomputed_transform_reproduces_the_cut(self, seed):
+        # the cut is A^{-1} times the mean signed image of the positive side
+        corrupted, _, w_star = shifted_relu_instance(seed, d=3, m=400, eta=0.25)
+        w0 = w_star + np.random.default_rng(seed).standard_normal(3) * 3.0
+        res = sep_oracle(corrupted, w0, self.config())
+        assert "transform" in res.diagnostics
+        A, mask = oracle_transform(corrupted, w0, self.config())
+        XS, yS = corrupted.x[mask], corrupted.y[mask]
+        V = XS @ A.T
+        U = V / np.linalg.norm(V, axis=1)[:, None]
+        r = (U * np.sign(XS @ w0 - yS)[:, None]).mean(axis=0)
+        assert mask.sum() == res.diagnostics["n_positive_side"]
+        assert np.array_equal(np.linalg.solve(A, r), res.normal)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_separation_soundness(self, seed):
         corrupted, record, w_star = shifted_relu_instance(seed, d=2, m=400,
@@ -160,10 +175,9 @@ class TestSepOracle:
         rng = np.random.default_rng(5000 + seed)
         w0 = w_star + rng.standard_normal(2) * 3.0
         res = sep_oracle(corrupted, w0, self.config())
-        if res.accepted or "transform_matrix" not in res.diagnostics:
+        if res.accepted or "transform" not in res.diagnostics:
             pytest.skip("no full-dimensional cut at this query")
-        margin = separation_margin(corrupted, record, w0, w_star,
-                                   res.diagnostics)
+        margin = separation_margin(corrupted, record, w0, w_star, self.config())
         if margin <= 0:
             pytest.skip("separation statistic not satisfied for this draw")
         assert res.normal @ (w0 - w_star) > 0
@@ -197,7 +211,8 @@ class TestEllipsoid:
         assert report.w_snapped.to_fractions() == fractions_of(w_star)
         assert report.majority_certified
         # the subset-enumeration oracle agrees on a subsample
-        sub = corrupted.subset(np.arange(0, corrupted.m, 40))
+        every40 = np.arange(0, corrupted.m, 40)
+        sub = LabeledDataset(corrupted.x[every40], corrupted.y[every40])
         l0_w, _ = l0_fit_bruteforce(sub, model="relu")
         assert snap_to_rational(l0_w, 16) == report.w_snapped
 
@@ -211,7 +226,7 @@ class TestEllipsoid:
         assert np.all(decreases >= 1.0 / (2 * (d + 1)) - 1e-9)
         # the certified output fits a majority
         pred = np.maximum(corrupted.x @ report.w_snapped.to_floats(), 0.0)
-        fits = np.abs(pred - corrupted.y) <= cfg.fit_tol * (1 + np.abs(corrupted.y))
+        fits = np.abs(pred - corrupted.y) <= FIT_RTOL * (1 + np.abs(corrupted.y))
         assert 2 * fits.sum() >= corrupted.m
 
     def test_default_denominator_bound_via_ladder(self):
@@ -259,14 +274,14 @@ class TestEllipsoid:
         for _ in range(200):
             snapped = snap_to_rational(state.center, 16).to_floats()
             pred = np.maximum(corrupted.x @ snapped, 0.0)
-            fits = np.abs(pred - corrupted.y) <= cfg.fit_tol * (1 + np.abs(corrupted.y))
+            fits = np.abs(pred - corrupted.y) <= FIT_RTOL * (1 + np.abs(corrupted.y))
             if 2 * fits.sum() >= corrupted.m:
                 break
             res = sep_oracle(corrupted, state.center, cfg)
             assert not res.accepted
-            if "transform_matrix" in res.diagnostics:
+            if "transform" in res.diagnostics:
                 margin = separation_margin(corrupted, record, state.center,
-                                           w_star, res.diagnostics)
+                                           w_star, cfg)
                 all_verified &= margin > 0
             state = ellipsoid_cut(state, res.normal)
             # the guarantee is conditional on every query so far verifying
@@ -337,9 +352,39 @@ class TestGdReluTransformed:
         assert all(np.isfinite(s.loss) for s in orig + rad)
         assert not any(s.skipped for s in orig)
 
+    def test_normalized_mode_steps_on_unit_rows(self):
+        ds, _ = self.make_instance(seed=1)
+        alpha, w0 = 0.05, np.ones(4)
+        traj = gd_relu_transformed(ds, "normalized", alpha=alpha, iters=1, w_init=w0)
+        mask = ds.x @ w0 >= 0
+        norms = np.linalg.norm(ds.x[mask], axis=1)
+        Xt, yt = ds.x[mask] / norms[:, None], ds.y[mask] / norms
+        grad = (Xt * np.sign(Xt @ w0 - yt)[:, None]).mean(axis=0)
+        assert np.allclose(traj[0].w, w0 - alpha * grad, rtol=0.0, atol=1e-12)
+
+    def test_isotropic_mode_steps_in_whitened_coordinates(self):
+        # A = S^{-1/2} for the positive side's second moment S; the step is
+        # taken at w' = A^{-1} w and mapped back by A
+        ds, _ = self.make_instance(seed=1)
+        alpha, w0 = 0.05, np.ones(4)
+        traj = gd_relu_transformed(ds, "isotropic", alpha=alpha, iters=1, w_init=w0)
+        mask = ds.x @ w0 >= 0
+        Xp, yp = ds.x[mask], ds.y[mask]
+        A = scipy.linalg.sqrtm(np.linalg.inv(Xp.T @ Xp / len(Xp))).real
+        Xt, wp = Xp @ A.T, np.linalg.solve(A, w0)
+        grad = (Xt * np.sign(Xt @ wp - yp)[:, None]).mean(axis=0)
+        assert not traj[0].skipped
+        assert np.allclose(traj[0].w, w0 - alpha * A @ grad, rtol=0.0, atol=1e-9)
+
     def test_fewer_than_d_positive_side_points_skip_the_step(self):
         ds, w_star = two_points_on_the_query_side()
         traj = gd_relu_transformed(ds, "radial-isotropic", iters=1, w_init=-w_star)
+        assert traj[0].skipped
+        assert np.array_equal(traj[0].w, -w_star)
+
+    def test_isotropic_mode_skips_a_positive_side_that_does_not_span(self):
+        ds, w_star = two_points_on_the_query_side()
+        traj = gd_relu_transformed(ds, "isotropic", iters=1, w_init=-w_star)
         assert traj[0].skipped
         assert np.array_equal(traj[0].w, -w_star)
 
