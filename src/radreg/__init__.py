@@ -20,6 +20,7 @@ from .errors import (
     NonIdentifiable,
     RadregError,
     SimulationInfeasible,
+    SingularMatrix,
     SolverStalled,
 )
 from .isotropy import (
@@ -36,7 +37,7 @@ from .l1 import (
     l1_fit_linear,
     snap_to_rational,
 )
-from .linalg import OrthonormalBasis, orthonormal_complement
+from .linalg import OrthonormalBasis, inv_sqrt_psd, orthonormal_complement, sym_eigendecomp
 from .linear import (
     RecoveryConfig,
     RecoveryReport,

@@ -9,6 +9,10 @@ class ContractViolation(RadregError, ValueError):
     """An input violates a documented precondition (e.g. a zero covariate row)."""
 
 
+class SingularMatrix(RadregError):
+    """Matrix is singular or indefinite where positive definiteness is required."""
+
+
 class EmptyComplement(RadregError):
     """Orthonormal complement requested for a basis that already spans the space."""
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ContractViolation, HalfspaceEmpty, NoRecovery, RadregError
+from .errors import ContractViolation, HalfspaceEmpty, NoRecovery, RadregError, SingularMatrix
 from .isotropy import (DEFAULT_GAMMA, RadialTransform, _unit_rows, certifying_gamma,
                        radial_isotropize)
 from .l1 import exact_fit_mask, snap_to_rational
-from .linalg import orthonormal_complement
+from .linalg import inv_sqrt_psd, orthonormal_complement
 from .linear import RecoveryReport
 
 BOUNDARY_RTOL = 1e-12  # half-space test: w.x >= -BOUNDARY_RTOL * |x| * max(1, |w|)
@@ -343,12 +343,11 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
             if mode == "normalized":
                 Xt, yt = _unit_rows(Xp, yp)
             elif mode == "isotropic":
-                evals, evecs = np.linalg.eigh((Xp.T @ Xp) / Xp.shape[0])
-                if evals[0] <= 1e-10 * evals[-1]:
-                    skipped = True  # the positive side does not span
-                else:
-                    A = (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
+                try:
+                    A = inv_sqrt_psd((Xp.T @ Xp) / Xp.shape[0])
                     Xt, yt = Xp @ A.T, yp
+                except SingularMatrix:
+                    skipped = True  # the positive side does not span
             elif mode == "radial-isotropic":
                 iso = radial_isotropize(Xp, gamma)
                 if isinstance(iso, RadialTransform):
