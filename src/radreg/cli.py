@@ -3,7 +3,8 @@
 Subcommands: synth, corrupt, fit-linear, fit-relu, gd-relu,
 bench recovery-rate, eval margin. Datasets travel as x1..xd,y CSV files,
 reports as JSON, trajectories as (iter, loss, distance) CSV. Failures print
-a JSON error object on stderr and exit nonzero.
+a JSON error object on stderr and exit nonzero; the object carries the
+exception's ``diagnostics`` when it has any (NoRecovery does).
 """
 
 import argparse
@@ -225,8 +226,10 @@ def main(argv=None):
     try:
         args.func(args)
     except Exception as exc:  # contract: machine-readable error JSON on stderr
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        if getattr(exc, "diagnostics", None):
+            error["diagnostics"] = exc.diagnostics
+        print(json.dumps(error), file=sys.stderr)
         return 2
     return 0
 

@@ -65,7 +65,9 @@ class HalfspaceEmpty(RadregError):
 class NoRecovery(RadregError):
     """Ellipsoid search terminated without a certified parameter.
 
-    ``diagnostics`` holds the final ellipsoid state and step counters.
+    ``diagnostics`` is JSON-safe: the final ``center`` as a list, its
+    ``radius``, the ``steps`` taken, and the oracle's answer when it
+    accepted.
     """
 
     def __init__(self, msg, diagnostics=None):

@@ -311,7 +311,7 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA, max_iters=None):
     newton_steps = 0
     newton = True  # until a Newton step fails
     for it in range(max_iters + 1):
-        V = Xu @ A.T
+        V = Xu if it == 0 else Xu @ A.T  # A is still the identity at it == 0
         norms = np.linalg.norm(V, axis=1)
         U = V / norms[:, None]
         M = (d / n) * (U.T @ U)
@@ -374,6 +374,6 @@ def find_heavy_subspace(points):
     proves nothing either way, so IsotropyStalled propagates at every d:
     None always means "certified none".
     """
-    Xu = _unit_rows(points)
-    result = radial_isotropize(Xu, min(DEFAULT_GAMMA, certifying_gamma(*Xu.shape)))
+    n, d = np.atleast_2d(points).shape
+    result = radial_isotropize(points, min(DEFAULT_GAMMA, certifying_gamma(n, d)))
     return result if isinstance(result, HeavySubspace) else None

@@ -10,6 +10,16 @@ subgradient direction as a cutting hyperplane. When the positive-side points
 concentrate on a subspace (fewer than d of them always do) the oracle
 recurses: first inside the subspace, then (if the inside check accepts) on
 the deflated complement.
+
+Consecutive ellipsoid centers see nearly the same positive side, so each
+top-level oracle call of ``ellipsoid_recover_relu`` starts the isotropy
+fixed point from the previous cut's transform S: it isotropizes the images
+S x of the positive side and composes the result P with S. The cut is
+g = T^{-1} r for T = P S, and the certificate is on T's images, so a warm
+cut is as sound as a cold one. The start is used at depth 0 only. The V and
+V-perp sub-calls always start cold, and so does a call whose warm start
+finds a heavy subspace: it discards that answer and reruns from the
+identity, so the recursion is the one a cold call makes.
 """
 
 import math
@@ -49,11 +59,18 @@ def relu_l1_loss(samples, w):
     return loss, grad
 
 
-def positive_side_mask(X, w):
-    """Closed halfspace w.x >= 0 with a relative slack band at the boundary."""
-    norms = np.linalg.norm(X, axis=1)
+def positive_side_mask(X, w, norms=None, z=None):
+    """Closed halfspace w.x >= 0 with a relative slack band at the boundary.
+
+    ``norms`` (the row norms of X) and ``z`` (X @ w) are computed when not
+    given; a caller that holds them already passes them in.
+    """
+    if norms is None:
+        norms = np.linalg.norm(X, axis=1)
+    if z is None:
+        z = X @ w
     slack = BOUNDARY_RTOL * norms * max(1.0, float(np.linalg.norm(w)))
-    return (X @ w >= -slack) & (norms > 0.0)
+    return (z >= -slack) & (norms > 0.0)
 
 
 @dataclass
@@ -95,32 +112,50 @@ class SepResult:
 
     For a hyperplane, ``normal`` g satisfies g.(w0 - w) > 0 for every w in a
     ball around the target, so the cut keeps {w : g.w <= offset} where
-    offset = g.w0.
+    offset = g.w0. ``transform`` is the matrix T of a cut made in
+    radial-isotropic position (g = T^{-1} r), None for acceptance and for a
+    cut lifted from a subspace. ``diagnostics`` always carry
+    ``oracle_calls`` and ``isotropy_iterations``, sub-calls included.
     """
 
     accepted: bool
     normal: np.ndarray | None = None
     offset: float = 0.0
     diagnostics: dict = field(default_factory=dict)
+    transform: np.ndarray | None = None
 
 
-def sep_oracle(samples, w0, config, _depth=0):
+def _tally(sub_results, iterations=0):
+    """Work of one oracle call: itself, its own isotropy iterations and the
+    work its sub-calls report."""
+    return {
+        "oracle_calls": 1 + sum(r.diagnostics["oracle_calls"] for r in sub_results),
+        "isotropy_iterations": iterations + sum(r.diagnostics["isotropy_iterations"]
+                                                for r in sub_results),
+    }
+
+
+def sep_oracle(samples, w0, config, _depth=0, _start=None, _norms=None):
     """Separation oracle for the ReLU l1 landscape at query w0.
 
     Accepts when ReLU(w0 . x) fits at least half the samples within FIT_RTOL.
     Otherwise cuts using the rescaled subgradient of the positive-side
     points; on subspace concentration, recurses as described in the module
     docstring. Raises HalfspaceEmpty when no sample lies on the closed
-    positive side (the halfspace-mass assumption is violated).
+    positive side (the halfspace-mass assumption is violated). ``_start`` is
+    the previous cut's transform (the warm start of the module docstring)
+    and ``_norms`` the row norms of samples.x; ``ellipsoid_recover_relu``
+    passes both at depth 0.
     """
     X, y = samples.x, samples.y
     m, d = X.shape
     w0 = np.asarray(w0, dtype=float)
-    fits = int(exact_fit_mask(_relu(X @ w0), y).sum())
+    z = X @ w0
+    fits = int(exact_fit_mask(_relu(z), y).sum())
     if 2 * fits >= m:
-        return SepResult(True, diagnostics={"fit_count": fits, "depth": _depth})
+        return SepResult(True, diagnostics={"fit_count": fits, "depth": _depth, **_tally(())})
 
-    mask = positive_side_mask(X, w0)
+    mask = positive_side_mask(X, w0, _norms, z)
     if not mask.any():
         raise HalfspaceEmpty(
             f"no sample on the closed positive side of the query at depth {_depth}"
@@ -129,12 +164,18 @@ def sep_oracle(samples, w0, config, _depth=0):
     n_S = XS.shape[0]
     # recurse iff a heavy subspace exists (see linear.py for the rationale)
     gamma_eff = min(config.gamma, certifying_gamma(n_S, d))
-    result = radial_isotropize(XS, gamma_eff)
+    images = XS if _start is None else XS @ _start.T
+    result = radial_isotropize(images, gamma_eff)
+    if _start is not None and not isinstance(result, RadialTransform):
+        # a heavy subspace: rerun cold, so the recursion is the one a cold call makes
+        images, _start = XS, None
+        result = radial_isotropize(XS, gamma_eff)
     if isinstance(result, RadialTransform):
-        U = result.apply(XS)
-        sgn = np.sign(XS @ w0 - yS)
+        T = result.matrix if _start is None else result.matrix @ _start
+        U = result.apply(images)
+        sgn = np.sign(z[mask] - yS)
         r = (U * sgn[:, None]).mean(axis=0)
-        g = np.linalg.solve(result.matrix, r)
+        g = np.linalg.solve(T, r)
         gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:
             raise RadregError(
@@ -151,7 +192,9 @@ def sep_oracle(samples, w0, config, _depth=0):
                 "fit_count": fits,
                 "transform": result.to_json(),
                 "r_norm": float(np.linalg.norm(r)),
+                **_tally((), result.iterations_used),
             },
+            transform=T,
         )
 
     heavy = result
@@ -165,12 +208,14 @@ def sep_oracle(samples, w0, config, _depth=0):
         return SepResult(
             False, normal=g, offset=float(g @ w0),
             diagnostics={"depth": _depth, "lifted_from": "V",
-                         "heavy_dim": heavy.dim, "inner": inner.diagnostics},
+                         "heavy_dim": heavy.dim, "inner": inner.diagnostics,
+                         **_tally((inner,))},
         )
     rest = ~members
     if not rest.any():
         # every positive-side point lies in V and the inside check accepted
-        return SepResult(True, diagnostics={"depth": _depth, "vacuous_complement": True})
+        return SepResult(True, diagnostics={"depth": _depth, "vacuous_complement": True,
+                                            **_tally((inner,))})
     C = orthonormal_complement(heavy.basis).vectors
     y_defl = yS[rest] - (XS[rest] @ B) @ (B.T @ w0)
     outer = sep_oracle(
@@ -181,9 +226,11 @@ def sep_oracle(samples, w0, config, _depth=0):
         return SepResult(
             False, normal=g, offset=float(g @ w0),
             diagnostics={"depth": _depth, "lifted_from": "Vperp",
-                         "heavy_dim": heavy.dim, "inner": outer.diagnostics},
+                         "heavy_dim": heavy.dim, "inner": outer.diagnostics,
+                         **_tally((inner, outer))},
         )
-    return SepResult(True, diagnostics={"depth": _depth, "both_recursions_accepted": True})
+    return SepResult(True, diagnostics={"depth": _depth, "both_recursions_accepted": True,
+                                        **_tally((inner, outer))})
 
 
 @dataclass
@@ -209,6 +256,14 @@ class EllipsoidState:
         return float(np.sqrt(max(np.linalg.eigvalsh(self.shape)[-1], 0.0)))
 
 
+def _stopped(state, radius, steps=None):
+    """JSON-safe NoRecovery diagnostics: where the search stopped."""
+    diagnostics = {"center": state.center.tolist(), "radius": float(radius)}
+    if steps is not None:
+        diagnostics["steps"] = steps
+    return diagnostics
+
+
 def ellipsoid_cut(state, normal):
     """Central cut keeping {w : normal . w <= normal . center}."""
     c, P = state.center, state.shape
@@ -217,7 +272,7 @@ def ellipsoid_cut(state, normal):
     denom = float(normal @ Pg)
     if not denom > 0.0:
         raise NoRecovery("cut direction has non-positive ellipsoid norm",
-                         {"state": state})
+                         _stopped(state, state.radius))
     b = Pg / math.sqrt(denom)
     c_new = c - b / (d + 1)
     if d == 1:
@@ -232,18 +287,27 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     """Exact ReLU parameter recovery by the ellipsoid method.
 
     At every step the snapped center is tested against the majority-fit
-    certificate first; the oracle is only consulted when that fails. Raises
-    NoRecovery (with the final state in ``diagnostics``) when steps or the
-    ellipsoid radius run out, and lets HalfspaceEmpty propagate.
+    certificate first; the oracle is only consulted when that fails. Each
+    oracle call starts from the previous cut's transform (module
+    docstring). The report's diagnostics hold ``steps``, ``final_radius``,
+    ``oracle_calls`` and ``isotropy_iterations``. Raises NoRecovery when
+    steps or the ellipsoid radius run out, or when the shape stops being
+    positive definite; its JSON-safe ``diagnostics`` hold the final
+    ``center`` (a list), ``radius`` and ``steps``. HalfspaceEmpty
+    propagates.
     """
     X, y = samples.x, samples.y
     m, d = X.shape
+    norms = np.linalg.norm(X, axis=1)
     state = EllipsoidState(
         center=np.zeros(d),
         shape=config.initial_radius ** 2 * np.eye(d),
     )
+    radius = state.radius
     max_steps = config.resolved_max_steps(d)
     volumes = [state.volume_log] if record_volumes else None
+    work = {"oracle_calls": 0, "isotropy_iterations": 0}
+    start = None  # the previous cut's transform
     # try coarse denominators first: a simpler rational reaches the majority
     # certificate from a farther center, and the certificate itself is what
     # makes any candidate trustworthy
@@ -255,7 +319,7 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
             ws = snapped.to_floats()
             fit_mask = exact_fit_mask(_relu(X @ ws), y)
             if 2 * int(fit_mask.sum()) >= m:
-                diagnostics = {"steps": step, "final_radius": state.radius}
+                diagnostics = {"steps": step, "final_radius": radius, **work}
                 if record_volumes:
                     diagnostics["volume_logs"] = volumes
                 return RecoveryReport(
@@ -267,27 +331,41 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
                     model="relu",
                     diagnostics=diagnostics,
                 )
-        result = sep_oracle(samples, state.center, config)
+        result = sep_oracle(samples, state.center, config, _start=start, _norms=norms)
+        for key in work:
+            work[key] += result.diagnostics[key]
         if result.accepted:
             raise NoRecovery(
                 "oracle accepted the center but its snapped value failed the "
                 "majority certificate; max_denominator may not match the "
                 "target's bit complexity",
-                {"state": state, "steps": step, "oracle": result.diagnostics},
+                {**_stopped(state, radius, step), "oracle": result.diagnostics},
             )
-        state = ellipsoid_cut(state, result.normal)
+        try:
+            state = ellipsoid_cut(state, result.normal)
+        except NoRecovery as exc:
+            exc.diagnostics["steps"] = step
+            raise
+        start = result.transform
         if record_volumes:
             volumes.append(state.volume_log)
-        if state.radius < config.delta_min:
+        # one spectrum per step gives both the definiteness check and the radius
+        evals = np.linalg.eigvalsh(state.shape)
+        if not evals[0] > 0.0:
             raise NoRecovery(
-                f"ellipsoid radius {state.radius:.3e} fell below delta_min "
-                f"without a certified parameter",
-                {"state": state, "steps": step + 1},
+                f"ellipsoid shape lost positive definiteness (smallest "
+                f"eigenvalue {evals[0]:.3e})",
+                _stopped(state, math.sqrt(max(evals[-1], 0.0)), step + 1),
             )
-    raise NoRecovery(
-        f"no certified parameter within {max_steps} steps",
-        {"state": state, "steps": max_steps},
-    )
+        radius = math.sqrt(evals[-1])
+        if radius < config.delta_min:
+            raise NoRecovery(
+                f"ellipsoid radius {radius:.3e} fell below delta_min "
+                f"without a certified parameter",
+                _stopped(state, radius, step + 1),
+            )
+    raise NoRecovery(f"no certified parameter within {max_steps} steps",
+                     _stopped(state, radius, max_steps))
 
 
 # --- transformed subgradient descent -----------------------------------------
@@ -331,9 +409,10 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
     if alpha is None:
         alpha = 1.0 if mode != "original" else 1.0 / float(np.mean(np.sum(X * X, axis=1)))
 
+    norms = np.linalg.norm(X, axis=1)
     trajectory = []
     for it in range(iters):
-        mask = positive_side_mask(X, w)
+        mask = positive_side_mask(X, w, norms)
         skipped = False
         if not mask.any():
             skipped = True

@@ -152,17 +152,24 @@ def check_forster_condition(points):
     return True, None
 
 
-def oracle_transform(samples, w0, config):
+def oracle_transform(samples, w0, config, start=None):
     """The transform behind ``sep_oracle``'s cut at w0, recomputed.
 
-    Returns (A, mask): the matrix of the radial-isotropic transform of the
-    positive-side points and the positive-side mask, or None when those
-    points hold a heavy subspace (the oracle then recurses).
+    Returns (T, mask): the matrix T of the cut g = T^{-1} r and the
+    positive-side mask, or None when those points hold a heavy subspace (the
+    oracle then recurses). Cold, T is the radial-isotropic transform of the
+    positive-side points. From a warm ``start`` S it is P S, where P is the
+    transform of the images S x, unless those hold a heavy subspace.
     """
     X = samples.x
     mask = positive_side_mask(X, w0)
     XS = X[mask]
-    result = radial_isotropize(XS, min(config.gamma, certifying_gamma(*XS.shape)))
+    gamma = min(config.gamma, certifying_gamma(*XS.shape))
+    if start is not None:
+        warm = radial_isotropize(XS @ start.T, gamma)
+        if isinstance(warm, RadialTransform):
+            return warm.matrix @ start, mask
+    result = radial_isotropize(XS, gamma)
     if not isinstance(result, RadialTransform):
         return None
     return result.matrix, mask

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radreg.cli import main
-from radreg.data import load_dataset_csv
+from radreg.data import LabeledDataset, load_dataset_csv, save_dataset_csv
 
 
 def run_cli(capsys, *argv):
@@ -64,19 +64,36 @@ class TestFitCommands:
         assert report["w_snapped"]["values"] == [2.0, -3.0]
         assert report["majority_certified"] is True
 
-    def test_fit_relu(self, tmp_path, capsys):
+    def make_relu_csv(self, tmp_path):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((150, 2)) + 1.0
         w_star = np.array([2.0, 1.0])
         y = np.maximum(X @ w_star, 0.0)
         data = tmp_path / "relu.csv"
-        from radreg.data import LabeledDataset, save_dataset_csv
         save_dataset_csv(LabeledDataset(X, y), data)
+        return data
+
+    def test_fit_relu(self, tmp_path, capsys):
+        data = self.make_relu_csv(tmp_path)
         code, stdout, _ = run_cli(capsys, "fit-relu", "--in", str(data),
                                   "--radius", "5", "--max-denominator", "8")
         assert code == 0
         report = json.loads(stdout)
         assert report["w_snapped"]["values"] == [2.0, 1.0]
+        assert report["diagnostics"]["oracle_calls"] == report["diagnostics"]["steps"]
+
+    def test_fit_relu_failure_carries_its_diagnostics(self, tmp_path, capsys):
+        # the origin does not certify, so one step ends the search uncertified
+        data = self.make_relu_csv(tmp_path)
+        code, _, stderr = run_cli(capsys, "fit-relu", "--in", str(data),
+                                  "--radius", "5", "--max-denominator", "8",
+                                  "--max-steps", "1")
+        assert code == 2
+        error = json.loads(stderr)
+        assert error["error"] == "NoRecovery"
+        assert error["diagnostics"]["steps"] == 1
+        assert len(error["diagnostics"]["center"]) == 2
+        assert error["diagnostics"]["radius"] > 0.0
 
     def test_gd_relu_trajectory(self, tmp_path, capsys):
         data = tmp_path / "gd.csv"

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from radreg import relu
 from radreg.data import LabeledDataset
 from radreg.errors import HalfspaceEmpty, NoRecovery
 from radreg.l1 import FIT_RTOL, snap_to_rational
@@ -11,6 +13,7 @@ from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
 from radreg.relu import (
     EllipsoidConfig,
     EllipsoidState,
+    SepResult,
     ellipsoid_cut,
     ellipsoid_recover_relu,
     gd_relu_transformed,
@@ -50,16 +53,16 @@ def two_points_on_the_query_side():
     return LabeledDataset(X, np.maximum(X @ w_star, 0.0)), w_star
 
 
-def separation_margin(samples, record, w0, w_star, config):
+def separation_margin(samples, record, w0, w_star, config, start=None):
     """Clean-vs-corrupted separation statistic on the oracle's own
     transformed positive-side points; positive means the returned cut is
-    guaranteed sound."""
-    A, mask = oracle_transform(samples, w0, config)
+    guaranteed sound. In the images T x, a parameter w reads T^{-T} w."""
+    T, mask = oracle_transform(samples, w0, config, start)
     XS = samples.x[mask]
-    V = XS @ A.T
+    V = XS @ T.T
     U = V / np.linalg.norm(V, axis=1)[:, None]
-    w0_t = np.linalg.solve(A, w0)
-    ws_t = np.linalg.solve(A, w_star)
+    w0_t = np.linalg.solve(T.T, w0)
+    ws_t = np.linalg.solve(T.T, w_star)
     active = U @ w0_t > 0.0  # derivative gate, strict at the kink
     clean = ~record.mask[mask]
     gap = np.abs(U @ (w0_t - ws_t))
@@ -168,6 +171,39 @@ class TestSepOracle:
         assert mask.sum() == res.diagnostics["n_positive_side"]
         assert np.array_equal(np.linalg.solve(A, r), res.normal)
 
+    def test_warm_start_leaves_a_heavy_positive_side_to_the_cold_call(self):
+        # the warm call finds the span of the 2 points and is discarded; the
+        # cold rerun recurses into V, whose sub-call starts cold
+        ds, w_star = two_points_on_the_query_side()
+        w0 = -w_star
+        start = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
+        cold = sep_oracle(ds, w0, self.config())
+        warm = sep_oracle(ds, w0, self.config(), _start=start)
+        assert warm.diagnostics["lifted_from"] == "V"
+        assert warm.transform is None
+        assert np.array_equal(warm.normal, cold.normal)
+        assert warm.diagnostics == cold.diagnostics
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_cut_is_made_in_the_composed_transform(self, seed):
+        # from the previous cut's transform S the cut is T^{-1} r for T = P S
+        corrupted, _, w_star = shifted_relu_instance(seed, d=3, m=400, eta=0.25)
+        rng = np.random.default_rng(seed)
+        w_prev = w_star + rng.standard_normal(3) * 3.0
+        start = sep_oracle(corrupted, w_prev, self.config()).transform
+        assert start is not None
+        w0 = w_prev + rng.standard_normal(3) * 0.3
+        res = sep_oracle(corrupted, w0, self.config(), _start=start)
+        T, mask = oracle_transform(corrupted, w0, self.config(), start)
+        assert np.array_equal(res.transform, T)
+        XS, yS = corrupted.x[mask], corrupted.y[mask]
+        V = XS @ T.T
+        U = V / np.linalg.norm(V, axis=1)[:, None]
+        r = (U * np.sign(XS @ w0 - yS)[:, None]).mean(axis=0)
+        np.testing.assert_allclose(res.normal, np.linalg.solve(T, r), rtol=1e-9)
+        assert res.diagnostics["isotropy_iterations"] == \
+            res.diagnostics["transform"]["iterations_used"]
+
     @pytest.mark.parametrize("seed", range(25))
     def test_separation_soundness(self, seed):
         corrupted, record, w_star = shifted_relu_instance(seed, d=2, m=400,
@@ -263,6 +299,15 @@ class TestEllipsoid:
     def test_target_never_cut_on_verified_queries(self):
         # instrumented run: whenever the query passes the clean-vs-corrupted
         # separation check, the cut must keep the target inside
+        self.walk_verified_queries(warm=False)
+
+    def test_target_never_cut_on_verified_warm_queries(self):
+        # the same walk with every call started from the previous cut's
+        # transform, as ellipsoid_recover_relu runs it
+        self.walk_verified_queries(warm=True)
+
+    @staticmethod
+    def walk_verified_queries(warm):
         corrupted, record, w_star = shifted_relu_instance(seed=77, d=2, m=600,
                                                           eta=0.25)
         cfg = EllipsoidConfig(initial_radius=10.0, max_denominator=16)
@@ -271,19 +316,22 @@ class TestEllipsoid:
         state = EllipsoidState(np.array([3.7, -1.3]), 400.0 * np.eye(2))
         all_verified = True
         checked_cuts = 0
+        start = None
         for _ in range(200):
             snapped = snap_to_rational(state.center, 16).to_floats()
             pred = np.maximum(corrupted.x @ snapped, 0.0)
             fits = np.abs(pred - corrupted.y) <= FIT_RTOL * (1 + np.abs(corrupted.y))
             if 2 * fits.sum() >= corrupted.m:
                 break
-            res = sep_oracle(corrupted, state.center, cfg)
+            res = sep_oracle(corrupted, state.center, cfg, _start=start)
             assert not res.accepted
             if "transform" in res.diagnostics:
                 margin = separation_margin(corrupted, record, state.center,
-                                           w_star, cfg)
+                                           w_star, cfg, start)
                 all_verified &= margin > 0
             state = ellipsoid_cut(state, res.normal)
+            if warm:
+                start = res.transform
             # the guarantee is conditional on every query so far verifying
             if all_verified:
                 checked_cuts += 1
@@ -291,6 +339,49 @@ class TestEllipsoid:
                 quad = gap @ np.linalg.solve(state.shape, gap)
                 assert quad <= 1.0 + 1e-9, "target cut away despite verified queries"
         assert checked_cuts >= 10  # the check must actually have bitten
+
+    def test_report_counts_oracle_work(self):
+        # the criterion-5 family at the benchmark's size: started from the
+        # previous cut, an oracle call takes at most 2 isotropy iterations on
+        # average (about 4 from the identity)
+        corrupted, _, w_star = shifted_relu_instance(seed=5, d=20, m=5000)
+        cfg = EllipsoidConfig(initial_radius=30.0, max_denominator=16)
+        report = ellipsoid_recover_relu(corrupted, cfg)
+        assert report.w_snapped.to_fractions() == fractions_of(w_star)
+        diagnostics = report.diagnostics
+        assert diagnostics == ellipsoid_recover_relu(corrupted, cfg).diagnostics
+        assert diagnostics["oracle_calls"] >= diagnostics["steps"] > 0
+        assert diagnostics["isotropy_iterations"] <= 2 * diagnostics["oracle_calls"]
+
+    @staticmethod
+    def uncertified_at_the_origin():
+        # 40% of the labels are 0, so the first center does not certify
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((200, 2)) + np.array([1.0, 1.0])
+        ds = LabeledDataset(X, np.maximum(X @ np.array([3.0, -2.0]), 0.0))
+        return ds, EllipsoidConfig(initial_radius=8.0, max_denominator=16)
+
+    def test_indefinite_shape_raises_norecovery(self, monkeypatch):
+        def indefinite_cut(state, normal):
+            return EllipsoidState(state.center - 0.1 * normal, np.diag([4.0, -1e-3]))
+
+        monkeypatch.setattr(relu, "ellipsoid_cut", indefinite_cut)
+        with pytest.raises(NoRecovery, match="positive definiteness") as info:
+            ellipsoid_recover_relu(*self.uncertified_at_the_origin())
+        diagnostics = info.value.diagnostics
+        assert diagnostics["steps"] == 1
+        assert diagnostics["radius"] == 2.0
+        assert json.loads(json.dumps(diagnostics)) == diagnostics
+
+    def test_failed_cut_reports_its_step(self, monkeypatch):
+        def zero_normal(samples, w0, config, **_):
+            return SepResult(False, normal=np.zeros(2),
+                             diagnostics={"oracle_calls": 1, "isotropy_iterations": 0})
+
+        monkeypatch.setattr(relu, "sep_oracle", zero_normal)
+        with pytest.raises(NoRecovery, match="non-positive ellipsoid norm") as info:
+            ellipsoid_recover_relu(*self.uncertified_at_the_origin())
+        assert info.value.diagnostics == {"center": [0.0, 0.0], "radius": 8.0, "steps": 0}
 
     def test_cut_geometry(self):
         state = EllipsoidState(np.zeros(2), 4.0 * np.eye(2))
