@@ -18,6 +18,20 @@ basic u_i zero, so w interpolates those d samples exactly. It is therefore
 a vertex of the primal: the kind of basic solution every LAD optimum can be
 taken from, and the one rational snapping recovers the target from.
 
+HiGHS runs without presolve. On the dense dual of Gaussian-like data it
+removes nothing (the 100 x 300 subset LPs of the d=100 benchmark: "Not
+reduced", after a dependent-equation search of 10 to 20 ms) or a few rows
+(4 of 30 on a d=30, n=120 sweep LP, after which HiGHS re-solves the
+original LP from the postsolved point), and it costs more than the simplex
+itself: a sweep LP takes about 6 ms without it and 14 ms with it (one
+thread of a 2-vCPU x86-64 VM). The multipliers then come from the simplex's
+own final factorization rather than from that re-solve, which costs
+accuracy: fit on raw d=30, n=120 mixture instances with the gated flip at
+eta=0.3, w lies up to about 2e-11 from the vertex its interpolated rows
+define (up to about 7e-13 with presolve), far inside the +-5e-7 basin in
+which snapping at denominator 1e6 rounds to an integer target. The
+duality-gap check below is what stands behind an answer either way.
+
 ``lad_optimal`` certifies a candidate w without the LP. By complementary
 slackness w is optimal exactly when a dual point u has u_i = sign(r_i) on
 every row with a nonzero residual r_i; the rows w fits exactly are free in
@@ -57,6 +71,7 @@ class L1FitResult:
     w: np.ndarray
     objective: float
     residuals: np.ndarray
+    iterations: int  # simplex iterations HiGHS reports (result.nit)
 
 
 def l1_fit_linear(samples):
@@ -68,7 +83,8 @@ def l1_fit_linear(samples):
     """
     X, y = samples.x, samples.y
     d = X.shape[1]
-    result = linprog(-y, A_eq=X.T, b_eq=np.zeros(d), bounds=(-1, 1), method="highs")
+    result = linprog(-y, A_eq=X.T, b_eq=np.zeros(d), bounds=(-1, 1), method="highs",
+                     options={"presolve": False})
     if not result.success:
         raise SolverStalled(f"LP backend failed: {result.message}")
     w = -result.eqlin.marginals
@@ -80,7 +96,8 @@ def l1_fit_linear(samples):
             f"LAD duality gap {gap:.3g} exceeds {DUALITY_GAP_RTOL:g}: "
             f"primal {objective:.17g}, dual {-result.fun:.17g}"
         )
-    return L1FitResult(w=w, objective=objective, residuals=residuals)
+    return L1FitResult(w=w, objective=objective, residuals=residuals,
+                       iterations=int(result.nit))
 
 
 def lad_optimal(samples, w):

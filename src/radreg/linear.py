@@ -82,24 +82,29 @@ class RecoveryReport:
 
 
 def _fit_leaf(transform, X, y, config):
-    """LAD fit on the rescaled points, mapped back: (w, lp_rows, lp_solves).
+    """LAD fit on the rescaled points, mapped back: (w, LP trace fields).
 
     With n >= 2k rows, k = SUBSET_ROWS_PER_DIM * d, the LP first sees k
     rows drawn with a fixed seed. Its answer is kept when ``lad_optimal``
     proves it a minimizer of the LP on all n rows; otherwise the LP is
-    solved again on all n.
+    solved again on all n. The fields are the rows of the last LP, the
+    number of solves and their simplex iterations summed.
     """
     n, d = X.shape
     rescaled = LabeledDataset(*transform.apply(X, y))
     k = SUBSET_ROWS_PER_DIM * d
     subset = 2 * k <= n
+    iterations = 0
     if subset:
         rows = np.sort(np.random.default_rng(SUBSET_SEED).choice(n, k, replace=False))
         fit = l1_fit_linear(LabeledDataset(rescaled.x[rows], rescaled.y[rows]))
         if lad_optimal(rescaled, fit.w):
-            return transform.matrix @ fit.w, k, 1
+            return transform.matrix @ fit.w, {
+                "lp_rows": k, "lp_solves": 1, "lp_iterations": fit.iterations}
+        iterations = fit.iterations
     fit = l1_fit_linear(rescaled)
-    return transform.matrix @ fit.w, n, 1 + subset
+    return transform.matrix @ fit.w, {
+        "lp_rows": n, "lp_solves": 1 + subset, "lp_iterations": iterations + fit.iterations}
 
 
 def _recover(X, y, depth, branch, trace, config):
@@ -135,9 +140,8 @@ def _recover(X, y, depth, branch, trace, config):
     # transform than requested) or surfaces a verified one.
     result = radial_isotropize(Xnz, min(config.gamma, certifying_gamma(n, d)))
     if isinstance(result, RadialTransform):
-        w, lp_rows, lp_solves = _fit_leaf(result, Xnz, ynz, config)
-        trace.append({**entry, "outcome": "transform", "isotropy": result.to_json(),
-                      "lp_rows": lp_rows, "lp_solves": lp_solves})
+        w, lp = _fit_leaf(result, Xnz, ynz, config)
+        trace.append({**entry, "outcome": "transform", "isotropy": result.to_json(), **lp})
         return w
 
     heavy = result

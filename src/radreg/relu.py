@@ -174,7 +174,7 @@ def sep_oracle(samples, w0, config, _depth=0, _start=None, _norms=None):
         T = result.matrix if _start is None else result.matrix @ _start
         U = result.apply(images)
         sgn = np.sign(z[mask] - yS)
-        r = (U * sgn[:, None]).mean(axis=0)
+        r = (sgn @ U) / n_S
         g = np.linalg.solve(T, r)
         gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:

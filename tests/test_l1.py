@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from radreg.bench import SyntheticSpec, make_synthetic_dataset
 from radreg.data import LabeledDataset
 from radreg.errors import ContractViolation, SolverStalled
 import radreg.l1
 from radreg.l1 import exact_fit_mask, l1_fit_linear, lad_optimal, snap_to_rational
 from radreg.isotropy import radial_isotropize
-from radreg.noise import FlipNegate, MassartSpec, Scale, corrupt_massart
+from radreg.noise import FlipNegate, MassartSpec, Scale, corrupt_massart, gated_flip
 
 from oracles import Degenerate, check_structural_condition, l0_fit_bruteforce
 
@@ -49,6 +50,24 @@ def primal_lp_objective(samples):
     )
     assert result.success
     return result.fun
+
+
+def exact_solution(A, b):
+    """The solution of the square system A x = b in Fractions, by Gaussian
+    elimination on the floats' exact binary values."""
+    n = len(b)
+    rows = [[Fraction(float(v)) for v in row] + [Fraction(float(v))] for row, v in zip(A, b)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            if f:
+                rows[r] = [a - f * p for a, p in zip(rows[r], rows[c])]
+    x = [Fraction(0)] * n
+    for c in reversed(range(n)):
+        x[c] = (rows[c][n] - sum(rows[c][k] * x[k] for k in range(c + 1, n))) / rows[c][c]
+    return x
 
 
 def is_unique_lad_minimizer(samples, w):
@@ -161,6 +180,40 @@ class TestL1FitLinear:
         assert is_unique_lad_minimizer(corrupted, w_star)
         snapped = snap_to_rational(l1_fit_linear(corrupted).w)
         assert snapped.to_fractions() == tuple(Fraction(v) for v in w_star)
+
+    def test_w_lies_on_the_exact_vertex(self):
+        # the naive-l1 fit of a sweep instance (mixture, d=30, n=120, gated
+        # flip at eta=0.3): its 30 interpolated rows have condition number
+        # about 3900, and without presolve's final re-solve the multipliers
+        # lie about 2e-11 from the vertex they define, far inside the
+        # +-5e-7 basin that snapping at denominator 1e6 rounds to a target
+        ds, _ = corrupt_massart(make_synthetic_dataset(SyntheticSpec(d=30, n=120, seed=0)),
+                                MassartSpec(0.3, gated_flip(15.0), seed=1))
+        fit = l1_fit_linear(ds)
+        interpolated = np.abs(fit.residuals) <= 1e-9 * (1.0 + np.abs(ds.y))
+        assert interpolated.sum() == 30
+        vertex = exact_solution(ds.x[interpolated], ds.y[interpolated])
+        assert np.abs(fit.w - np.array([float(v) for v in vertex])).max() <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["duplicate", "zero", "sum"])
+    def test_dependent_columns(self, kind, seed):
+        # X^T then has dependent rows, which the LP's equality block keeps:
+        # the minimizer need not be unique, but its objective is
+        rng = np.random.default_rng(400 + seed)
+        X = rng.standard_normal((60, 5))
+        if kind == "duplicate":
+            X[:, 4] = X[:, 1]
+        elif kind == "zero":
+            X[:, 2] = 0.0
+        else:
+            X[:, 4] = X[:, 0] + X[:, 3]
+        ds = LabeledDataset(X, rng.standard_cauchy(60))
+        try:
+            fit = l1_fit_linear(ds)
+        except SolverStalled:
+            return
+        assert fit.objective == pytest.approx(primal_lp_objective(ds), rel=1e-9)
 
     def test_flipped_marginal_sign_fails_the_duality_gap_check(self, monkeypatch):
         def flipped(*args, **kwargs):

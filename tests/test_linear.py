@@ -218,11 +218,12 @@ class TestSubsetAndCertify:
         assert report.w_snapped.to_fractions() == fractions_of(PLANE_TARGET)
 
     def test_failed_certificate_falls_back_to_the_full_lp(self, monkeypatch):
-        rows = []
+        rows, iterations = [], []
 
         def first_answer_perturbed(samples):
             fit = l1_fit_linear(samples)
             rows.append(samples.m)
+            iterations.append(fit.iterations)
             if len(rows) == 1:
                 fit.w = fit.w + 0.5
             return fit
@@ -233,6 +234,9 @@ class TestSubsetAndCertify:
         (leaf,) = report.recursion_trace
         assert rows == [15, 200]
         assert (leaf["lp_rows"], leaf["lp_solves"]) == (200, 2)
+        # the iterations of both solves, the refused one included
+        assert leaf["lp_iterations"] == sum(iterations)
+        assert min(iterations) > 0
         assert report.w_snapped == full_lp_snapped(ds)
 
     @pytest.mark.parametrize("n, lp_rows", [(29, 29), (30, 15)])
@@ -242,6 +246,7 @@ class TestSubsetAndCertify:
         report = recover_linear(realizable(n, n, 5, w_star))
         (leaf,) = report.recursion_trace
         assert (leaf["lp_rows"], leaf["lp_solves"]) == (lp_rows, 1)
+        assert leaf["lp_iterations"] > 0
         assert report.w_snapped.to_fractions() == fractions_of(w_star)
 
 

@@ -158,7 +158,8 @@ class TestSepOracle:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_recomputed_transform_reproduces_the_cut(self, seed):
-        # the cut is A^{-1} times the mean signed image of the positive side
+        # the cut is A^{-1} times the mean signed image of the positive side,
+        # summed as the product of the signs with the images
         corrupted, _, w_star = shifted_relu_instance(seed, d=3, m=400, eta=0.25)
         w0 = w_star + np.random.default_rng(seed).standard_normal(3) * 3.0
         res = sep_oracle(corrupted, w0, self.config())
@@ -167,7 +168,7 @@ class TestSepOracle:
         XS, yS = corrupted.x[mask], corrupted.y[mask]
         V = XS @ A.T
         U = V / np.linalg.norm(V, axis=1)[:, None]
-        r = (U * np.sign(XS @ w0 - yS)[:, None]).mean(axis=0)
+        r = np.sign(XS @ w0 - yS) @ U / mask.sum()
         assert mask.sum() == res.diagnostics["n_positive_side"]
         assert np.array_equal(np.linalg.solve(A, r), res.normal)
 
