@@ -208,7 +208,7 @@ def _trial_seeds(seed, grid_idx, trial):
 
 
 def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=None,
-                         trials=200, seed=0, w_star=None, gamma=0.5,
+                         trials=200, seed=0, w_star=None,
                          max_denominator=10**6, ridge_coeff=1.0,
                          instance="mixture", n_far=4, far_scale=100.0):
     """Exact-recovery rates over a noise grid or a sample-size grid.
@@ -240,10 +240,10 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
 
     w_star = default_target(d) if w_star is None else np.asarray(w_star, dtype=float)
     target = tuple(Fraction(v) for v in w_star)
-    config = RecoveryConfig(gamma=gamma, max_denominator=max_denominator)
+    config = RecoveryConfig(max_denominator=max_denominator)
     report = BenchReport(config={
         "d": d, "n": n, "eta": eta, "grid_param": grid_param, "grid": grid,
-        "trials": trials, "seed": seed, "gamma": gamma,
+        "trials": trials, "seed": seed,
         "max_denominator": max_denominator,
         "w_star": [float(v) for v in w_star],
         "methods": list(methods),

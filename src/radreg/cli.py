@@ -80,7 +80,7 @@ def _cmd_corrupt(args):
 
 def _cmd_fit_linear(args):
     dataset = load_dataset_csv(getattr(args, "in"))
-    config = RecoveryConfig(gamma=args.gamma, max_denominator=args.max_denominator)
+    config = RecoveryConfig(max_denominator=args.max_denominator)
     report = recover_linear(dataset, config)
     _emit(report.to_json(), args.out)
 
@@ -91,7 +91,6 @@ def _cmd_fit_relu(args):
         initial_radius=args.radius,
         delta_min=args.delta_min,
         max_steps=args.max_steps,
-        gamma=args.gamma,
         max_denominator=args.max_denominator,
     )
     report = ellipsoid_recover_relu(dataset, config)
@@ -103,7 +102,6 @@ def _cmd_gd_relu(args):
     w_star = _parse_vector(args.w_star) if args.w_star else None
     trajectory = gd_relu_transformed(
         dataset, args.mode, alpha=args.alpha, iters=args.iters, w_star=w_star,
-        gamma=args.gamma,
     )
     rows = trajectory_csv_rows(trajectory)
     if args.out:
@@ -112,8 +110,9 @@ def _cmd_gd_relu(args):
             writer.writerow(["iter", "loss", "distance"])
             writer.writerows(rows)
     final = trajectory[-1]
+    # without --w-star the distance is NaN, which strict JSON has no literal for
     print(json.dumps({"iters": len(rows), "final_loss": final.loss,
-                      "final_distance": final.distance,
+                      "final_distance": None if w_star is None else final.distance,
                       "w": [float(v) for v in final.w]}))
 
 
@@ -123,7 +122,7 @@ def _cmd_bench_recovery(args):
     report = bench.exact_recovery_bench(
         [m.strip() for m in args.methods.split(",")],
         d=args.d, n=args.n, eta=args.eta, eta_grid=grid, n_grid=n_grid,
-        trials=args.trials, seed=args.seed, gamma=args.gamma,
+        trials=args.trials, seed=args.seed,
         max_denominator=args.max_denominator,
         w_star=_parse_vector(args.w_star) if args.w_star else None,
         instance=args.instance, ridge_coeff=args.ridge_coeff,
@@ -163,7 +162,6 @@ def build_parser():
 
     p = sub.add_parser("fit-linear", help="recover a linear parameter")
     p.add_argument("--in", required=True)
-    p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--max-denominator", type=int, default=10**6)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit_linear)
@@ -173,7 +171,6 @@ def build_parser():
     p.add_argument("--radius", type=float, default=100.0, help="bound on |w*|")
     p.add_argument("--delta-min", type=float, default=None)
     p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--max-denominator", type=int, default=10**6)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit_relu)
@@ -184,7 +181,6 @@ def build_parser():
                    default="radial-isotropic")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--w-star", default=None)
     p.add_argument("--out", default=None, help="trajectory CSV path")
     p.set_defaults(func=_cmd_gd_relu)
@@ -199,7 +195,6 @@ def build_parser():
     p.add_argument("--n-grid", default=None)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--max-denominator", type=int, default=10**6)
     p.add_argument("--w-star", default=None)
     p.add_argument("--methods", default="rescaled-l1,naive-l1,normalized-l1,least-squares")

@@ -271,22 +271,25 @@ def default_max_iters(d, gamma):
 
 
 def certifying_gamma(n, d):
-    """Isotropy gap that rules out every heavy subspace once surpassed.
+    """Isotropy gap of a recursion level: passing it rules out heavy subspaces.
 
     A k-dimensional subspace holding fraction f of n points caps the
     reachable lambda_min at d(1-f)/(d-k): the subspace image always carries
     at least d*f of the trace mass, leaving at most d(1-f) for the other
     d-k eigenvalues. With f > k/d by at least one point this cap is at most
     1 - d/(n(d-1)), so reaching lambda_min above that certifies that no
-    heavy subspace exists. Returned with a factor-2 margin; d = 1 has no
-    proper nonzero subspace, so any gap certifies.
+    heavy subspace exists. A milder gap would let a set with a heavy
+    subspace pass, so every recursion level asks for this one. Returned with
+    a factor-2 margin, capped at DEFAULT_GAMMA where that cannot matter: for
+    n, d >= 2 the margin is at most 1/2, and at d = 1 or n = 1 a level
+    settles at iteration 0.
     """
     if d < 2:
         return DEFAULT_GAMMA
-    return d / (2.0 * n * (d - 1))
+    return min(DEFAULT_GAMMA, d / (2.0 * n * (d - 1)))
 
 
-def radial_isotropize(points, gamma=DEFAULT_GAMMA, max_iters=None):
+def radial_isotropize(points, gamma=DEFAULT_GAMMA):
     """Find a gamma-approximate radial-isotropic transform or a heavy subspace.
 
     Points are unit-normalized internally (label co-scaling is the caller's
@@ -296,15 +299,14 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA, max_iters=None):
     returned (see RadialTransform); on structural failure returns a
     verified HeavySubspace. Points that do not span R^d (fewer than d of
     them, say) come back as their span with fraction 1.0. Raises
-    IsotropyStalled when max_iters iterations, fixed-point and Newton steps
-    counted alike, reach neither.
+    IsotropyStalled when ``default_max_iters(d, gamma)`` iterations,
+    fixed-point and Newton steps counted alike, reach neither.
     """
     if not 0.0 < gamma < 1.0:
         raise ContractViolation(f"gamma must lie in (0, 1), got {gamma}")
     Xu = _unit_rows(points)
     n, d = Xu.shape
-    if max_iters is None:
-        max_iters = default_max_iters(d, gamma)
+    max_iters = default_max_iters(d, gamma)
 
     A = np.eye(d)  # carried unsymmetrized; its polar factor is returned
     target = 1.0 - gamma
@@ -375,5 +377,5 @@ def find_heavy_subspace(points):
     None always means "certified none".
     """
     n, d = np.atleast_2d(points).shape
-    result = radial_isotropize(points, min(DEFAULT_GAMMA, certifying_gamma(n, d)))
+    result = radial_isotropize(points, certifying_gamma(n, d))
     return result if isinstance(result, HeavySubspace) else None

@@ -48,7 +48,10 @@ from scipy.optimize import linprog
 
 from .errors import ContractViolation, SolverStalled
 
-FIT_RTOL = 1e-7  # |y - prediction| <= FIT_RTOL * (1 + |y|) counts as an exact fit
+# |y - prediction| <= FIT_RTOL * (1 + |y|) counts as an exact fit. Certificates
+# judge each point on (x/|x|, y/|x|): on raw values the floor of 1e-7 passes
+# every point of a set scaled small enough, junk labels included.
+FIT_RTOL = 1e-7
 # Optimal solves on the benchmark's instances leave relative gaps up to about
 # 8e-11; reading w with the wrong sign or off a wrong basis leaves gaps of
 # order 1.
@@ -64,6 +67,11 @@ CERTIFY_ROUNDS = 100
 def exact_fit_mask(pred, y):
     y = np.asarray(y, dtype=float)
     return np.abs(np.asarray(pred) - y) <= FIT_RTOL * (1.0 + np.abs(y))
+
+
+def _fit_scales(norms):
+    """Row norms with 0 read as 1: the divisors of predictions and labels."""
+    return np.where(norms > 0.0, norms, 1.0)
 
 
 @dataclass

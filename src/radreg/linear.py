@@ -1,22 +1,25 @@
 """Exact recovery of linear parameters under Massart label corruption.
 
 Each recursion level drops the zero covariates and asks
-``radial_isotropize`` for a transform of the rest. When one exists, the
-level solves the rescaled least-absolute-deviations LP and maps the
-minimizer back through the (symmetric) transform. A level with n >= 6d
-points first solves that LP on 3d of its rescaled rows, chosen with a
-fixed seed, and keeps the answer when a dual point proves it a minimizer
-of the LP on all n rows (subsample and certify, after Portnoy and Koenker,
-"The Gaussian hare and the Laplacian tortoise", Stat. Sci. 1997); otherwise
-it solves the LP on all n rows. When the points concentrate on a subspace
-V instead, it recovers the projection of the target onto V from the points
-inside it, subtracts that component from the labels of the remaining
-points, and recurses on the orthogonal complement. A subspace holding
-every point leaves the complement of the target unidentifiable.
+``radial_isotropize`` for a transform of the rest at ``certifying_gamma``,
+a gap no set with a heavy subspace passes. When one exists, the level
+solves the rescaled least-absolute-deviations LP and maps the minimizer
+back through the (symmetric) transform. A level with n >= 6d points first
+solves that LP on 3d of its rescaled rows, chosen with a fixed seed, and
+keeps the answer when a dual point proves it a minimizer of the LP on all
+n rows (subsample and certify, after Portnoy and Koenker, "The Gaussian
+hare and the Laplacian tortoise", Stat. Sci. 1997); otherwise it solves
+the LP on all n rows. When the points concentrate on a subspace V instead,
+it recovers the projection of the target onto V from the points inside it
+(``_in_v``), subtracts that component from the labels of the remaining
+points, and recurses on the orthogonal complement (``_off_v``). The ReLU
+separation oracle recurses with the same level decision and helpers. A
+subspace holding every point leaves the complement of the target
+unidentifiable.
 
 The recovered parameter is snapped once to bounded-denominator rationals;
-reports carry the snapped vector, the fraction of samples it fits exactly,
-and a per-level recursion trace.
+reports carry the snapped vector, the fraction of samples it fits exactly
+(each judged on (x/|x|, y/|x|)) and a per-level recursion trace.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +28,9 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import InsufficientPoints, NonIdentifiable, RadregError
-from .isotropy import DEFAULT_GAMMA, RadialTransform, certifying_gamma, radial_isotropize
-from .l1 import RationalVector, exact_fit_mask, l1_fit_linear, lad_optimal, snap_to_rational
+from .isotropy import RadialTransform, certifying_gamma, radial_isotropize
+from .l1 import (RationalVector, _fit_scales, exact_fit_mask, l1_fit_linear, lad_optimal,
+                 snap_to_rational)
 from .linalg import orthonormal_complement
 
 SUBSET_ROWS_PER_DIM = 3  # rows of the first LP of a leaf, per dimension
@@ -35,21 +39,17 @@ SUBSET_SEED = 0          # fixed, so a report is a pure function of its inputs
 
 @dataclass
 class RecoveryConfig:
-    """Knobs shared by the recovery algorithms.
+    """The snapping bound of linear recovery.
 
-    ``gamma`` is the isotropy gap requested at each level (capped by the
-    certifying gap, see ``certifying_gamma``). ``max_denominator`` doubles
-    as the bit-complexity bound on the target: snapping is exact once the
-    estimate is within 1/(2*max_denominator^2) of the true rational
-    parameter. An exact fit is one within ``l1.FIT_RTOL``.
+    ``max_denominator`` doubles as the bit-complexity bound on the target:
+    snapping is exact once the estimate is within 1/(2*max_denominator^2)
+    of the true rational parameter. The gap of each level is
+    ``certifying_gamma`` and an exact fit is one within ``l1.FIT_RTOL``.
     """
 
-    gamma: float = DEFAULT_GAMMA
     max_denominator: int = 10**6
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.max_denominator < 1:
             raise ValueError("max_denominator must be >= 1")
 
@@ -81,7 +81,7 @@ class RecoveryReport:
         }
 
 
-def _fit_leaf(transform, X, y, config):
+def _fit_leaf(transform, X, y):
     """LAD fit on the rescaled points, mapped back: (w, LP trace fields).
 
     With n >= 2k rows, k = SUBSET_ROWS_PER_DIM * d, the LP first sees k
@@ -107,7 +107,20 @@ def _fit_leaf(transform, X, y, config):
         "lp_rows": n, "lp_solves": 1 + subset, "lp_iterations": iterations + fit.iterations}
 
 
-def _recover(X, y, depth, branch, trace, config):
+def _in_v(heavy, X, y):
+    """The members of a heavy subspace V in the coordinates of V's basis, and their labels."""
+    members = heavy.member_mask
+    return X[members] @ heavy.basis.vectors, y[members]
+
+
+def _off_v(heavy, X, y, w_v):
+    """The points off V in a basis C of V-perp, their labels deflated by w_v in V, and C."""
+    rest = ~heavy.member_mask
+    C = orthonormal_complement(heavy.basis).vectors
+    return X[rest] @ C, y[rest] - X[rest] @ w_v, C
+
+
+def _recover(X, y, depth, branch, trace):
     """Recover the target's coordinates at one level; appends to ``trace``.
 
     A transform leaf keeps a subset answer only when it minimizes the LP on
@@ -133,21 +146,14 @@ def _recover(X, y, depth, branch, trace, config):
         "n_points": n,
         "n_zero": int((~nonzero).sum()),
     }
-    # Branch on heavy-subspace EXISTENCE, not on gamma-approximability: a
-    # subspace with fraction f caps lambda_min at d(1-f)/(d-k), which a
-    # mild gamma target can clear. Iterating past the certifying gap either
-    # proves no heavy subspace exists (and hands back an even better
-    # transform than requested) or surfaces a verified one.
-    result = radial_isotropize(Xnz, min(config.gamma, certifying_gamma(n, d)))
+    result = radial_isotropize(Xnz, certifying_gamma(n, d))
     if isinstance(result, RadialTransform):
-        w, lp = _fit_leaf(result, Xnz, ynz, config)
+        w, lp = _fit_leaf(result, Xnz, ynz)
         trace.append({**entry, "outcome": "transform", "isotropy": result.to_json(), **lp})
         return w
 
     heavy = result
-    members = heavy.member_mask
-    rest = ~members
-    if not rest.any():
+    if heavy.member_mask.all():
         raise NonIdentifiable(
             f"nonzero covariates span only rank {heavy.dim} in dim {d} "
             f"at recursion level {depth}",
@@ -155,17 +161,10 @@ def _recover(X, y, depth, branch, trace, config):
         )
     trace.append({**entry, "outcome": "heavy-subspace",
                   "heavy_dim": heavy.dim, "heavy_fraction": heavy.fraction})
-    B = heavy.basis.vectors
-    w_v_coords = _recover(Xnz[members] @ B, ynz[members],
-                          depth + 1, branch + "/V", trace, config)
-    w_v = B @ w_v_coords
-
-    C = orthonormal_complement(heavy.basis).vectors
-    # deflate: points off V keep only the orthogonal label component
-    y_defl = ynz[rest] - Xnz[rest] @ w_v
-    w_p_coords = _recover(Xnz[rest] @ C, y_defl,
-                          depth + 1, branch + "/Vperp", trace, config)
-    return w_v + C @ w_p_coords
+    w_v = heavy.basis.vectors @ _recover(*_in_v(heavy, Xnz, ynz),
+                                         depth + 1, branch + "/V", trace)
+    X_p, y_p, C = _off_v(heavy, Xnz, ynz, w_v)
+    return w_v + C @ _recover(X_p, y_p, depth + 1, branch + "/Vperp", trace)
 
 
 def recover_linear(samples, config=None):
@@ -175,13 +174,15 @@ def recover_linear(samples, config=None):
     of the target orthogonal to their span is unidentifiable and
     NonIdentifiable is raised; fewer nonzero covariates than dimensions at
     any level raise InsufficientPoints. Zero covariates are excluded from
-    the fits but counted in the per-level trace.
+    the fits but counted in the per-level trace. ``inlier_fraction`` judges
+    each point on (x/|x|, y/|x|), see ``l1._fit_scales``.
     """
     config = config or RecoveryConfig()
     trace = []
-    w_hat = _recover(samples.x, samples.y, 0, "root", trace, config)
+    w_hat = _recover(samples.x, samples.y, 0, "root", trace)
     snapped = snap_to_rational(w_hat, config.max_denominator)
-    fits = exact_fit_mask(samples.x @ snapped.to_floats(), samples.y)
+    scales = _fit_scales(np.linalg.norm(samples.x, axis=1))
+    fits = exact_fit_mask((samples.x @ snapped.to_floats()) / scales, samples.y / scales)
     frac = float(fits.mean())
     return RecoveryReport(
         w_hat=w_hat,

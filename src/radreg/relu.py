@@ -7,9 +7,11 @@ a query that already fits a majority of the samples; otherwise it restricts
 to the closed positive halfspace of the query, puts those covariates in
 radial-isotropic position, and returns the back-transformed rescaled-l1
 subgradient direction as a cutting hyperplane. When the positive-side points
-concentrate on a subspace (fewer than d of them always do) the oracle
-recurses: first inside the subspace, then (if the inside check accepts) on
-the deflated complement.
+concentrate on a subspace V (fewer than d of them always do) the oracle
+recurses: first inside V, then (if the inside check accepts) on the
+deflated complement, with the level decision and V/V-perp split of
+``radreg.linear``. Acceptance and the ellipsoid's stop rule judge each
+point on (x/|x|, y/|x|).
 
 Consecutive ellipsoid centers see nearly the same positive side, so each
 top-level oracle call of ``ellipsoid_recover_relu`` starts the isotropy
@@ -29,11 +31,10 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ContractViolation, HalfspaceEmpty, NoRecovery, RadregError, SingularMatrix
-from .isotropy import (DEFAULT_GAMMA, RadialTransform, _unit_rows, certifying_gamma,
-                       radial_isotropize)
-from .l1 import exact_fit_mask, snap_to_rational
-from .linalg import inv_sqrt_psd, orthonormal_complement
-from .linear import RecoveryReport
+from .isotropy import RadialTransform, _unit_rows, certifying_gamma, radial_isotropize
+from .l1 import _fit_scales, exact_fit_mask, snap_to_rational
+from .linalg import inv_sqrt_psd
+from .linear import RecoveryReport, _in_v, _off_v
 
 BOUNDARY_RTOL = 1e-12  # half-space test: w.x >= -BOUNDARY_RTOL * |x| * max(1, |w|)
 
@@ -82,13 +83,12 @@ class EllipsoidConfig:
     check of the snapped center, so delta_min is only a safety net.
     ``max_denominator`` encodes the caller's bit-complexity knowledge of the
     target: snapping resolves exactly once the center is within
-    1/(2*max_denominator^2) of it.
+    1/(2*max_denominator^2) of it. The oracle's gap is ``certifying_gamma``.
     """
 
     initial_radius: float
     delta_min: float | None = None
     max_steps: int | None = None
-    gamma: float = DEFAULT_GAMMA
     max_denominator: int = 10**6
 
     def __post_init__(self):
@@ -111,8 +111,8 @@ class SepResult:
     """Either acceptance or a separating hyperplane through the query.
 
     For a hyperplane, ``normal`` g satisfies g.(w0 - w) > 0 for every w in a
-    ball around the target, so the cut keeps {w : g.w <= offset} where
-    offset = g.w0. ``transform`` is the matrix T of a cut made in
+    ball around the target, so the cut through the query keeps
+    {w : g.w <= g.w0}. ``transform`` is the matrix T of a cut made in
     radial-isotropic position (g = T^{-1} r), None for acceptance and for a
     cut lifted from a subspace. ``diagnostics`` always carry
     ``oracle_calls`` and ``isotropy_iterations``, sub-calls included.
@@ -120,7 +120,6 @@ class SepResult:
 
     accepted: bool
     normal: np.ndarray | None = None
-    offset: float = 0.0
     diagnostics: dict = field(default_factory=dict)
     transform: np.ndarray | None = None
 
@@ -135,13 +134,13 @@ def _tally(sub_results, iterations=0):
     }
 
 
-def sep_oracle(samples, w0, config, _depth=0, _start=None, _norms=None):
+def sep_oracle(samples, w0, _depth=0, _start=None, _norms=None):
     """Separation oracle for the ReLU l1 landscape at query w0.
 
-    Accepts when ReLU(w0 . x) fits at least half the samples within FIT_RTOL.
-    Otherwise cuts using the rescaled subgradient of the positive-side
-    points; on subspace concentration, recurses as described in the module
-    docstring. Raises HalfspaceEmpty when no sample lies on the closed
+    Accepts when ReLU(w0 . x) fits at least half the samples (x/|x|, y/|x|)
+    within FIT_RTOL. Otherwise cuts using the rescaled subgradient of the
+    positive-side points; on subspace concentration, recurses as described
+    in the module docstring. Raises HalfspaceEmpty when no sample lies on the closed
     positive side (the halfspace-mass assumption is violated). ``_start`` is
     the previous cut's transform (the warm start of the module docstring)
     and ``_norms`` the row norms of samples.x; ``ellipsoid_recover_relu``
@@ -151,25 +150,26 @@ def sep_oracle(samples, w0, config, _depth=0, _start=None, _norms=None):
     m, d = X.shape
     w0 = np.asarray(w0, dtype=float)
     z = X @ w0
-    fits = int(exact_fit_mask(_relu(z), y).sum())
+    norms = np.linalg.norm(X, axis=1) if _norms is None else _norms
+    scales = _fit_scales(norms)
+    fits = int(exact_fit_mask(_relu(z) / scales, y / scales).sum())
     if 2 * fits >= m:
         return SepResult(True, diagnostics={"fit_count": fits, "depth": _depth, **_tally(())})
 
-    mask = positive_side_mask(X, w0, _norms, z)
+    mask = positive_side_mask(X, w0, norms, z)
     if not mask.any():
         raise HalfspaceEmpty(
             f"no sample on the closed positive side of the query at depth {_depth}"
         )
     XS, yS = X[mask], y[mask]
     n_S = XS.shape[0]
-    # recurse iff a heavy subspace exists (see linear.py for the rationale)
-    gamma_eff = min(config.gamma, certifying_gamma(n_S, d))
+    gamma = certifying_gamma(n_S, d)  # recurse iff a heavy subspace exists
     images = XS if _start is None else XS @ _start.T
-    result = radial_isotropize(images, gamma_eff)
+    result = radial_isotropize(images, gamma)
     if _start is not None and not isinstance(result, RadialTransform):
         # a heavy subspace: rerun cold, so the recursion is the one a cold call makes
         images, _start = XS, None
-        result = radial_isotropize(XS, gamma_eff)
+        result = radial_isotropize(XS, gamma)
     if isinstance(result, RadialTransform):
         T = result.matrix if _start is None else result.matrix @ _start
         U = result.apply(images)
@@ -185,7 +185,6 @@ def sep_oracle(samples, w0, config, _depth=0, _start=None, _norms=None):
         return SepResult(
             False,
             normal=g,
-            offset=float(g @ w0),
             diagnostics={
                 "depth": _depth,
                 "n_positive_side": n_S,
@@ -199,32 +198,24 @@ def sep_oracle(samples, w0, config, _depth=0, _start=None, _norms=None):
 
     heavy = result
     B = heavy.basis.vectors
-    members = heavy.member_mask
-    inner = sep_oracle(
-        LabeledDataset(XS[members] @ B, yS[members]), B.T @ w0, config, _depth + 1
-    )
+    w0_v = B.T @ w0
+    inner = sep_oracle(LabeledDataset(*_in_v(heavy, XS, yS)), w0_v, _depth + 1)
     if not inner.accepted:
-        g = B @ inner.normal
         return SepResult(
-            False, normal=g, offset=float(g @ w0),
+            False, normal=B @ inner.normal,
             diagnostics={"depth": _depth, "lifted_from": "V",
                          "heavy_dim": heavy.dim, "inner": inner.diagnostics,
                          **_tally((inner,))},
         )
-    rest = ~members
-    if not rest.any():
+    if heavy.member_mask.all():
         # every positive-side point lies in V and the inside check accepted
         return SepResult(True, diagnostics={"depth": _depth, "vacuous_complement": True,
                                             **_tally((inner,))})
-    C = orthonormal_complement(heavy.basis).vectors
-    y_defl = yS[rest] - (XS[rest] @ B) @ (B.T @ w0)
-    outer = sep_oracle(
-        LabeledDataset(XS[rest] @ C, y_defl), C.T @ w0, config, _depth + 1
-    )
+    X_p, y_p, C = _off_v(heavy, XS, yS, B @ w0_v)
+    outer = sep_oracle(LabeledDataset(X_p, y_p), C.T @ w0, _depth + 1)
     if not outer.accepted:
-        g = C @ outer.normal
         return SepResult(
-            False, normal=g, offset=float(g @ w0),
+            False, normal=C @ outer.normal,
             diagnostics={"depth": _depth, "lifted_from": "Vperp",
                          "heavy_dim": heavy.dim, "inner": outer.diagnostics,
                          **_tally((inner, outer))},
@@ -287,18 +278,20 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     """Exact ReLU parameter recovery by the ellipsoid method.
 
     At every step the snapped center is tested against the majority-fit
-    certificate first; the oracle is only consulted when that fails. Each
-    oracle call starts from the previous cut's transform (module
-    docstring). The report's diagnostics hold ``steps``, ``final_radius``,
-    ``oracle_calls`` and ``isotropy_iterations``. Raises NoRecovery when
-    steps or the ellipsoid radius run out, or when the shape stops being
-    positive definite; its JSON-safe ``diagnostics`` hold the final
-    ``center`` (a list), ``radius`` and ``steps``. HalfspaceEmpty
+    certificate (on (x/|x|, y/|x|)) first; the oracle is only consulted
+    when that fails. Each oracle call starts from the previous cut's
+    transform (module docstring). The report's diagnostics hold ``steps``,
+    ``final_radius``, ``oracle_calls`` and ``isotropy_iterations``. Raises
+    NoRecovery when steps or the ellipsoid radius run out, or when the
+    shape stops being positive definite; its JSON-safe ``diagnostics`` hold
+    the final ``center`` (a list), ``radius`` and ``steps``. HalfspaceEmpty
     propagates.
     """
     X, y = samples.x, samples.y
     m, d = X.shape
     norms = np.linalg.norm(X, axis=1)
+    scales = _fit_scales(norms)
+    y_scaled = y / scales
     state = EllipsoidState(
         center=np.zeros(d),
         shape=config.initial_radius ** 2 * np.eye(d),
@@ -317,7 +310,7 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
         for denominator in ladder:
             snapped = snap_to_rational(state.center, denominator)
             ws = snapped.to_floats()
-            fit_mask = exact_fit_mask(_relu(X @ ws), y)
+            fit_mask = exact_fit_mask(_relu(X @ ws) / scales, y_scaled)
             if 2 * int(fit_mask.sum()) >= m:
                 diagnostics = {"steps": step, "final_radius": radius, **work}
                 if record_volumes:
@@ -331,7 +324,7 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
                     model="relu",
                     diagnostics=diagnostics,
                 )
-        result = sep_oracle(samples, state.center, config, _start=start, _norms=norms)
+        result = sep_oracle(samples, state.center, _start=start, _norms=norms)
         for key in work:
             work[key] += result.diagnostics[key]
         if result.accepted:
@@ -383,7 +376,7 @@ class GdStep:
 
 
 def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
-                        w_star=None, gamma=DEFAULT_GAMMA):
+                        w_star=None):
     """Constant-step subgradient descent on the ReLU l1 loss, with the data
     transform recomputed from the positive-side points at every iteration.
 
@@ -428,7 +421,7 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
                 except SingularMatrix:
                     skipped = True  # the positive side does not span
             elif mode == "radial-isotropic":
-                iso = radial_isotropize(Xp, gamma)
+                iso = radial_isotropize(Xp)
                 if isinstance(iso, RadialTransform):
                     A = iso.matrix
                     Xt, yt = iso.apply(Xp, yp)

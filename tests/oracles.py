@@ -152,7 +152,7 @@ def check_forster_condition(points):
     return True, None
 
 
-def oracle_transform(samples, w0, config, start=None):
+def oracle_transform(samples, w0, start=None):
     """The transform behind ``sep_oracle``'s cut at w0, recomputed.
 
     Returns (T, mask): the matrix T of the cut g = T^{-1} r and the
@@ -164,7 +164,7 @@ def oracle_transform(samples, w0, config, start=None):
     X = samples.x
     mask = positive_side_mask(X, w0)
     XS = X[mask]
-    gamma = min(config.gamma, certifying_gamma(*XS.shape))
+    gamma = certifying_gamma(*XS.shape)
     if start is not None:
         warm = radial_isotropize(XS @ start.T, gamma)
         if isinstance(warm, RadialTransform):

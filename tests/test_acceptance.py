@@ -168,7 +168,6 @@ def test_criterion_5_ellipsoid_relu_recovery():
 
 
 def test_criterion_6_separation_soundness():
-    cfg = EllipsoidConfig(initial_radius=10.0, max_denominator=16)
     verified = sound = attempts = 0
     instance_seed = 0
     while verified < 1000 and attempts < 4000:
@@ -180,10 +179,10 @@ def test_criterion_6_separation_soundness():
         for _ in range(25):
             attempts += 1
             w0 = w_star + rng.standard_normal(2) * rng.uniform(0.5, 4.0)
-            res = sep_oracle(corrupted, w0, cfg)
+            res = sep_oracle(corrupted, w0)
             if res.accepted or "transform" not in res.diagnostics:
                 continue
-            A, mask = oracle_transform(corrupted, w0, cfg)
+            A, mask = oracle_transform(corrupted, w0)
             XS, yS = corrupted.x[mask], corrupted.y[mask]
             V = XS @ A.T
             U = V / np.linalg.norm(V, axis=1)[:, None]

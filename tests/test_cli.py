@@ -7,6 +7,13 @@ from radreg.cli import main
 from radreg.data import LabeledDataset, load_dataset_csv, save_dataset_csv
 
 
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -109,6 +116,29 @@ class TestFitCommands:
         assert len(lines) == 11
         summary = json.loads(stdout)
         assert summary["iters"] == 10
+
+
+    def test_gd_relu_summary_is_strict_json_without_w_star(self, tmp_path, capsys):
+        # with no target the distance is unknown: null, not the NaN literal
+        # that RFC 8259 parsers reject
+        data = tmp_path / "gd.csv"
+        run_cli(capsys, "synth", "--d", "3", "--n", "60", "--seed", "4",
+                "--model", "relu", "--out", str(data))
+        code, stdout, _ = run_cli(capsys, "gd-relu", "--in", str(data), "--iters", "3")
+        assert code == 0
+        summary = strict_json(stdout)
+        assert summary["final_distance"] is None
+        assert summary["iters"] == 3
+
+    @pytest.mark.parametrize("command", [["fit-linear", "--in", "x.csv"],
+                                         ["fit-relu", "--in", "x.csv"],
+                                         ["gd-relu", "--in", "x.csv"],
+                                         ["bench", "recovery-rate"]])
+    def test_gamma_is_not_an_option(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--gamma", "0.5"])
+        assert info.value.code == 2
+        assert "--gamma" in capsys.readouterr().err
 
 
 class TestBenchEval:

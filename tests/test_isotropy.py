@@ -97,9 +97,10 @@ class TestRadialIsotropize:
         with pytest.raises(ContractViolation):
             radial_isotropize(np.eye(3), gamma=0.0)
 
-    def test_stall_has_its_own_type(self):
+    def test_stall_has_its_own_type(self, monkeypatch):
+        monkeypatch.setattr(isotropy, "default_max_iters", lambda d, gamma: 0)
         with pytest.raises(IsotropyStalled) as info:
-            radial_isotropize(stretched_cloud(), gamma=0.5, max_iters=0)
+            radial_isotropize(stretched_cloud(), gamma=0.5)
         assert isinstance(info.value, RadregError)
 
     def test_rank_deficient_cloud_is_heavy(self):
@@ -176,7 +177,8 @@ class TestHeavySubspaceVerification:
         assert find_heavy_subspace(np.array([[1.0], [-2.0], [3.0]])) is None
 
     def test_fewer_points_than_dimensions(self):
-        # certifying_gamma(1, 2) is 1.0, which radial_isotropize rejects
+        # certifying_gamma(1, 2) is capped at DEFAULT_GAMMA: the margin, 1.0,
+        # lies outside the (0, 1) radial_isotropize accepts
         one = find_heavy_subspace(np.array([[3.0, 4.0]]))
         assert one.dim == 1 and one.fraction == 1.0
         two = find_heavy_subspace(np.eye(3)[:2])

@@ -46,7 +46,7 @@ def full_lp_snapped(ds):
     """One transform leaf, solved on every row, built from the public parts."""
     config = RecoveryConfig()
     n, d = ds.x.shape
-    transform = radial_isotropize(ds.x, min(config.gamma, certifying_gamma(n, d)))
+    transform = radial_isotropize(ds.x, certifying_gamma(n, d))
     U, yt = transform.apply(ds.x, ds.y)
     w = transform.matrix @ l1_fit_linear(LabeledDataset(U, yt)).w
     return snap_to_rational(w, config.max_denominator)
@@ -339,6 +339,16 @@ class TestRetries:
         report, attempts = recover_with_retries(sampler, recover_linear)
         assert attempts == 3
         assert report.majority_certified
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -30])
+    def test_junk_labels_are_not_certified_at_any_scale(self, scale):
+        # each point is judged on (x/|x|, y/|x|); on raw values FIT_RTOL's
+        # floor of 1e-7 would pass every point of the set scaled by 2^-30
+        rng = np.random.default_rng(14)
+        X, y = rng.standard_normal((30, 2)), rng.standard_normal(30)
+        report = recover_linear(LabeledDataset(X * scale, y * scale))
+        assert not report.majority_certified
+        assert report.inlier_fraction == pytest.approx(2 / 30)
 
     def test_all_failures_returns_last(self):
         def sampler(attempt):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from radreg import relu
 from radreg.data import LabeledDataset
@@ -53,11 +54,33 @@ def two_points_on_the_query_side():
     return LabeledDataset(X, np.maximum(X @ w_star, 0.0)), w_star
 
 
-def separation_margin(samples, record, w0, w_star, config, start=None):
+SPLIT_QUERY = np.array([1.0, 0.5, -0.5])
+
+
+def line_and_cloud(seed, cloud_w=None, n_cloud=45, n_negative=40):
+    """35 points t e1 (t in [0.5, 2]) labelled ReLU(w0.x) for the query
+    w0 = SPLIT_QUERY, so the line is a heavy subspace of the query's
+    positive side that w0 fits; ``n_cloud`` Gaussian points labelled by
+    ``cloud_w``; ``n_negative`` points with w0.x < -0.1 labelled 1, which
+    w0 misses and the positive side leaves out."""
+    rng = np.random.default_rng(seed)
+    line = np.outer(rng.uniform(0.5, 2.0, 35), [1.0, 0.0, 0.0])
+    cloud = rng.standard_normal((n_cloud, 3))
+    below = rng.standard_normal((4 * n_negative, 3))
+    below = below[below @ SPLIT_QUERY < -0.1][:n_negative]
+    assert below.shape[0] == n_negative
+    X = np.vstack([line, cloud, below])
+    y = np.concatenate([line @ SPLIT_QUERY,
+                        np.maximum(cloud @ (SPLIT_QUERY if cloud_w is None else cloud_w), 0.0),
+                        np.ones(n_negative)])
+    return LabeledDataset(X, y)
+
+
+def separation_margin(samples, record, w0, w_star, start=None):
     """Clean-vs-corrupted separation statistic on the oracle's own
     transformed positive-side points; positive means the returned cut is
     guaranteed sound. In the images T x, a parameter w reads T^{-T} w."""
-    T, mask = oracle_transform(samples, w0, config, start)
+    T, mask = oracle_transform(samples, w0, start)
     XS = samples.x[mask]
     V = XS @ T.T
     U = V / np.linalg.norm(V, axis=1)[:, None]
@@ -113,21 +136,18 @@ class TestReluL1Loss:
 
 
 class TestSepOracle:
-    def config(self, r=10.0, max_den=16):
-        return EllipsoidConfig(initial_radius=r, max_denominator=max_den)
-
     def test_accepts_target_on_realizable_data(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((50, 3))
         w_star = np.array([2.0, 1.0, -1.0])
         ds = LabeledDataset(X, np.maximum(X @ w_star, 0.0))
-        assert sep_oracle(ds, w_star, self.config()).accepted
+        assert sep_oracle(ds, w_star).accepted
 
     def test_halfspace_empty(self):
         x = -np.linspace(0.5, 1.5, 10)[:, None]
         ds = LabeledDataset(x, np.full(10, 5.0))
         with pytest.raises(HalfspaceEmpty):
-            sep_oracle(ds, np.array([1.0]), self.config())
+            sep_oracle(ds, np.array([1.0]))
 
     def test_d1_base_case_sign(self):
         # majority of positive-side residuals pull one way: the returned
@@ -137,11 +157,11 @@ class TestSepOracle:
         y = np.maximum(x.ravel() * w_star, 0.0)
         ds = LabeledDataset(x, y)
         w0 = np.array([5.0])  # overshoots: residuals w0*x - y > 0
-        res = sep_oracle(ds, w0, self.config())
+        res = sep_oracle(ds, w0)
         assert not res.accepted
         assert res.normal[0] > 0  # g.(w0 - w*) > 0 with w0 > w*
         w0 = np.array([1.0])  # undershoots
-        res = sep_oracle(ds, w0, self.config())
+        res = sep_oracle(ds, w0)
         assert not res.accepted
         assert res.normal[0] < 0
 
@@ -150,11 +170,44 @@ class TestSepOracle:
         # the heavy subspace the oracle recurses into
         ds, w_star = two_points_on_the_query_side()
         w0 = -w_star
-        res = sep_oracle(ds, w0, self.config())
+        res = sep_oracle(ds, w0)
         assert not res.accepted
         assert res.diagnostics["lifted_from"] == "V"
         assert res.diagnostics["heavy_dim"] == 2
         assert res.normal @ (w0 - w_star) > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_rejected_complement_cuts_from_vperp(self, seed):
+        # w0 fits the line, so the check inside V accepts; the cloud's
+        # labels, deflated by w0's component in V, reject it on V-perp
+        w_star = SPLIT_QUERY + np.array([0.0, 2.0, 1.0])
+        ds = line_and_cloud(seed, cloud_w=w_star)
+        res = sep_oracle(ds, SPLIT_QUERY)
+        assert not res.accepted
+        assert res.diagnostics["lifted_from"] == "Vperp"
+        assert res.diagnostics["heavy_dim"] == 1
+        assert res.diagnostics["oracle_calls"] == 3
+        assert abs(res.normal[0]) <= 1e-12 * np.linalg.norm(res.normal)  # from span(e2, e3)
+        assert res.normal @ (SPLIT_QUERY - w_star) > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_positive_side_inside_v_accepts_with_a_vacuous_complement(self, seed):
+        # without the cloud the positive side is the line alone
+        ds = line_and_cloud(seed, n_cloud=0)
+        res = sep_oracle(ds, SPLIT_QUERY)
+        assert res.accepted
+        assert res.diagnostics == {"depth": 0, "vacuous_complement": True,
+                                   "oracle_calls": 2, "isotropy_iterations": 0}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_both_recursions_accepting_accepts(self, seed):
+        # the cloud is labelled by w0 itself, so the deflated complement
+        # accepts too, while 90 missed points keep w0 below a majority
+        ds = line_and_cloud(seed, n_negative=90)
+        res = sep_oracle(ds, SPLIT_QUERY)
+        assert res.accepted
+        assert res.diagnostics == {"depth": 0, "both_recursions_accepted": True,
+                                   "oracle_calls": 3, "isotropy_iterations": 0}
 
     @pytest.mark.parametrize("seed", range(3))
     def test_recomputed_transform_reproduces_the_cut(self, seed):
@@ -162,9 +215,9 @@ class TestSepOracle:
         # summed as the product of the signs with the images
         corrupted, _, w_star = shifted_relu_instance(seed, d=3, m=400, eta=0.25)
         w0 = w_star + np.random.default_rng(seed).standard_normal(3) * 3.0
-        res = sep_oracle(corrupted, w0, self.config())
+        res = sep_oracle(corrupted, w0)
         assert "transform" in res.diagnostics
-        A, mask = oracle_transform(corrupted, w0, self.config())
+        A, mask = oracle_transform(corrupted, w0)
         XS, yS = corrupted.x[mask], corrupted.y[mask]
         V = XS @ A.T
         U = V / np.linalg.norm(V, axis=1)[:, None]
@@ -178,8 +231,8 @@ class TestSepOracle:
         ds, w_star = two_points_on_the_query_side()
         w0 = -w_star
         start = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
-        cold = sep_oracle(ds, w0, self.config())
-        warm = sep_oracle(ds, w0, self.config(), _start=start)
+        cold = sep_oracle(ds, w0)
+        warm = sep_oracle(ds, w0, _start=start)
         assert warm.diagnostics["lifted_from"] == "V"
         assert warm.transform is None
         assert np.array_equal(warm.normal, cold.normal)
@@ -191,11 +244,11 @@ class TestSepOracle:
         corrupted, _, w_star = shifted_relu_instance(seed, d=3, m=400, eta=0.25)
         rng = np.random.default_rng(seed)
         w_prev = w_star + rng.standard_normal(3) * 3.0
-        start = sep_oracle(corrupted, w_prev, self.config()).transform
+        start = sep_oracle(corrupted, w_prev).transform
         assert start is not None
         w0 = w_prev + rng.standard_normal(3) * 0.3
-        res = sep_oracle(corrupted, w0, self.config(), _start=start)
-        T, mask = oracle_transform(corrupted, w0, self.config(), start)
+        res = sep_oracle(corrupted, w0, _start=start)
+        T, mask = oracle_transform(corrupted, w0, start)
         assert np.array_equal(res.transform, T)
         XS, yS = corrupted.x[mask], corrupted.y[mask]
         V = XS @ T.T
@@ -211,10 +264,10 @@ class TestSepOracle:
                                                           eta=0.25)
         rng = np.random.default_rng(5000 + seed)
         w0 = w_star + rng.standard_normal(2) * 3.0
-        res = sep_oracle(corrupted, w0, self.config())
+        res = sep_oracle(corrupted, w0)
         if res.accepted or "transform" not in res.diagnostics:
             pytest.skip("no full-dimensional cut at this query")
-        margin = separation_margin(corrupted, record, w0, w_star, self.config())
+        margin = separation_margin(corrupted, record, w0, w_star)
         if margin <= 0:
             pytest.skip("separation statistic not satisfied for this draw")
         assert res.normal @ (w0 - w_star) > 0
@@ -311,7 +364,6 @@ class TestEllipsoid:
     def walk_verified_queries(warm):
         corrupted, record, w_star = shifted_relu_instance(seed=77, d=2, m=600,
                                                           eta=0.25)
-        cfg = EllipsoidConfig(initial_radius=10.0, max_denominator=16)
         # generic start: at the origin every point sits on the query's kink,
         # so the gated statistic is vacuous there by construction
         state = EllipsoidState(np.array([3.7, -1.3]), 400.0 * np.eye(2))
@@ -324,11 +376,11 @@ class TestEllipsoid:
             fits = np.abs(pred - corrupted.y) <= FIT_RTOL * (1 + np.abs(corrupted.y))
             if 2 * fits.sum() >= corrupted.m:
                 break
-            res = sep_oracle(corrupted, state.center, cfg, _start=start)
+            res = sep_oracle(corrupted, state.center, _start=start)
             assert not res.accepted
             if "transform" in res.diagnostics:
                 margin = separation_margin(corrupted, record, state.center,
-                                           w_star, cfg, start)
+                                           w_star, start)
                 all_verified &= margin > 0
             state = ellipsoid_cut(state, res.normal)
             if warm:
@@ -375,7 +427,7 @@ class TestEllipsoid:
         assert json.loads(json.dumps(diagnostics)) == diagnostics
 
     def test_failed_cut_reports_its_step(self, monkeypatch):
-        def zero_normal(samples, w0, config, **_):
+        def zero_normal(samples, w0, **_):
             return SepResult(False, normal=np.zeros(2),
                              diagnostics={"oracle_calls": 1, "isotropy_iterations": 0})
 
@@ -397,6 +449,65 @@ class TestEllipsoid:
         new = ellipsoid_cut(state, np.array([1.0]))
         assert new.radius == pytest.approx(state.radius / 2)
         assert new.center[0] == pytest.approx(-1.0)
+
+
+SMALL_CONFIG = EllipsoidConfig(initial_radius=10.0, max_denominator=16)
+
+
+def small_shifted_instance(seed):
+    corrupted, _, w_star = shifted_relu_instance(seed, d=3, m=400, eta=0.25)
+    return corrupted, w_star
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scaling_every_pair_down_changes_nothing(seed):
+    # the certificate judges (x/|x|, y/|x|): on raw values FIT_RTOL's floor
+    # of 1e-7 would pass every point at scale 2^-30 and certify w = 0
+    corrupted, w_star = small_shifted_instance(seed)
+    s = 2.0 ** -30
+    report = ellipsoid_recover_relu(LabeledDataset(corrupted.x * s, corrupted.y * s),
+                                    SMALL_CONFIG)
+    assert report.w_snapped.to_fractions() == fractions_of(w_star)
+    expected = ellipsoid_recover_relu(corrupted, SMALL_CONFIG)
+    assert report.diagnostics == expected.diagnostics
+    assert report.inlier_fraction == expected.inlier_fraction
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       exponents=st.lists(st.integers(-40, 40), min_size=400, max_size=400))
+def test_relu_per_point_rescaling_leaves_the_snapped_output_unchanged(seed, exponents):
+    # ReLU is positively homogeneous and radial isotropy normalizes each
+    # point, so scaling one (x_i, y_i) pair by c > 0 must not change the
+    # output; powers of 2 scale exactly
+    corrupted, _ = small_shifted_instance(seed)
+    scale = 2.0 ** np.array(exponents)
+    rescaled = LabeledDataset(corrupted.x * scale[:, None], corrupted.y * scale)
+    expected = ellipsoid_recover_relu(corrupted, SMALL_CONFIG).w_snapped
+    assert ellipsoid_recover_relu(rescaled, SMALL_CONFIG).w_snapped == expected
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(400)))
+def test_relu_row_permutation_leaves_the_snapped_output_unchanged(seed, perm):
+    corrupted, _ = small_shifted_instance(seed)
+    permuted = LabeledDataset(corrupted.x[list(perm)], corrupted.y[list(perm)])
+    expected = ellipsoid_recover_relu(corrupted, SMALL_CONFIG).w_snapped
+    assert ellipsoid_recover_relu(permuted, SMALL_CONFIG).w_snapped == expected
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(3)),
+       signs=st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3))
+def test_relu_signed_column_permutation_moves_the_snapped_output_alike(seed, perm, signs):
+    # x -> T x with T[i, perm[i]] = signs[i] maps w to T w and keeps every
+    # w.x, so every ReLU label stays as it is
+    corrupted, _ = small_shifted_instance(seed)
+    mapped = LabeledDataset(corrupted.x[:, list(perm)] * np.array(signs, dtype=float),
+                            corrupted.y)
+    w = ellipsoid_recover_relu(corrupted, SMALL_CONFIG).w_snapped.to_fractions()
+    expected = tuple(s * w[p] for s, p in zip(signs, perm))
+    assert ellipsoid_recover_relu(mapped, SMALL_CONFIG).w_snapped.to_fractions() == expected
 
 
 class TestGdReluTransformed:
