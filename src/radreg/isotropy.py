@@ -19,7 +19,9 @@ M_P^{-1/2} P, the next symmetric iterate. The gap, iteration count and
 condition number are those of symmetrizing every step, without one SVD per
 iteration: a fixed-point iteration costs one eigh of M. In floating point
 the returned P's images differ from those certified by about eps times its
-condition number.
+condition number, so the certified images and the iterate A they came from
+are returned as well: what a rotation of the images leaves unchanged can be
+read off them directly.
 
 The fixed point converges linearly, and it crawls where only approximate
 transforms exist, as when a k-dimensional subspace holds exactly k/d of the
@@ -94,10 +96,16 @@ ARMIJO = 1e-4           # sufficient-decrease fraction of the Newton slope
 class RadialTransform:
     """Symmetric positive definite A plus convergence diagnostics.
 
-    ``gamma_achieved`` is 1 - lambda_min of the second moment certified
-    during the iteration, on the images of an iterate whose symmetric polar
-    factor is ``matrix``. Recomputed from ``apply`` it agrees to about eps
-    times the condition number of ``matrix`` (about 1e-8 at 1e8).
+    ``gamma_achieved`` is 1 - lambda_min of the second moment of
+    ``images``, the unit images u_i = B x_i / |B x_i| (x_i the
+    unit-normalized points) of the iteration that certified the gap. B is
+    ``iterate``, the unsymmetrized iterate, and ``matrix`` is its symmetric
+    polar factor: B = Q ``matrix`` with Q orthogonal, so ``images`` are
+    ``apply``'s images turned by Q. Whatever such a rotation leaves
+    unchanged, a cut B^{-1} r from the mean signed image r say, can be
+    taken from ``images`` and ``iterate`` without calling ``apply``.
+    Recomputed from ``apply`` the gap agrees to about eps times the
+    condition number of ``matrix`` (about 1e-8 at 1e8).
     ``iterations_used`` counts fixed-point and Newton steps alike;
     ``newton_steps`` counts the Newton steps among them.
     """
@@ -106,6 +114,8 @@ class RadialTransform:
     gamma_achieved: float
     iterations_used: int
     log_condition_number: float
+    images: np.ndarray = field(repr=False, compare=False)
+    iterate: np.ndarray = field(repr=False, compare=False)
     newton_steps: int = 0
 
     def apply(self, points, labels=None):
@@ -293,10 +303,11 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA):
     """Find a gamma-approximate radial-isotropic transform or a heavy subspace.
 
     Points are unit-normalized internally (label co-scaling is the caller's
-    job). On success returns a RadialTransform whose recomputed images
-    satisfy lambda_min(M) >= 1 - gamma up to about eps * cond(A), since the
-    gap is certified on the unsymmetrized iterate whose polar factor A is
-    returned (see RadialTransform); on structural failure returns a
+    job). On success returns a RadialTransform whose ``images`` satisfy
+    lambda_min(M) >= 1 - gamma; recomputed from its symmetric ``matrix`` A
+    they satisfy it up to about eps * cond(A), since the gap is certified
+    on the unsymmetrized ``iterate`` whose polar factor A is (see
+    RadialTransform). On structural failure it returns a
     verified HeavySubspace. Points that do not span R^d (fewer than d of
     them, say) come back as their span with fraction 1.0. Raises
     IsotropyStalled when ``default_max_iters(d, gamma)`` iterations,
@@ -345,6 +356,8 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA):
                 iterations_used=it,
                 log_condition_number=float(np.log(sig_max / sig_min)),
                 newton_steps=newton_steps,
+                images=U,
+                iterate=A,
             )
         degenerate = evals[0] <= 1e-13 * max(evals[-1], 1.0)
         if degenerate or it % DETECT_EVERY == DETECT_EVERY - 1 or it == max_iters:

@@ -39,6 +39,7 @@ every row with a nonzero residual r_i; the rows w fits exactly are free in
 projections between that affine set and the box look for such a u.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -174,21 +175,60 @@ class RationalVector:
         }
 
 
+def _check_max_denominator(max_denominator):
+    """``max_denominator`` as an int, or ContractViolation unless it is an
+    integer (``operator.index``: no floats, however integral) of at least 1."""
+    try:
+        bound = operator.index(max_denominator)
+    except TypeError:
+        bound = 0
+    if bound < 1:
+        raise ContractViolation(
+            f"max_denominator must be an integer >= 1, got {max_denominator!r}")
+    return bound
+
+
+def _limit_denominator(num, den, bound):
+    """``Fraction(num, den).limit_denominator(bound)`` as a reduced pair, for
+    reduced ints with den > 0. Convergents p1/q1 run until the next
+    denominator exceeds the bound; the best semiconvergent (p0 + k p1)/q,
+    q = q0 + k q1 <= bound, lies on the other side of num/den, 1/(q1 q) from
+    p1/q1, which is d/(q1 den) from num/den for the last remainder d: p1/q1
+    wins, ties included, exactly when 2 d q <= den.
+    """
+    if den <= bound:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    q = q0 + k * q1
+    if 2 * d * q <= den:
+        return p1, q1
+    return p0 + k * p1, q
+
+
 def snap_to_rational(w, max_denominator=10**6):
     """Best rational approximation per coordinate, denominators bounded.
 
-    Uses continued-fraction convergents (fractions.Fraction.limit_denominator),
-    so a coordinate within 1/(2*max_denominator^2) of a representable rational
-    snaps to it exactly.
+    Each coordinate gets ``Fraction(v).limit_denominator(max_denominator)``,
+    computed on the ints of ``v.as_integer_ratio()`` (``_limit_denominator``),
+    so a coordinate within 1/(2*max_denominator^2) of a representable
+    rational snaps to it exactly. ``max_denominator`` must be an integer.
     """
-    if max_denominator < 1:
-        raise ContractViolation(f"max_denominator must be >= 1, got {max_denominator}")
+    bound = _check_max_denominator(max_denominator)
     w = np.asarray(w, dtype=float).ravel()
     if not np.all(np.isfinite(w)):
         raise ContractViolation("cannot snap non-finite values")
-    fracs = [Fraction(v).limit_denominator(max_denominator) for v in w]
+    pairs = [_limit_denominator(*v.as_integer_ratio(), bound) for v in w.tolist()]
     return RationalVector(
-        numerators=tuple(f.numerator for f in fracs),
-        denominators=tuple(f.denominator for f in fracs),
-        max_denominator=int(max_denominator),
+        numerators=tuple(p for p, _ in pairs),
+        denominators=tuple(q for _, q in pairs),
+        max_denominator=bound,
     )

@@ -29,8 +29,8 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import InsufficientPoints, NonIdentifiable, RadregError
 from .isotropy import RadialTransform, certifying_gamma, radial_isotropize
-from .l1 import (RationalVector, _fit_scales, exact_fit_mask, l1_fit_linear, lad_optimal,
-                 snap_to_rational)
+from .l1 import (RationalVector, _check_max_denominator, _fit_scales, exact_fit_mask,
+                 l1_fit_linear, lad_optimal, snap_to_rational)
 from .linalg import orthonormal_complement
 
 SUBSET_ROWS_PER_DIM = 3  # rows of the first LP of a leaf, per dimension
@@ -50,8 +50,7 @@ class RecoveryConfig:
     max_denominator: int = 10**6
 
     def __post_init__(self):
-        if self.max_denominator < 1:
-            raise ValueError("max_denominator must be >= 1")
+        self.max_denominator = _check_max_denominator(self.max_denominator)
 
 
 @dataclass

@@ -15,13 +15,18 @@ point on (x/|x|, y/|x|).
 
 Consecutive ellipsoid centers see nearly the same positive side, so each
 top-level oracle call of ``ellipsoid_recover_relu`` starts the isotropy
-fixed point from the previous cut's transform S: it isotropizes the images
-S x of the positive side and composes the result P with S. The cut is
-g = T^{-1} r for T = P S, and the certificate is on T's images, so a warm
-cut is as sound as a cold one. The start is used at depth 0 only. The V and
-V-perp sub-calls always start cold, and so does a call whose warm start
-finds a heavy subspace: it discards that answer and reruns from the
-identity, so the recursion is the one a cold call makes.
+fixed point from the previous cut's transform S (the identity when there is
+none) and isotropizes the images S x of the positive side. The cut is taken
+on the images whose spectrum that certified (``RadialTransform.images``):
+r is their mean signed image and g = T^{-1} r for T = A S, A the
+unsymmetrized iterate that formed them. With A = Q P, Q orthogonal and P
+the symmetric transform, A's images are Q times P's, so g = (P S)^{-1} r_P
+in exact arithmetic, without forming P's images again; and as the
+certificate is on T's images, a warm cut is as sound as a cold one. The
+start is used at depth 0 only. The V and V-perp sub-calls always start
+cold, and so does a call whose warm start finds a heavy subspace: it
+discards that answer and reruns from the identity, so the recursion is the
+one a cold call makes.
 """
 
 import math
@@ -32,7 +37,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractViolation, HalfspaceEmpty, NoRecovery, RadregError, SingularMatrix
 from .isotropy import RadialTransform, _unit_rows, certifying_gamma, radial_isotropize
-from .l1 import _fit_scales, exact_fit_mask, snap_to_rational
+from .l1 import _check_max_denominator, _fit_scales, exact_fit_mask, snap_to_rational
 from .linalg import inv_sqrt_psd
 from .linear import RecoveryReport, _in_v, _off_v
 
@@ -98,6 +103,7 @@ class EllipsoidConfig:
             self.delta_min = 1e-9 * self.initial_radius
         if self.delta_min <= 0:
             raise ContractViolation("delta_min must be positive")
+        self.max_denominator = _check_max_denominator(self.max_denominator)
 
     def resolved_max_steps(self, d):
         if self.max_steps is not None:
@@ -134,7 +140,15 @@ def _tally(sub_results, iterations=0):
     }
 
 
-def sep_oracle(samples, w0, _depth=0, _start=None, _norms=None):
+def _row_scales(X, y):
+    """Row norms of X, the divisors ``l1._fit_scales`` makes of them, and y
+    divided by those: what the majority certificates judge points on."""
+    norms = np.linalg.norm(X, axis=1)
+    scales = _fit_scales(norms)
+    return norms, scales, y / scales
+
+
+def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
     """Separation oracle for the ReLU l1 landscape at query w0.
 
     Accepts when ReLU(w0 . x) fits at least half the samples (x/|x|, y/|x|)
@@ -143,16 +157,15 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _norms=None):
     in the module docstring. Raises HalfspaceEmpty when no sample lies on the closed
     positive side (the halfspace-mass assumption is violated). ``_start`` is
     the previous cut's transform (the warm start of the module docstring)
-    and ``_norms`` the row norms of samples.x; ``ellipsoid_recover_relu``
-    passes both at depth 0.
+    and ``_rows`` is ``_row_scales(samples.x, samples.y)``;
+    ``ellipsoid_recover_relu`` passes both at depth 0.
     """
     X, y = samples.x, samples.y
     m, d = X.shape
     w0 = np.asarray(w0, dtype=float)
     z = X @ w0
-    norms = np.linalg.norm(X, axis=1) if _norms is None else _norms
-    scales = _fit_scales(norms)
-    fits = int(exact_fit_mask(_relu(z) / scales, y / scales).sum())
+    norms, scales, y_scaled = _row_scales(X, y) if _rows is None else _rows
+    fits = int(exact_fit_mask(_relu(z) / scales, y_scaled).sum())
     if 2 * fits >= m:
         return SepResult(True, diagnostics={"fit_count": fits, "depth": _depth, **_tally(())})
 
@@ -164,17 +177,15 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _norms=None):
     XS, yS = X[mask], y[mask]
     n_S = XS.shape[0]
     gamma = certifying_gamma(n_S, d)  # recurse iff a heavy subspace exists
-    images = XS if _start is None else XS @ _start.T
-    result = radial_isotropize(images, gamma)
+    result = radial_isotropize(XS if _start is None else XS @ _start.T, gamma)
     if _start is not None and not isinstance(result, RadialTransform):
         # a heavy subspace: rerun cold, so the recursion is the one a cold call makes
-        images, _start = XS, None
+        _start = None
         result = radial_isotropize(XS, gamma)
     if isinstance(result, RadialTransform):
-        T = result.matrix if _start is None else result.matrix @ _start
-        U = result.apply(images)
+        T = result.iterate if _start is None else result.iterate @ _start
         sgn = np.sign(z[mask] - yS)
-        r = (sgn @ U) / n_S
+        r = (sgn @ result.images) / n_S
         g = np.linalg.solve(T, r)
         gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:
@@ -289,9 +300,8 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     """
     X, y = samples.x, samples.y
     m, d = X.shape
-    norms = np.linalg.norm(X, axis=1)
-    scales = _fit_scales(norms)
-    y_scaled = y / scales
+    rows = _row_scales(X, y)
+    _, scales, y_scaled = rows
     state = EllipsoidState(
         center=np.zeros(d),
         shape=config.initial_radius ** 2 * np.eye(d),
@@ -324,7 +334,7 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
                     model="relu",
                     diagnostics=diagnostics,
                 )
-        result = sep_oracle(samples, state.center, _start=start, _norms=norms)
+        result = sep_oracle(samples, state.center, _start=start, _rows=rows)
         for key in work:
             work[key] += result.diagnostics[key]
         if result.accepted:

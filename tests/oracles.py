@@ -152,14 +152,16 @@ def check_forster_condition(points):
     return True, None
 
 
-def oracle_transform(samples, w0, start=None):
+def oracle_transform(samples, w0, start=None, symmetric=False):
     """The transform behind ``sep_oracle``'s cut at w0, recomputed.
 
     Returns (T, mask): the matrix T of the cut g = T^{-1} r and the
     positive-side mask, or None when those points hold a heavy subspace (the
-    oracle then recurses). Cold, T is the radial-isotropic transform of the
-    positive-side points. From a warm ``start`` S it is P S, where P is the
-    transform of the images S x, unless those hold a heavy subspace.
+    oracle then recurses). Cold, T is the unsymmetrized isotropy iterate A
+    of the positive-side points; from a warm ``start`` S it is A S, where A
+    is the iterate for the images S x, unless those hold a heavy subspace.
+    With ``symmetric`` the iterate's symmetric polar factor P stands in for
+    A: the same cut in exact arithmetic, on images turned by a rotation.
     """
     X = samples.x
     mask = positive_side_mask(X, w0)
@@ -168,11 +170,11 @@ def oracle_transform(samples, w0, start=None):
     if start is not None:
         warm = radial_isotropize(XS @ start.T, gamma)
         if isinstance(warm, RadialTransform):
-            return warm.matrix @ start, mask
+            return (warm.matrix if symmetric else warm.iterate) @ start, mask
     result = radial_isotropize(XS, gamma)
     if not isinstance(result, RadialTransform):
         return None
-    return result.matrix, mask
+    return (result.matrix if symmetric else result.iterate), mask
 
 
 def detect_heavy_per_candidate(Xu, A, M):
@@ -243,7 +245,7 @@ def isotropize_fixed_point(points, gamma, max_iters=2000):
         if evals[0] >= 1.0 - gamma:
             P, sig_max, sig_min = _sym_polar(A)
             return RadialTransform(P, max(0.0, 1.0 - float(evals[0])), it,
-                                   float(np.log(sig_max / sig_min)))
+                                   float(np.log(sig_max / sig_min)), images=U, iterate=A)
         if it % DETECT_EVERY == DETECT_EVERY - 1:
             found = _detect_heavy(Xu, A, evecs)
             if found is not None:

@@ -140,6 +140,15 @@ class TestFitCommands:
         assert info.value.code == 2
         assert "--gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit-linear", "fit-relu"])
+    def test_zero_max_denominator_is_a_contract_violation(self, command, tmp_path, capsys):
+        data = self.make_linear_csv(tmp_path, capsys)
+        code, _, stderr = run_cli(capsys, command, "--in", str(data), "--max-denominator", "0")
+        assert code == 2
+        error = strict_json(stderr)
+        assert error["error"] == "ContractViolation"
+        assert "max_denominator" in error["message"]
+
 
 class TestBenchEval:
     def test_bench_recovery_rate(self, tmp_path, capsys):

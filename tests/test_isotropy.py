@@ -17,6 +17,7 @@ from radreg.isotropy import (
     HeavySubspace,
     RadialTransform,
     _detect_heavy,
+    _sym_polar,
     _unit_rows,
     certifying_gamma,
     find_heavy_subspace,
@@ -332,6 +333,37 @@ class TestPolarFactorOnceAtExit:
         assert np.allclose(t.matrix, A, rtol=0.0, atol=1e-8 * np.abs(A).max())
 
 
+class TestCertifiedImages:
+    """A transform carries the images its gap was certified on and the
+    unsymmetrized iterate B that formed them; ``matrix`` is B's polar factor."""
+
+    @pytest.mark.parametrize("case", [
+        "settled at iteration 0", "stretched cloud in R^8", "Newton steps on 700 x 14",
+        "near-singular full-rank set",
+    ])
+    def test_images_iterate_and_gap(self, case):
+        pts, gamma = {
+            "settled at iteration 0": lambda: (np.eye(4), 0.5),
+            "stretched cloud in R^8": lambda: (TestPolarFactorOnceAtExit().points(), 1e-9),
+            "Newton steps on 700 x 14": lambda: (
+                on_subspace(np.random.default_rng(0), 700, 14, 4, 200),
+                certifying_gamma(700, 14)),
+            "near-singular full-rank set": lambda: (
+                TestRankTrigger.full_rank_with_ratio(1e-8), 0.5),
+        }[case]()
+        t = radial_isotropize(pts, gamma)
+        assert isinstance(t, RadialTransform)
+        B = t.iterate
+        assert np.array_equal(t.images, _unit_rows(_unit_rows(pts) @ B.T))
+        lam_min = np.linalg.eigh(second_moment(t.images))[0][0]
+        assert lam_min == pytest.approx(1.0 - t.gamma_achieved, rel=0.0, abs=2e-16)
+        assert np.array_equal(_sym_polar(B)[0], t.matrix)
+        # B = Q matrix with Q orthogonal, so the images are apply's turned by Q
+        Q = B @ np.linalg.inv(t.matrix)
+        np.testing.assert_allclose(Q @ Q.T, np.eye(len(Q)), atol=1e-8)
+        np.testing.assert_allclose(t.images, t.apply(pts) @ Q.T, atol=1e-8)
+
+
 class TestNewtonPhase:
     """Damped Newton steps on Barthe's potential once two detector runs miss."""
 
@@ -404,6 +436,8 @@ class TestNewtonPhase:
         assert t.iterations_used == expected.iterations_used
         assert t.gamma_achieved == expected.gamma_achieved
         assert np.array_equal(t.matrix, expected.matrix)
+        assert np.array_equal(t.images, expected.images)
+        assert np.array_equal(t.iterate, expected.iterate)
 
 
 class TestCheckForsterCondition:

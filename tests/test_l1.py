@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from radreg.bench import SyntheticSpec, make_synthetic_dataset
@@ -363,6 +364,52 @@ class TestSnapToRational:
     def test_bad_bound(self):
         with pytest.raises(ContractViolation):
             snap_to_rational([1.0], 0)
+
+    @pytest.mark.parametrize("bound", [16.0, 2.5, "16", None])
+    def test_non_integral_bound_rejected(self, bound):
+        # integer arithmetic on a float bound would hand back float numerators
+        with pytest.raises(ContractViolation, match="integer"):
+            snap_to_rational([0.3], bound)
+
+    def test_numpy_integer_bound(self):
+        r = snap_to_rational([0.3], np.int64(16))
+        assert r.to_fractions() == (Fraction(3, 10),) and type(r.max_denominator) is int
+
+    @pytest.mark.parametrize("v, floor", [(2.5, 2), (-2.5, -3), (0.5, 0), (-0.5, -1),
+                                          (1.5, 1), (-1.5, -2)])
+    def test_midpoint_at_bound_one_goes_to_the_floor(self, v, floor):
+        # both neighbours have denominator 1; limit_denominator keeps the floor
+        r = snap_to_rational([v], 1)
+        assert r.numerators == (floor,) and r.denominators == (1,)
+
+
+SNAP_BOUNDS = st.one_of(st.integers(1, 20), st.sampled_from([10**6, 2**31, 2**62]),
+                        st.integers(1, 2**62))
+SNAP_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3),
+    st.integers(-10**6, 10**6).map(float),  # exact integers
+    st.integers(-2000, 2000).map(lambda k: k / 2.0),  # integers and midpoints
+    st.builds(lambda p, q, e: p / q + e, st.integers(-10**4, 10**4), st.integers(1, 10**4),
+              st.floats(-1e-9, 1e-9)),  # near small rationals
+    st.floats(-1e-300, 1e-300),  # subnormals and tiny normals
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(values=st.lists(SNAP_VALUES, min_size=1, max_size=6), bound=SNAP_BOUNDS)
+@example(values=[2.5, -2.5, 0.5, -0.5, 0.0, -0.0], bound=1)
+@example(values=[1e300, -1e300, 5e-324, -5e-324, 3.0, -7.0], bound=2**62)
+@example(values=[1e300, -1e300, 5e-324, -5e-324], bound=1)
+def test_snap_is_fraction_limit_denominator(values, bound):
+    snapped = snap_to_rational(values, bound)
+    expected = [Fraction(v).limit_denominator(bound) for v in values]
+    assert snapped.numerators == tuple(f.numerator for f in expected)
+    assert snapped.denominators == tuple(f.denominator for f in expected)
+    assert all(type(p) is int and type(q) is int
+               for p, q in zip(snapped.numerators, snapped.denominators))
 
 
 class TestStructuralCondition:

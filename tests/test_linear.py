@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from radreg import linear
 from radreg.bench import SyntheticSpec, make_synthetic_dataset
 from radreg.data import LabeledDataset
-from radreg.errors import InsufficientPoints, NonIdentifiable
+from radreg.errors import ContractViolation, InsufficientPoints, NonIdentifiable
 from radreg.isotropy import certifying_gamma, radial_isotropize
 from radreg.l1 import l1_fit_linear, snap_to_rational
 from radreg.linear import RecoveryConfig, recover_linear, recover_with_retries
@@ -72,6 +72,14 @@ def plane_instance(seed, n=200, on_plane=130, eta=0.3):
 
 class TestRecoverLinearSimple:
     """Instances without a heavy subspace: one transform leaf at depth 0."""
+
+    @pytest.mark.parametrize("bound", [0, -3, 16.0])
+    def test_bad_max_denominator_is_a_contract_violation(self, bound):
+        # a ValueError too, for callers that caught the untyped error
+        with pytest.raises(ContractViolation, match="max_denominator"):
+            RecoveryConfig(max_denominator=bound)
+        with pytest.raises(ValueError):
+            RecoveryConfig(max_denominator=bound)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 10])
     def test_noiseless_exact(self, d):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from radreg import relu
 from radreg.data import LabeledDataset
-from radreg.errors import HalfspaceEmpty, NoRecovery
+from radreg.errors import ContractViolation, HalfspaceEmpty, NoRecovery
+from radreg.isotropy import _unit_rows
 from radreg.l1 import FIT_RTOL, snap_to_rational
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
 from radreg.relu import (
@@ -212,18 +213,24 @@ class TestSepOracle:
     @pytest.mark.parametrize("seed", range(3))
     def test_recomputed_transform_reproduces_the_cut(self, seed):
         # the cut is A^{-1} times the mean signed image of the positive side,
-        # summed as the product of the signs with the images
+        # summed as the product of the signs with the images the isotropy
+        # iteration certified: the unit images of the unit points under the
+        # unsymmetrized iterate A. In exact arithmetic it is the cut of A's
+        # symmetric polar factor P, whose images are A's turned back.
         corrupted, _, w_star = shifted_relu_instance(seed, d=3, m=400, eta=0.25)
         w0 = w_star + np.random.default_rng(seed).standard_normal(3) * 3.0
         res = sep_oracle(corrupted, w0)
         assert "transform" in res.diagnostics
         A, mask = oracle_transform(corrupted, w0)
         XS, yS = corrupted.x[mask], corrupted.y[mask]
-        V = XS @ A.T
-        U = V / np.linalg.norm(V, axis=1)[:, None]
-        r = np.sign(XS @ w0 - yS) @ U / mask.sum()
+        sgn = np.sign(XS @ w0 - yS)
+        r = sgn @ _unit_rows(_unit_rows(XS) @ A.T) / mask.sum()
         assert mask.sum() == res.diagnostics["n_positive_side"]
         assert np.array_equal(np.linalg.solve(A, r), res.normal)
+        assert np.array_equal(res.transform, A)
+        P, _ = oracle_transform(corrupted, w0, symmetric=True)
+        r_P = sgn @ _unit_rows(XS @ P.T) / mask.sum()
+        np.testing.assert_allclose(res.normal, np.linalg.solve(P, r_P), rtol=1e-9)
 
     def test_warm_start_leaves_a_heavy_positive_side_to_the_cold_call(self):
         # the warm call finds the span of the 2 points and is discarded; the
@@ -240,7 +247,9 @@ class TestSepOracle:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_warm_cut_is_made_in_the_composed_transform(self, seed):
-        # from the previous cut's transform S the cut is T^{-1} r for T = P S
+        # from the previous cut's transform S the cut is T^{-1} r for T = A S,
+        # A the iterate for the images S x; in exact arithmetic that is
+        # (P S)^{-1} r_P for A's symmetric polar factor P
         corrupted, _, w_star = shifted_relu_instance(seed, d=3, m=400, eta=0.25)
         rng = np.random.default_rng(seed)
         w_prev = w_star + rng.standard_normal(3) * 3.0
@@ -255,6 +264,9 @@ class TestSepOracle:
         U = V / np.linalg.norm(V, axis=1)[:, None]
         r = (U * np.sign(XS @ w0 - yS)[:, None]).mean(axis=0)
         np.testing.assert_allclose(res.normal, np.linalg.solve(T, r), rtol=1e-9)
+        PS, _ = oracle_transform(corrupted, w0, start, symmetric=True)
+        r_P = (_unit_rows(XS @ PS.T) * np.sign(XS @ w0 - yS)[:, None]).mean(axis=0)
+        np.testing.assert_allclose(res.normal, np.linalg.solve(PS, r_P), rtol=1e-9)
         assert res.diagnostics["isotropy_iterations"] == \
             res.diagnostics["transform"]["iterations_used"]
 
@@ -285,6 +297,11 @@ class TestSepOracle:
 
 
 class TestEllipsoid:
+    @pytest.mark.parametrize("bound", [0, -3, 16.0])
+    def test_bad_max_denominator_is_a_contract_violation(self, bound):
+        with pytest.raises(ContractViolation, match="max_denominator"):
+            EllipsoidConfig(initial_radius=1.0, max_denominator=bound)
+
     def test_noiseless_exact_d2(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((200, 2)) + np.array([1.0, 1.0])
