@@ -1,8 +1,8 @@
 """Subgradient descent on the ReLU l1 loss under four data transforms.
 
 Per iteration the transform is recomputed from the points on the positive
-side of the current iterate and the update is w' = A^{-1} w followed by
-w <- w - alpha * A grad L'(w'). 'original' is plain subgradient descent,
+side of the current iterate and the update is w' = A^{-T} w followed by
+w <- w - alpha * A^T grad L'(w'). 'original' is plain subgradient descent,
 'normalized' rescales each point to the sphere, 'isotropic' whitens the
 second moment, 'radial-isotropic' runs the full alternating-normalization
 transform. Run: python demos/gd_transform_comparison.py [out.csv]

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import LabeledDataset, load_dataset_csv, save_dataset_csv  # noqa: F401
+from .data import LabeledDataset
 from .errors import ContractViolation, RadregError
 from .isotropy import _unit_rows
 from .l1 import l1_fit_linear, snap_to_rational
@@ -33,7 +33,6 @@ __all__ = [
     "make_synthetic_dataset", "make_outlier_dataset", "default_target",
     "default_sample_size",
     "method_registry", "exact_recovery_bench", "margin_fraction",
-    "load_dataset_csv", "save_dataset_csv",
 ]
 
 
@@ -291,10 +290,13 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
 
 
 def margin_fraction(w, testset, margin):
-    """Fraction of the test set with |w.x - y| within the margin."""
+    """Fraction of the test set with |w.x - y| within the margin.
+
+    Raises DimensionMismatch unless w has the test set's dimension d.
+    """
     if margin < 0:
         raise ContractViolation("margin must be >= 0")
     if testset.m == 0:
         raise ContractViolation("empty test set")
-    w = np.asarray(w, dtype=float)
+    w = testset.parameter(w)
     return float(np.mean(np.abs(testset.x @ w - testset.y) <= margin))

@@ -18,8 +18,10 @@ from . import bench
 from .data import load_dataset_csv, save_dataset_csv
 from .errors import RadregError
 from .linear import RecoveryConfig, recover_linear
-from .noise import MassartSpec, corrupt_massart, gated_flip, strategy_from_json
-from .relu import EllipsoidConfig, ellipsoid_recover_relu, gd_relu_transformed, trajectory_csv_rows
+from .noise import (Constant, FlipNegate, MassartSpec, Scale, corrupt_massart, gated_flip,
+                    strategy_from_json)
+from .relu import (GD_MODES, EllipsoidConfig, ellipsoid_recover_relu, gd_relu_transformed,
+                   trajectory_csv_rows)
 
 
 def _parse_vector(text):
@@ -30,11 +32,11 @@ def _parse_strategy(text):
     if text.lstrip().startswith("{"):
         return strategy_from_json(json.loads(text))
     if text == "flip-negate":
-        return strategy_from_json({"kind": "flip-negate"})
+        return FlipNegate()
     if text.startswith("scale:"):
-        return strategy_from_json({"kind": "scale", "factor": float(text.split(":", 1)[1])})
+        return Scale(float(text.split(":", 1)[1]))
     if text.startswith("constant:"):
-        return strategy_from_json({"kind": "constant", "value": float(text.split(":", 1)[1])})
+        return Constant(float(text.split(":", 1)[1]))
     if text.startswith("gated-flip:"):
         return gated_flip(float(text.split(":", 1)[1]))
     raise RadregError(f"unrecognized strategy {text!r}")
@@ -177,8 +179,7 @@ def build_parser():
 
     p = sub.add_parser("gd-relu", help="transformed subgradient descent trajectory")
     p.add_argument("--in", required=True)
-    p.add_argument("--mode", choices=["original", "normalized", "isotropic", "radial-isotropic"],
-                   default="radial-isotropic")
+    p.add_argument("--mode", choices=GD_MODES, default="radial-isotropic")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--w-star", default=None)

@@ -42,6 +42,13 @@ class LabeledDataset:
     def d(self):
         return self.x.shape[1]
 
+    def parameter(self, w, name="w"):
+        """``w`` as a float vector of length d, else DimensionMismatch."""
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.d,):
+            raise DimensionMismatch(f"{name} has shape {w.shape}, the data has d={self.d}")
+        return w
+
 
 def save_dataset_csv(dataset, path):
     """Write a dataset as ``x1..xd,y`` rows at 17 significant digits."""

@@ -85,4 +85,4 @@ class MalformedCsv(RadregError):
 
 
 class DimensionMismatch(RadregError):
-    """Dataset rows disagree about the number of columns."""
+    """Dataset rows, or a parameter vector and a dataset, disagree about the dimension."""

@@ -4,24 +4,17 @@ A point set on the unit sphere is in gamma-approximate radial-isotropic
 position when the normalized second-moment matrix (d/n) sum u_i u_i^T has
 smallest eigenvalue at least 1 - gamma; equivalently, the quadratic form in
 every unit direction is at least 1 - gamma. ``radial_isotropize`` searches
-for a symmetric positive definite A whose normalized images achieve this via
-the alternating normalization fixed point (Artstein-Avidan, Kaplan, Sharir,
+for an invertible A whose normalized images achieve this via the
+alternating normalization fixed point (Artstein-Avidan, Kaplan, Sharir,
 *On radial isotropic position: theory and algorithms*, 2020):
 
     u_i = A x_i / |A x_i|,   M = (d/n) sum u_i u_i^T,   A <- M^{-1/2} A.
 
-The multiplicative update destroys symmetry, so A is carried as it is and
-replaced by its symmetric polar factor P = (A^T A)^{1/2} once, at exit.
-That is exact: with A = Q P and Q orthogonal, the images of A are Q times
-those of P, so the second moment is Q M_P Q^T (same spectrum, same
-certificate) and the next iterate Q M_P^{-1/2} P has the polar factor of
-M_P^{-1/2} P, the next symmetric iterate. The gap, iteration count and
-condition number are those of symmetrizing every step, without one SVD per
-iteration: a fixed-point iteration costs one eigh of M. In floating point
-the returned P's images differ from those certified by about eps times its
-condition number, so the certified images and the iterate A they came from
-are returned as well: what a rotation of the images leaves unchanged can be
-read off them directly.
+The multiplicative update does not keep A symmetric, and nothing asks it
+to: any A whose images are in position serves, and a parameter w' of the
+images reads w = A^T w' in the original coordinates. So the iterate whose
+images certified the gap is returned as it is, with those images. A
+fixed-point iteration costs one eigh of M.
 
 The fixed point converges linearly, and it crawls where only approximate
 transforms exist, as when a k-dimensional subspace holds exactly k/d of the
@@ -53,8 +46,7 @@ fixed point's own pace within a few dozen iterations. Newton steps would
 hand those a different certified transform, and a different transform can
 make a different LAD vertex optimal, which changes which noisy instances
 are recovered exactly. Sets that converge before the second detector run
-follow the fixed point exactly. Polar factor and certificate work as
-above: leverages do not change under a rotation of the images.
+follow the fixed point exactly.
 
 No transform exists exactly when some k-dimensional subspace holds strictly
 more than a k/d fraction of the points (Hardt & Moitra, COLT 2013). When
@@ -94,18 +86,15 @@ ARMIJO = 1e-4           # sufficient-decrease fraction of the Newton slope
 
 @dataclass
 class RadialTransform:
-    """Symmetric positive definite A plus convergence diagnostics.
+    """Invertible A plus convergence diagnostics.
 
-    ``gamma_achieved`` is 1 - lambda_min of the second moment of
-    ``images``, the unit images u_i = B x_i / |B x_i| (x_i the
-    unit-normalized points) of the iteration that certified the gap. B is
-    ``iterate``, the unsymmetrized iterate, and ``matrix`` is its symmetric
-    polar factor: B = Q ``matrix`` with Q orthogonal, so ``images`` are
-    ``apply``'s images turned by Q. Whatever such a rotation leaves
-    unchanged, a cut B^{-1} r from the mean signed image r say, can be
-    taken from ``images`` and ``iterate`` without calling ``apply``.
-    Recomputed from ``apply`` the gap agrees to about eps times the
-    condition number of ``matrix`` (about 1e-8 at 1e8).
+    ``matrix`` is the iterate A whose images certified the gap, and
+    ``images`` are those images, u_i = A x_i / |A x_i| with x_i the
+    unit-normalized points. ``gamma_achieved`` is 1 - lambda_min of their
+    second moment. ``apply`` recomputes the images from the raw points, and
+    its gap agrees with the certified one to about eps times the condition
+    number of A (about 1e-8 at 1e8). A is not symmetric in general; a
+    parameter w' of the images maps back as w = A^T w'.
     ``iterations_used`` counts fixed-point and Newton steps alike;
     ``newton_steps`` counts the Newton steps among them.
     """
@@ -115,7 +104,6 @@ class RadialTransform:
     iterations_used: int
     log_condition_number: float
     images: np.ndarray = field(repr=False, compare=False)
-    iterate: np.ndarray = field(repr=False, compare=False)
     newton_steps: int = 0
 
     def apply(self, points, labels=None):
@@ -169,12 +157,6 @@ def _unit_rows(points, labels=None):
     if labels is None:
         return X / norms[:, None]
     return X / norms[:, None], np.asarray(labels, dtype=float) / norms
-
-
-def _sym_polar(A):
-    """Symmetric polar factor (A^T A)^{1/2} and its extreme singular values."""
-    _, sig, Vt = np.linalg.svd(A)
-    return (Vt.T * sig) @ Vt, sig[0], sig[-1]
 
 
 def _verify_candidate(Xu, loose):
@@ -304,12 +286,10 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA):
 
     Points are unit-normalized internally (label co-scaling is the caller's
     job). On success returns a RadialTransform whose ``images`` satisfy
-    lambda_min(M) >= 1 - gamma; recomputed from its symmetric ``matrix`` A
-    they satisfy it up to about eps * cond(A), since the gap is certified
-    on the unsymmetrized ``iterate`` whose polar factor A is (see
-    RadialTransform). On structural failure it returns a
-    verified HeavySubspace. Points that do not span R^d (fewer than d of
-    them, say) come back as their span with fraction 1.0. Raises
+    lambda_min(M) >= 1 - gamma; recomputed with ``apply`` they satisfy it up
+    to about eps * cond(A) (see RadialTransform). On structural failure it
+    returns a verified HeavySubspace. Points that do not span R^d (fewer
+    than d of them, say) come back as their span with fraction 1.0. Raises
     IsotropyStalled when ``default_max_iters(d, gamma)`` iterations,
     fixed-point and Newton steps counted alike, reach neither.
     """
@@ -319,7 +299,7 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA):
     n, d = Xu.shape
     max_iters = default_max_iters(d, gamma)
 
-    A = np.eye(d)  # carried unsymmetrized; its polar factor is returned
+    A = np.eye(d)
     target = 1.0 - gamma
     newton_steps = 0
     newton = True  # until a Newton step fails
@@ -349,15 +329,14 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA):
             A = math.sqrt(n / d) * np.linalg.inv(R.T)
             continue
         if evals[0] >= target:
-            P, sig_max, sig_min = _sym_polar(A)
+            sig = np.linalg.svd(A, compute_uv=False)
             return RadialTransform(
-                matrix=P,
+                matrix=A,
                 gamma_achieved=max(0.0, 1.0 - float(evals[0])),
                 iterations_used=it,
-                log_condition_number=float(np.log(sig_max / sig_min)),
+                log_condition_number=float(np.log(sig[0] / sig[-1])),
                 newton_steps=newton_steps,
                 images=U,
-                iterate=A,
             )
         degenerate = evals[0] <= 1e-13 * max(evals[-1], 1.0)
         if degenerate or it % DETECT_EVERY == DETECT_EVERY - 1 or it == max_iters:

@@ -175,16 +175,15 @@ class RationalVector:
         }
 
 
-def _check_max_denominator(max_denominator):
-    """``max_denominator`` as an int, or ContractViolation unless it is an
-    integer (``operator.index``: no floats, however integral) of at least 1."""
+def _check_positive_int(value, name):
+    """``value`` as an int, or ContractViolation naming ``name`` unless it is
+    an integer (``operator.index``: no floats, however integral) of at least 1."""
     try:
-        bound = operator.index(max_denominator)
+        bound = operator.index(value)
     except TypeError:
         bound = 0
     if bound < 1:
-        raise ContractViolation(
-            f"max_denominator must be an integer >= 1, got {max_denominator!r}")
+        raise ContractViolation(f"{name} must be an integer >= 1, got {value!r}")
     return bound
 
 
@@ -222,7 +221,7 @@ def snap_to_rational(w, max_denominator=10**6):
     so a coordinate within 1/(2*max_denominator^2) of a representable
     rational snaps to it exactly. ``max_denominator`` must be an integer.
     """
-    bound = _check_max_denominator(max_denominator)
+    bound = _check_positive_int(max_denominator, "max_denominator")
     w = np.asarray(w, dtype=float).ravel()
     if not np.all(np.isfinite(w)):
         raise ContractViolation("cannot snap non-finite values")

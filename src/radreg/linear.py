@@ -4,7 +4,7 @@ Each recursion level drops the zero covariates and asks
 ``radial_isotropize`` for a transform of the rest at ``certifying_gamma``,
 a gap no set with a heavy subspace passes. When one exists, the level
 solves the rescaled least-absolute-deviations LP and maps the minimizer
-back through the (symmetric) transform. A level with n >= 6d points first
+w' back as w = A^T w', A the transform. A level with n >= 6d points first
 solves that LP on 3d of its rescaled rows, chosen with a fixed seed, and
 keeps the answer when a dual point proves it a minimizer of the LP on all
 n rows (subsample and certify, after Portnoy and Koenker, "The Gaussian
@@ -29,7 +29,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import InsufficientPoints, NonIdentifiable, RadregError
 from .isotropy import RadialTransform, certifying_gamma, radial_isotropize
-from .l1 import (RationalVector, _check_max_denominator, _fit_scales, exact_fit_mask,
+from .l1 import (RationalVector, _check_positive_int, _fit_scales, exact_fit_mask,
                  l1_fit_linear, lad_optimal, snap_to_rational)
 from .linalg import orthonormal_complement
 
@@ -50,7 +50,7 @@ class RecoveryConfig:
     max_denominator: int = 10**6
 
     def __post_init__(self):
-        self.max_denominator = _check_max_denominator(self.max_denominator)
+        self.max_denominator = _check_positive_int(self.max_denominator, "max_denominator")
 
 
 @dataclass
@@ -98,11 +98,11 @@ def _fit_leaf(transform, X, y):
         rows = np.sort(np.random.default_rng(SUBSET_SEED).choice(n, k, replace=False))
         fit = l1_fit_linear(LabeledDataset(rescaled.x[rows], rescaled.y[rows]))
         if lad_optimal(rescaled, fit.w):
-            return transform.matrix @ fit.w, {
+            return transform.matrix.T @ fit.w, {
                 "lp_rows": k, "lp_solves": 1, "lp_iterations": fit.iterations}
         iterations = fit.iterations
     fit = l1_fit_linear(rescaled)
-    return transform.matrix @ fit.w, {
+    return transform.matrix.T @ fit.w, {
         "lp_rows": n, "lp_solves": 1 + subset, "lp_iterations": iterations + fit.iterations}
 
 

@@ -17,16 +17,14 @@ Consecutive ellipsoid centers see nearly the same positive side, so each
 top-level oracle call of ``ellipsoid_recover_relu`` starts the isotropy
 fixed point from the previous cut's transform S (the identity when there is
 none) and isotropizes the images S x of the positive side. The cut is taken
-on the images whose spectrum that certified (``RadialTransform.images``):
-r is their mean signed image and g = T^{-1} r for T = A S, A the
-unsymmetrized iterate that formed them. With A = Q P, Q orthogonal and P
-the symmetric transform, A's images are Q times P's, so g = (P S)^{-1} r_P
-in exact arithmetic, without forming P's images again; and as the
-certificate is on T's images, a warm cut is as sound as a cold one. The
-start is used at depth 0 only. The V and V-perp sub-calls always start
-cold, and so does a call whose warm start finds a heavy subspace: it
-discards that answer and reruns from the identity, so the recursion is the
-one a cold call makes.
+on the images that certified the gap (``RadialTransform.images``): r is
+their mean signed image and g = T^{-1} r for T = A S, A the transform of
+the images S x. A parameter w reads T^{-T} w in those images, so g is the
+rescaled-l1 subgradient mapped back; and as the certificate is on T's
+images, a warm cut is as sound as a cold one. The start is used at depth 0
+only. The V and V-perp sub-calls always start cold, and so does a call
+whose warm start finds a heavy subspace: it discards that answer and
+reruns from the identity, so the recursion is the one a cold call makes.
 """
 
 import math
@@ -37,7 +35,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractViolation, HalfspaceEmpty, NoRecovery, RadregError, SingularMatrix
 from .isotropy import RadialTransform, _unit_rows, certifying_gamma, radial_isotropize
-from .l1 import _check_max_denominator, _fit_scales, exact_fit_mask, snap_to_rational
+from .l1 import _check_positive_int, _fit_scales, exact_fit_mask, snap_to_rational
 from .linalg import inv_sqrt_psd
 from .linear import RecoveryReport, _in_v, _off_v
 
@@ -79,13 +77,20 @@ def positive_side_mask(X, w, norms=None, z=None):
     return (z >= -slack) & (norms > 0.0)
 
 
+def _check_positive_finite(value, name):
+    if not (math.isfinite(value) and value > 0):
+        raise ContractViolation(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass
 class EllipsoidConfig:
     """Search ball radius, termination radius, and snapping bound.
 
     ``initial_radius`` must upper-bound |w*|. ``delta_min`` defaults to
     1e-9 * initial_radius; the operative stopping rule is the majority-fit
-    check of the snapped center, so delta_min is only a safety net.
+    check of the snapped center, so delta_min is only a safety net. Both
+    must be positive and finite, and ``max_steps``, when given, an integer
+    >= 1, else ContractViolation.
     ``max_denominator`` encodes the caller's bit-complexity knowledge of the
     target: snapping resolves exactly once the center is within
     1/(2*max_denominator^2) of it. The oracle's gap is ``certifying_gamma``.
@@ -97,13 +102,13 @@ class EllipsoidConfig:
     max_denominator: int = 10**6
 
     def __post_init__(self):
-        if self.initial_radius <= 0:
-            raise ContractViolation("initial_radius must be positive")
+        _check_positive_finite(self.initial_radius, "initial_radius")
         if self.delta_min is None:
             self.delta_min = 1e-9 * self.initial_radius
-        if self.delta_min <= 0:
-            raise ContractViolation("delta_min must be positive")
-        self.max_denominator = _check_max_denominator(self.max_denominator)
+        _check_positive_finite(self.delta_min, "delta_min")
+        if self.max_steps is not None:
+            self.max_steps = _check_positive_int(self.max_steps, "max_steps")
+        self.max_denominator = _check_positive_int(self.max_denominator, "max_denominator")
 
     def resolved_max_steps(self, d):
         if self.max_steps is not None:
@@ -183,7 +188,7 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
         _start = None
         result = radial_isotropize(XS, gamma)
     if isinstance(result, RadialTransform):
-        T = result.iterate if _start is None else result.iterate @ _start
+        T = result.matrix if _start is None else result.matrix @ _start
         sgn = np.sign(z[mask] - yS)
         r = (sgn @ result.images) / n_S
         g = np.linalg.solve(T, r)
@@ -393,8 +398,9 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
     Modes: 'original' (identity), 'normalized' (per-point x/|x|, y/|x|),
     'isotropic' (second-moment whitening), 'radial-isotropic' (the full
     alternating-normalization transform). The update follows the oracle:
-    w' = A^{-1} w, then w <- w - alpha * A grad L'(w'), where L' is the l1
+    w' = A^{-T} w, then w <- w - alpha * A^T grad L'(w'), where L' is the l1
     loss of the linear model on the transformed positive-side points.
+    ``w_init`` and ``w_star`` must have length d, else DimensionMismatch.
 
     ``alpha`` defaults to 1 for transformed modes and 1/mean(|x|^2) for
     'original' (keeping raw-point step magnitudes comparable to unit-norm
@@ -408,7 +414,9 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
         raise ContractViolation("iters must be >= 1")
     X, y = samples.x, samples.y
     m, d = X.shape
-    w = np.zeros(d) if w_init is None else np.asarray(w_init, dtype=float).copy()
+    w = np.zeros(d) if w_init is None else samples.parameter(w_init, "w_init").copy()
+    if w_star is not None:
+        w_star = samples.parameter(w_star, "w_star")
     if alpha is None:
         alpha = 1.0 if mode != "original" else 1.0 / float(np.mean(np.sum(X * X, axis=1)))
 
@@ -440,10 +448,10 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
             else:
                 Xt, yt = Xp, yp
             if not skipped:
-                wp = w if A is None else np.linalg.solve(A, w)
+                wp = w if A is None else np.linalg.solve(A.T, w)
                 sgn = np.sign(Xt @ wp - yt)
                 grad = (Xt * sgn[:, None]).mean(axis=0)
-                w = w - alpha * (grad if A is None else A @ grad)
+                w = w - alpha * (grad if A is None else A.T @ grad)
         loss, _ = relu_l1_loss(samples, w)
         dist = math.nan if w_star is None else float(np.linalg.norm(w - w_star))
         trajectory.append(GdStep(it, w.copy(), dist, loss, skipped))

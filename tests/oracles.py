@@ -7,7 +7,8 @@ subsets), so they only run at desk scale. The tests compare the library's
 l1 pipeline and heavy-subspace detector against them. The isotropy oracles
 do the work the library avoids: one SVD per heavy-subspace candidate, a
 rank SVD on every call, a symmetric polar factor after every fixed-point
-step, and fixed-point steps where the library takes Newton steps.
+step (``sym_polar``), and fixed-point steps where the library takes Newton
+steps.
 ``oracle_transform`` recomputes the transform behind a separation cut.
 """
 
@@ -24,7 +25,6 @@ from radreg.isotropy import (
     HeavySubspace,
     RadialTransform,
     _detect_heavy,
-    _sym_polar,
     _unit_rows,
     _verify_candidate,
     certifying_gamma,
@@ -152,16 +152,14 @@ def check_forster_condition(points):
     return True, None
 
 
-def oracle_transform(samples, w0, start=None, symmetric=False):
+def oracle_transform(samples, w0, start=None):
     """The transform behind ``sep_oracle``'s cut at w0, recomputed.
 
     Returns (T, mask): the matrix T of the cut g = T^{-1} r and the
     positive-side mask, or None when those points hold a heavy subspace (the
-    oracle then recurses). Cold, T is the unsymmetrized isotropy iterate A
-    of the positive-side points; from a warm ``start`` S it is A S, where A
-    is the iterate for the images S x, unless those hold a heavy subspace.
-    With ``symmetric`` the iterate's symmetric polar factor P stands in for
-    A: the same cut in exact arithmetic, on images turned by a rotation.
+    oracle then recurses). Cold, T is the isotropy transform A of the
+    positive-side points; from a warm ``start`` S it is A S, where A is the
+    transform of the images S x, unless those hold a heavy subspace.
     """
     X = samples.x
     mask = positive_side_mask(X, w0)
@@ -170,11 +168,11 @@ def oracle_transform(samples, w0, start=None, symmetric=False):
     if start is not None:
         warm = radial_isotropize(XS @ start.T, gamma)
         if isinstance(warm, RadialTransform):
-            return (warm.matrix if symmetric else warm.iterate) @ start, mask
+            return warm.matrix @ start, mask
     result = radial_isotropize(XS, gamma)
     if not isinstance(result, RadialTransform):
         return None
-    return (result.matrix if symmetric else result.iterate), mask
+    return result.matrix, mask
 
 
 def detect_heavy_per_candidate(Xu, A, M):
@@ -209,6 +207,13 @@ def rank_deficient_span(Xu):
     return HeavySubspace(basis, 1.0, member_mask=basis.distance(Xu) <= MEMBER_RTOL)
 
 
+def sym_polar(A):
+    """Symmetric polar factor (A^T A)^{1/2} and the extreme singular values
+    of A. With A = Q P, Q orthogonal, A's unit images are Q times P's."""
+    _, sig, Vt = np.linalg.svd(A)
+    return (Vt.T * sig) @ Vt, sig[0], sig[-1]
+
+
 def isotropize_polar_every_step(Xu, gamma, max_iters=1000):
     """The isotropy fixed point with A symmetrized after every step.
 
@@ -223,7 +228,7 @@ def isotropize_polar_every_step(Xu, gamma, max_iters=1000):
         evals, evecs = np.linalg.eigh(second_moment(V / np.linalg.norm(V, axis=1)[:, None]))
         if evals[0] >= 1.0 - gamma:
             return A, it, 1.0 - evals[0], np.log(sig_max / sig_min)
-        A, sig_max, sig_min = _sym_polar((evecs / np.sqrt(evals)) @ evecs.T @ A)
+        A, sig_max, sig_min = sym_polar((evecs / np.sqrt(evals)) @ evecs.T @ A)
     raise AssertionError(f"no transform within {max_iters} iterations")
 
 
@@ -243,9 +248,9 @@ def isotropize_fixed_point(points, gamma, max_iters=2000):
         U = V / np.linalg.norm(V, axis=1)[:, None]
         evals, evecs = np.linalg.eigh((d / n) * (U.T @ U))
         if evals[0] >= 1.0 - gamma:
-            P, sig_max, sig_min = _sym_polar(A)
-            return RadialTransform(P, max(0.0, 1.0 - float(evals[0])), it,
-                                   float(np.log(sig_max / sig_min)), images=U, iterate=A)
+            sig = np.linalg.svd(A, compute_uv=False)
+            return RadialTransform(A, max(0.0, 1.0 - float(evals[0])), it,
+                                   float(np.log(sig[0] / sig[-1])), images=U)
         if it % DETECT_EVERY == DETECT_EVERY - 1:
             found = _detect_heavy(Xu, A, evecs)
             if found is not None:

@@ -186,7 +186,7 @@ def test_criterion_6_separation_soundness():
             XS, yS = corrupted.x[mask], corrupted.y[mask]
             V = XS @ A.T
             U = V / np.linalg.norm(V, axis=1)[:, None]
-            w0_t, ws_t = np.linalg.solve(A, w0), np.linalg.solve(A, w_star)
+            w0_t, ws_t = np.linalg.solve(A.T, w0), np.linalg.solve(A.T, w_star)
             active = U @ w0_t > 0.0
             clean = ~record.mask[mask]
             gap = np.abs(U @ (w0_t - ws_t))

@@ -154,6 +154,12 @@ class TestMarginFraction:
         with pytest.raises(ContractViolation):
             margin_fraction(np.ones(2), LabeledDataset(np.empty((0, 2)), []), 1.0)
 
+    @pytest.mark.parametrize("w", [np.ones(2), np.ones(4), np.ones((1, 3)), 1.0])
+    def test_parameter_of_another_dimension(self, w):
+        ds = LabeledDataset(np.ones((5, 3)), np.zeros(5))
+        with pytest.raises(DimensionMismatch):
+            margin_fraction(w, ds, 1.0)
+
 
 class TestCsvRoundTrip:
     def test_two_row_hand_file(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from radreg.cli import main
 from radreg.data import LabeledDataset, load_dataset_csv, save_dataset_csv
+from radreg.relu import GD_MODES
 
 
 def strict_json(text):
@@ -52,6 +53,20 @@ class TestSynthCorrupt:
         assert 0 < summary["corrupted"] <= summary["corruptible"]
         rec = json.loads(record.read_text())
         assert sum(rec["mask"]) == summary["corrupted"]
+
+    @pytest.mark.parametrize("strategy, expected", [
+        ("flip-negate", {"kind": "flip-negate"}),
+        ("scale:2", {"kind": "scale", "factor": 2.0}),
+        ("constant:-1.5", {"kind": "constant", "value": -1.5}),
+        ('{"kind": "scale", "factor": 3}', {"kind": "scale", "factor": 3.0}),
+    ])
+    def test_corrupt_strategy_spellings(self, strategy, expected, tmp_path, capsys):
+        data = tmp_path / "clean.csv"
+        run_cli(capsys, "synth", "--d", "2", "--n", "20", "--out", str(data))
+        code, stdout, _ = run_cli(capsys, "corrupt", "--in", str(data), "--eta", "0.2",
+                                  "--strategy", strategy, "--out", str(tmp_path / "out.csv"))
+        assert code == 0
+        assert json.loads(stdout)["spec"]["strategy"] == expected
 
 
 class TestFitCommands:
@@ -130,6 +145,36 @@ class TestFitCommands:
         assert summary["final_distance"] is None
         assert summary["iters"] == 3
 
+    @pytest.mark.parametrize("mode", GD_MODES)
+    def test_gd_relu_takes_every_mode(self, mode, tmp_path, capsys):
+        data = tmp_path / "gd.csv"
+        run_cli(capsys, "synth", "--d", "3", "--n", "60", "--seed", "4",
+                "--model", "relu", "--out", str(data))
+        code, stdout, _ = run_cli(capsys, "gd-relu", "--in", str(data), "--mode", mode,
+                                  "--iters", "2")
+        assert code == 0
+        assert strict_json(stdout)["iters"] == 2
+
+    def test_gd_relu_target_of_another_dimension(self, tmp_path, capsys):
+        data = tmp_path / "gd.csv"
+        run_cli(capsys, "synth", "--d", "3", "--n", "60", "--seed", "4",
+                "--model", "relu", "--out", str(data))
+        code, _, stderr = run_cli(capsys, "gd-relu", "--in", str(data), "--w-star", "1,1")
+        assert code == 2
+        assert strict_json(stderr)["error"] == "DimensionMismatch"
+
+    @pytest.mark.parametrize("flag, value", [("--radius", "nan"), ("--radius", "inf"),
+                                             ("--delta-min", "nan"), ("--max-steps", "-3")])
+    def test_bad_search_bound_is_a_contract_violation(self, flag, value, tmp_path, capsys):
+        # NaN used to surface as LinAlgError or ValueError, and --max-steps -3
+        # as a NoRecovery after -3 steps
+        data = self.make_relu_csv(tmp_path)
+        code, _, stderr = run_cli(capsys, "fit-relu", "--in", str(data), flag, value)
+        assert code == 2
+        error = strict_json(stderr)
+        assert error["error"] == "ContractViolation"
+        assert flag[2:].replace("-", "_") in error["message"]
+
     @pytest.mark.parametrize("command", [["fit-linear", "--in", "x.csv"],
                                          ["fit-relu", "--in", "x.csv"],
                                          ["gd-relu", "--in", "x.csv"],
@@ -170,6 +215,13 @@ class TestBenchEval:
                                   "--w", "1,2", "--margin", "0")
         assert code == 0
         assert json.loads(stdout)["fraction"] == 1.0
+
+    def test_eval_margin_parameter_of_another_dimension(self, tmp_path, capsys):
+        data = tmp_path / "test.csv"
+        run_cli(capsys, "synth", "--d", "3", "--n", "20", "--out", str(data))
+        code, _, stderr = run_cli(capsys, "eval", "margin", "--in", str(data), "--w", "1,1")
+        assert code == 2
+        assert strict_json(stderr)["error"] == "DimensionMismatch"
 
 
 class TestErrorContract:

@@ -437,9 +437,9 @@ class TestStructuralCondition:
         corrupted, _ = corrupt_massart(clean, MassartSpec(0.25, FlipNegate(), 5))
         t = radial_isotropize(corrupted.x, gamma=0.5)
         U, yt = t.apply(corrupted.x, corrupted.y)
-        # the transformed instance is realizable for A^{-1} w*
+        # the transformed instance is realizable for A^{-T} w*
         holds, worst = check_structural_condition(
-            LabeledDataset(U, yt), np.linalg.solve(t.matrix, w_star),
+            LabeledDataset(U, yt), np.linalg.solve(t.matrix.T, w_star),
             direction_budget=720,
         )
         assert holds and worst > 0

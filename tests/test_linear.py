@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +49,7 @@ def full_lp_snapped(ds):
     n, d = ds.x.shape
     transform = radial_isotropize(ds.x, certifying_gamma(n, d))
     U, yt = transform.apply(ds.x, ds.y)
-    w = transform.matrix @ l1_fit_linear(LabeledDataset(U, yt)).w
+    w = transform.matrix.T @ l1_fit_linear(LabeledDataset(U, yt)).w
     return snap_to_rational(w, config.max_denominator)
 
 
@@ -258,7 +259,41 @@ class TestSubsetAndCertify:
         assert report.w_snapped.to_fractions() == fractions_of(w_star)
 
 
+def flipped_instance(seed, m, d, eta=0.25):
+    """Gaussian points, a small integer target, labels negated at rate eta."""
+    w_star = np.random.default_rng(seed).integers(-5, 6, size=d)
+    spec = MassartSpec(eta, FlipNegate(), seed + 1)
+    return corrupt_massart(realizable(seed, m, d, w_star), spec)[0]
+
+
+TURNED_LEAVES = {
+    # the subset answer certified
+    "mixture, 120 x 5": lambda seed: mixture_instance(seed, 5, 120),
+    # below 6d rows: one solve on every row
+    "flipped, 20 x 4": lambda seed: flipped_instance(seed, 20, 4),
+    # seed 1 refuses the subset answer and solves again on every row
+    "flipped, 200 x 6": lambda seed: flipped_instance(seed, 200, 6),
+}
+
+
 class TestEquivariance:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", sorted(TURNED_LEAVES))
+    def test_a_turned_transform_fits_the_same_leaf(self, case, seed):
+        # any B whose images are in position serves: Q B, Q orthogonal,
+        # turns the images and the LP's minimizer by Q, and (Q B)^T maps it
+        # back to the same w
+        ds = TURNED_LEAVES[case](seed)
+        n, d = ds.x.shape
+        t = radial_isotropize(ds.x, certifying_gamma(n, d))
+        Q = np.linalg.qr(np.random.default_rng(100 + seed).standard_normal((d, d)))[0]
+        turned = dataclasses.replace(t, matrix=Q @ t.matrix, images=t.images @ Q.T)
+        w, lp = linear._fit_leaf(t, ds.x, ds.y)
+        w_turned, lp_turned = linear._fit_leaf(turned, ds.x, ds.y)
+        np.testing.assert_allclose(w_turned, w, rtol=0.0, atol=1e-9)
+        assert snap_to_rational(w_turned, 10**6) == snap_to_rational(w, 10**6)
+        assert (lp_turned["lp_rows"], lp_turned["lp_solves"]) == (lp["lp_rows"], lp["lp_solves"])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_diagonal_map(self, seed):
         w_star = np.array([4.0, -6.0])

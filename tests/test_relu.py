@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from radreg import relu
 from radreg.data import LabeledDataset
-from radreg.errors import ContractViolation, HalfspaceEmpty, NoRecovery
-from radreg.isotropy import _unit_rows
+from radreg.errors import ContractViolation, DimensionMismatch, HalfspaceEmpty, NoRecovery
+from radreg.isotropy import RadialTransform, _unit_rows
 from radreg.l1 import FIT_RTOL, snap_to_rational
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
 from radreg.relu import (
@@ -23,7 +25,7 @@ from radreg.relu import (
     sep_oracle,
 )
 
-from oracles import l0_fit_bruteforce, oracle_transform
+from oracles import l0_fit_bruteforce, oracle_transform, sym_polar
 
 
 def fractions_of(vec):
@@ -215,8 +217,8 @@ class TestSepOracle:
         # the cut is A^{-1} times the mean signed image of the positive side,
         # summed as the product of the signs with the images the isotropy
         # iteration certified: the unit images of the unit points under the
-        # unsymmetrized iterate A. In exact arithmetic it is the cut of A's
-        # symmetric polar factor P, whose images are A's turned back.
+        # transform A. In exact arithmetic it is the cut of A's symmetric
+        # polar factor P, whose images are A's turned back.
         corrupted, _, w_star = shifted_relu_instance(seed, d=3, m=400, eta=0.25)
         w0 = w_star + np.random.default_rng(seed).standard_normal(3) * 3.0
         res = sep_oracle(corrupted, w0)
@@ -228,7 +230,7 @@ class TestSepOracle:
         assert mask.sum() == res.diagnostics["n_positive_side"]
         assert np.array_equal(np.linalg.solve(A, r), res.normal)
         assert np.array_equal(res.transform, A)
-        P, _ = oracle_transform(corrupted, w0, symmetric=True)
+        P = sym_polar(A)[0]
         r_P = sgn @ _unit_rows(XS @ P.T) / mask.sum()
         np.testing.assert_allclose(res.normal, np.linalg.solve(P, r_P), rtol=1e-9)
 
@@ -248,7 +250,7 @@ class TestSepOracle:
     @pytest.mark.parametrize("seed", range(3))
     def test_warm_cut_is_made_in_the_composed_transform(self, seed):
         # from the previous cut's transform S the cut is T^{-1} r for T = A S,
-        # A the iterate for the images S x; in exact arithmetic that is
+        # A the transform of the images S x; in exact arithmetic that is
         # (P S)^{-1} r_P for A's symmetric polar factor P
         corrupted, _, w_star = shifted_relu_instance(seed, d=3, m=400, eta=0.25)
         rng = np.random.default_rng(seed)
@@ -264,7 +266,7 @@ class TestSepOracle:
         U = V / np.linalg.norm(V, axis=1)[:, None]
         r = (U * np.sign(XS @ w0 - yS)[:, None]).mean(axis=0)
         np.testing.assert_allclose(res.normal, np.linalg.solve(T, r), rtol=1e-9)
-        PS, _ = oracle_transform(corrupted, w0, start, symmetric=True)
+        PS = sym_polar(np.linalg.solve(start.T, T.T).T)[0] @ start  # A = T S^{-1}
         r_P = (_unit_rows(XS @ PS.T) * np.sign(XS @ w0 - yS)[:, None]).mean(axis=0)
         np.testing.assert_allclose(res.normal, np.linalg.solve(PS, r_P), rtol=1e-9)
         assert res.diagnostics["isotropy_iterations"] == \
@@ -301,6 +303,16 @@ class TestEllipsoid:
     def test_bad_max_denominator_is_a_contract_violation(self, bound):
         with pytest.raises(ContractViolation, match="max_denominator"):
             EllipsoidConfig(initial_radius=1.0, max_denominator=bound)
+
+    @pytest.mark.parametrize("name, value", [
+        ("initial_radius", math.nan), ("initial_radius", math.inf), ("initial_radius", 0.0),
+        ("delta_min", math.nan), ("delta_min", math.inf), ("delta_min", -1e-9),
+        ("max_steps", 0), ("max_steps", -3), ("max_steps", 5.0),
+    ])
+    def test_bad_search_bound_is_a_contract_violation(self, name, value):
+        # NaN passes a "<= 0" test; an infinite radius makes an infinite shape
+        with pytest.raises(ContractViolation, match=name):
+            EllipsoidConfig(**{"initial_radius": 1.0, name: value})
 
     def test_noiseless_exact_d2(self):
         rng = np.random.default_rng(4)
@@ -617,8 +629,9 @@ class TestGdReluTransformed:
         assert np.isfinite(t_big[-1].loss)
         assert np.linalg.norm(t_big[0].w) < 10 * np.linalg.norm(t_small[0].w) + 1
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_radial_beats_original_usually(self, seed):
+    @staticmethod
+    def mixture_instance(seed):
+        """d=10, 240 mixture samples, eta=0.4 gated flip."""
         from radreg.bench import SyntheticSpec, make_synthetic_dataset
         from radreg.noise import gated_flip
 
@@ -627,11 +640,44 @@ class TestGdReluTransformed:
         corrupted, _ = corrupt_massart(
             clean, MassartSpec(0.4, gated_flip(5.0), seed=7100 + seed)
         )
+        return corrupted, spec.w_star
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_radial_beats_original_usually(self, seed):
+        corrupted, w_star = self.mixture_instance(seed)
         d_orig = gd_relu_transformed(corrupted, "original", iters=150,
-                                     w_star=spec.w_star)[-1].distance
+                                     w_star=w_star)[-1].distance
         d_rad = gd_relu_transformed(corrupted, "radial-isotropic", iters=150,
-                                    w_star=spec.w_star)[-1].distance
+                                    w_star=w_star)[-1].distance
         assert d_rad < d_orig
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mixture", [False, True])
+    def test_radial_step_is_the_polar_factors(self, seed, mixture, monkeypatch):
+        # a transform A = Q P, Q orthogonal, turns the images and w' = A^{-T} w
+        # by Q, so A^T g' is the step P^T g_P of its symmetric polar factor P
+        ds, w_star = self.mixture_instance(seed) if mixture else self.make_instance(seed=seed)
+        traj = gd_relu_transformed(ds, "radial-isotropic", iters=150, w_star=w_star)
+        isotropize = relu.radial_isotropize
+
+        def polar_factor(points, *args):
+            t = isotropize(points, *args)
+            if not isinstance(t, RadialTransform):
+                return t
+            P = sym_polar(t.matrix)[0]
+            return dataclasses.replace(t, matrix=P, images=_unit_rows(_unit_rows(points) @ P.T))
+
+        monkeypatch.setattr(relu, "radial_isotropize", polar_factor)
+        reference = gd_relu_transformed(ds, "radial-isotropic", iters=150, w_star=w_star)
+        assert [s.skipped for s in traj] == [s.skipped for s in reference]
+        for step, ref in zip(traj, reference):
+            np.testing.assert_allclose(step.w, ref.w, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["w_init", "w_star"])
+    def test_parameter_of_another_dimension_is_rejected(self, name):
+        ds, _ = self.make_instance(d=4)
+        with pytest.raises(DimensionMismatch, match=name):
+            gd_relu_transformed(ds, "original", iters=1, **{name: np.ones(3)})
 
     def test_bad_mode_rejected(self):
         ds, _ = self.make_instance()
