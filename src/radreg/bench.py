@@ -292,10 +292,11 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
 def margin_fraction(w, testset, margin):
     """Fraction of the test set with |w.x - y| within the margin.
 
-    Raises DimensionMismatch unless w has the test set's dimension d.
+    Raises DimensionMismatch unless w has the test set's dimension d, and
+    ContractViolation unless the margin is finite and nonnegative.
     """
-    if margin < 0:
-        raise ContractViolation("margin must be >= 0")
+    if not (margin >= 0.0 and math.isfinite(margin)):
+        raise ContractViolation(f"margin must be finite and >= 0, got {margin}")
     if testset.m == 0:
         raise ContractViolation("empty test set")
     w = testset.parameter(w)

@@ -13,8 +13,18 @@ alternating normalization fixed point (Artstein-Avidan, Kaplan, Sharir,
 The multiplicative update does not keep A symmetric, and nothing asks it
 to: any A whose images are in position serves, and a parameter w' of the
 images reads w = A^T w' in the original coordinates. So the iterate whose
-images certified the gap is returned as it is, with those images. A
-fixed-point iteration costs one eigh of M.
+images certified the gap is returned as it is, with those images.
+
+The step needs only some A' with A'^T A' = A^T M^{-1} A, so it takes the
+Cholesky factor M = L L^T and steps A <- L^{-1} A. L^{-1} = Q M^{-1/2}
+with Q orthogonal, and A -> M(A)^{-1/2} A commutes with left rotations, so
+each iterate is the M^{-1/2} iterate turned by a rotation: the images turn
+with it, and the gaps and iteration counts are the same. The certificate
+lambda_min(M) >= 1 - gamma is the Cholesky factorization of M - (1 - gamma) I
+succeeding; eigenvalues are computed only on that exit. Iterations that
+need eigenvectors or a precise lambda_min take an eigh of M instead: the
+scheduled detector runs, the Newton steps, and near-singular spectra,
+where the rank and degeneracy tests decide (see ``_cholesky_inverse``).
 
 The fixed point converges linearly, and it crawls where only approximate
 transforms exist, as when a k-dimensional subspace holds exactly k/d of the
@@ -46,7 +56,7 @@ fixed point's own pace within a few dozen iterations. Newton steps would
 hand those a different certified transform, and a different transform can
 make a different LAD vertex optimal, which changes which noisy instances
 are recovered exactly. Sets that converge before the second detector run
-follow the fixed point exactly.
+follow the fixed point exactly, up to a left rotation.
 
 No transform exists exactly when some k-dimensional subspace holds strictly
 more than a k/d fraction of the points (Hardt & Moitra, COLT 2013). When
@@ -70,6 +80,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import ContractViolation, IsotropyStalled
 from .linalg import RANK_RTOL, OrthonormalBasis, matrix_rank, span_basis
@@ -82,6 +93,10 @@ NEWTON_AFTER = 2 * DETECT_EVERY - 1  # Newton steps from the second detector run
 NEWTON_BACKTRACKS = 20  # step halvings before a Newton step falls back
 NEWTON_RTOL = 1e-6      # relative residual above which the Newton system is singular
 ARMIJO = 1e-4           # sufficient-decrease fraction of the Newton slope
+DEGENERATE_RTOL = 1e-13  # lambda_min at most this times max(lambda_max, 1): the images collapsed
+# lambda_min certified above this times d lets a step skip eigh: above both
+# cutoffs, by a factor 2 for rounding (see _cholesky_inverse)
+CHOLESKY_RTOL = 2 * max(RANK_RTOL, DEGENERATE_RTOL)
 
 
 @dataclass
@@ -148,10 +163,15 @@ def min_isotropy_eig(points):
     return float(np.linalg.eigvalsh(second_moment(points))[0])
 
 
+def _row_norms(V):
+    """Euclidean norm of each row; the one kernel behind every unit image."""
+    return np.sqrt(np.einsum("ij,ij->i", V, V))
+
+
 def _unit_rows(points, labels=None):
     """x / |x|, or the pair (x / |x|, y / |x|) when labels are given."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
-    norms = np.linalg.norm(X, axis=1)
+    norms = _row_norms(X)
     if np.any(norms == 0.0):
         raise ContractViolation("zero vector among input points")
     if labels is None:
@@ -258,6 +278,35 @@ def _newton_moment(U, evals, evecs):
     return None
 
 
+def _cholesky_inverse(M):
+    """L^{-1} for M = L L^T, or None when eigh must take the iteration: M is
+    not positive definite to working precision, or lambda_min(M) may lie at
+    or below CHOLESKY_RTOL * d, where the rank trigger and the degeneracy
+    test decide. |L^{-1}|_F^2 = tr M^{-1} bounds lambda_min from below, and
+    tr M = d bounds lambda_max from above.
+    """
+    L, info = lapack.dpotrf(M, lower=1)
+    if info != 0:
+        return None
+    L_inv, info = lapack.dtrtri(L, lower=1, overwrite_c=1)
+    if info != 0 or not np.einsum("ij,ij->", L_inv, L_inv) * CHOLESKY_RTOL * len(M) < 1.0:
+        return None
+    return L_inv
+
+
+def _certified(A, lam_min, it, newton_steps, U):
+    """The RadialTransform of iterate A, whose images U certified lam_min."""
+    sig = np.linalg.svd(A, compute_uv=False)
+    return RadialTransform(
+        matrix=A,
+        gamma_achieved=max(0.0, 1.0 - float(lam_min)),
+        iterations_used=it,
+        log_condition_number=float(np.log(sig[0] / sig[-1])),
+        newton_steps=newton_steps,
+        images=U,
+    )
+
+
 def default_max_iters(d, gamma):
     return 10 * d * math.ceil(math.log(1.0 / gamma)) + 1000
 
@@ -303,11 +352,24 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA):
     target = 1.0 - gamma
     newton_steps = 0
     newton = True  # until a Newton step fails
+    U = Xu  # already unit, and A is still the identity at it == 0
     for it in range(max_iters + 1):
-        V = Xu if it == 0 else Xu @ A.T  # A is still the identity at it == 0
-        norms = np.linalg.norm(V, axis=1)
-        U = V / norms[:, None]
+        if it > 0:
+            V = Xu @ A.T
+            U = V / _row_norms(V)[:, None]
         M = (d / n) * (U.T @ U)
+        detect = it % DETECT_EVERY == DETECT_EVERY - 1 or it == max_iters
+        if not (detect or newton and it >= NEWTON_AFTER):
+            L_inv = _cholesky_inverse(M)
+            if L_inv is not None:
+                # no rank or degeneracy decision here (see _cholesky_inverse),
+                # and eigenvalues only on the certified exit
+                if lapack.dpotrf(M - target * np.eye(d), lower=1)[1] == 0:
+                    evals = np.linalg.eigvalsh(M)
+                    if evals[0] >= target:
+                        return _certified(A, evals[0], it, newton_steps, U)
+                A = L_inv @ A
+                continue
         evals, evecs = np.linalg.eigh(M)
         # At it == 0, M is the Gram matrix of Xu over n/d, so a rank deficit
         # (a singular value at most RANK_RTOL times the largest) puts
@@ -329,17 +391,9 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA):
             A = math.sqrt(n / d) * np.linalg.inv(R.T)
             continue
         if evals[0] >= target:
-            sig = np.linalg.svd(A, compute_uv=False)
-            return RadialTransform(
-                matrix=A,
-                gamma_achieved=max(0.0, 1.0 - float(evals[0])),
-                iterations_used=it,
-                log_condition_number=float(np.log(sig[0] / sig[-1])),
-                newton_steps=newton_steps,
-                images=U,
-            )
-        degenerate = evals[0] <= 1e-13 * max(evals[-1], 1.0)
-        if degenerate or it % DETECT_EVERY == DETECT_EVERY - 1 or it == max_iters:
+            return _certified(A, evals[0], it, newton_steps, U)
+        degenerate = evals[0] <= DEGENERATE_RTOL * max(evals[-1], 1.0)
+        if degenerate or detect:
             found = _detect_heavy(Xu, A, evecs)
             if found is not None:
                 return found

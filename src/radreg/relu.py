@@ -404,14 +404,17 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
 
     ``alpha`` defaults to 1 for transformed modes and 1/mean(|x|^2) for
     'original' (keeping raw-point step magnitudes comparable to unit-norm
-    ones). Returns the trajectory as a list of GdStep records; iterations
-    with an empty positive side or a degenerate transform keep w and are
-    flagged ``skipped``.
+    ones); a given ``alpha`` must be positive and finite, else
+    ContractViolation. Returns the trajectory as a list of GdStep records;
+    iterations with an empty positive side or a degenerate transform keep w
+    and are flagged ``skipped``.
     """
     if mode not in GD_MODES:
         raise ContractViolation(f"mode must be one of {GD_MODES}, got {mode!r}")
     if iters < 1:
         raise ContractViolation("iters must be >= 1")
+    if alpha is not None and not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ContractViolation(f"alpha must be positive and finite, got {alpha}")
     X, y = samples.x, samples.y
     m, d = X.shape
     w = np.zeros(d) if w_init is None else samples.parameter(w_init, "w_init").copy()

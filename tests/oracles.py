@@ -236,8 +236,9 @@ def isotropize_fixed_point(points, gamma, max_iters=2000):
     """The isotropy loop with the fixed-point step A <- M^{-1/2} A on every
     iteration and the heavy-subspace detector every DETECT_EVERY iterations.
 
-    Returns a RadialTransform or a verified HeavySubspace, computed with the
-    same expressions as ``radial_isotropize`` up to its first Newton step.
+    Returns a RadialTransform or a verified HeavySubspace. Up to its first
+    Newton step, ``radial_isotropize`` takes these iterates turned by a left
+    rotation (its Cholesky steps), so iteration counts and gaps agree.
     Full-rank sets only: no rank trigger and no degeneracy guard.
     """
     Xu = _unit_rows(points)

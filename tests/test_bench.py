@@ -160,6 +160,13 @@ class TestMarginFraction:
         with pytest.raises(DimensionMismatch):
             margin_fraction(w, ds, 1.0)
 
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_margin_not_finite_and_nonnegative(self, margin):
+        # NaN compares false with everything, so `margin < 0` alone lets it through
+        ds = LabeledDataset(np.ones((5, 3)), np.zeros(5))
+        with pytest.raises(ContractViolation, match="margin"):
+            margin_fraction(np.ones(3), ds, margin)
+
 
 class TestCsvRoundTrip:
     def test_two_row_hand_file(self, tmp_path):

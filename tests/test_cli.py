@@ -163,6 +163,14 @@ class TestFitCommands:
         assert code == 2
         assert strict_json(stderr)["error"] == "DimensionMismatch"
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1"])
+    def test_gd_relu_bad_alpha_is_a_contract_violation(self, alpha, tmp_path, capsys):
+        data = self.make_relu_csv(tmp_path)
+        code, stdout, stderr = run_cli(capsys, "gd-relu", "--in", str(data), f"--alpha={alpha}")
+        assert code == 2 and stdout == ""
+        error = strict_json(stderr)
+        assert error["error"] == "ContractViolation" and "alpha" in error["message"]
+
     @pytest.mark.parametrize("flag, value", [("--radius", "nan"), ("--radius", "inf"),
                                              ("--delta-min", "nan"), ("--max-steps", "-3")])
     def test_bad_search_bound_is_a_contract_violation(self, flag, value, tmp_path, capsys):
@@ -215,6 +223,16 @@ class TestBenchEval:
                                   "--w", "1,2", "--margin", "0")
         assert code == 0
         assert json.loads(stdout)["fraction"] == 1.0
+
+    @pytest.mark.parametrize("margin", ["nan", "-1"])
+    def test_eval_margin_bad_margin_is_a_contract_violation(self, margin, tmp_path, capsys):
+        data = tmp_path / "test.csv"
+        run_cli(capsys, "synth", "--d", "2", "--n", "20", "--out", str(data))
+        code, _, stderr = run_cli(capsys, "eval", "margin", "--in", str(data),
+                                  "--w", "1,2", f"--margin={margin}")
+        assert code == 2
+        error = strict_json(stderr)
+        assert error["error"] == "ContractViolation" and "margin" in error["message"]
 
     def test_eval_margin_parameter_of_another_dimension(self, tmp_path, capsys):
         data = tmp_path / "test.csv"

@@ -679,6 +679,13 @@ class TestGdReluTransformed:
         with pytest.raises(DimensionMismatch, match=name):
             gd_relu_transformed(ds, "original", iters=1, **{name: np.ones(3)})
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
+    def test_step_size_must_be_positive_and_finite(self, alpha):
+        # NaN would give a NaN trajectory, and a negative step an ascent
+        ds, _ = self.make_instance()
+        with pytest.raises(ContractViolation, match="alpha"):
+            gd_relu_transformed(ds, "radial-isotropic", alpha=alpha, iters=1)
+
     def test_bad_mode_rejected(self):
         ds, _ = self.make_instance()
         with pytest.raises(Exception):
