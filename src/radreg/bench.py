@@ -24,7 +24,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractViolation, RadregError
 from .isotropy import _unit_rows
-from .l1 import l1_fit_linear, snap_to_rational
+from .l1 import _check_positive_int, l1_fit_linear, snap_to_rational
 from .linear import RecoveryConfig, recover_linear
 from .noise import MassartSpec, corrupt_massart, gated_flip
 
@@ -52,8 +52,8 @@ class SyntheticSpec:
     w_star: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.d < 1 or self.n < 1:
-            raise ContractViolation("need d >= 1 and n >= 1")
+        self.d = _check_positive_int(self.d, "d")
+        self.n = _check_positive_int(self.n, "n")
         if self.w_star is None:
             self.w_star = default_target(self.d)
         self.w_star = np.asarray(self.w_star, dtype=float)
@@ -220,8 +220,7 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
     method only. Success is snapped-exact equality with the planted
     parameter.
     """
-    if trials < 1:
-        raise ContractViolation("trials must be >= 1")
+    trials = _check_positive_int(trials, "trials")
     if eta_grid is not None and n_grid is not None:
         raise ContractViolation("pass at most one of eta_grid / n_grid")
     if instance not in INSTANCE_FAMILIES:

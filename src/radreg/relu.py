@@ -411,8 +411,7 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
     """
     if mode not in GD_MODES:
         raise ContractViolation(f"mode must be one of {GD_MODES}, got {mode!r}")
-    if iters < 1:
-        raise ContractViolation("iters must be >= 1")
+    iters = _check_positive_int(iters, "iters")
     if alpha is not None and not (alpha > 0.0 and math.isfinite(alpha)):
         raise ContractViolation(f"alpha must be positive and finite, got {alpha}")
     X, y = samples.x, samples.y

@@ -57,6 +57,12 @@ class TestSyntheticMixture:
         assert np.array_equal(lin.x, rel.x)
         assert np.array_equal(rel.y, np.maximum(lin.y, 0.0))
 
+    @pytest.mark.parametrize("d, n", [(2.5, 10), (3, 10.0), (0, 10), (3, -1)])
+    def test_sizes_must_be_integers_of_at_least_1(self, d, n):
+        # a float d used to reach np.ones(d) and raise a bare TypeError
+        with pytest.raises(ContractViolation, match="must be an integer"):
+            SyntheticSpec(d=d, n=n)
+
     def test_outlier_family(self):
         spec = SyntheticSpec(d=5, n=200, seed=2)
         ds = make_outlier_dataset(spec, n_far=4, far_scale=100.0)
@@ -124,6 +130,11 @@ class TestExactRecoveryBench:
         # too few samples for the dimension: every trial raises inside
         rep = exact_recovery_bench(["rescaled-l1"], d=4, n=3, trials=2, seed=5)
         assert rep.rows[0].recovery_rate == 0.0
+
+    @pytest.mark.parametrize("trials", [2.5, 0])
+    def test_trials_must_be_an_integer_of_at_least_1(self, trials):
+        with pytest.raises(ContractViolation, match="trials"):
+            exact_recovery_bench(["least-squares"], d=2, n=10, trials=trials, seed=0)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ContractViolation):

@@ -287,6 +287,41 @@ class TestLadOptimal:
         assert not lad_optimal(LabeledDataset(X, y), np.array([1.0, 7.0]))
 
 
+class TestLadCandidate:
+    W_STAR = np.array([3.0, -2.0])
+
+    @classmethod
+    def tiny_rewritten_labels(cls, seed):
+        """300 unit rows in R^2, labels negated at rate 0.2, and 10 of the
+        rows nearly orthogonal to the target with their labels negated: a
+        residual of 2|y| under the target, at most about 2e-4, can rank such
+        a row into the best half."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((300, 2))
+        along = np.array([2.0, 3.0]) / np.sqrt(13.0)  # orthogonal to W_STAR
+        X[:10] = along + rng.uniform(-1e-4, 1e-4, 10)[:, None] * cls.W_STAR / 13.0
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        y = X @ cls.W_STAR
+        rewritten = rng.random(300) < 0.2
+        rewritten[:10] = True
+        y[rewritten] = -y[rewritten]
+        return LabeledDataset(X, y)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_half_holding_a_rewritten_row_is_refused(self, seed):
+        # least squares on a half that holds one of the ten rows misses that
+        # row and lands up to about 3e-7 from the target, which lad_optimal
+        # still passes within FIT_RTOL; a candidate must fit its whole half
+        w, rounds = radreg.l1.lad_candidate(self.tiny_rewritten_labels(seed))
+        np.testing.assert_allclose(w, self.W_STAR, rtol=0.0, atol=1e-12)
+        assert rounds % 2 == 0
+
+    def test_rows_that_do_not_span_give_no_candidate(self):
+        X = np.random.default_rng(3).standard_normal((60, 3))
+        X[:, 2] = 0.0
+        assert radreg.l1.lad_candidate(LabeledDataset(X, X @ [1.0, 2.0, 0.0])) == (None, 0)
+
+
 class TestL0Bruteforce:
     def test_realizable(self):
         rng = np.random.default_rng(1)

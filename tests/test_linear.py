@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radreg import linear
+from radreg import l1, linear
 from radreg.bench import SyntheticSpec, make_synthetic_dataset
 from radreg.data import LabeledDataset
 from radreg.errors import ContractViolation, InsufficientPoints, NonIdentifiable
@@ -43,14 +43,18 @@ def mixture_instance(seed, d, n, eta=0.2):
                            MassartSpec(eta, gated_flip(4.0), seed + 1))[0]
 
 
-def full_lp_snapped(ds):
-    """One transform leaf, solved on every row, built from the public parts."""
-    config = RecoveryConfig()
+def leaf_data(ds):
+    """A leaf's transform and its rescaled rows, built from the public parts."""
     n, d = ds.x.shape
     transform = radial_isotropize(ds.x, certifying_gamma(n, d))
-    U, yt = transform.apply(ds.x, ds.y)
-    w = transform.matrix.T @ l1_fit_linear(LabeledDataset(U, yt)).w
-    return snap_to_rational(w, config.max_denominator)
+    return transform, LabeledDataset(*transform.apply(ds.x, ds.y))
+
+
+def full_lp_snapped(ds):
+    """One transform leaf, solved on every row."""
+    transform, rescaled = leaf_data(ds)
+    w = transform.matrix.T @ l1_fit_linear(rescaled).w
+    return snap_to_rational(w, RecoveryConfig().max_denominator)
 
 
 PLANE_TARGET = (2.0, -1.0, 3.0)
@@ -198,65 +202,91 @@ class TestRecoverLinearRecursive:
         assert obj["model"] == "linear"
         assert obj["recursion_depth"] == 1
         assert obj["w_snapped"]["values"] == [3.0, -2.0]
-        # both dim-1 leaves (180 and 120 points) certify their 3-row subset
+        # both dim-1 leaves (180 and 120 points) certify a candidate at the
+        # first check, round 2, and solve no LP
         leaves = [e for e in obj["recursion_trace"] if e["outcome"] == "transform"]
-        assert [(e["lp_rows"], e["lp_solves"]) for e in leaves] == [(3, 1), (3, 1)]
+        assert [(e["irls_rounds"], e["lp_rows"], e["lp_solves"], e["lp_iterations"])
+                for e in leaves] == [(2, 0, 0, 0), (2, 0, 0, 0)]
         # dim-1 leaves converge long before the first detector run
         assert [e["isotropy"]["newton_steps"] for e in leaves] == [0, 0]
 
 
-class TestSubsetAndCertify:
-    """A leaf with n >= 6d rows solves its LP on 3d of them first."""
+class TestCandidateAndCertify:
+    """A leaf with n >= 6d rows tries lad_candidate before the LP."""
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_certified_subset_matches_the_full_lp(self, seed):
+    def test_certified_candidate_matches_the_full_lp(self, seed):
         ds = mixture_instance(seed, d=5, n=200)
         report = recover_linear(ds)
         (leaf,) = report.recursion_trace
-        assert (leaf["lp_rows"], leaf["lp_solves"]) == (15, 1)
+        assert leaf["irls_rounds"] >= 2
+        assert (leaf["lp_rows"], leaf["lp_solves"], leaf["lp_iterations"]) == (0, 0, 0)
         assert report.w_snapped == full_lp_snapped(ds)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 0.3, 0.45])
+    def test_the_candidate_is_the_full_lp_answer_up_to_eta_045(self, eta, seed):
+        ds = mixture_instance(seed, d=5, n=200, eta=eta)
+        transform, rescaled = leaf_data(ds)
+        w, rounds = l1.lad_candidate(rescaled)
+        assert w is not None
+        assert 2 <= rounds <= l1.IRLS_ROUNDS and rounds % 2 == 0
+        assert snap_to_rational(transform.matrix.T @ w, 10**6) == full_lp_snapped(ds)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_a_majority_fit_off_the_optimum_is_refused(self, seed):
-        # the 9-row subset LPs of seeds 2 and 3 take the third coordinate
-        # from rewritten points; the answer fits every point of the plane,
-        # a majority, but does not minimize the LP on all 200 rows
+        # the best-ranked half of the rows lies on the plane, where every
+        # third coordinate fits, so lad_candidate gives none at its first
+        # check and the LP on all 200 rows takes the third coordinate from
+        # the points off the plane, not from the rewritten ones
         ds = plane_instance(seed)
         report = recover_linear(ds)
+        (leaf,) = report.recursion_trace
+        assert (leaf["irls_rounds"], leaf["lp_rows"], leaf["lp_solves"]) == (2, 200, 1)
         assert report.w_snapped == full_lp_snapped(ds)
         assert report.w_snapped.to_fractions() == fractions_of(PLANE_TARGET)
 
     def test_failed_certificate_falls_back_to_the_full_lp(self, monkeypatch):
         rows, iterations = [], []
 
-        def first_answer_perturbed(samples):
+        def recorded(samples):
             fit = l1_fit_linear(samples)
             rows.append(samples.m)
             iterations.append(fit.iterations)
-            if len(rows) == 1:
-                fit.w = fit.w + 0.5
             return fit
 
-        monkeypatch.setattr(linear, "l1_fit_linear", first_answer_perturbed)
+        monkeypatch.setattr(l1, "lad_optimal", lambda samples, w: False)
+        monkeypatch.setattr(linear, "l1_fit_linear", recorded)
         ds = mixture_instance(0, d=5, n=200)
         report = recover_linear(ds)
         (leaf,) = report.recursion_trace
-        assert rows == [15, 200]
-        assert (leaf["lp_rows"], leaf["lp_solves"]) == (200, 2)
-        # the iterations of both solves, the refused one included
-        assert leaf["lp_iterations"] == sum(iterations)
-        assert min(iterations) > 0
+        assert rows == [200]
+        assert leaf["irls_rounds"] == l1.IRLS_ROUNDS
+        assert (leaf["lp_rows"], leaf["lp_solves"]) == (200, 1)
+        assert leaf["lp_iterations"] == iterations[0] > 0
         assert report.w_snapped == full_lp_snapped(ds)
 
-    @pytest.mark.parametrize("n, lp_rows", [(29, 29), (30, 15)])
-    def test_the_subset_needs_6d_rows(self, n, lp_rows):
-        # below 6d rows the level makes one solve on all of them
+    @pytest.mark.parametrize("n, lp_solves", [(29, 1), (30, 0)])
+    def test_the_candidate_needs_6d_rows(self, n, lp_solves):
+        # below 6d rows the level makes one solve on all of them and tries
+        # no candidate
         w_star = [2.0, -1.0, 3.0, 0.0, 5.0]
         report = recover_linear(realizable(n, n, 5, w_star))
         (leaf,) = report.recursion_trace
-        assert (leaf["lp_rows"], leaf["lp_solves"]) == (lp_rows, 1)
-        assert leaf["lp_iterations"] > 0
+        assert leaf["lp_solves"] == lp_solves
+        assert leaf["lp_rows"] == lp_solves * n
+        assert (leaf["lp_iterations"] > 0) == (lp_solves == 1)
+        assert (leaf["irls_rounds"] > 0) == (lp_solves == 0)
         assert report.w_snapped.to_fractions() == fractions_of(w_star)
+
+    def test_a_sweep_sized_leaf_never_calls_the_candidate(self, monkeypatch):
+        def refuse(samples):
+            raise AssertionError("lad_candidate called below 6d rows")
+
+        monkeypatch.setattr(linear, "lad_candidate", refuse)
+        report = recover_linear(mixture_instance(0, d=30, n=120))
+        (leaf,) = report.recursion_trace
+        assert (leaf["irls_rounds"], leaf["lp_rows"], leaf["lp_solves"]) == (0, 120, 1)
 
 
 def flipped_instance(seed, m, d, eta=0.25):
@@ -267,12 +297,14 @@ def flipped_instance(seed, m, d, eta=0.25):
 
 
 TURNED_LEAVES = {
-    # the subset answer certified
+    # the candidate certified
     "mixture, 120 x 5": lambda seed: mixture_instance(seed, 5, 120),
     # below 6d rows: one solve on every row
     "flipped, 20 x 4": lambda seed: flipped_instance(seed, 20, 4),
-    # seed 1 refuses the subset answer and solves again on every row
+    # the candidate certified at round 4
     "flipped, 200 x 6": lambda seed: flipped_instance(seed, 200, 6),
+    # no candidate: the best half of the rows does not span; one solve
+    "plane, 200 x 3": plane_instance,
 }
 
 
@@ -292,7 +324,9 @@ class TestEquivariance:
         w_turned, lp_turned = linear._fit_leaf(turned, ds.x, ds.y)
         np.testing.assert_allclose(w_turned, w, rtol=0.0, atol=1e-9)
         assert snap_to_rational(w_turned, 10**6) == snap_to_rational(w, 10**6)
-        assert (lp_turned["lp_rows"], lp_turned["lp_solves"]) == (lp["lp_rows"], lp["lp_solves"])
+        # only the simplex's iteration count depends on the orientation
+        same = ("irls_rounds", "lp_rows", "lp_solves")
+        assert [lp_turned[k] for k in same] == [lp[k] for k in same]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_diagonal_map(self, seed):
@@ -335,8 +369,9 @@ def test_per_point_rescaling_leaves_the_snapped_output_unchanged(seed, exponents
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(64)))
 def test_row_permutation_leaves_the_snapped_output_unchanged(seed, perm):
-    # at n = 8d the LP first sees a fixed-seed subset of the rows, so this
-    # checks that the choice of subset does not leak into the output
+    # at n = 8d the leaf first tries lad_candidate, whose choice of rows
+    # breaks ties in residual by position, so this checks that the choice
+    # does not leak into the output
     corrupted = mixture_instance(seed, d=8, n=64)
     permuted = LabeledDataset(corrupted.x[list(perm)], corrupted.y[list(perm)])
     expected = recover_linear(corrupted).w_snapped
@@ -392,6 +427,12 @@ class TestRetries:
         report = recover_linear(LabeledDataset(X * scale, y * scale))
         assert not report.majority_certified
         assert report.inlier_fraction == pytest.approx(2 / 30)
+
+    @pytest.mark.parametrize("retries", [0, 2.5])
+    def test_retries_must_be_an_integer_of_at_least_1(self, retries):
+        # retries=0 used to return (None, 0), which reads as every attempt raising
+        with pytest.raises(ContractViolation, match="retries"):
+            recover_with_retries(lambda attempt: None, recover_linear, retries=retries)
 
     def test_all_failures_returns_last(self):
         def sampler(attempt):

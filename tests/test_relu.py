@@ -686,6 +686,12 @@ class TestGdReluTransformed:
         with pytest.raises(ContractViolation, match="alpha"):
             gd_relu_transformed(ds, "radial-isotropic", alpha=alpha, iters=1)
 
+    @pytest.mark.parametrize("iters", [2.5, 0])
+    def test_iteration_count_must_be_an_integer_of_at_least_1(self, iters):
+        ds, _ = self.make_instance()
+        with pytest.raises(ContractViolation, match="iters"):
+            gd_relu_transformed(ds, "original", iters=iters)
+
     def test_bad_mode_rejected(self):
         ds, _ = self.make_instance()
         with pytest.raises(Exception):
