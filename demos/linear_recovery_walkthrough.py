@@ -18,16 +18,16 @@ from radreg import (
     recover_linear,
     snap_to_rational,
 )
-from radreg.bench import SyntheticSpec, make_outlier_dataset
+from radreg.bench import OUTLIER_SCALE, SyntheticSpec, make_outlier_dataset
 from radreg.noise import corrupt_massart
 
 d, n, eta = 5, 200, 0.25
 w_star = np.array([1.0, 10.0, 1.0, 1.0, 1.0])
 
 spec = SyntheticSpec(d=d, n=n, seed=7, w_star=w_star)
-clean = make_outlier_dataset(spec, n_far=4, far_scale=100.0)
+clean = make_outlier_dataset(spec)  # OUTLIER_COUNT far points of norm ~OUTLIER_SCALE
 corrupted, record = corrupt_massart(
-    clean, MassartSpec(eta, gated_flip(50.0), seed=11)
+    clean, MassartSpec(eta, gated_flip(OUTLIER_SCALE / 2.0), seed=11)
 )
 print(f"dataset: {n} samples in R^{d}, {record.mask.sum()} labels corrupted "
       f"(far points only, flipped to the negated clean value)")

@@ -27,23 +27,11 @@ from .isotropy import (
     HeavySubspace,
     RadialTransform,
     find_heavy_subspace,
-    min_isotropy_eig,
     radial_isotropize,
-    second_moment,
 )
-from .l1 import (
-    L1FitResult,
-    RationalVector,
-    l1_fit_linear,
-    snap_to_rational,
-)
-from .linalg import OrthonormalBasis, inv_sqrt_psd, orthonormal_complement, sym_eigendecomp
-from .linear import (
-    RecoveryConfig,
-    RecoveryReport,
-    recover_linear,
-    recover_with_retries,
-)
+from .l1 import L1FitResult, RationalVector, l1_fit_linear, snap_to_rational
+from .linalg import OrthonormalBasis, inv_sqrt_psd, orthonormal_complement
+from .linear import RecoveryConfig, RecoveryReport, recover_linear
 from .noise import (
     AnyCoordAbove,
     Constant,

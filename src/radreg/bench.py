@@ -86,23 +86,27 @@ def make_synthetic_dataset(spec, model="linear"):
     return _labeled(sample_synthetic_mixture(spec), spec.w_star, model)
 
 
-def make_outlier_dataset(spec, model="linear", n_far=4, far_scale=100.0):
-    """Dense cluster at e1 plus a handful of axis-aligned far outliers.
+OUTLIER_COUNT = 4      # far points of the outlier family
+OUTLIER_SCALE = 100.0  # their approximate norm
 
-    The far points have norm ~far_scale, so a single flipped far label can
-    dominate the raw l1 objective along its axis while the clean cluster
+
+def make_outlier_dataset(spec, model="linear"):
+    """Dense cluster at e1 plus OUTLIER_COUNT axis-aligned far outliers.
+
+    The far points have norm ~OUTLIER_SCALE, so a single flipped far label
+    can dominate the raw l1 objective along its axis while the clean cluster
     mass is far too small to resist; rescaling neutralizes exactly this.
-    Pair with a gate at far_scale / 2 so only the outliers are corruptible.
+    Pair with a gate at OUTLIER_SCALE / 2 so only the outliers are corruptible.
     """
-    if not 0 < n_far < spec.n:
-        raise ContractViolation("need 0 < n_far < n")
+    if not OUTLIER_COUNT < spec.n:
+        raise ContractViolation(f"need n > OUTLIER_COUNT = {OUTLIER_COUNT}")
     rng = np.random.default_rng(spec.seed)
     d, n = spec.d, spec.n
-    near = rng.standard_normal((n - n_far, d)) / d
+    near = rng.standard_normal((n - OUTLIER_COUNT, d)) / d
     near[:, 0] += 1.0
-    comps = rng.integers(0, d, size=n_far)
-    far = rng.standard_normal((n_far, d)) / d
-    far[np.arange(n_far), comps] += far_scale
+    comps = rng.integers(0, d, size=OUTLIER_COUNT)
+    far = rng.standard_normal((OUTLIER_COUNT, d)) / d
+    far[np.arange(OUTLIER_COUNT), comps] += OUTLIER_SCALE
     return _labeled(np.vstack([near, far])[rng.permutation(n)], spec.w_star, model)
 
 
@@ -208,24 +212,23 @@ def _trial_seeds(seed, grid_idx, trial):
 
 def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=None,
                          trials=200, seed=0, w_star=None,
-                         max_denominator=10**6, ridge_coeff=1.0,
-                         instance="mixture", n_far=4, far_scale=100.0):
+                         max_denominator=10**6, instance="mixture"):
     """Exact-recovery rates over a noise grid or a sample-size grid.
 
     One of eta_grid / n_grid selects the sweep (a single point is used when
     both are None). ``instance`` picks the covariate family: "mixture" (the
     reference Gaussian mixture, gate at d/2) or "outlier" (cluster plus far
-    outliers, gate at far_scale/2). Every method sees the same corrupted
+    outliers, gate at OUTLIER_SCALE/2). Every method sees the same corrupted
     dataset per trial; a trial crash counts as a failure for the crashing
     method only. Success is snapped-exact equality with the planted
-    parameter.
+    parameter. The ridge baseline takes ``method_registry``'s coefficient.
     """
     trials = _check_positive_int(trials, "trials")
     if eta_grid is not None and n_grid is not None:
         raise ContractViolation("pass at most one of eta_grid / n_grid")
     if instance not in INSTANCE_FAMILIES:
         raise ContractViolation(f"instance must be one of {INSTANCE_FAMILIES}")
-    registry = method_registry(ridge_coeff)
+    registry = method_registry()
     unknown = [name for name in methods if name not in registry]
     if unknown:
         raise ContractViolation(f"unknown methods: {unknown}")
@@ -248,7 +251,7 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
         "instance": instance,
     })
 
-    strategy = gated_flip(d / 2.0 if instance == "mixture" else far_scale / 2.0)
+    strategy = gated_flip(d / 2.0 if instance == "mixture" else OUTLIER_SCALE / 2.0)
     for gi, gval in enumerate(grid):
         cur_eta = float(gval) if grid_param == "eta" else eta
         cur_n = int(gval) if grid_param == "n" else n
@@ -260,7 +263,7 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
             if instance == "mixture":
                 clean = make_synthetic_dataset(spec, model="linear")
             else:
-                clean = make_outlier_dataset(spec, n_far=n_far, far_scale=far_scale)
+                clean = make_outlier_dataset(spec)
             corrupted, _ = corrupt_massart(
                 clean, MassartSpec(cur_eta, strategy, noise_seed)
             )

@@ -16,12 +16,10 @@ import numpy as np
 
 from . import bench
 from .data import load_dataset_csv, save_dataset_csv
-from .errors import RadregError
+from .errors import ContractViolation, RadregError
 from .linear import RecoveryConfig, recover_linear
-from .noise import (Constant, FlipNegate, MassartSpec, Scale, corrupt_massart, gated_flip,
-                    strategy_from_json)
-from .relu import (GD_MODES, EllipsoidConfig, ellipsoid_recover_relu, gd_relu_transformed,
-                   trajectory_csv_rows)
+from .noise import FlipNegate, MassartSpec, corrupt_massart, strategy_from_json
+from .relu import GD_MODES, EllipsoidConfig, ellipsoid_recover_relu, gd_relu_transformed
 
 
 def _parse_vector(text):
@@ -29,16 +27,20 @@ def _parse_vector(text):
 
 
 def _parse_strategy(text):
+    """--strategy as JSON, or a shorthand read as the JSON form it stands for."""
+    kind, colon, value = text.partition(":")
     if text.lstrip().startswith("{"):
-        return strategy_from_json(json.loads(text))
+        try:
+            return strategy_from_json(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ContractViolation(f"--strategy is not valid JSON: {exc}") from None
     if text == "flip-negate":
         return FlipNegate()
-    if text.startswith("scale:"):
-        return Scale(float(text.split(":", 1)[1]))
-    if text.startswith("constant:"):
-        return Constant(float(text.split(":", 1)[1]))
-    if text.startswith("gated-flip:"):
-        return gated_flip(float(text.split(":", 1)[1]))
+    if colon and kind in ("scale", "constant"):
+        return strategy_from_json({"kind": kind, "factor" if kind == "scale" else "value": value})
+    if colon and kind == "gated-flip":
+        return strategy_from_json({"kind": "gated", "inner": {"kind": "flip-negate"},
+                                   "predicate": {"kind": "any-coord-above", "threshold": value}})
     raise RadregError(f"unrecognized strategy {text!r}")
 
 
@@ -105,15 +107,14 @@ def _cmd_gd_relu(args):
     trajectory = gd_relu_transformed(
         dataset, args.mode, alpha=args.alpha, iters=args.iters, w_star=w_star,
     )
-    rows = trajectory_csv_rows(trajectory)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["iter", "loss", "distance"])
-            writer.writerows(rows)
+            writer.writerows((step.iteration, step.loss, step.distance) for step in trajectory)
     final = trajectory[-1]
     # without --w-star the distance is NaN, which strict JSON has no literal for
-    print(json.dumps({"iters": len(rows), "final_loss": final.loss,
+    print(json.dumps({"iters": len(trajectory), "final_loss": final.loss,
                       "final_distance": None if w_star is None else final.distance,
                       "w": [float(v) for v in final.w]}))
 
@@ -127,7 +128,7 @@ def _cmd_bench_recovery(args):
         trials=args.trials, seed=args.seed,
         max_denominator=args.max_denominator,
         w_star=_parse_vector(args.w_star) if args.w_star else None,
-        instance=args.instance, ridge_coeff=args.ridge_coeff,
+        instance=args.instance,
     )
     _emit(report.to_json(include_timing=args.timing), args.out)
 
@@ -200,7 +201,6 @@ def build_parser():
     p.add_argument("--w-star", default=None)
     p.add_argument("--methods", default="rescaled-l1,naive-l1,normalized-l1,least-squares")
     p.add_argument("--instance", choices=["mixture", "outlier"], default="mixture")
-    p.add_argument("--ridge-coeff", type=float, default=1.0)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench_recovery)

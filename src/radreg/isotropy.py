@@ -151,18 +151,6 @@ class HeavySubspace:
         return self.basis.ambient_dim
 
 
-def second_moment(points):
-    """Normalized second moment (d/n) sum of unit-row outer products."""
-    U = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = U.shape
-    return (d / n) * (U.T @ U)
-
-
-def min_isotropy_eig(points):
-    """Smallest eigenvalue of the normalized second moment of unit rows."""
-    return float(np.linalg.eigvalsh(second_moment(points))[0])
-
-
 def _row_norms(V):
     """Euclidean norm of each row; the one kernel behind every unit image."""
     return np.sqrt(np.einsum("ij,ij->i", V, V))

@@ -80,9 +80,13 @@ def exact_fit_mask(pred, y):
     return np.abs(np.asarray(pred) - y) <= FIT_RTOL * (1.0 + np.abs(y))
 
 
-def _fit_scales(norms):
-    """Row norms with 0 read as 1: the divisors of predictions and labels."""
-    return np.where(norms > 0.0, norms, 1.0)
+def _row_scales(X, y):
+    """Row norms of X, the divisors made of them (0 read as 1), and y over
+    those: the majority certificates judge predictions p of the rows as
+    exact_fit_mask(p / scales, y_scaled), each point on (x/|x|, y/|x|)."""
+    norms = np.linalg.norm(X, axis=1)
+    scales = np.where(norms > 0.0, norms, 1.0)
+    return norms, scales, y / scales
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Everything here operates on plain float ndarrays. The heavy lifting is
 delegated to LAPACK through numpy/scipy; this module pins down the contracts
-(symmetry checks, descending eigenvalue order, orthonormality validation,
-one rank cutoff) that the rest of the package relies on.
+(symmetry checks, orthonormality validation, one rank cutoff) that the
+rest of the package relies on.
 """
 
 from dataclasses import dataclass
@@ -66,13 +66,6 @@ def _symmetrized(M):
     if not np.all(np.abs(M - M.T) <= SYM_RTOL * np.maximum(1.0, np.abs(M))):
         raise ContractViolation("matrix is not symmetric within tolerance")
     return 0.5 * (M + M.T)
-
-
-def sym_eigendecomp(M):
-    """Eigenvalues of a symmetric M, descending, and the OrthonormalBasis
-    whose column i is the unit eigenvector paired with eigenvalue i."""
-    evals, evecs = np.linalg.eigh(_symmetrized(M))
-    return evals[::-1].copy(), OrthonormalBasis(evecs[:, ::-1].copy())
 
 
 def inv_sqrt_psd(M):

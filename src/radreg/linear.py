@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import InsufficientPoints, NonIdentifiable, RadregError
+from .errors import InsufficientPoints, NonIdentifiable
 from .isotropy import RadialTransform, certifying_gamma, radial_isotropize
-from .l1 import (RationalVector, _check_positive_int, _fit_scales, exact_fit_mask,
+from .l1 import (RationalVector, _check_positive_int, _row_scales, exact_fit_mask,
                  l1_fit_linear, lad_candidate, snap_to_rational)
 from .linalg import orthonormal_complement
 
@@ -171,14 +171,14 @@ def recover_linear(samples, config=None):
     NonIdentifiable is raised; fewer nonzero covariates than dimensions at
     any level raise InsufficientPoints. Zero covariates are excluded from
     the fits but counted in the per-level trace. ``inlier_fraction`` judges
-    each point on (x/|x|, y/|x|), see ``l1._fit_scales``.
+    each point on (x/|x|, y/|x|), see ``l1._row_scales``.
     """
     config = config or RecoveryConfig()
     trace = []
     w_hat = _recover(samples.x, samples.y, 0, "root", trace)
     snapped = snap_to_rational(w_hat, config.max_denominator)
-    scales = _fit_scales(np.linalg.norm(samples.x, axis=1))
-    fits = exact_fit_mask((samples.x @ snapped.to_floats()) / scales, samples.y / scales)
+    _, scales, y_scaled = _row_scales(samples.x, samples.y)
+    fits = exact_fit_mask((samples.x @ snapped.to_floats()) / scales, y_scaled)
     frac = float(fits.mean())
     return RecoveryReport(
         w_hat=w_hat,
@@ -187,27 +187,3 @@ def recover_linear(samples, config=None):
         recursion_trace=trace,
         majority_certified=frac >= 0.5,
     )
-
-
-def recover_with_retries(sampler, recover, retries=3):
-    """Rerun recovery on fresh samples until the majority certificate holds.
-
-    ``sampler(attempt)`` must return a fresh LabeledDataset (derive the seed
-    from the attempt index); ``recover(samples)`` returns a RecoveryReport.
-    Returns (report, attempts_used); the report is the first certified one,
-    else the last obtained, else None when every attempt raised. ``retries``
-    must be an integer >= 1, else ContractViolation.
-    """
-    retries = _check_positive_int(retries, "retries")
-    last = None
-    attempts = 0
-    for attempt in range(retries):
-        attempts = attempt + 1
-        try:
-            report = recover(sampler(attempt))
-        except RadregError:
-            continue
-        if report.majority_certified:
-            return report, attempts
-        last = report
-    return last, attempts

@@ -37,16 +37,6 @@ class AnyCoordAbove:
         return {"kind": "any-coord-above", "threshold": self.threshold}
 
 
-_PREDICATES = {"any-coord-above": lambda obj: AnyCoordAbove(float(obj["threshold"]))}
-
-
-def predicate_from_json(obj):
-    try:
-        return _PREDICATES[obj["kind"]](obj)
-    except KeyError:
-        raise ContractViolation(f"unknown predicate kind {obj.get('kind')!r}") from None
-
-
 # --- corruption strategies ---------------------------------------------------
 #
 # A strategy answers two questions for the flagged samples: which of them the
@@ -120,17 +110,33 @@ class Gated:
         }
 
 
+def _number(obj, key):
+    """float(obj[key]), or ContractViolation naming ``key``."""
+    try:
+        return float(obj[key])
+    except (KeyError, TypeError, ValueError):
+        raise ContractViolation(f"field {key!r} of {obj!r} is missing or not a number") from None
+
+
 def strategy_from_json(obj):
-    kind = obj.get("kind")
+    """The strategy whose ``to_json`` is ``obj``. ContractViolation names an
+    unknown kind, or the field that is missing or not a number."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "flip-negate":
         return FlipNegate()
     if kind == "scale":
-        return Scale(float(obj["factor"]))
+        return Scale(_number(obj, "factor"))
     if kind == "constant":
-        return Constant(float(obj["value"]))
+        return Constant(_number(obj, "value"))
     if kind == "gated":
-        return Gated(predicate_from_json(obj["predicate"]), strategy_from_json(obj["inner"]))
-    raise ContractViolation(f"unknown strategy kind {kind!r}")
+        predicate = obj.get("predicate")
+        if not (isinstance(predicate, dict) and predicate.get("kind") == "any-coord-above"):
+            raise ContractViolation(
+                f"field 'predicate' of {obj!r} must be an any-coord-above predicate")
+        return Gated(AnyCoordAbove(_number(predicate, "threshold")),
+                     strategy_from_json(obj.get("inner")))
+    raise ContractViolation(f"unknown strategy {obj!r}: its 'kind' is none of "
+                            "flip-negate, scale, constant, gated")
 
 
 def gated_flip(threshold):
@@ -154,10 +160,6 @@ class MassartSpec:
 
     def to_json(self):
         return {"eta": self.eta, "strategy": self.strategy.to_json(), "seed": self.seed}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(float(obj["eta"]), strategy_from_json(obj["strategy"]), int(obj["seed"]))
 
 
 @dataclass

@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ContractViolation, HalfspaceEmpty, NoRecovery, RadregError, SingularMatrix
+from .errors import (ContractViolation, HalfspaceEmpty, InsufficientPoints, NoRecovery,
+                     RadregError, SingularMatrix)
 from .isotropy import RadialTransform, _unit_rows, certifying_gamma, radial_isotropize
-from .l1 import _check_positive_int, _fit_scales, exact_fit_mask, snap_to_rational
+from .l1 import _check_positive_int, _row_scales, exact_fit_mask, snap_to_rational
 from .linalg import inv_sqrt_psd
 from .linear import RecoveryReport, _in_v, _off_v
 
@@ -145,28 +146,23 @@ def _tally(sub_results, iterations=0):
     }
 
 
-def _row_scales(X, y):
-    """Row norms of X, the divisors ``l1._fit_scales`` makes of them, and y
-    divided by those: what the majority certificates judge points on."""
-    norms = np.linalg.norm(X, axis=1)
-    scales = _fit_scales(norms)
-    return norms, scales, y / scales
-
-
 def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
     """Separation oracle for the ReLU l1 landscape at query w0.
 
     Accepts when ReLU(w0 . x) fits at least half the samples (x/|x|, y/|x|)
     within FIT_RTOL. Otherwise cuts using the rescaled subgradient of the
     positive-side points; on subspace concentration, recurses as described
-    in the module docstring. Raises HalfspaceEmpty when no sample lies on the closed
-    positive side (the halfspace-mass assumption is violated). ``_start`` is
+    in the module docstring. Raises InsufficientPoints on a dataset with no
+    rows, and HalfspaceEmpty when no sample lies on the closed positive side
+    (the halfspace-mass assumption is violated). ``_start`` is
     the previous cut's transform (the warm start of the module docstring)
-    and ``_rows`` is ``_row_scales(samples.x, samples.y)``;
+    and ``_rows`` is ``l1._row_scales(samples.x, samples.y)``;
     ``ellipsoid_recover_relu`` passes both at depth 0.
     """
     X, y = samples.x, samples.y
     m, d = X.shape
+    if m == 0:  # else the empty majority check would accept any query
+        raise InsufficientPoints(f"no samples at depth {_depth}", level=_depth)
     w0 = np.asarray(w0, dtype=float)
     z = X @ w0
     norms, scales, y_scaled = _row_scales(X, y) if _rows is None else _rows
@@ -300,11 +296,13 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     ``final_radius``, ``oracle_calls`` and ``isotropy_iterations``. Raises
     NoRecovery when steps or the ellipsoid radius run out, or when the
     shape stops being positive definite; its JSON-safe ``diagnostics`` hold
-    the final ``center`` (a list), ``radius`` and ``steps``. HalfspaceEmpty
-    propagates.
+    the final ``center`` (a list), ``radius`` and ``steps``. Raises
+    InsufficientPoints on a dataset with no rows; HalfspaceEmpty propagates.
     """
     X, y = samples.x, samples.y
     m, d = X.shape
+    if m == 0:  # else the empty majority check would certify the first center
+        raise InsufficientPoints("no samples to certify a parameter on")
     rows = _row_scales(X, y)
     _, scales, y_scaled = rows
     state = EllipsoidState(
@@ -404,23 +402,25 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
 
     ``alpha`` defaults to 1 for transformed modes and 1/mean(|x|^2) for
     'original' (keeping raw-point step magnitudes comparable to unit-norm
-    ones); a given ``alpha`` must be positive and finite, else
-    ContractViolation. Returns the trajectory as a list of GdStep records;
-    iterations with an empty positive side or a degenerate transform keep w
-    and are flagged ``skipped``.
+    ones); a given ``alpha`` must be positive and finite, and so must the
+    default of 'original', else ContractViolation. Returns the trajectory as
+    a list of GdStep records; iterations with an empty positive side or a
+    degenerate transform keep w and are flagged ``skipped``.
     """
     if mode not in GD_MODES:
         raise ContractViolation(f"mode must be one of {GD_MODES}, got {mode!r}")
     iters = _check_positive_int(iters, "iters")
-    if alpha is not None and not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ContractViolation(f"alpha must be positive and finite, got {alpha}")
     X, y = samples.x, samples.y
     m, d = X.shape
+    if alpha is None:
+        mean_sq = float(np.mean(np.sum(X * X, axis=1))) if m else 0.0
+        alpha = 1.0 if mode != "original" else 1.0 / mean_sq if mean_sq > 0.0 else math.inf
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ContractViolation(f"alpha must be positive and finite, got {alpha} "
+                                "(mode 'original' defaults it to 1/mean|x|^2)")
     w = np.zeros(d) if w_init is None else samples.parameter(w_init, "w_init").copy()
     if w_star is not None:
         w_star = samples.parameter(w_star, "w_star")
-    if alpha is None:
-        alpha = 1.0 if mode != "original" else 1.0 / float(np.mean(np.sum(X * X, axis=1)))
 
     norms = np.linalg.norm(X, axis=1)
     trajectory = []
@@ -458,8 +458,3 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
         dist = math.nan if w_star is None else float(np.linalg.norm(w - w_star))
         trajectory.append(GdStep(it, w.copy(), dist, loss, skipped))
     return trajectory
-
-
-def trajectory_csv_rows(trajectory):
-    """Rows (iter, loss, distance) ready for csv.writer."""
-    return [(step.iteration, step.loss, step.distance) for step in trajectory]

@@ -1,6 +1,8 @@
 """Test oracles: brute-force l0 fitting, the structural-condition check, the
 exact existence test for radial-isotropic transforms, and the direct forms
 of the isotropy layer's shortcuts.
+``min_isotropy_eig`` is the isotropy check itself: lambda_min of the
+normalized second moment (``second_moment``) of unit rows.
 
 The first three enumerate (sample subsets, directions on a grid, or point
 subsets), so they only run at desk scale. The tests compare the library's
@@ -29,7 +31,6 @@ from radreg.isotropy import (
     _verify_candidate,
     certifying_gamma,
     radial_isotropize,
-    second_moment,
 )
 from radreg.l1 import exact_fit_mask
 from radreg.linalg import matrix_rank, span_basis
@@ -196,6 +197,19 @@ def detect_heavy_per_candidate(Xu, A, M):
             if found is not None:
                 return found
     return None
+
+
+def second_moment(points):
+    """Normalized second moment (d/n) sum of unit-row outer products."""
+    U = np.atleast_2d(np.asarray(points, dtype=float))
+    n, d = U.shape
+    return (d / n) * (U.T @ U)
+
+
+def min_isotropy_eig(points):
+    """Smallest eigenvalue of the normalized second moment of unit rows: the
+    quantity a gamma-approximate radial-isotropic set keeps at 1 - gamma or more."""
+    return float(np.linalg.eigvalsh(second_moment(points))[0])
 
 
 def rank_deficient_span(Xu):

@@ -13,7 +13,7 @@ import pytest
 from radreg.bench import SyntheticSpec, exact_recovery_bench, make_synthetic_dataset
 from radreg.data import LabeledDataset
 from radreg.errors import RadregError
-from radreg.isotropy import RadialTransform, min_isotropy_eig, radial_isotropize
+from radreg.isotropy import RadialTransform, radial_isotropize
 from radreg.l1 import FIT_RTOL, l1_fit_linear, snap_to_rational
 from radreg.linear import recover_linear
 from radreg.noise import (
@@ -31,7 +31,8 @@ from radreg.relu import (
     sep_oracle,
 )
 
-from oracles import check_structural_condition, l0_fit_bruteforce, oracle_transform
+from oracles import (check_structural_condition, l0_fit_bruteforce, min_isotropy_eig,
+                     oracle_transform)
 
 
 def _report(num, desc, ok, detail=""):

@@ -65,7 +65,7 @@ class TestSyntheticMixture:
 
     def test_outlier_family(self):
         spec = SyntheticSpec(d=5, n=200, seed=2)
-        ds = make_outlier_dataset(spec, n_far=4, far_scale=100.0)
+        ds = make_outlier_dataset(spec)
         norms = np.linalg.norm(ds.x, axis=1)
         assert (norms > 50.0).sum() == 4
 

@@ -59,6 +59,9 @@ class TestSynthCorrupt:
         ("scale:2", {"kind": "scale", "factor": 2.0}),
         ("constant:-1.5", {"kind": "constant", "value": -1.5}),
         ('{"kind": "scale", "factor": 3}', {"kind": "scale", "factor": 3.0}),
+        ("gated-flip:2", {"kind": "gated",
+                          "predicate": {"kind": "any-coord-above", "threshold": 2.0},
+                          "inner": {"kind": "flip-negate"}}),
     ])
     def test_corrupt_strategy_spellings(self, strategy, expected, tmp_path, capsys):
         data = tmp_path / "clean.csv"
@@ -256,3 +259,20 @@ class TestErrorContract:
         code, _, stderr = run_cli(capsys, "fit-linear", "--in", str(bad))
         assert code != 0
         assert json.loads(stderr)["error"] == "MalformedCsv"
+
+    @pytest.mark.parametrize("strategy, named", [
+        ('{"kind": "scale"}', "'factor'"),
+        ("scale:abc", "'factor'"),
+        ("gated-flip:", "'threshold'"),
+        ("{bad", "not valid JSON"),
+    ])
+    def test_malformed_strategy_is_a_contract_violation(self, strategy, named, tmp_path,
+                                                        capsys):
+        # these used to exit with a bare KeyError, ValueError or JSONDecodeError
+        data = tmp_path / "clean.csv"
+        run_cli(capsys, "synth", "--d", "2", "--n", "20", "--out", str(data))
+        code, _, stderr = run_cli(capsys, "corrupt", "--in", str(data), "--eta", "0.2",
+                                  "--strategy", strategy, "--out", str(tmp_path / "out.csv"))
+        err = json.loads(stderr)
+        assert code == 2 and err["error"] == "ContractViolation"
+        assert named in err["message"]

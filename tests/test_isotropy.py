@@ -7,7 +7,9 @@ from oracles import (
     detect_heavy_per_candidate,
     isotropize_fixed_point,
     isotropize_polar_every_step,
+    min_isotropy_eig,
     rank_deficient_span,
+    second_moment,
     sym_polar,
 )
 from radreg import isotropy
@@ -24,9 +26,7 @@ from radreg.isotropy import (
     _unit_rows,
     certifying_gamma,
     find_heavy_subspace,
-    min_isotropy_eig,
     radial_isotropize,
-    second_moment,
 )
 from radreg.linalg import RANK_RTOL
 

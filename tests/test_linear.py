@@ -11,7 +11,7 @@ from radreg.data import LabeledDataset
 from radreg.errors import ContractViolation, InsufficientPoints, NonIdentifiable
 from radreg.isotropy import certifying_gamma, radial_isotropize
 from radreg.l1 import l1_fit_linear, snap_to_rational
-from radreg.linear import RecoveryConfig, recover_linear, recover_with_retries
+from radreg.linear import RecoveryConfig, recover_linear
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart, gated_flip
 
 from oracles import l0_fit_bruteforce
@@ -127,6 +127,16 @@ class TestRecoverLinearSimple:
     def test_too_few_points(self):
         with pytest.raises(InsufficientPoints):
             recover_linear(realizable(0, 2, 3, [1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -30])
+    def test_junk_labels_are_not_certified_at_any_scale(self, scale):
+        # each point is judged on (x/|x|, y/|x|); on raw values FIT_RTOL's
+        # floor of 1e-7 would pass every point of the set scaled by 2^-30
+        rng = np.random.default_rng(14)
+        X, y = rng.standard_normal((30, 2)), rng.standard_normal(30)
+        report = recover_linear(LabeledDataset(X * scale, y * scale))
+        assert not report.majority_certified
+        assert report.inlier_fraction == pytest.approx(2 / 30)
 
 
 class TestRecoverLinearRecursive:
@@ -390,55 +400,3 @@ def test_signed_column_permutation_moves_the_snapped_output_alike(seed, perm, si
     w = recover_linear(corrupted).w_snapped.to_fractions()
     expected = tuple(s * w[p] for s, p in zip(signs, perm))
     assert recover_linear(mapped).w_snapped.to_fractions() == expected
-
-
-class TestRetries:
-    def test_first_success_returned(self):
-        calls = []
-
-        def sampler(attempt):
-            calls.append(attempt)
-            return realizable(attempt, 30, 2, [1.0, 2.0])
-
-        report, attempts = recover_with_retries(sampler, recover_linear)
-        assert attempts == 1
-        assert report.majority_certified
-        assert calls == [0]
-
-    def test_retries_on_uncertified(self):
-        rng = np.random.default_rng(14)
-
-        def sampler(attempt):
-            if attempt < 2:  # junk labels: certification fails
-                return LabeledDataset(rng.standard_normal((30, 2)),
-                                      rng.standard_normal(30))
-            return realizable(attempt, 30, 2, [5.0, 5.0])
-
-        report, attempts = recover_with_retries(sampler, recover_linear)
-        assert attempts == 3
-        assert report.majority_certified
-
-    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -30])
-    def test_junk_labels_are_not_certified_at_any_scale(self, scale):
-        # each point is judged on (x/|x|, y/|x|); on raw values FIT_RTOL's
-        # floor of 1e-7 would pass every point of the set scaled by 2^-30
-        rng = np.random.default_rng(14)
-        X, y = rng.standard_normal((30, 2)), rng.standard_normal(30)
-        report = recover_linear(LabeledDataset(X * scale, y * scale))
-        assert not report.majority_certified
-        assert report.inlier_fraction == pytest.approx(2 / 30)
-
-    @pytest.mark.parametrize("retries", [0, 2.5])
-    def test_retries_must_be_an_integer_of_at_least_1(self, retries):
-        # retries=0 used to return (None, 0), which reads as every attempt raising
-        with pytest.raises(ContractViolation, match="retries"):
-            recover_with_retries(lambda attempt: None, recover_linear, retries=retries)
-
-    def test_all_failures_returns_last(self):
-        def sampler(attempt):
-            x = np.column_stack([np.linspace(1, 2, 10), np.zeros(10)])
-            return LabeledDataset(x, x[:, 0])  # never identifiable
-
-        report, attempts = recover_with_retries(sampler, recover_linear)
-        assert report is None
-        assert attempts == 3

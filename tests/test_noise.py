@@ -158,8 +158,19 @@ class TestStrategyJson:
         with pytest.raises(ContractViolation):
             strategy_from_json({"kind": "nonsense"})
 
-    def test_spec_roundtrip(self):
-        spec = MassartSpec(0.25, gated_flip(15.0), seed=7)
-        again = MassartSpec.from_json(json.loads(json.dumps(spec.to_json())))
-        assert again.eta == spec.eta and again.seed == spec.seed
-        assert again.strategy.to_json() == spec.strategy.to_json()
+    @pytest.mark.parametrize("obj, named", [
+        # a missing threshold used to read as an unknown predicate kind
+        ({"kind": "gated", "predicate": {"kind": "any-coord-above"},
+          "inner": {"kind": "flip-negate"}}, "'threshold'"),
+        ({"kind": "scale"}, "'factor'"),
+        ({"kind": "constant", "value": "abc"}, "'value'"),
+        ({"kind": "gated", "predicate": {"kind": "any-coord-above", "threshold": None},
+          "inner": {"kind": "flip-negate"}}, "'threshold'"),
+        ({"kind": "gated", "predicate": {"kind": "nonsense"}, "inner": {"kind": "flip-negate"}},
+         "'predicate'"),
+        ({"kind": "gated", "predicate": {"kind": "any-coord-above", "threshold": 1.0}},
+         "unknown strategy None"),
+    ])
+    def test_malformed_fields_are_named(self, obj, named):
+        with pytest.raises(ContractViolation, match=named):
+            strategy_from_json(obj)

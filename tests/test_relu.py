@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from radreg import relu
 from radreg.data import LabeledDataset
-from radreg.errors import ContractViolation, DimensionMismatch, HalfspaceEmpty, NoRecovery
+from radreg.errors import (ContractViolation, DimensionMismatch, HalfspaceEmpty,
+                           InsufficientPoints, NoRecovery)
 from radreg.isotropy import RadialTransform, _unit_rows
 from radreg.l1 import FIT_RTOL, snap_to_rational
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
@@ -151,6 +152,11 @@ class TestSepOracle:
         ds = LabeledDataset(x, np.full(10, 5.0))
         with pytest.raises(HalfspaceEmpty):
             sep_oracle(ds, np.array([1.0]))
+
+    def test_no_rows_raise_insufficient_points(self):
+        # 2 * 0 fits >= 0 rows used to accept every query
+        with pytest.raises(InsufficientPoints):
+            sep_oracle(LabeledDataset(np.zeros((0, 3)), np.zeros(0)), np.ones(3))
 
     def test_d1_base_case_sign(self):
         # majority of positive-side residuals pull one way: the returned
@@ -313,6 +319,12 @@ class TestEllipsoid:
         # NaN passes a "<= 0" test; an infinite radius makes an infinite shape
         with pytest.raises(ContractViolation, match=name):
             EllipsoidConfig(**{"initial_radius": 1.0, name: value})
+
+    def test_no_rows_raise_insufficient_points(self):
+        # used to certify the first center, with inlier_fraction NaN
+        with pytest.raises(InsufficientPoints):
+            ellipsoid_recover_relu(LabeledDataset(np.zeros((0, 3)), np.zeros(0)),
+                                   EllipsoidConfig(initial_radius=1.0))
 
     def test_noiseless_exact_d2(self):
         rng = np.random.default_rng(4)
@@ -685,6 +697,12 @@ class TestGdReluTransformed:
         ds, _ = self.make_instance()
         with pytest.raises(ContractViolation, match="alpha"):
             gd_relu_transformed(ds, "radial-isotropic", alpha=alpha, iters=1)
+
+    def test_default_step_on_all_zero_covariates_is_a_contract_violation(self):
+        # the default 1/mean|x|^2 of mode 'original' used to divide by zero
+        ds = LabeledDataset(np.zeros((5, 2)), np.ones(5))
+        with pytest.raises(ContractViolation, match="alpha"):
+            gd_relu_transformed(ds, "original", iters=1)
 
     @pytest.mark.parametrize("iters", [2.5, 0])
     def test_iteration_count_must_be_an_integer_of_at_least_1(self, iters):
