@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bench
 from .data import load_dataset_csv, save_dataset_csv
-from .errors import ContractViolation, RadregError
+from .errors import ContractViolation
 from .linear import RecoveryConfig, recover_linear
 from .noise import FlipNegate, MassartSpec, corrupt_massart, strategy_from_json
 from .relu import GD_MODES, EllipsoidConfig, ellipsoid_recover_relu, gd_relu_transformed
@@ -41,7 +41,7 @@ def _parse_strategy(text):
     if colon and kind == "gated-flip":
         return strategy_from_json({"kind": "gated", "inner": {"kind": "flip-negate"},
                                    "predicate": {"kind": "any-coord-above", "threshold": value}})
-    raise RadregError(f"unrecognized strategy {text!r}")
+    raise ContractViolation(f"unrecognized strategy {text!r}")
 
 
 def _emit(obj, out):

@@ -111,16 +111,19 @@ class Gated:
 
 
 def _number(obj, key):
-    """float(obj[key]), or ContractViolation naming ``key``."""
+    """float(obj[key]) when finite, or ContractViolation naming ``key``."""
     try:
-        return float(obj[key])
+        value = float(obj[key])
     except (KeyError, TypeError, ValueError):
-        raise ContractViolation(f"field {key!r} of {obj!r} is missing or not a number") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ContractViolation(f"field {key!r} of {obj!r} is missing or not a finite number")
+    return value
 
 
 def strategy_from_json(obj):
     """The strategy whose ``to_json`` is ``obj``. ContractViolation names an
-    unknown kind, or the field that is missing or not a number."""
+    unknown kind, or the field that is missing or not a finite number."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "flip-negate":
         return FlipNegate()
@@ -191,9 +194,7 @@ def corrupt_massart(clean, spec):
     chosen = flagged & spec.strategy.selects(clean.x, clean.y)
     targets = spec.strategy.target_labels(clean.x, clean.y)
     y_new = np.where(chosen, targets, clean.y)
-    record = CorruptionRecord(
-        mask=chosen, corruptible=flagged, originals=clean.y.copy()
-    )
+    record = CorruptionRecord(mask=chosen, corruptible=flagged, originals=clean.y.copy())
     return LabeledDataset(clean.x.copy(), y_new), record
 
 

@@ -265,10 +265,15 @@ class TestErrorContract:
         ("scale:abc", "'factor'"),
         ("gated-flip:", "'threshold'"),
         ("{bad", "not valid JSON"),
+        ("scale:nan", "'factor'"),
+        ('{"kind": "constant", "value": Infinity}', "'value'"),
+        ("gated-flip:-inf", "'threshold'"),
+        ("bogus", "unrecognized strategy 'bogus'"),
     ])
     def test_malformed_strategy_is_a_contract_violation(self, strategy, named, tmp_path,
                                                         capsys):
-        # these used to exit with a bare KeyError, ValueError or JSONDecodeError
+        # these used to exit with a bare KeyError, ValueError or JSONDecodeError,
+        # a NaN or infinite number in the summary, or a RadregError
         data = tmp_path / "clean.csv"
         run_cli(capsys, "synth", "--d", "2", "--n", "20", "--out", str(data))
         code, _, stderr = run_cli(capsys, "corrupt", "--in", str(data), "--eta", "0.2",

@@ -16,6 +16,31 @@ def random_psd(d, seed):
     return A @ A.T + 0.1 * np.eye(d)
 
 
+def char_poly_roots_bisection(M, lo=-100.0, hi=100.0, tol=1e-12):
+    """Independent eigenvalue oracle: sign changes of det(M - t I) located
+    by bisection on a fine grid."""
+    def p(t):
+        return np.linalg.det(M - t * np.eye(M.shape[0]))
+
+    grid = np.linspace(lo, hi, 20001)
+    vals = [p(t) for t in grid]
+    roots = []
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if fa == 0.0:
+            roots.append(a)
+            continue
+        if fa * fb < 0:
+            while b - a > tol:
+                mid = 0.5 * (a + b)
+                fm = p(mid)
+                if fa * fm <= 0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            roots.append(0.5 * (a + b))
+    return sorted(roots, reverse=True)
+
+
 class TestInvSqrtPsd:
     def test_identity(self):
         assert np.allclose(inv_sqrt_psd(np.eye(4)), np.eye(4))
@@ -39,6 +64,23 @@ class TestInvSqrtPsd:
         M = random_psd(5, seed + 50)
         A = inv_sqrt_psd(M)
         assert np.linalg.norm(A @ A @ M - np.eye(5), ord=2) <= 1e-8
+
+    def test_matches_char_poly_bisection(self):
+        # the eigenvalues of M^{-1/2} are lambda^{-1/2} for the roots lambda
+        # of M's characteristic polynomial
+        M = random_psd(3, seed=7)
+        oracle = char_poly_roots_bisection(M)
+        assert len(oracle) == 3
+        evals = np.linalg.eigvalsh(inv_sqrt_psd(M))
+        assert np.allclose(evals, np.sort(1.0 / np.sqrt(oracle)), rtol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_principal_root_is_symmetric_positive_definite(self, seed):
+        # A M A = I alone also holds for -A; the principal root is the SPD one
+        M = random_psd(6, seed + 100)
+        A = inv_sqrt_psd(M)
+        assert np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A))
+        assert np.linalg.eigvalsh(A)[0] > 0.0
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):

@@ -170,7 +170,19 @@ class TestStrategyJson:
          "'predicate'"),
         ({"kind": "gated", "predicate": {"kind": "any-coord-above", "threshold": 1.0}},
          "unknown strategy None"),
+        # non-finite numbers used to pass through to the summary as NaN
+        ({"kind": "scale", "factor": float("nan")}, "'factor'"),
+        ({"kind": "constant", "value": "inf"}, "'value'"),
+        ({"kind": "gated", "predicate": {"kind": "any-coord-above", "threshold": float("-inf")},
+          "inner": {"kind": "flip-negate"}}, "'threshold'"),
     ])
     def test_malformed_fields_are_named(self, obj, named):
         with pytest.raises(ContractViolation, match=named):
             strategy_from_json(obj)
+
+    def test_spec_roundtrip(self):
+        spec = MassartSpec(0.25, gated_flip(15.0), seed=7)
+        obj = json.loads(json.dumps(spec.to_json()))
+        again = MassartSpec(obj["eta"], strategy_from_json(obj["strategy"]), obj["seed"])
+        assert again.eta == spec.eta and again.seed == spec.seed
+        assert again.strategy.to_json() == spec.strategy.to_json()
