@@ -1,11 +1,14 @@
 """Subgradient descent on the ReLU l1 loss under four data transforms.
 
-Per iteration the transform is recomputed from the points on the positive
-side of the current iterate and the update is w' = A^{-T} w followed by
-w <- w - alpha * A^T grad L'(w'). 'original' is plain subgradient descent,
-'normalized' rescales each point to the sphere, 'isotropic' whitens the
-second moment, 'radial-isotropic' runs the full alternating-normalization
-transform. Run: python demos/gd_transform_comparison.py [out.csv]
+Per iteration the transform A is recomputed from the points on the
+positive side of the current iterate, and the update is
+w <- w - alpha * A^T mean_i(s_i u_i): the l1 subgradient at A^{-T} w on the
+images u_i, mapped back, with s_i the sign of the raw residual w.x_i - y_i.
+'original' is plain subgradient descent, 'normalized' rescales each point to
+the sphere, 'isotropic' whitens the second moment (its step is M^{-1} times
+the mean signed point, for the second moment M), 'radial-isotropic' runs the
+full alternating-normalization transform.
+Run: python demos/gd_transform_comparison.py [out.csv]
 """
 
 import csv

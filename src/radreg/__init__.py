@@ -20,7 +20,6 @@ from .errors import (
     NonIdentifiable,
     RadregError,
     SimulationInfeasible,
-    SingularMatrix,
     SolverStalled,
 )
 from .isotropy import (
@@ -30,7 +29,7 @@ from .isotropy import (
     radial_isotropize,
 )
 from .l1 import L1FitResult, RationalVector, l1_fit_linear, snap_to_rational
-from .linalg import OrthonormalBasis, inv_sqrt_psd, orthonormal_complement
+from .linalg import OrthonormalBasis, orthonormal_complement
 from .linear import RecoveryConfig, RecoveryReport, recover_linear
 from .noise import (
     AnyCoordAbove,

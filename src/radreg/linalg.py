@@ -2,8 +2,8 @@
 
 Everything here operates on plain float ndarrays. The heavy lifting is
 delegated to LAPACK through numpy/scipy; this module pins down the contracts
-(symmetry checks, orthonormality validation, one rank cutoff) that the
-rest of the package relies on.
+(orthonormality validation, one rank cutoff) that the rest of the package
+relies on.
 """
 
 from dataclasses import dataclass
@@ -11,10 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ContractViolation, EmptyComplement, SingularMatrix
+from .errors import ContractViolation, EmptyComplement
 
-SYM_RTOL = 1e-12       # |M - M.T| relative to max(1, |entry|)
-PSD_RTOL = 1e-10       # eigenvalue floor relative to lambda_max
 ORTHO_TOL = 1e-10      # orthonormality slack for basis validation
 RANK_RTOL = 1e-9       # singular-value cutoff for span/rank decisions
 
@@ -56,24 +54,6 @@ class OrthonormalBasis:
         x = np.asarray(x, dtype=float)
         resid = x - self.project(x)
         return np.linalg.norm(np.atleast_2d(resid), axis=1)
-
-
-def _symmetrized(M):
-    """Symmetrized copy of M; ContractViolation unless square and symmetric to SYM_RTOL."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ContractViolation(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.abs(M - M.T) <= SYM_RTOL * np.maximum(1.0, np.abs(M))):
-        raise ContractViolation("matrix is not symmetric within tolerance")
-    return 0.5 * (M + M.T)
-
-
-def inv_sqrt_psd(M):
-    """Inverse square root A of a positive definite symmetric M: A M A = I."""
-    evals, evecs = np.linalg.eigh(_symmetrized(M))
-    if evals[0] <= PSD_RTOL * max(evals[-1], 0.0) or evals[0] <= 0.0:
-        raise SingularMatrix(f"matrix is singular or indefinite (lambda_min={evals[0]:.3e})")
-    return (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
 
 
 def orthonormal_complement(basis):

@@ -1,5 +1,6 @@
 """ReLU parameter recovery: separation oracle, ellipsoid method, and the
-transformed subgradient-descent experiment.
+transformed subgradient-descent experiment, whose every mode takes the
+oracle's step A^T mean_i(s_i u_i) with the signs s_i read from the raw rows.
 
 The l1 loss of a ReLU model is non-convex, so instead of direct minimization
 the search runs a central-cut ellipsoid method. The separation oracle accepts
@@ -33,14 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import (ContractViolation, HalfspaceEmpty, InsufficientPoints, NoRecovery,
-                     RadregError, SingularMatrix)
+from .errors import ContractViolation, HalfspaceEmpty, InsufficientPoints, NoRecovery, RadregError
 from .isotropy import RadialTransform, _unit_rows, certifying_gamma, radial_isotropize
 from .l1 import _check_positive_int, _row_scales, exact_fit_mask, snap_to_rational
-from .linalg import inv_sqrt_psd
 from .linear import RecoveryReport, _in_v, _off_v
 
 BOUNDARY_RTOL = 1e-12  # half-space test: w.x >= -BOUNDARY_RTOL * |x| * max(1, |w|)
+PSD_RTOL = 1e-10  # 'isotropic' GD skips a step when lambda_min <= PSD_RTOL * lambda_max
 
 
 def _relu(t):
@@ -388,17 +388,39 @@ class GdStep:
     skipped: bool = False
 
 
+def _gd_step(mode, Xp, s):
+    """A^T mean_i(s_i u_i) on the positive side Xp (see gd_relu_transformed),
+    or None when the mode's transform does not exist."""
+    n = len(s)
+    if mode == "original":
+        return s @ Xp / n
+    if mode == "normalized":
+        return s @ _unit_rows(Xp) / n
+    if mode == "isotropic":
+        # every whitening A of M = Xp^T Xp / n has A^T A = M^{-1}
+        evals, evecs = np.linalg.eigh(Xp.T @ Xp / n)
+        if evals[0] <= PSD_RTOL * evals[-1]:  # also holds for lambda_min <= 0
+            return None  # the positive side does not span
+        return evecs @ (((s @ Xp) @ evecs) / evals) / n
+    iso = radial_isotropize(Xp)
+    if not isinstance(iso, RadialTransform):
+        return None  # positive side concentrated on a subspace
+    return iso.matrix.T @ (s @ iso.images) / n
+
+
 def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
                         w_star=None):
     """Constant-step subgradient descent on the ReLU l1 loss, with the data
     transform recomputed from the positive-side points at every iteration.
 
-    Modes: 'original' (identity), 'normalized' (per-point x/|x|, y/|x|),
-    'isotropic' (second-moment whitening), 'radial-isotropic' (the full
-    alternating-normalization transform). The update follows the oracle:
-    w' = A^{-T} w, then w <- w - alpha * A^T grad L'(w'), where L' is the l1
-    loss of the linear model on the transformed positive-side points.
+    The update follows the oracle: w <- w - alpha * A^T mean_i(s_i u_i) on
+    the positive side, for the images u_i = x_i ('original'), x_i/|x_i|
+    ('normalized'), A x_i with A a second-moment whitening ('isotropic') or
+    the certified A x_i/|A x_i| ('radial-isotropic'). It is the l1
+    subgradient at A^{-T} w on the images, mapped back; each image's residual
+    is the raw w.x_i - y_i over a positive scale, so s_i is the raw sign.
     ``w_init`` and ``w_star`` must have length d, else DimensionMismatch.
+    Raises InsufficientPoints on a dataset with no rows.
 
     ``alpha`` defaults to 1 for transformed modes and 1/mean(|x|^2) for
     'original' (keeping raw-point step magnitudes comparable to unit-norm
@@ -412,8 +434,10 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
     iters = _check_positive_int(iters, "iters")
     X, y = samples.x, samples.y
     m, d = X.shape
+    if m == 0:  # else every step is skipped and every loss is a mean of nothing
+        raise InsufficientPoints("no samples to descend on")
     if alpha is None:
-        mean_sq = float(np.mean(np.sum(X * X, axis=1))) if m else 0.0
+        mean_sq = float(np.mean(np.sum(X * X, axis=1)))
         alpha = 1.0 if mode != "original" else 1.0 / mean_sq if mean_sq > 0.0 else math.inf
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ContractViolation(f"alpha must be positive and finite, got {alpha} "
@@ -425,36 +449,12 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
     norms = np.linalg.norm(X, axis=1)
     trajectory = []
     for it in range(iters):
-        mask = positive_side_mask(X, w, norms)
-        skipped = False
-        if not mask.any():
-            skipped = True
-        else:
-            Xp, yp = X[mask], y[mask]
-            A = None
-            if mode == "normalized":
-                Xt, yt = _unit_rows(Xp, yp)
-            elif mode == "isotropic":
-                try:
-                    A = inv_sqrt_psd((Xp.T @ Xp) / Xp.shape[0])
-                    Xt, yt = Xp @ A.T, yp
-                except SingularMatrix:
-                    skipped = True  # the positive side does not span
-            elif mode == "radial-isotropic":
-                iso = radial_isotropize(Xp)
-                if isinstance(iso, RadialTransform):
-                    A = iso.matrix
-                    Xt, yt = iso.apply(Xp, yp)
-                else:
-                    skipped = True  # positive side concentrated on a subspace
-            else:
-                Xt, yt = Xp, yp
-            if not skipped:
-                wp = w if A is None else np.linalg.solve(A.T, w)
-                sgn = np.sign(Xt @ wp - yt)
-                grad = (Xt * sgn[:, None]).mean(axis=0)
-                w = w - alpha * (grad if A is None else A.T @ grad)
+        z = X @ w
+        mask = positive_side_mask(X, w, norms, z)
+        step = _gd_step(mode, X[mask], np.sign(z[mask] - y[mask])) if mask.any() else None
+        if step is not None:
+            w = w - alpha * step
         loss, _ = relu_l1_loss(samples, w)
         dist = math.nan if w_star is None else float(np.linalg.norm(w - w_star))
-        trajectory.append(GdStep(it, w.copy(), dist, loss, skipped))
+        trajectory.append(GdStep(it, w.copy(), dist, loss, step is None))
     return trajectory

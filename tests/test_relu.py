@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from radreg import relu
 from radreg.data import LabeledDataset
 from radreg.errors import (ContractViolation, DimensionMismatch, HalfspaceEmpty,
-                           InsufficientPoints, NoRecovery)
+                           InsufficientPoints, NoRecovery, RadregError)
 from radreg.isotropy import RadialTransform, _unit_rows
 from radreg.l1 import FIT_RTOL, snap_to_rational
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
@@ -491,6 +491,23 @@ class TestEllipsoid:
         assert new.radius == pytest.approx(state.radius / 2)
         assert new.center[0] == pytest.approx(-1.0)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: on centered covariates w = 0 fits every clean zero label, "
+        "about half the points, and passes the majority certificate"))
+    def test_centered_covariates_certify_the_target_or_raise(self):
+        config = EllipsoidConfig(initial_radius=30, max_denominator=16)
+        for i in range(10):
+            rng = np.random.default_rng(i)
+            w_star = rng.integers(-5, 6, size=3).astype(float)
+            X = rng.standard_normal((2000, 3))
+            corrupted, _ = corrupt_massart(LabeledDataset(X, np.maximum(X @ w_star, 0.0)),
+                                           MassartSpec(0.2, FlipNegate(), i))
+            try:
+                report = ellipsoid_recover_relu(corrupted, config)
+            except RadregError:
+                continue  # a typed refusal is an answer
+            assert report.w_snapped.to_fractions() == fractions_of(w_star), f"instance {i}"
+
 
 SMALL_CONFIG = EllipsoidConfig(initial_radius=10.0, max_denominator=16)
 
@@ -632,6 +649,18 @@ class TestGdReluTransformed:
         assert traj[0].skipped
         assert np.array_equal(traj[0].w, -w_star)
 
+    @pytest.mark.parametrize("ratio, skipped", [(0.99e-10, True), (1.01e-10, False)])
+    def test_isotropic_mode_skips_a_step_at_the_eigenvalue_cutoff(self, ratio, skipped):
+        # a full-rank positive side whose second moment diag(1, c^2) / 2 has
+        # lambda_min / lambda_max = ratio, just either side of relu.PSD_RTOL
+        c = math.sqrt(ratio)
+        ds = LabeledDataset(np.array([[1.0, 0.0], [0.0, c]]), np.array([1.0, -1.0]))
+        traj = gd_relu_transformed(ds, "isotropic", alpha=1.0, iters=1)
+        assert traj[0].skipped == skipped
+        # signs (-1, 1), so the step M^{-1} (s @ X) / 2 is (-1, 1/c)
+        expected = np.zeros(2) if skipped else np.array([1.0, -1.0 / c])
+        np.testing.assert_allclose(traj[0].w, expected, rtol=1e-12)
+
     def test_default_alpha_for_original_tracks_scale(self):
         ds, _ = self.make_instance(seed=3)
         big = LabeledDataset(ds.x * 10.0, ds.y * 10.0)
@@ -685,6 +714,86 @@ class TestGdReluTransformed:
         for step, ref in zip(traj, reference):
             np.testing.assert_allclose(step.w, ref.w, rtol=0.0, atol=1e-9)
 
+    @staticmethod
+    def whitened_reference(ds, mode, alpha, iters, whitening):
+        """The descent in transformed coordinates: whiten the positive side's
+        points and labels by A and its scales, take the l1 subgradient at
+        w' = A^{-T} w on the images, and map it back by A^T."""
+        X, y = ds.x, ds.y
+        w, ws = np.zeros(X.shape[1]), []
+        for _ in range(iters):
+            mask = relu.positive_side_mask(X, w)
+            Xp, yp = X[mask], y[mask]
+            A = None
+            if mode in ("original", "normalized") and mask.any():
+                A = np.eye(X.shape[1])
+            elif mode == "isotropic" and mask.any():
+                M = Xp.T @ Xp / len(Xp)
+                evals = np.linalg.eigvalsh(M)
+                if evals[0] > relu.PSD_RTOL * evals[-1]:
+                    A = whitening(M)
+            elif mode == "radial-isotropic" and mask.any():
+                iso = relu.radial_isotropize(Xp)
+                if isinstance(iso, RadialTransform):
+                    A = iso.matrix
+            if A is not None:
+                U = Xp @ A.T
+                scale = (np.linalg.norm(U, axis=1) if mode in ("normalized", "radial-isotropic")
+                         else np.ones(len(yp)))
+                U, yt, wp = U / scale[:, None], yp / scale, np.linalg.solve(A.T, w)
+                w = w - alpha * A.T @ (np.sign(U @ wp - yt) @ U / len(yt))
+            ws.append(w.copy())
+        return ws
+
+    @staticmethod
+    def principal_root(M):
+        evals, evecs = np.linalg.eigh(M)
+        return (evecs / np.sqrt(evals)) @ evecs.T
+
+    @pytest.mark.parametrize("mode", relu.GD_MODES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_each_mode_steps_by_the_subgradient_of_its_images(self, seed, mode):
+        # the step reads its signs from the raw residuals; on the images they
+        # are the same residuals over positive scales
+        ds, _ = self.mixture_instance(seed)
+        alpha = 1.0 if mode != "original" else 1e-3
+        traj = gd_relu_transformed(ds, mode, alpha=alpha, iters=50)
+        reference = self.whitened_reference(ds, mode, alpha, 50, self.principal_root)
+        for step, ref in zip(traj, reference):
+            np.testing.assert_allclose(step.w, ref, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("whitening", ["cholesky", "rotated"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_isotropic_step_does_not_depend_on_the_whitening(self, seed, whitening):
+        # every A with A M A^T = I has A^T A = M^{-1}: the Cholesky inverse
+        # L^{-1} (M = L L^T) and Q M^{-1/2} for an orthogonal Q take the
+        # principal root's step
+        ds, _ = self.mixture_instance(seed)
+        Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((10, 10)))[0]
+
+        def whiten(M):
+            if whitening == "cholesky":
+                return np.linalg.inv(np.linalg.cholesky(M))
+            return Q @ self.principal_root(M)
+
+        traj = gd_relu_transformed(ds, "isotropic", alpha=1.0, iters=50)
+        reference = self.whitened_reference(ds, "isotropic", 1.0, 50, whiten)
+        for step, ref in zip(traj, reference):
+            np.testing.assert_allclose(step.w, ref, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", ["normalized", "radial-isotropic"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_per_point_powers_of_2_leave_the_trajectory_unchanged(self, seed, mode):
+        # both modes see each pair only as (x/|x|, y/|x|) and the raw residual
+        # signs, and scaling by a power of 2 is exact
+        ds, _ = self.mixture_instance(seed)
+        scale = 2.0 ** np.random.default_rng(seed).integers(-30, 31, size=len(ds.y))
+        rescaled = LabeledDataset(ds.x * scale[:, None], ds.y * scale)
+        reference = gd_relu_transformed(ds, mode, iters=50)
+        for step, ref in zip(gd_relu_transformed(rescaled, mode, iters=50), reference):
+            assert step.skipped == ref.skipped
+            assert np.array_equal(step.w, ref.w)
+
     @pytest.mark.parametrize("name", ["w_init", "w_star"])
     def test_parameter_of_another_dimension_is_rejected(self, name):
         ds, _ = self.make_instance(d=4)
@@ -703,6 +812,13 @@ class TestGdReluTransformed:
         ds = LabeledDataset(np.zeros((5, 2)), np.ones(5))
         with pytest.raises(ContractViolation, match="alpha"):
             gd_relu_transformed(ds, "original", iters=1)
+
+    @pytest.mark.parametrize("mode", relu.GD_MODES)
+    def test_no_rows_raise_insufficient_points(self, mode):
+        # every step would be skipped and every loss a mean of no residuals
+        ds = LabeledDataset(np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(InsufficientPoints):
+            gd_relu_transformed(ds, mode, iters=1, alpha=1.0)
 
     @pytest.mark.parametrize("iters", [2.5, 0])
     def test_iteration_count_must_be_an_integer_of_at_least_1(self, iters):
