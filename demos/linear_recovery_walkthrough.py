@@ -12,7 +12,6 @@ import numpy as np
 
 from radreg import (
     MassartSpec,
-    RecoveryConfig,
     gated_flip,
     l1_fit_linear,
     recover_linear,
@@ -40,7 +39,7 @@ print("snapped:          ", naive_snapped.to_floats(),
       "<- wrong" if not np.array_equal(naive_snapped.to_floats(), w_star) else "")
 
 # --- rescaled l1 --------------------------------------------------------------
-report = recover_linear(corrupted, RecoveryConfig())
+report = recover_linear(corrupted)
 print("\nrescaled l1 fit:  ", np.round(report.w_hat, 6))
 print("snapped:          ", report.w_snapped.to_floats())
 print("planted target:   ", w_star)

@@ -30,7 +30,7 @@ from .isotropy import (
 )
 from .l1 import L1FitResult, RationalVector, l1_fit_linear, snap_to_rational
 from .linalg import OrthonormalBasis, orthonormal_complement
-from .linear import RecoveryConfig, RecoveryReport, recover_linear
+from .linear import RecoveryReport, recover_linear
 from .noise import (
     AnyCoordAbove,
     Constant,

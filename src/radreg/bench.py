@@ -24,16 +24,9 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractViolation, RadregError
 from .isotropy import _unit_rows
-from .l1 import _check_positive_int, l1_fit_linear, snap_to_rational
-from .linear import RecoveryConfig, recover_linear
+from .l1 import _check_positive_finite, _check_positive_int, l1_fit_linear, snap_to_rational
+from .linear import recover_linear
 from .noise import MassartSpec, corrupt_massart, gated_flip
-
-__all__ = [
-    "SyntheticSpec", "BenchReport", "sample_synthetic_mixture",
-    "make_synthetic_dataset", "make_outlier_dataset", "default_target",
-    "default_sample_size",
-    "method_registry", "exact_recovery_bench", "margin_fraction",
-]
 
 
 def default_target(d):
@@ -114,42 +107,45 @@ INSTANCE_FAMILIES = ("mixture", "outlier")
 
 
 def default_sample_size(d, eta, rho=1.0, c=1.0):
-    """Sample-size suggestion c * d^3 / (rho (1 - 2 eta)^2)."""
+    """Sample-size suggestion c * d^3 / (rho (1 - 2 eta)^2); ``rho`` and ``c``
+    must be positive and finite, else ContractViolation."""
     if not 0.0 <= eta < 0.5:
         raise ContractViolation("eta must lie in [0, 1/2)")
+    _check_positive_finite(rho, "rho")
+    _check_positive_finite(c, "c")
     return int(math.ceil(c * d**3 / (rho * (1.0 - 2.0 * eta) ** 2)))
 
 
 # --- fitting methods ----------------------------------------------------------
 
-def _fit_rescaled_l1(samples, config):
-    return recover_linear(samples, config).w_snapped
+def _fit_rescaled_l1(samples, max_denominator):
+    return recover_linear(samples, max_denominator).w_snapped
 
 
-def _fit_naive_l1(samples, config):
-    return snap_to_rational(l1_fit_linear(samples).w, config.max_denominator)
+def _fit_naive_l1(samples, max_denominator):
+    return snap_to_rational(l1_fit_linear(samples).w, max_denominator)
 
 
-def _fit_normalized_l1(samples, config):
+def _fit_normalized_l1(samples, max_denominator):
     scaled = LabeledDataset(*_unit_rows(samples.x, samples.y))
-    return snap_to_rational(l1_fit_linear(scaled).w, config.max_denominator)
+    return snap_to_rational(l1_fit_linear(scaled).w, max_denominator)
 
 
-def _fit_least_squares(samples, config):
+def _fit_least_squares(samples, max_denominator):
     w, *_ = np.linalg.lstsq(samples.x, samples.y, rcond=None)
-    return snap_to_rational(w, config.max_denominator)
+    return snap_to_rational(w, max_denominator)
 
 
 def make_ridge(coeff):
-    def _fit_ridge(samples, config):
+    def _fit_ridge(samples, max_denominator):
         X, y = samples.x, samples.y
         w = np.linalg.solve(X.T @ X + coeff * np.eye(samples.d), X.T @ y)
-        return snap_to_rational(w, config.max_denominator)
+        return snap_to_rational(w, max_denominator)
     return _fit_ridge
 
 
 def method_registry(ridge_coeff=1.0):
-    """Name -> fitter(samples, RecoveryConfig) -> RationalVector."""
+    """Name -> fitter(samples, max_denominator) -> RationalVector."""
     return {
         "rescaled-l1": _fit_rescaled_l1,
         "naive-l1": _fit_naive_l1,
@@ -192,12 +188,6 @@ class BenchReport:
     config: dict
     rows: list = field(default_factory=list)
 
-    def rate(self, method, grid_value=None):
-        for row in self.rows:
-            if row.method == method and (grid_value is None or row.grid_value == grid_value):
-                return row.recovery_rate
-        raise KeyError(method)
-
     def to_json(self, include_timing=False):
         return {
             "config": self.config,
@@ -222,8 +212,11 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
     dataset per trial; a trial crash counts as a failure for the crashing
     method only. Success is snapped-exact equality with the planted
     parameter. The ridge baseline takes ``method_registry``'s coefficient.
+    A ``max_denominator`` that is not an integer >= 1 raises ContractViolation
+    before the first trial, not as a failure of every method.
     """
     trials = _check_positive_int(trials, "trials")
+    max_denominator = _check_positive_int(max_denominator, "max_denominator")
     if eta_grid is not None and n_grid is not None:
         raise ContractViolation("pass at most one of eta_grid / n_grid")
     if instance not in INSTANCE_FAMILIES:
@@ -241,7 +234,6 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
 
     w_star = default_target(d) if w_star is None else np.asarray(w_star, dtype=float)
     target = tuple(Fraction(v) for v in w_star)
-    config = RecoveryConfig(max_denominator=max_denominator)
     report = BenchReport(config={
         "d": d, "n": n, "eta": eta, "grid_param": grid_param, "grid": grid,
         "trials": trials, "seed": seed,
@@ -270,7 +262,7 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
             for name in methods:
                 start = time.perf_counter()
                 try:
-                    snapped = registry[name](corrupted, config)
+                    snapped = registry[name](corrupted, max_denominator)
                     if snapped.to_fractions() == target:
                         successes[name] += 1
                 except (RadregError, np.linalg.LinAlgError):

@@ -17,7 +17,7 @@ import numpy as np
 from . import bench
 from .data import load_dataset_csv, save_dataset_csv
 from .errors import ContractViolation
-from .linear import RecoveryConfig, recover_linear
+from .linear import recover_linear
 from .noise import FlipNegate, MassartSpec, corrupt_massart, strategy_from_json
 from .relu import GD_MODES, EllipsoidConfig, ellipsoid_recover_relu, gd_relu_transformed
 
@@ -84,8 +84,7 @@ def _cmd_corrupt(args):
 
 def _cmd_fit_linear(args):
     dataset = load_dataset_csv(getattr(args, "in"))
-    config = RecoveryConfig(max_denominator=args.max_denominator)
-    report = recover_linear(dataset, config)
+    report = recover_linear(dataset, args.max_denominator)
     _emit(report.to_json(), args.out)
 
 
@@ -93,7 +92,6 @@ def _cmd_fit_relu(args):
     dataset = load_dataset_csv(getattr(args, "in"))
     config = EllipsoidConfig(
         initial_radius=args.radius,
-        delta_min=args.delta_min,
         max_steps=args.max_steps,
         max_denominator=args.max_denominator,
     )
@@ -172,7 +170,6 @@ def build_parser():
     p = sub.add_parser("fit-relu", help="recover a ReLU parameter (ellipsoid)")
     p.add_argument("--in", required=True)
     p.add_argument("--radius", type=float, default=100.0, help="bound on |w*|")
-    p.add_argument("--delta-min", type=float, default=None)
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--max-denominator", type=int, default=10**6)
     p.add_argument("--out", default=None)

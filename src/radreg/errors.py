@@ -61,9 +61,9 @@ class HalfspaceEmpty(RadregError):
 class NoRecovery(RadregError):
     """Ellipsoid search terminated without a certified parameter.
 
-    ``diagnostics`` is JSON-safe: the final ``center`` as a list, its
-    ``radius``, the ``steps`` taken, and the oracle's answer when it
-    accepted.
+    When ``ellipsoid_recover_relu`` raises it, ``diagnostics`` is JSON-safe:
+    the final ``center`` as a list, its ``radius``, the ``steps`` taken, and
+    the oracle's answer when it accepted.
     """
 
     def __init__(self, msg, diagnostics=None):

@@ -45,6 +45,7 @@ rows is that w to rounding. Iteratively reweighted least squares
 that half.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,6 +245,11 @@ def _check_positive_int(value, name):
     if bound < 1:
         raise ContractViolation(f"{name} must be an integer >= 1, got {value!r}")
     return bound
+
+
+def _check_positive_finite(value, name):
+    if not (math.isfinite(value) and value > 0):
+        raise ContractViolation(f"{name} must be positive and finite, got {value!r}")
 
 
 def _limit_denominator(num, den, bound):

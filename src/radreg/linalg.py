@@ -25,11 +25,9 @@ class OrthonormalBasis:
 
     def __post_init__(self):
         V = np.asarray(self.vectors, dtype=float)
-        if V.ndim == 1:
-            V = V[:, None]
-        if V.shape[1] > V.shape[0]:
+        if V.ndim != 2 or V.shape[1] > V.shape[0]:
             raise ContractViolation(
-                f"basis has {V.shape[1]} vectors in dimension {V.shape[0]}"
+                f"basis of shape {V.shape} is not k <= d columns in dimension d"
             )
         gram = V.T @ V
         if not np.allclose(gram, np.eye(V.shape[1]), atol=ORTHO_TOL):
@@ -57,9 +55,7 @@ class OrthonormalBasis:
 
 
 def orthonormal_complement(basis):
-    """Orthonormal basis of the orthogonal complement of ``basis``."""
-    if not isinstance(basis, OrthonormalBasis):
-        basis = OrthonormalBasis(basis)
+    """Orthonormal basis of the orthogonal complement of an OrthonormalBasis."""
     if basis.size >= basis.ambient_dim:
         raise EmptyComplement("basis already spans the ambient space")
     comp = scipy.linalg.null_space(basis.vectors.T)

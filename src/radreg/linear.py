@@ -39,22 +39,6 @@ CANDIDATE_ROWS_PER_DIM = 6
 
 
 @dataclass
-class RecoveryConfig:
-    """The snapping bound of linear recovery.
-
-    ``max_denominator`` doubles as the bit-complexity bound on the target:
-    snapping is exact once the estimate is within 1/(2*max_denominator^2)
-    of the true rational parameter. The gap of each level is
-    ``certifying_gamma`` and an exact fit is one within ``l1.FIT_RTOL``.
-    """
-
-    max_denominator: int = 10**6
-
-    def __post_init__(self):
-        self.max_denominator = _check_positive_int(self.max_denominator, "max_denominator")
-
-
-@dataclass
 class RecoveryReport:
     w_hat: np.ndarray
     w_snapped: RationalVector
@@ -163,7 +147,7 @@ def _recover(X, y, depth, branch, trace):
     return w_v + C @ _recover(X_p, y_p, depth + 1, branch + "/Vperp", trace)
 
 
-def recover_linear(samples, config=None):
+def recover_linear(samples, max_denominator=10**6):
     """Recursive recovery tolerating concentration on subspaces.
 
     Nonzero covariates must span the ambient space, otherwise the component
@@ -172,11 +156,16 @@ def recover_linear(samples, config=None):
     any level raise InsufficientPoints. Zero covariates are excluded from
     the fits but counted in the per-level trace. ``inlier_fraction`` judges
     each point on (x/|x|, y/|x|), see ``l1._row_scales``.
+
+    ``max_denominator`` doubles as the bit-complexity bound on the target:
+    snapping is exact once the estimate is within 1/(2*max_denominator^2)
+    of it. Unless it is an integer >= 1, ContractViolation is raised before
+    any fit.
     """
-    config = config or RecoveryConfig()
+    max_denominator = _check_positive_int(max_denominator, "max_denominator")
     trace = []
     w_hat = _recover(samples.x, samples.y, 0, "root", trace)
-    snapped = snap_to_rational(w_hat, config.max_denominator)
+    snapped = snap_to_rational(w_hat, max_denominator)
     _, scales, y_scaled = _row_scales(samples.x, samples.y)
     fits = exact_fit_mask((samples.x @ snapped.to_floats()) / scales, y_scaled)
     frac = float(fits.mean())

@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ContractViolation, InvalidNoiseRate, SimulationInfeasible
+from .l1 import _check_positive_int
 
 
 # --- gating predicates -------------------------------------------------------
@@ -204,11 +205,14 @@ def corrupt_oblivious(clean_labels, eta, b_magnitude, seed=0):
     """Add an exactly floor(eta*m)-sparse +-b_magnitude vector to the labels.
 
     Positions and signs are drawn independently of everything else, which is
-    what makes this adversary oblivious.
+    what makes this adversary oblivious. A rate outside [0, 1] or a
+    non-finite ``b_magnitude`` raises ContractViolation.
     """
     y = np.asarray(clean_labels, dtype=float).copy()
     if not 0.0 <= eta <= 1.0:
         raise ContractViolation(f"oblivious rate must lie in [0, 1], got {eta}")
+    if not math.isfinite(b_magnitude):
+        raise ContractViolation(f"b_magnitude must be finite, got {b_magnitude}")
     m = y.shape[0]
     k = int(math.floor(eta * m))
     if k == 0:
@@ -225,10 +229,13 @@ def inflated_massart_rate(eta, m, delta):
     adversary with probability at least 1 - delta.
 
     Raises SimulationInfeasible when the inflated rate reaches 1/2; the rate
-    is never silently clamped.
+    is never silently clamped. A NaN or negative ``eta`` raises
+    InvalidNoiseRate, and an ``m`` that is not an integer >= 1 or a ``delta``
+    outside (0, 1] raises ContractViolation.
     """
-    if m < 1:
-        raise ContractViolation(f"need m >= 1, got {m}")
+    if not eta >= 0.0:
+        raise InvalidNoiseRate(f"eta must be >= 0, got {eta}")
+    m = _check_positive_int(m, "m")
     if not 0.0 < delta <= 1.0:
         raise ContractViolation(f"need 0 < delta <= 1, got {delta}")
     rate = eta + math.sqrt(math.log(1.0 / delta) / (2.0 * m))

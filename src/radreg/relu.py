@@ -1,6 +1,6 @@
 """ReLU parameter recovery: separation oracle, ellipsoid method, and the
-transformed subgradient-descent experiment, whose every mode takes the
-oracle's step A^T mean_i(s_i u_i) with the signs s_i read from the raw rows.
+transformed subgradient-descent experiment, whose every mode steps by
+A^T mean_i(s_i u_i) with the signs s_i read from the raw rows.
 
 The l1 loss of a ReLU model is non-convex, so instead of direct minimization
 the search runs a central-cut ellipsoid method. The separation oracle accepts
@@ -34,13 +34,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ContractViolation, HalfspaceEmpty, InsufficientPoints, NoRecovery, RadregError
+from .errors import ContractViolation, HalfspaceEmpty, InsufficientPoints, NoRecovery
 from .isotropy import RadialTransform, _unit_rows, certifying_gamma, radial_isotropize
-from .l1 import _check_positive_int, _row_scales, exact_fit_mask, snap_to_rational
+from .l1 import (_check_positive_finite, _check_positive_int, _row_scales, exact_fit_mask,
+                 snap_to_rational)
 from .linear import RecoveryReport, _in_v, _off_v
 
 BOUNDARY_RTOL = 1e-12  # half-space test: w.x >= -BOUNDARY_RTOL * |x| * max(1, |w|)
 PSD_RTOL = 1e-10  # 'isotropic' GD skips a step when lambda_min <= PSD_RTOL * lambda_max
+DELTA_MIN_RTOL = 1e-9  # the ellipsoid stops below radius DELTA_MIN_RTOL * initial_radius
 
 
 def _relu(t):
@@ -64,49 +66,34 @@ def relu_l1_loss(samples, w):
     return loss, grad
 
 
-def positive_side_mask(X, w, norms=None, z=None):
-    """Closed halfspace w.x >= 0 with a relative slack band at the boundary.
-
-    ``norms`` (the row norms of X) and ``z`` (X @ w) are computed when not
-    given; a caller that holds them already passes them in.
-    """
-    if norms is None:
-        norms = np.linalg.norm(X, axis=1)
-    if z is None:
-        z = X @ w
+def positive_side_mask(X, w, norms, z):
+    """Closed halfspace w.x >= 0 with a relative slack band at the boundary,
+    given the row norms of X and z = X @ w."""
     slack = BOUNDARY_RTOL * norms * max(1.0, float(np.linalg.norm(w)))
     return (z >= -slack) & (norms > 0.0)
 
 
-def _check_positive_finite(value, name):
-    if not (math.isfinite(value) and value > 0):
-        raise ContractViolation(f"{name} must be positive and finite, got {value!r}")
-
-
 @dataclass
 class EllipsoidConfig:
-    """Search ball radius, termination radius, and snapping bound.
+    """Search ball radius, step budget, and snapping bound.
 
-    ``initial_radius`` must upper-bound |w*|. ``delta_min`` defaults to
-    1e-9 * initial_radius; the operative stopping rule is the majority-fit
-    check of the snapped center, so delta_min is only a safety net. Both
-    must be positive and finite, and ``max_steps``, when given, an integer
-    >= 1, else ContractViolation.
+    ``initial_radius`` must upper-bound |w*| and be positive and finite, and
+    ``max_steps``, when given, an integer >= 1, else ContractViolation. The
+    default budget is the steps that shrink the ball to DELTA_MIN_RTOL *
+    initial_radius, a safety net: the operative stop is the majority-fit check.
     ``max_denominator`` encodes the caller's bit-complexity knowledge of the
     target: snapping resolves exactly once the center is within
     1/(2*max_denominator^2) of it. The oracle's gap is ``certifying_gamma``.
     """
 
     initial_radius: float
-    delta_min: float | None = None
     max_steps: int | None = None
     max_denominator: int = 10**6
 
     def __post_init__(self):
         _check_positive_finite(self.initial_radius, "initial_radius")
-        if self.delta_min is None:
-            self.delta_min = 1e-9 * self.initial_radius
-        _check_positive_finite(self.delta_min, "delta_min")
+        _check_positive_finite(DELTA_MIN_RTOL * self.initial_radius,
+                               "initial_radius * DELTA_MIN_RTOL")
         if self.max_steps is not None:
             self.max_steps = _check_positive_int(self.max_steps, "max_steps")
         self.max_denominator = _check_positive_int(self.max_denominator, "max_denominator")
@@ -114,7 +101,7 @@ class EllipsoidConfig:
     def resolved_max_steps(self, d):
         if self.max_steps is not None:
             return self.max_steps
-        shrink = math.log(self.initial_radius / self.delta_min)
+        shrink = math.log(self.initial_radius / (DELTA_MIN_RTOL * self.initial_radius))
         return int(math.ceil(2.0 * (d + 1) * d * shrink)) + 100
 
 
@@ -154,7 +141,8 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
     positive-side points; on subspace concentration, recurses as described
     in the module docstring. Raises InsufficientPoints on a dataset with no
     rows, and HalfspaceEmpty when no sample lies on the closed positive side
-    (the halfspace-mass assumption is violated). ``_start`` is
+    (the halfspace-mass assumption is violated), and NoRecovery when the
+    mean signed image of the positive side is zero. ``_start`` is
     the previous cut's transform (the warm start of the module docstring)
     and ``_rows`` is ``l1._row_scales(samples.x, samples.y)``;
     ``ellipsoid_recover_relu`` passes both at depth 0.
@@ -187,13 +175,12 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
         T = result.matrix if _start is None else result.matrix @ _start
         sgn = np.sign(z[mask] - yS)
         r = (sgn @ result.images) / n_S
-        g = np.linalg.solve(T, r)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm == 0.0:
-            raise RadregError(
-                "separation oracle produced a zero direction (every "
-                "positive-side residual is zero but the majority check failed)"
+        if not r.any():  # T is invertible, so g = T^{-1} r would be zero too
+            raise NoRecovery(
+                f"the mean signed image of the positive side is zero at depth {_depth}, "
+                "so the oracle has no cut although the majority check failed"
             )
+        g = np.linalg.solve(T, r)
         return SepResult(
             False,
             normal=g,
@@ -259,23 +246,20 @@ class EllipsoidState:
         return float(np.sqrt(max(np.linalg.eigvalsh(self.shape)[-1], 0.0)))
 
 
-def _stopped(state, radius, steps=None):
+def _stopped(state, radius, steps):
     """JSON-safe NoRecovery diagnostics: where the search stopped."""
-    diagnostics = {"center": state.center.tolist(), "radius": float(radius)}
-    if steps is not None:
-        diagnostics["steps"] = steps
-    return diagnostics
+    return {"center": state.center.tolist(), "radius": float(radius), "steps": steps}
 
 
 def ellipsoid_cut(state, normal):
-    """Central cut keeping {w : normal . w <= normal . center}."""
+    """Central cut keeping {w : normal . w <= normal . center}; NoRecovery
+    when the normal has no positive norm in the ellipsoid's shape."""
     c, P = state.center, state.shape
     d = c.shape[0]
     Pg = P @ normal
     denom = float(normal @ Pg)
     if not denom > 0.0:
-        raise NoRecovery("cut direction has non-positive ellipsoid norm",
-                         _stopped(state, state.radius))
+        raise NoRecovery("cut direction has non-positive ellipsoid norm")
     b = Pg / math.sqrt(denom)
     c_new = c - b / (d + 1)
     if d == 1:
@@ -294,10 +278,11 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     when that fails. Each oracle call starts from the previous cut's
     transform (module docstring). The report's diagnostics hold ``steps``,
     ``final_radius``, ``oracle_calls`` and ``isotropy_iterations``. Raises
-    NoRecovery when steps or the ellipsoid radius run out, or when the
-    shape stops being positive definite; its JSON-safe ``diagnostics`` hold
-    the final ``center`` (a list), ``radius`` and ``steps``. Raises
-    InsufficientPoints on a dataset with no rows; HalfspaceEmpty propagates.
+    NoRecovery when steps or the ellipsoid radius run out, when the oracle
+    accepts or has no cut, or when the shape stops being positive definite;
+    its JSON-safe ``diagnostics`` hold the final ``center`` (a list),
+    ``radius`` and ``steps``. Raises InsufficientPoints on a dataset with no
+    rows; HalfspaceEmpty propagates.
     """
     X, y = samples.x, samples.y
     m, d = X.shape
@@ -337,20 +322,20 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
                     model="relu",
                     diagnostics=diagnostics,
                 )
-        result = sep_oracle(samples, state.center, _start=start, _rows=rows)
-        for key in work:
-            work[key] += result.diagnostics[key]
-        if result.accepted:
-            raise NoRecovery(
-                "oracle accepted the center but its snapped value failed the "
-                "majority certificate; max_denominator may not match the "
-                "target's bit complexity",
-                {**_stopped(state, radius, step), "oracle": result.diagnostics},
-            )
         try:
+            result = sep_oracle(samples, state.center, _start=start, _rows=rows)
+            for key in work:
+                work[key] += result.diagnostics[key]
+            if result.accepted:
+                raise NoRecovery(
+                    "oracle accepted the center but its snapped value failed the "
+                    "majority certificate; max_denominator may not match the "
+                    "target's bit complexity",
+                    {"oracle": result.diagnostics},
+                )
             state = ellipsoid_cut(state, result.normal)
-        except NoRecovery as exc:
-            exc.diagnostics["steps"] = step
+        except NoRecovery as exc:  # a stop within the step: where the search stood
+            exc.diagnostics = {**_stopped(state, radius, step), **exc.diagnostics}
             raise
         start = result.transform
         if record_volumes:
@@ -364,9 +349,9 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
                 _stopped(state, math.sqrt(max(evals[-1], 0.0)), step + 1),
             )
         radius = math.sqrt(evals[-1])
-        if radius < config.delta_min:
+        if radius < DELTA_MIN_RTOL * config.initial_radius:
             raise NoRecovery(
-                f"ellipsoid radius {radius:.3e} fell below delta_min "
+                f"ellipsoid radius {radius:.3e} fell below DELTA_MIN_RTOL * initial_radius "
                 f"without a certified parameter",
                 _stopped(state, radius, step + 1),
             )
@@ -413,12 +398,13 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
     """Constant-step subgradient descent on the ReLU l1 loss, with the data
     transform recomputed from the positive-side points at every iteration.
 
-    The update follows the oracle: w <- w - alpha * A^T mean_i(s_i u_i) on
-    the positive side, for the images u_i = x_i ('original'), x_i/|x_i|
-    ('normalized'), A x_i with A a second-moment whitening ('isotropic') or
-    the certified A x_i/|A x_i| ('radial-isotropic'). It is the l1
-    subgradient at A^{-T} w on the images, mapped back; each image's residual
-    is the raw w.x_i - y_i over a positive scale, so s_i is the raw sign.
+    The update is w <- w - alpha * A^T mean_i(s_i u_i) on the positive
+    side, for the images u_i = x_i ('original'), x_i/|x_i| ('normalized'),
+    A x_i with A a second-moment whitening ('isotropic') or the certified
+    A x_i/|A x_i| ('radial-isotropic'). It is the l1 subgradient at A^{-T} w
+    on the images, mapped back by A^T (the oracle instead cuts with
+    T^{-1} r); each image's residual is the raw w.x_i - y_i over a positive
+    scale, so s_i is the raw sign.
     ``w_init`` and ``w_star`` must have length d, else DimensionMismatch.
     Raises InsufficientPoints on a dataset with no rows.
 

@@ -11,7 +11,8 @@ do the work the library avoids: one SVD per heavy-subspace candidate, a
 rank SVD on every call, a symmetric polar factor after every fixed-point
 step (``sym_polar``), and fixed-point steps where the library takes Newton
 steps.
-``oracle_transform`` recomputes the transform behind a separation cut.
+``oracle_transform`` recomputes the transform behind a separation cut, and
+``recovery_rate`` reads one rate off a recovery-rate report.
 """
 
 import itertools
@@ -163,7 +164,7 @@ def oracle_transform(samples, w0, start=None):
     transform of the images S x, unless those hold a heavy subspace.
     """
     X = samples.x
-    mask = positive_side_mask(X, w0)
+    mask = positive_side_mask(X, w0, np.linalg.norm(X, axis=1), X @ w0)
     XS = X[mask]
     gamma = certifying_gamma(*XS.shape)
     if start is not None:
@@ -272,3 +273,12 @@ def isotropize_fixed_point(points, gamma, max_iters=2000):
                 return found
         A = (evecs * (1.0 / np.sqrt(np.maximum(evals, 1e-300)))) @ (evecs.T @ A)
     raise AssertionError(f"neither a transform nor a heavy subspace within {max_iters} iterations")
+
+
+def recovery_rate(report, method, grid_value=None):
+    """The recovery rate of ``method`` in a ``BenchReport``, at ``grid_value``
+    or at its first grid point."""
+    for row in report.rows:
+        if row.method == method and (grid_value is None or row.grid_value == grid_value):
+            return row.recovery_rate
+    raise KeyError(method)

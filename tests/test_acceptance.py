@@ -32,7 +32,7 @@ from radreg.relu import (
 )
 
 from oracles import (check_structural_condition, l0_fit_bruteforce, min_isotropy_eig,
-                     oracle_transform)
+                     oracle_transform, recovery_rate)
 
 
 def _report(num, desc, ok, detail=""):
@@ -100,8 +100,8 @@ def test_criterion_3_linear_recovery_beats_naive():
         instance="outlier",
     )
     elapsed = time.perf_counter() - start
-    rescaled = report.rate("rescaled-l1")
-    naive = report.rate("naive-l1")
+    rescaled = recovery_rate(report, "rescaled-l1")
+    naive = recovery_rate(report, "naive-l1")
     ok = rescaled >= 0.95 and rescaled > naive and elapsed < 300.0
     _report(3, "desk-scale recovery: rescaled-l1 >= 0.95 and strictly above "
                "naive-l1 (d=5, m=200, eta=0.25, gated flip, 200 trials)",

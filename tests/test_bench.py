@@ -1,9 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from radreg import bench
 from radreg.bench import (
+    OUTLIER_COUNT,
     SyntheticSpec,
     default_sample_size,
     default_target,
@@ -16,8 +19,9 @@ from radreg.bench import (
 )
 from radreg.data import LabeledDataset, load_dataset_csv, save_dataset_csv
 from radreg.errors import ContractViolation, DimensionMismatch, MalformedCsv
-from radreg.linear import RecoveryConfig
 from radreg.noise import MassartSpec, Scale, corrupt_massart
+
+from oracles import recovery_rate
 
 
 class TestSyntheticMixture:
@@ -63,6 +67,15 @@ class TestSyntheticMixture:
         with pytest.raises(ContractViolation, match="must be an integer"):
             SyntheticSpec(d=d, n=n)
 
+    def test_target_of_the_wrong_shape(self):
+        with pytest.raises(ContractViolation, match="w_star"):
+            SyntheticSpec(d=3, n=10, w_star=[1.0, 2.0])
+
+    @pytest.mark.parametrize("n", [OUTLIER_COUNT - 1, OUTLIER_COUNT])
+    def test_outlier_family_needs_more_points_than_outliers(self, n):
+        with pytest.raises(ContractViolation, match="OUTLIER_COUNT"):
+            make_outlier_dataset(SyntheticSpec(d=3, n=n))
+
     def test_outlier_family(self):
         spec = SyntheticSpec(d=5, n=200, seed=2)
         ds = make_outlier_dataset(spec)
@@ -80,6 +93,13 @@ class TestDefaultSampleSize:
         with pytest.raises(ContractViolation):
             default_sample_size(3, 0.5)
 
+    @pytest.mark.parametrize("name, value", [("rho", 0.0), ("rho", math.nan), ("rho", math.inf),
+                                             ("c", -1.0), ("c", math.nan)])
+    def test_scales_must_be_positive_and_finite(self, name, value):
+        # rho = 0 divided by zero, c = -1 gave a negative size, rho = nan a ValueError
+        with pytest.raises(ContractViolation, match=f"^{name} must be positive"):
+            default_sample_size(5, 0.2, **{name: value})
+
 
 class TestExactRecoveryBench:
     def test_zero_noise_everybody_wins(self):
@@ -95,8 +115,8 @@ class TestExactRecoveryBench:
             ["rescaled-l1", "naive-l1"], d=5, n=200, eta_grid=[0.25],
             trials=25, seed=4, instance="outlier",
         )
-        assert rep.rate("rescaled-l1") >= rep.rate("naive-l1")
-        assert rep.rate("rescaled-l1") >= 0.9
+        assert recovery_rate(rep, "rescaled-l1") >= recovery_rate(rep, "naive-l1")
+        assert recovery_rate(rep, "rescaled-l1") >= 0.9
 
     def test_report_reproducible(self):
         kwargs = dict(d=3, n=60, eta_grid=[0.1, 0.3], trials=4, seed=11)
@@ -121,7 +141,7 @@ class TestExactRecoveryBench:
         rep_eta = exact_recovery_bench(["rescaled-l1"], d=30, n=120,
                                        eta_grid=[0.0, 0.25], trials=2, seed=9)
         assert rep_eta.config["n"] == 120
-        assert rep_eta.rate("rescaled-l1", 0.0) == 1.0
+        assert recovery_rate(rep_eta, "rescaled-l1", 0.0) == 1.0
         rep_n = exact_recovery_bench(["rescaled-l1"], d=30, eta=0.25,
                                      n_grid=[120, 240], trials=2, seed=9)
         assert [r.grid_value for r in rep_n.rows] == [120.0, 240.0]
@@ -139,6 +159,19 @@ class TestExactRecoveryBench:
     def test_unknown_method_rejected(self):
         with pytest.raises(ContractViolation):
             exact_recovery_bench(["magic"], d=2, n=10, trials=1, seed=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"eta_grid": [0.0], "n_grid": [10]}, "at most one"),
+        ({"instance": "bogus"}, "instance"),
+        # in a trial every fitter would raise this and count as a failure
+        ({"max_denominator": 0}, "max_denominator"),
+        ({"max_denominator": 2.5}, "max_denominator"),
+    ])
+    def test_bad_arguments_are_rejected_before_any_trial(self, kwargs, message, monkeypatch):
+        monkeypatch.setattr(bench, "make_synthetic_dataset",
+                            lambda *args, **kw: pytest.fail("a trial ran"))
+        with pytest.raises(ContractViolation, match=message):
+            exact_recovery_bench(["least-squares"], d=2, n=10, trials=1, seed=0, **kwargs)
 
 
 class TestMarginFraction:
@@ -228,11 +261,10 @@ class TestDrugStylePipeline:
         corrupted, _ = corrupt_massart(
             train, MassartSpec(0.2, Scale(-100.0), seed=9)
         )
-        config = RecoveryConfig()
         registry = method_registry(ridge_coeff=1.0)
         fractions = {}
         for name in ("rescaled-l1", "least-squares", "ridge"):
-            snapped = registry[name](corrupted, config)
+            snapped = registry[name](corrupted, 10**6)
             fractions[name] = margin_fraction(snapped.to_floats(), test, 2.0)
         assert all(0.0 <= v <= 1.0 for v in fractions.values())
         # the clean test set is realizable, so the robust fit nails it

@@ -120,6 +120,21 @@ class TestFitCommands:
         assert len(error["diagnostics"]["center"]) == 2
         assert error["diagnostics"]["radius"] > 0.0
 
+    @pytest.mark.parametrize("radius, steps, message", [("8", 2, "mean signed image"),
+                                                        ("7", 30, "fell below")])
+    def test_fit_relu_stops_report_where_the_search_stood(self, radius, steps, message,
+                                                          tmp_path, capsys):
+        # one covariate, labels 1, 2, 3: from radius 8 the center bisects to
+        # exactly 2, where the residual signs cancel and the oracle has no cut
+        data = tmp_path / "three.csv"
+        save_dataset_csv(LabeledDataset(np.ones((3, 1)), [1.0, 2.0, 3.0]), data)
+        code, stdout, stderr = run_cli(capsys, "fit-relu", "--in", str(data), "--radius", radius)
+        assert code == 2 and stdout == ""
+        error = strict_json(stderr)
+        assert error["error"] == "NoRecovery" and message in error["message"]
+        assert error["diagnostics"]["steps"] == steps
+        assert len(error["diagnostics"]["center"]) == 1
+
     def test_gd_relu_trajectory(self, tmp_path, capsys):
         data = tmp_path / "gd.csv"
         run_cli(capsys, "synth", "--d", "3", "--n", "60", "--seed", "4",
@@ -175,7 +190,7 @@ class TestFitCommands:
         assert error["error"] == "ContractViolation" and "alpha" in error["message"]
 
     @pytest.mark.parametrize("flag, value", [("--radius", "nan"), ("--radius", "inf"),
-                                             ("--delta-min", "nan"), ("--max-steps", "-3")])
+                                             ("--max-steps", "-3")])
     def test_bad_search_bound_is_a_contract_violation(self, flag, value, tmp_path, capsys):
         # NaN used to surface as LinAlgError or ValueError, and --max-steps -3
         # as a NoRecovery after -3 steps
@@ -207,6 +222,13 @@ class TestFitCommands:
 
 
 class TestBenchEval:
+    def test_bench_zero_max_denominator_is_a_contract_violation(self, capsys):
+        code, stdout, stderr = run_cli(capsys, "bench", "recovery-rate", "--d", "2", "--n", "10",
+                                       "--trials", "1", "--max-denominator", "0")
+        assert code == 2 and stdout == ""
+        error = strict_json(stderr)
+        assert error["error"] == "ContractViolation" and "max_denominator" in error["message"]
+
     def test_bench_recovery_rate(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         code, _, _ = run_cli(capsys, "bench", "recovery-rate", "--d", "2",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radreg.data import LabeledDataset, load_dataset_csv
-from radreg.errors import ContractViolation
+from radreg.errors import ContractViolation, DimensionMismatch, MalformedCsv
 
 
 def _finite_dataset():
@@ -36,4 +36,17 @@ class TestNonFiniteRejected:
         path = tmp_path / "nan.csv"
         path.write_text("x1,x2,y\n1,2,3\nnan,1,2\n")
         with pytest.raises(ContractViolation):
+            load_dataset_csv(path)
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("text, error, message", [
+        ("", MalformedCsv, "empty file"),
+        ("x1,y\n", MalformedCsv, "no data rows"),
+        ("y\n1\n", DimensionMismatch, "at least one covariate"),
+    ])
+    def test_file_without_samples_or_covariates(self, text, error, message, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=message):
             load_dataset_csv(path)

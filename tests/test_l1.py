@@ -216,6 +216,18 @@ class TestL1FitLinear:
             return
         assert fit.objective == pytest.approx(primal_lp_objective(ds), rel=1e-9)
 
+    def test_failed_solve_is_solver_stalled(self, monkeypatch):
+        def failed(*args, **kwargs):
+            result = linprog(*args, **kwargs)
+            result.success, result.message = False, "injected failure"
+            return result
+
+        monkeypatch.setattr(radreg.l1, "linprog", failed)
+        rng = np.random.default_rng(9)
+        ds = LabeledDataset(rng.standard_normal((30, 3)), rng.standard_normal(30))
+        with pytest.raises(SolverStalled, match="injected failure"):
+            l1_fit_linear(ds)
+
     def test_flipped_marginal_sign_fails_the_duality_gap_check(self, monkeypatch):
         def flipped(*args, **kwargs):
             result = linprog(*args, **kwargs)

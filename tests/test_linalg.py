@@ -4,6 +4,7 @@ import pytest
 from radreg.errors import ContractViolation, EmptyComplement
 from radreg.linalg import (
     OrthonormalBasis,
+    matrix_rank,
     orthonormal_complement,
     span_basis,
 )
@@ -11,11 +12,11 @@ from radreg.linalg import (
 
 class TestOrthonormalComplement:
     def test_e1_in_r2(self):
-        comp = orthonormal_complement(np.array([[1.0], [0.0]]))
+        comp = orthonormal_complement(OrthonormalBasis(np.array([[1.0], [0.0]])))
         assert np.allclose(np.abs(comp.vectors.ravel()), [0.0, 1.0])
 
     def test_e1e2_in_r3(self):
-        B = np.eye(3)[:, :2]
+        B = OrthonormalBasis(np.eye(3)[:, :2])
         comp = orthonormal_complement(B)
         assert comp.size == 1
         assert np.allclose(np.abs(comp.vectors.ravel()), [0.0, 0.0, 1.0])
@@ -32,13 +33,18 @@ class TestOrthonormalComplement:
 
     def test_full_basis_raises(self):
         with pytest.raises(EmptyComplement):
-            orthonormal_complement(np.eye(3))
+            orthonormal_complement(OrthonormalBasis(np.eye(3)))
 
 
 class TestOrthonormalBasis:
     def test_rejects_nonorthonormal(self):
         with pytest.raises(ContractViolation):
             OrthonormalBasis(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("vectors", [np.eye(2, 3), np.array([1.0, 0.0])])
+    def test_rejects_more_vectors_than_dimensions_or_one_vector(self, vectors):
+        with pytest.raises(ContractViolation, match="is not k <= d columns"):
+            OrthonormalBasis(vectors)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_projection_idempotent(self, seed):
@@ -48,3 +54,12 @@ class TestOrthonormalBasis:
         once = B.project(x)
         twice = B.project(once)
         assert np.max(np.abs(twice - once)) <= 1e-12
+
+
+class TestAllZeroPoints:
+    def test_span_basis_raises(self):
+        with pytest.raises(ContractViolation, match="all-zero"):
+            span_basis(np.zeros((4, 3)))
+
+    def test_matrix_rank_is_zero(self):
+        assert matrix_rank(np.zeros((4, 3))) == 0

@@ -11,7 +11,7 @@ from radreg.data import LabeledDataset
 from radreg.errors import ContractViolation, InsufficientPoints, NonIdentifiable
 from radreg.isotropy import certifying_gamma, radial_isotropize
 from radreg.l1 import l1_fit_linear, snap_to_rational
-from radreg.linear import RecoveryConfig, recover_linear
+from radreg.linear import recover_linear
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart, gated_flip
 
 from oracles import l0_fit_bruteforce
@@ -54,7 +54,7 @@ def full_lp_snapped(ds):
     """One transform leaf, solved on every row."""
     transform, rescaled = leaf_data(ds)
     w = transform.matrix.T @ l1_fit_linear(rescaled).w
-    return snap_to_rational(w, RecoveryConfig().max_denominator)
+    return snap_to_rational(w, 10**6)
 
 
 PLANE_TARGET = (2.0, -1.0, 3.0)
@@ -80,11 +80,13 @@ class TestRecoverLinearSimple:
 
     @pytest.mark.parametrize("bound", [0, -3, 16.0])
     def test_bad_max_denominator_is_a_contract_violation(self, bound):
+        # raised before any fit: two points in R^3 would be InsufficientPoints;
         # a ValueError too, for callers that caught the untyped error
+        too_few = realizable(0, 2, 3, [1.0, 1.0, 1.0])
         with pytest.raises(ContractViolation, match="max_denominator"):
-            RecoveryConfig(max_denominator=bound)
+            recover_linear(too_few, bound)
         with pytest.raises(ValueError):
-            RecoveryConfig(max_denominator=bound)
+            recover_linear(too_few, bound)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 10])
     def test_noiseless_exact(self, d):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -84,6 +85,13 @@ class TestCorruptMassart:
         with pytest.raises(InvalidNoiseRate):
             MassartSpec(-0.1, FlipNegate(), seed=0)
 
+    def test_rate_changed_after_construction_is_rejected(self):
+        ds, _ = linear_dataset(20, 2, seed=0)
+        spec = MassartSpec(0.2, FlipNegate(), seed=0)
+        spec.eta = 0.7
+        with pytest.raises(InvalidNoiseRate):
+            corrupt_massart(ds, spec)
+
     def test_constant_strategy(self):
         ds, _ = linear_dataset(100, 2, seed=15)
         out, record = corrupt_massart(ds, MassartSpec(0.3, Constant(7.5), seed=16))
@@ -110,6 +118,13 @@ class TestCorruptOblivious:
         out = corrupt_oblivious(y, 0.19, 1.0, seed=4)
         assert int((out != y).sum()) == 1  # floor(1.9)
 
+    @pytest.mark.parametrize("eta, magnitude", [(-0.1, 5.0), (1.5, 5.0), (math.nan, 5.0),
+                                                (0.3, math.nan), (0.3, math.inf), (0.3, -math.inf)])
+    def test_bad_arguments_are_contract_violations(self, eta, magnitude):
+        # a NaN or infinite magnitude used to write NaN or +-inf labels
+        with pytest.raises(ContractViolation):
+            corrupt_oblivious(np.zeros(10), eta, magnitude)
+
 
 class TestInflatedRate:
     def test_delta_one_is_identity(self):
@@ -128,6 +143,17 @@ class TestInflatedRate:
             inflated_massart_rate(0.2, 0, 0.1)
         with pytest.raises(ContractViolation):
             inflated_massart_rate(0.2, 100, 0.0)
+
+    @pytest.mark.parametrize("eta", [math.nan, -1.0])
+    def test_nan_or_negative_eta_is_an_invalid_noise_rate(self, eta):
+        # used to return nan and -0.893
+        with pytest.raises(InvalidNoiseRate):
+            inflated_massart_rate(eta, 100, 0.1)
+
+    @pytest.mark.parametrize("m", [math.nan, 2.5])
+    def test_m_must_be_an_integer_of_at_least_1(self, m):
+        with pytest.raises(ContractViolation, match="m must be an integer"):
+            inflated_massart_rate(0.1, m, 0.1)
 
     def test_binomial_coverage_property(self):
         # the operative content of the simulation lemma: an inflated-rate

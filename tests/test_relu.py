@@ -312,7 +312,7 @@ class TestEllipsoid:
 
     @pytest.mark.parametrize("name, value", [
         ("initial_radius", math.nan), ("initial_radius", math.inf), ("initial_radius", 0.0),
-        ("delta_min", math.nan), ("delta_min", math.inf), ("delta_min", -1e-9),
+        ("initial_radius", 1e-320),
         ("max_steps", 0), ("max_steps", -3), ("max_steps", 5.0),
     ])
     def test_bad_search_bound_is_a_contract_violation(self, name, value):
@@ -476,6 +476,32 @@ class TestEllipsoid:
         with pytest.raises(NoRecovery, match="non-positive ellipsoid norm") as info:
             ellipsoid_recover_relu(*self.uncertified_at_the_origin())
         assert info.value.diagnostics == {"center": [0.0, 0.0], "radius": 8.0, "steps": 0}
+
+    THREE_POINTS = LabeledDataset(np.ones((3, 1)), [1.0, 2.0, 3.0])
+
+    def test_zero_cut_raises_norecovery_where_the_search_stood(self):
+        # the center bisects to exactly 2: residual signs +1, 0, -1 cancel
+        with pytest.raises(NoRecovery, match="mean signed image of the positive side is zero") as info:
+            ellipsoid_recover_relu(self.THREE_POINTS, EllipsoidConfig(initial_radius=8.0))
+        assert info.value.diagnostics == {"center": [2.0], "radius": 2.0, "steps": 2}
+
+    def test_radius_stop_raises_norecovery(self):
+        with pytest.raises(NoRecovery, match="fell below") as info:
+            ellipsoid_recover_relu(self.THREE_POINTS, EllipsoidConfig(initial_radius=7.0))
+        diagnostics = info.value.diagnostics
+        assert diagnostics["steps"] == 30
+        assert diagnostics["radius"] < relu.DELTA_MIN_RTOL * 7.0
+        assert json.loads(json.dumps(diagnostics)) == diagnostics
+
+    def test_accepted_center_that_fails_its_snap_raises_norecovery(self):
+        # the oracle accepts w = 1/2, which no integer snap (max_denominator 1) keeps
+        ds = LabeledDataset(np.ones((3, 1)), np.full(3, 0.5))
+        with pytest.raises(NoRecovery, match="oracle accepted the center") as info:
+            ellipsoid_recover_relu(ds, EllipsoidConfig(initial_radius=2.0, max_denominator=1))
+        diagnostics = info.value.diagnostics
+        assert diagnostics["center"] == [0.5] and diagnostics["steps"] == 2
+        assert diagnostics["oracle"]["fit_count"] == 3
+        assert json.loads(json.dumps(diagnostics)) == diagnostics
 
     def test_cut_geometry(self):
         state = EllipsoidState(np.zeros(2), 4.0 * np.eye(2))
@@ -722,7 +748,7 @@ class TestGdReluTransformed:
         X, y = ds.x, ds.y
         w, ws = np.zeros(X.shape[1]), []
         for _ in range(iters):
-            mask = relu.positive_side_mask(X, w)
+            mask = relu.positive_side_mask(X, w, np.linalg.norm(X, axis=1), X @ w)
             Xp, yp = X[mask], y[mask]
             A = None
             if mode in ("original", "normalized") and mask.any():
