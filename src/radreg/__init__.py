@@ -28,7 +28,7 @@ from .isotropy import (
     find_heavy_subspace,
     radial_isotropize,
 )
-from .l1 import L1FitResult, RationalVector, l1_fit_linear, snap_to_rational
+from .l1 import L1FitResult, RationalVector, l1_fit_linear, lad_fit, snap_to_rational
 from .linalg import OrthonormalBasis, orthonormal_complement
 from .linear import RecoveryReport, recover_linear
 from .noise import (

@@ -24,7 +24,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractViolation, RadregError
 from .isotropy import _unit_rows
-from .l1 import _check_positive_finite, _check_positive_int, l1_fit_linear, snap_to_rational
+from .l1 import _check_positive_finite, _check_positive_int, lad_fit, snap_to_rational
 from .linear import recover_linear
 from .noise import MassartSpec, corrupt_massart, gated_flip
 
@@ -123,12 +123,12 @@ def _fit_rescaled_l1(samples, max_denominator):
 
 
 def _fit_naive_l1(samples, max_denominator):
-    return snap_to_rational(l1_fit_linear(samples).w, max_denominator)
+    return snap_to_rational(lad_fit(samples)[0], max_denominator)
 
 
 def _fit_normalized_l1(samples, max_denominator):
     scaled = LabeledDataset(*_unit_rows(samples.x, samples.y))
-    return snap_to_rational(l1_fit_linear(scaled).w, max_denominator)
+    return snap_to_rational(lad_fit(scaled)[0], max_denominator)
 
 
 def _fit_least_squares(samples, max_denominator):

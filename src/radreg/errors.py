@@ -55,7 +55,15 @@ class NonIdentifiable(RadregError):
 
 
 class HalfspaceEmpty(RadregError):
-    """No sample lies in the closed positive halfspace of the query."""
+    """No sample lies in the closed positive halfspace of the query.
+
+    When ``ellipsoid_recover_relu`` raises it, ``diagnostics`` hold where
+    the search stood, as for NoRecovery.
+    """
+
+    def __init__(self, msg, diagnostics=None):
+        self.diagnostics = diagnostics or {}
+        super().__init__(msg)
 
 
 class NoRecovery(RadregError):

@@ -37,12 +37,16 @@ every row with a nonzero residual r_i; the rows w fits exactly are free in
 [-1, 1] and must cancel the rest, X_Z^T u_Z = -X_N^T sign(r_N). Alternating
 projections between that affine set and the box look for such a u.
 
-``lad_candidate`` finds a w to certify without any LP. When more than half
-of the rows are fit exactly by one w, as under Massart noise with
-eta < 1/2, a least-squares fit on a half of the rows that holds only such
-rows is that w to rounding. Iteratively reweighted least squares
-(Schlossmacher, JASA 1973) ranks the rows by residual for the choice of
-that half.
+``lad_fit`` is the one LAD entry point. It looks for a w to certify before
+it solves the LP. When more than half of the rows are fit exactly by one w,
+as under Massart noise with eta < 1/2, a least-squares fit on a half of the
+rows that holds only such rows is that w to rounding; with fewer rows, the
+minimizer is a vertex that interpolates d of them, and the w that
+interpolates d independent rows it fits is that vertex. Iteratively
+reweighted least squares (Schlossmacher, JASA 1973) ranks the rows by
+residual for either choice. The half fit is tried from HALF_ROWS_PER_DIM
+rows per dimension on, then the vertex at every size; each is kept only
+when ``lad_optimal`` proves it, and HiGHS solves the LP when neither is.
 """
 
 import math
@@ -68,12 +72,20 @@ DUALITY_GAP_RTOL = 1e-8
 # feasibility tolerance, which the LP's own dual point meets.
 DUAL_FEAS_TOL = 1e-7
 # Rounds of alternating projections before lad_optimal gives up. The
-# lad_candidate answers of the benchmark's 1560 leaves with n >= 6d (seeds
+# half-fit answers of the benchmark's 1560 leaves with n >= 6d (seeds
 # 0-19) certify within 36 rounds, 1384 of them in one.
 CERTIFY_ROUNDS = 100
-# Reweighted rounds before lad_candidate gives up. On those 1560 leaves the
-# candidate certified at round 2 to 12.
+# Reweighted rounds before the half fit of lad_fit gives up. On those 1560
+# leaves it certified at round 2 to 12.
 IRLS_ROUNDS = 16
+# Rows per dimension from which lad_fit tries the half fit, before the vertex.
+# On d=30, n=120 mixture leaves (4d rows) a half fit took 11 ms against 9 ms
+# for the LP and certified 24 of 40. On d=100, n=750 leaves the half fit
+# certified 6 of 6 and the vertex 3 of them, so there the half fit goes first.
+HALF_ROWS_PER_DIM = 6
+# Reweighted rounds that rank the rows for the vertex below HALF_ROWS_PER_DIM
+# rows per dimension.
+VERTEX_IRLS_ROUNDS = 4
 
 
 def exact_fit_mask(pred, y):
@@ -142,10 +154,14 @@ def lad_optimal(samples, w):
         gram = cho_factor(Xz.T @ Xz)
     except LinAlgError:  # the exactly fit rows do not span
         return False
+    # projection onto {X_Z^T u = target}: u += X_Z G^{-1} (target - X_Z^T u)
+    # for G = X_Z^T X_Z. With G^{-1} formed once, a round is matrix-vector
+    # products, where a cho_solve call per round costs about 20 us of wrapper.
+    inverse = cho_solve(gram, np.eye(Xz.shape[1]))
     u = np.zeros(Xz.shape[0])
     gap = np.inf
     for _ in range(CERTIFY_ROUNDS):
-        u += Xz @ cho_solve(gram, target - Xz.T @ u)
+        u += Xz @ (inverse @ (target - Xz.T @ u))
         if np.abs(u).max(initial=0.0) <= 1.0:
             return bool(np.abs(Xz.T @ u - target).max(initial=0.0) <= DUAL_FEAS_TOL)
         clipped = np.clip(u, -1.0, 1.0)
@@ -166,42 +182,84 @@ def _least_squares(X, y, weights=None):
     return cho_solve(cho_factor(Xw.T @ X), Xw.T @ y)
 
 
-def lad_candidate(samples):
-    """A global minimizer of sum |y_i - w.x_i| found without an LP: (w, rounds).
+def _reweighted(X, y):
+    """(round, w) for rounds 1..IRLS_ROUNDS of reweighted least squares
+    (Schlossmacher, JASA 1973) from the least-squares fit, with weights
+    1 / max(|r_i|, FIT_RTOL * (1 + |y_i|)), so a row already fit exactly gets
+    the largest weight; LinAlgError when the weighted rows do not span."""
+    floor = FIT_RTOL * (1.0 + np.abs(y))
+    w = _least_squares(X, y)
+    for rounds in range(1, IRLS_ROUNDS + 1):
+        w = _least_squares(X, y, 1.0 / np.maximum(np.abs(y - X @ w), floor))
+        yield rounds, w
 
-    Starts from the least-squares fit and runs at most IRLS_ROUNDS rounds of
-    least squares with weights 1 / max(|r_i|, FIT_RTOL * (1 + |y_i|)), so a
-    row already fit exactly gets the largest weight. After every second
-    round the candidate is the least-squares fit on the floor(n/2) rows with
-    the smallest |r_i|. It is returned when it fits every one of those rows
-    exactly and ``lad_optimal`` proves it a minimizer on all n rows. A half
-    that holds a rewritten row with a small residual gives a fit that
-    misses that row and lies 1e-7 or so off the target, which
-    ``lad_optimal`` can still pass, since it counts residuals within
-    FIT_RTOL as exact fits; the test on the half refuses such a fit.
 
-    ``w`` is None when no candidate was proven within IRLS_ROUNDS rounds, or
-    when the rows, weighted or halved, do not span. ``rounds`` counts the
-    reweighted rounds run. No randomness is used.
+def _best_rows(X, y, w, k):
+    """Indices of the k rows with the smallest |y_i - w.x_i|."""
+    return np.argpartition(np.abs(y - X @ w), k - 1)[:k]
+
+
+def _proven_fit(samples, rows):
+    """The least-squares fit on ``rows`` when it fits every one of them
+    exactly and ``lad_optimal`` proves it a minimizer on all rows, else None;
+    LinAlgError when ``rows`` do not span."""
+    Xr, yr = samples.x[rows], samples.y[rows]
+    w = _least_squares(Xr, yr)
+    if exact_fit_mask(Xr @ w, yr).all() and lad_optimal(samples, w):
+        return w
+    return None
+
+
+def _lad_info(lad, rounds, lp_rows=0, lp_iterations=0):
+    return {"lad": lad, "irls_rounds": rounds, "lp_rows": lp_rows,
+            "lp_solves": int(lp_rows > 0), "lp_iterations": lp_iterations}
+
+
+def lad_fit(samples):
+    """A global minimizer of sum |y_i - w.x_i|, and how it was found: (w, info).
+
+    Three tries, in order; the first that gives a w returns it.
+
+    - ``"half"``, with n >= HALF_ROWS_PER_DIM * d rows: after every second
+      reweighted round (``_reweighted``, at most IRLS_ROUNDS), the
+      least-squares fit on the floor(n/2) rows with the smallest |r_i|.
+    - ``"vertex"``: after VERTEX_IRLS_ROUNDS rounds, or after the half fit's
+      last round, the w' that interpolates the d rows with the smallest
+      |r_i|, refit by least squares on every row w' fits exactly.
+    - ``"lp"``: ``l1_fit_linear`` on all n rows.
+
+    The first two keep a fit only when it fits every row it was fit on
+    exactly and ``lad_optimal`` proves it a minimizer on all n rows. That
+    proof counts residuals within FIT_RTOL as exact fits, so without the
+    first test a fit that misses a rewritten row with a small residual,
+    and lies 1e-7 or so off the target, could pass. When the rows, weighted
+    or chosen, do not span, the LP is solved. No randomness is used.
+
+    ``info`` holds ``lad``, the try that gave w, ``irls_rounds``, the
+    reweighted rounds run, and ``lp_rows``, ``lp_solves`` and
+    ``lp_iterations``, the LP's rows, solves and simplex iterations (0 when
+    no LP was solved). The LP raises SolverStalled as ``l1_fit_linear`` does.
     """
     X, y = samples.x, samples.y
-    half = X.shape[0] // 2
-    floor = FIT_RTOL * (1.0 + np.abs(y))
+    n, d = X.shape
     rounds = 0
     try:
-        w = _least_squares(X, y)
-        for rounds in range(1, IRLS_ROUNDS + 1):
-            w = _least_squares(X, y, 1.0 / np.maximum(np.abs(y - X @ w), floor))
-            if rounds % 2:
-                continue
-            best = np.argpartition(np.abs(y - X @ w), half - 1)[:half]
-            Xb, yb = X[best], y[best]
-            candidate = _least_squares(Xb, yb)
-            if exact_fit_mask(Xb @ candidate, yb).all() and lad_optimal(samples, candidate):
-                return candidate, rounds
+        for rounds, w in _reweighted(X, y):
+            if n < HALF_ROWS_PER_DIM * d:
+                if rounds == VERTEX_IRLS_ROUNDS:
+                    break
+            elif rounds % 2 == 0:
+                half = _proven_fit(samples, _best_rows(X, y, w, n // 2))
+                if half is not None:
+                    return half, _lad_info("half", rounds)
+        best = _best_rows(X, y, w, d)
+        vertex = _proven_fit(samples, exact_fit_mask(X @ np.linalg.solve(X[best], y[best]), y))
+        if vertex is not None:
+            return vertex, _lad_info("vertex", rounds)
     except LinAlgError:
         pass
-    return None, rounds
+    fit = l1_fit_linear(samples)
+    return fit.w, _lad_info("lp", rounds, n, fit.iterations)
 
 
 @dataclass

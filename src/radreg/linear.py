@@ -4,11 +4,12 @@ Each recursion level drops the zero covariates and asks
 ``radial_isotropize`` for a transform of the rest at ``certifying_gamma``,
 a gap no set with a heavy subspace passes. When one exists, the level
 minimizes the rescaled least-absolute-deviations loss and maps the
-minimizer w' back as w = A^T w', A the transform. A level with n >= 6d
-points first tries ``l1.lad_candidate``, a least-squares fit on the half
-of its rescaled rows that reweighted least squares ranks best, kept only
-when a dual point proves it a minimizer on all n rows; otherwise, and at
-every level with fewer points, it solves the LAD LP on all n rows. When
+minimizer w' back as w = A^T w', A the transform. The minimizer comes from
+``l1.lad_fit``: with n >= 6d points a least-squares fit on the best-ranked
+half of the rescaled rows, then at every size the vertex through the d
+best-ranked rows, each kept only when a dual point proves it a minimizer on
+all n rows, and otherwise the LAD LP on all n rows. The leaf's trace entry
+names the try that gave it (``lad``: ``half``, ``vertex`` or ``lp``). When
 the points concentrate on a subspace V instead, it recovers the projection
 of the target onto V from the points inside it (``_in_v``), subtracts that
 component from the labels of the remaining points, and recurses on the
@@ -28,14 +29,9 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import InsufficientPoints, NonIdentifiable
 from .isotropy import RadialTransform, certifying_gamma, radial_isotropize
-from .l1 import (RationalVector, _check_positive_int, _row_scales, exact_fit_mask,
-                 l1_fit_linear, lad_candidate, snap_to_rational)
+from .l1 import (RationalVector, _check_positive_int, _row_scales, exact_fit_mask, lad_fit,
+                 snap_to_rational)
 from .linalg import orthonormal_complement
-
-# Rows per dimension from which a leaf tries lad_candidate before the LP. On
-# d=30, n=120 mixture leaves (4d rows) a try took 11 ms against 9 ms for
-# the LP and certified 24 of 40.
-CANDIDATE_ROWS_PER_DIM = 6
 
 
 @dataclass
@@ -66,25 +62,9 @@ class RecoveryReport:
 
 
 def _fit_leaf(transform, X, y):
-    """LAD fit on the rescaled points, mapped back: (w, trace fields).
-
-    With n >= CANDIDATE_ROWS_PER_DIM * d rows the leaf first asks
-    ``lad_candidate`` for a proven minimizer; when it gives none, and always
-    below that many rows, the LP is solved on all n rows. The fields are the
-    reweighted rounds run (0 when no candidate was tried) and the rows,
-    solves and simplex iterations of the LP (0 when the candidate stood).
-    """
-    n, d = X.shape
-    rescaled = LabeledDataset(*transform.apply(X, y))
-    rounds = 0
-    if n >= CANDIDATE_ROWS_PER_DIM * d:
-        w, rounds = lad_candidate(rescaled)
-        if w is not None:
-            return transform.matrix.T @ w, {
-                "irls_rounds": rounds, "lp_rows": 0, "lp_solves": 0, "lp_iterations": 0}
-    fit = l1_fit_linear(rescaled)
-    return transform.matrix.T @ fit.w, {
-        "irls_rounds": rounds, "lp_rows": n, "lp_solves": 1, "lp_iterations": fit.iterations}
+    """``l1.lad_fit`` on the rescaled points, mapped back: (w, its info)."""
+    w, info = lad_fit(LabeledDataset(*transform.apply(X, y)))
+    return transform.matrix.T @ w, info
 
 
 def _in_v(heavy, X, y):
@@ -128,8 +108,8 @@ def _recover(X, y, depth, branch, trace):
     }
     result = radial_isotropize(Xnz, certifying_gamma(n, d))
     if isinstance(result, RadialTransform):
-        w, lp = _fit_leaf(result, Xnz, ynz)
-        trace.append({**entry, "outcome": "transform", "isotropy": result.to_json(), **lp})
+        w, lad = _fit_leaf(result, Xnz, ynz)
+        trace.append({**entry, "outcome": "transform", "isotropy": result.to_json(), **lad})
         return w
 
     heavy = result

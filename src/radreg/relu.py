@@ -281,8 +281,8 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     NoRecovery when steps or the ellipsoid radius run out, when the oracle
     accepts or has no cut, or when the shape stops being positive definite;
     its JSON-safe ``diagnostics`` hold the final ``center`` (a list),
-    ``radius`` and ``steps``. Raises InsufficientPoints on a dataset with no
-    rows; HalfspaceEmpty propagates.
+    ``radius`` and ``steps``. HalfspaceEmpty from the oracle carries the same
+    ``diagnostics``. Raises InsufficientPoints on a dataset with no rows.
     """
     X, y = samples.x, samples.y
     m, d = X.shape
@@ -334,7 +334,7 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
                     {"oracle": result.diagnostics},
                 )
             state = ellipsoid_cut(state, result.normal)
-        except NoRecovery as exc:  # a stop within the step: where the search stood
+        except (NoRecovery, HalfspaceEmpty) as exc:  # a stop within the step: where it stood
             exc.diagnostics = {**_stopped(state, radius, step), **exc.diagnostics}
             raise
         start = result.transform

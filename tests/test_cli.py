@@ -135,6 +135,17 @@ class TestFitCommands:
         assert error["diagnostics"]["steps"] == steps
         assert len(error["diagnostics"]["center"]) == 1
 
+    def test_fit_relu_empty_halfspace_reports_where_the_search_stood(self, tmp_path, capsys):
+        # labels -1, -2, -3 fit no ReLU: the first cut moves the center to -4,
+        # where no point lies on the positive side
+        data = tmp_path / "negative.csv"
+        save_dataset_csv(LabeledDataset(np.ones((3, 1)), [-1.0, -2.0, -3.0]), data)
+        code, stdout, stderr = run_cli(capsys, "fit-relu", "--in", str(data), "--radius", "8")
+        assert code == 2 and stdout == ""
+        error = strict_json(stderr)
+        assert error["error"] == "HalfspaceEmpty"
+        assert error["diagnostics"] == {"center": [-4.0], "radius": 4.0, "steps": 1}
+
     def test_gd_relu_trajectory(self, tmp_path, capsys):
         data = tmp_path / "gd.csv"
         run_cli(capsys, "synth", "--d", "3", "--n", "60", "--seed", "4",

@@ -10,7 +10,7 @@ from radreg.bench import SyntheticSpec, make_synthetic_dataset
 from radreg.data import LabeledDataset
 from radreg.errors import ContractViolation, SolverStalled
 import radreg.l1
-from radreg.l1 import exact_fit_mask, l1_fit_linear, lad_optimal, snap_to_rational
+from radreg.l1 import exact_fit_mask, l1_fit_linear, lad_fit, lad_optimal, snap_to_rational
 from radreg.isotropy import radial_isotropize
 from radreg.noise import FlipNegate, MassartSpec, Scale, corrupt_massart, gated_flip
 
@@ -286,9 +286,10 @@ class TestLadOptimal:
         assert lad_optimal(LabeledDataset(U, y), fit.w)
 
     def test_refusal_stops_once_the_box_gap_stops_shrinking(self, monkeypatch):
+        # every round clips the dual point to the box once
         rounds = []
-        solve = radreg.l1.cho_solve
-        monkeypatch.setattr(radreg.l1, "cho_solve", lambda *a: rounds.append(1) or solve(*a))
+        clip = np.clip
+        monkeypatch.setattr(np, "clip", lambda *a: rounds.append(1) or clip(*a))
         ds, wrong = self.majority_on_a_line()
         assert not lad_optimal(ds, wrong)
         assert len(rounds) <= 3 < radreg.l1.CERTIFY_ROUNDS
@@ -323,15 +324,18 @@ class TestLadCandidate:
     def test_a_half_holding_a_rewritten_row_is_refused(self, seed):
         # least squares on a half that holds one of the ten rows misses that
         # row and lands up to about 3e-7 from the target, which lad_optimal
-        # still passes within FIT_RTOL; a candidate must fit its whole half
-        w, rounds = radreg.l1.lad_candidate(self.tiny_rewritten_labels(seed))
+        # still passes within FIT_RTOL; a half fit must fit its whole half
+        w, info = lad_fit(self.tiny_rewritten_labels(seed))
         np.testing.assert_allclose(w, self.W_STAR, rtol=0.0, atol=1e-12)
-        assert rounds % 2 == 0
+        assert info["lad"] == "half" and info["irls_rounds"] % 2 == 0
+        assert info["lp_solves"] == 0
 
     def test_rows_that_do_not_span_give_no_candidate(self):
         X = np.random.default_rng(3).standard_normal((60, 3))
         X[:, 2] = 0.0
-        assert radreg.l1.lad_candidate(LabeledDataset(X, X @ [1.0, 2.0, 0.0])) == (None, 0)
+        w, info = lad_fit(LabeledDataset(X, X @ [1.0, 2.0, 0.0]))
+        assert (info["lad"], info["irls_rounds"], info["lp_rows"], info["lp_solves"]) == (
+            "lp", 0, 60, 1)
 
 
 class TestL0Bruteforce:

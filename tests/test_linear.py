@@ -9,7 +9,7 @@ from radreg import l1, linear
 from radreg.bench import SyntheticSpec, make_synthetic_dataset
 from radreg.data import LabeledDataset
 from radreg.errors import ContractViolation, InsufficientPoints, NonIdentifiable
-from radreg.isotropy import certifying_gamma, radial_isotropize
+from radreg.isotropy import _unit_rows, certifying_gamma, radial_isotropize
 from radreg.l1 import l1_fit_linear, snap_to_rational
 from radreg.linear import recover_linear
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart, gated_flip
@@ -214,24 +214,25 @@ class TestRecoverLinearRecursive:
         assert obj["model"] == "linear"
         assert obj["recursion_depth"] == 1
         assert obj["w_snapped"]["values"] == [3.0, -2.0]
-        # both dim-1 leaves (180 and 120 points) certify a candidate at the
+        # both dim-1 leaves (180 and 120 points) certify a half fit at the
         # first check, round 2, and solve no LP
         leaves = [e for e in obj["recursion_trace"] if e["outcome"] == "transform"]
-        assert [(e["irls_rounds"], e["lp_rows"], e["lp_solves"], e["lp_iterations"])
-                for e in leaves] == [(2, 0, 0, 0), (2, 0, 0, 0)]
+        assert [(e["lad"], e["irls_rounds"], e["lp_rows"], e["lp_solves"], e["lp_iterations"])
+                for e in leaves] == [("half", 2, 0, 0, 0), ("half", 2, 0, 0, 0)]
         # dim-1 leaves converge long before the first detector run
         assert [e["isotropy"]["newton_steps"] for e in leaves] == [0, 0]
 
 
 class TestCandidateAndCertify:
-    """A leaf with n >= 6d rows tries lad_candidate before the LP."""
+    """A leaf asks l1.lad_fit: the half fit from 6d rows, then the vertex,
+    then the LP."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_certified_candidate_matches_the_full_lp(self, seed):
         ds = mixture_instance(seed, d=5, n=200)
         report = recover_linear(ds)
         (leaf,) = report.recursion_trace
-        assert leaf["irls_rounds"] >= 2
+        assert leaf["lad"] == "half" and leaf["irls_rounds"] >= 2
         assert (leaf["lp_rows"], leaf["lp_solves"], leaf["lp_iterations"]) == (0, 0, 0)
         assert report.w_snapped == full_lp_snapped(ds)
 
@@ -240,25 +241,64 @@ class TestCandidateAndCertify:
     def test_the_candidate_is_the_full_lp_answer_up_to_eta_045(self, eta, seed):
         ds = mixture_instance(seed, d=5, n=200, eta=eta)
         transform, rescaled = leaf_data(ds)
-        w, rounds = l1.lad_candidate(rescaled)
-        assert w is not None
-        assert 2 <= rounds <= l1.IRLS_ROUNDS and rounds % 2 == 0
+        w, info = l1.lad_fit(rescaled)
+        assert info["lad"] == "half"
+        assert 2 <= info["irls_rounds"] <= l1.IRLS_ROUNDS and info["irls_rounds"] % 2 == 0
         assert snap_to_rational(transform.matrix.T @ w, 10**6) == full_lp_snapped(ds)
+
+    @pytest.mark.parametrize("seed, eta", [(0, 0.0), (1, 0.0), (2, 0.0), (0, 0.1), (1, 0.1),
+                                           (2, 0.1), (0, 0.3), (2, 0.3), (2, 0.45)])
+    def test_the_vertex_is_the_full_lp_answer_on_4d_rows(self, eta, seed):
+        # the other draws of this grid at eta 0.3 and 0.45 leave the vertex
+        # unproven; the LP answers them
+        ds = mixture_instance(seed, d=10, n=40, eta=eta)
+        transform, rescaled = leaf_data(ds)
+        w, info = l1.lad_fit(rescaled)
+        assert (info["lad"], info["irls_rounds"]) == ("vertex", l1.VERTEX_IRLS_ROUNDS)
+        assert snap_to_rational(transform.matrix.T @ w, 10**6) == full_lp_snapped(ds)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("rows", ["raw", "unit"])
+    def test_the_vertex_is_the_lp_answer_on_the_baselines_inputs(self, rows, seed):
+        # the naive-l1 and normalized-l1 baselines fit the raw rows and the
+        # unit rows (x/|x|, y/|x|) of a sweep-sized instance
+        ds = mixture_instance(seed, d=30, n=120, eta=0.0)
+        if rows == "unit":
+            ds = LabeledDataset(*_unit_rows(ds.x, ds.y))
+        w, info = l1.lad_fit(ds)
+        assert (info["lad"], info["lp_solves"]) == ("vertex", 0)
+        assert snap_to_rational(w, 10**6) == snap_to_rational(l1_fit_linear(ds).w, 10**6)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_a_majority_fit_off_the_optimum_is_refused(self, seed):
         # the best-ranked half of the rows lies on the plane, where every
-        # third coordinate fits, so lad_candidate gives none at its first
+        # third coordinate fits, so the half fit gives none at its first
         # check and the LP on all 200 rows takes the third coordinate from
         # the points off the plane, not from the rewritten ones
         ds = plane_instance(seed)
         report = recover_linear(ds)
         (leaf,) = report.recursion_trace
-        assert (leaf["irls_rounds"], leaf["lp_rows"], leaf["lp_solves"]) == (2, 200, 1)
+        assert (leaf["lad"], leaf["irls_rounds"], leaf["lp_rows"], leaf["lp_solves"]) == (
+            "lp", 2, 200, 1)
         assert report.w_snapped == full_lp_snapped(ds)
         assert report.w_snapped.to_fractions() == fractions_of(PLANE_TARGET)
 
-    def test_failed_certificate_falls_back_to_the_full_lp(self, monkeypatch):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_vertex_on_the_plane_is_refused(self, seed):
+        # below 6d rows: d best-ranked rows on the plane do not span (seed
+        # 1), the rows such a vertex fits do not span (seeds 0 and 2), or
+        # the dual point fails (seed 3); the LP then answers on all 17 rows
+        ds = plane_instance(seed, n=17, on_plane=11)
+        report = recover_linear(ds)
+        (leaf,) = report.recursion_trace
+        assert (leaf["lad"], leaf["irls_rounds"], leaf["lp_rows"], leaf["lp_solves"]) == (
+            "lp", l1.VERTEX_IRLS_ROUNDS, 17, 1)
+        assert report.w_snapped == full_lp_snapped(ds)
+
+    @pytest.mark.parametrize("n, rounds", [(200, l1.IRLS_ROUNDS), (25, l1.VERTEX_IRLS_ROUNDS)])
+    def test_failed_certificate_falls_back_to_the_full_lp(self, n, rounds, monkeypatch):
+        # from 6d rows the half fit runs every round first; below, the vertex
+        # tries once; either way one LP on all n rows follows
         rows, iterations = [], []
 
         def recorded(samples):
@@ -268,37 +308,44 @@ class TestCandidateAndCertify:
             return fit
 
         monkeypatch.setattr(l1, "lad_optimal", lambda samples, w: False)
-        monkeypatch.setattr(linear, "l1_fit_linear", recorded)
-        ds = mixture_instance(0, d=5, n=200)
+        monkeypatch.setattr(l1, "l1_fit_linear", recorded)
+        ds = mixture_instance(0, d=5, n=n)
         report = recover_linear(ds)
         (leaf,) = report.recursion_trace
-        assert rows == [200]
-        assert leaf["irls_rounds"] == l1.IRLS_ROUNDS
-        assert (leaf["lp_rows"], leaf["lp_solves"]) == (200, 1)
+        assert rows == [n]
+        assert (leaf["lad"], leaf["irls_rounds"]) == ("lp", rounds)
+        assert (leaf["lp_rows"], leaf["lp_solves"]) == (n, 1)
         assert leaf["lp_iterations"] == iterations[0] > 0
         assert report.w_snapped == full_lp_snapped(ds)
 
-    @pytest.mark.parametrize("n, lp_solves", [(29, 1), (30, 0)])
-    def test_the_candidate_needs_6d_rows(self, n, lp_solves):
-        # below 6d rows the level makes one solve on all of them and tries
-        # no candidate
+    @pytest.mark.parametrize("n, lad, rounds", [(29, "vertex", l1.VERTEX_IRLS_ROUNDS),
+                                                (30, "half", 2)])
+    def test_the_candidate_needs_6d_rows(self, n, lad, rounds):
+        # below 6d rows the vertex is the first try, from 6d the half fit;
+        # on noiseless rows either is proven and no LP is solved
         w_star = [2.0, -1.0, 3.0, 0.0, 5.0]
         report = recover_linear(realizable(n, n, 5, w_star))
         (leaf,) = report.recursion_trace
-        assert leaf["lp_solves"] == lp_solves
-        assert leaf["lp_rows"] == lp_solves * n
-        assert (leaf["lp_iterations"] > 0) == (lp_solves == 1)
-        assert (leaf["irls_rounds"] > 0) == (lp_solves == 0)
+        assert (leaf["lad"], leaf["irls_rounds"]) == (lad, rounds)
+        assert (leaf["lp_rows"], leaf["lp_solves"], leaf["lp_iterations"]) == (0, 0, 0)
         assert report.w_snapped.to_fractions() == fractions_of(w_star)
 
-    def test_a_sweep_sized_leaf_never_calls_the_candidate(self, monkeypatch):
-        def refuse(samples):
-            raise AssertionError("lad_candidate called below 6d rows")
+    def test_a_sweep_sized_leaf_never_tries_the_half_fit(self, monkeypatch):
+        chosen = []
+        best_rows = l1._best_rows
 
-        monkeypatch.setattr(linear, "lad_candidate", refuse)
-        report = recover_linear(mixture_instance(0, d=30, n=120))
+        def recorded(X, y, w, k):
+            chosen.append(k)
+            return best_rows(X, y, w, k)
+
+        monkeypatch.setattr(l1, "_best_rows", recorded)
+        ds = mixture_instance(0, d=30, n=120)
+        report = recover_linear(ds)
         (leaf,) = report.recursion_trace
-        assert (leaf["irls_rounds"], leaf["lp_rows"], leaf["lp_solves"]) == (0, 120, 1)
+        assert chosen == [30]  # the vertex's d rows, never a half of 60
+        assert (leaf["lad"], leaf["irls_rounds"], leaf["lp_rows"], leaf["lp_solves"]) == (
+            "vertex", l1.VERTEX_IRLS_ROUNDS, 0, 0)
+        assert report.w_snapped == full_lp_snapped(ds)
 
 
 def flipped_instance(seed, m, d, eta=0.25):
@@ -309,13 +356,13 @@ def flipped_instance(seed, m, d, eta=0.25):
 
 
 TURNED_LEAVES = {
-    # the candidate certified
+    # the half fit certified
     "mixture, 120 x 5": lambda seed: mixture_instance(seed, 5, 120),
-    # below 6d rows: one solve on every row
+    # below 6d rows: the vertex certified
     "flipped, 20 x 4": lambda seed: flipped_instance(seed, 20, 4),
-    # the candidate certified at round 4
+    # the half fit certified at round 4
     "flipped, 200 x 6": lambda seed: flipped_instance(seed, 200, 6),
-    # no candidate: the best half of the rows does not span; one solve
+    # the best half of the rows does not span; one solve
     "plane, 200 x 3": plane_instance,
 }
 
@@ -337,7 +384,7 @@ class TestEquivariance:
         np.testing.assert_allclose(w_turned, w, rtol=0.0, atol=1e-9)
         assert snap_to_rational(w_turned, 10**6) == snap_to_rational(w, 10**6)
         # only the simplex's iteration count depends on the orientation
-        same = ("irls_rounds", "lp_rows", "lp_solves")
+        same = ("lad", "irls_rounds", "lp_rows", "lp_solves")
         assert [lp_turned[k] for k in same] == [lp[k] for k in same]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -378,16 +425,28 @@ def test_per_point_rescaling_leaves_the_snapped_output_unchanged(seed, exponents
     assert recover_linear(rescaled).w_snapped == expected
 
 
-@settings(max_examples=20, derandomize=True, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(64)))
-def test_row_permutation_leaves_the_snapped_output_unchanged(seed, perm):
-    # at n = 8d the leaf first tries lad_candidate, whose choice of rows
-    # breaks ties in residual by position, so this checks that the choice
-    # does not leak into the output
-    corrupted = mixture_instance(seed, d=8, n=64)
+def assert_row_order_does_not_leak(seed, perm):
+    corrupted = mixture_instance(seed, d=8, n=len(perm))
     permuted = LabeledDataset(corrupted.x[list(perm)], corrupted.y[list(perm)])
     expected = recover_linear(corrupted).w_snapped
     assert recover_linear(permuted).w_snapped == expected
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(64)))
+def test_row_permutation_leaves_the_snapped_output_unchanged(seed, perm):
+    # at n = 8d the leaf first tries the half fit, whose choice of rows
+    # breaks ties in residual by position, so this checks that the choice
+    # does not leak into the output
+    assert_row_order_does_not_leak(seed, perm)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(32)))
+def test_row_permutation_leaves_the_vertex_unchanged(seed, perm):
+    # at n = 4d the leaf tries the vertex first, whose d rows are chosen the
+    # same way
+    assert_row_order_does_not_leak(seed, perm)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

@@ -377,8 +377,13 @@ class TestEllipsoid:
         x = np.linspace(0.5, 1.5, 20)[:, None]
         ds = LabeledDataset(x, np.full(20, -5.0))
         cfg = EllipsoidConfig(initial_radius=4.0, max_denominator=4)
-        with pytest.raises(HalfspaceEmpty):
+        with pytest.raises(HalfspaceEmpty) as stop:
             ellipsoid_recover_relu(ds, cfg)
+        # like every other stop of the search, it says where the search stood
+        diagnostics = stop.value.diagnostics
+        assert set(diagnostics) == {"center", "radius", "steps"}
+        assert diagnostics["center"] == [-2.0] and diagnostics["radius"] == 2.0
+        assert diagnostics["steps"] == 1
 
     def test_norecovery_when_radius_too_small(self):
         rng = np.random.default_rng(6)
