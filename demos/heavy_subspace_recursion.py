@@ -38,7 +38,7 @@ report = recover_linear(corrupted)
 print("\nrecursion trace:")
 for entry in report.recursion_trace:
     iso = entry.get("isotropy")
-    extra = (f", gamma={iso['gamma_achieved']:.1e}" if iso
+    extra = (f", gamma={iso['gamma_achieved']:.1e}, LAD by {entry['lad']}" if iso
              else f", heavy dim {entry['heavy_dim']}"
                   f" fraction {entry['heavy_fraction']:.2f}")
     print(f"  depth {entry['depth']}  {entry['branch']:<12s} dim {entry['dim']}"
