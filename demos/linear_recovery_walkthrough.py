@@ -52,8 +52,8 @@ print(f"\ntransform diagnostics: {iso['iterations_used']} iterations "
       f"achieved gap {iso['gamma_achieved']:.2e}, "
       f"log condition number {iso['log_condition_number']:.2f}")
 leaf = report.recursion_trace[0]
-print(f"LAD minimizer by the {leaf['lad']!r} try of lad_fit: {leaf['irls_rounds']} reweighted rounds, "
-      f"{leaf['lp_solves']} LP solves")
+print(f"LAD minimizer by the {leaf['lad']!r} try of lad_fit: "
+      f"{leaf['irls_rounds']} reweighted rounds, {leaf['lp_solves']} LP solves")
 
 exact = report.w_snapped.to_fractions() == tuple(map(int, w_star))
 print("\nexact recovery:", "yes" if exact else "no")
