@@ -178,6 +178,8 @@ def lad_optimal(samples, w):
 def _least_squares(X, y, weights=None):
     """argmin_w sum_i weights_i (y_i - w.x_i)^2 by the normal equations;
     LinAlgError when the rows do not span."""
+    if X.shape[0] < X.shape[1]:  # the Cholesky factor of a singular Gram can pass
+        raise LinAlgError(f"{X.shape[0]} rows cannot span dimension {X.shape[1]}")
     Xw = X if weights is None else X * weights[:, None]
     return cho_solve(cho_factor(Xw.T @ X), Xw.T @ y)
 

@@ -330,12 +330,23 @@ class TestLadCandidate:
         assert info["lad"] == "half" and info["irls_rounds"] % 2 == 0
         assert info["lp_solves"] == 0
 
-    def test_rows_that_do_not_span_give_no_candidate(self):
+    @staticmethod
+    def zero_third_column():
         X = np.random.default_rng(3).standard_normal((60, 3))
         X[:, 2] = 0.0
-        w, info = lad_fit(LabeledDataset(X, X @ [1.0, 2.0, 0.0]))
+        return X
+
+    @staticmethod
+    def fewer_rows_than_dimensions():
+        # the Cholesky factor of this singular 5 x 5 Gram matrix passes
+        return np.random.default_rng(0).standard_normal((4, 5))
+
+    @pytest.mark.parametrize("rows", ["zero_third_column", "fewer_rows_than_dimensions"])
+    def test_rows_that_do_not_span_give_no_candidate(self, rows):
+        X = getattr(self, rows)()
+        w, info = lad_fit(LabeledDataset(X, X @ np.arange(1.0, X.shape[1] + 1)))
         assert (info["lad"], info["irls_rounds"], info["lp_rows"], info["lp_solves"]) == (
-            "lp", 0, 60, 1)
+            "lp", 0, X.shape[0], 1)
 
 
 class TestL0Bruteforce:
