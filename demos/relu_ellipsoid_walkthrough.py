@@ -1,11 +1,15 @@
-"""Exact ReLU recovery with the ellipsoid method, step by step.
+"""Exact ReLU recovery: the certified candidate, then the ellipsoid method.
 
-The l1 loss of a ReLU is non-convex, so instead of minimizing it directly
-the search maintains an ellipsoid guaranteed to contain the target. At each
-center the oracle either certifies a majority fit or returns a cutting
-hyperplane: the rescaled subgradient of the positive-side points, mapped
-back through the transform. Every cut shrinks the log-volume by at least
-1/(2(d+1)). Run: python demos/relu_ellipsoid_walkthrough.py
+A parameter is the answer once its snap fits a majority of the points
+(x/|x|, y/|x|). The search checks the first center w = 0, then an LP-free
+candidate (the least-squares fit on the half of those rows that reweighted
+least squares ranks best), and only then runs the ellipsoid method. The
+l1 loss of a ReLU is non-convex, so the ellipsoid keeps a region guaranteed
+to contain the target. At each center the oracle either certifies a
+majority fit or returns a cutting hyperplane: the rescaled subgradient of
+the positive-side points, mapped back through the transform. Every cut
+shrinks the log-volume by at least 1/(2(d+1)).
+Run: python demos/relu_ellipsoid_walkthrough.py
 """
 
 import numpy as np
@@ -14,31 +18,51 @@ from radreg import EllipsoidConfig, FlipNegate, MassartSpec, ellipsoid_recover_r
 from radreg.data import LabeledDataset
 from radreg.noise import corrupt_massart
 
-rng = np.random.default_rng(3)
-d, m, eta = 3, 2000, 0.3
-w_star = np.array([3.0, -4.0, 2.0])
+d, m = 3, 2000
 
-# shift the covariate mean along w* so the target's positive side carries
-# ~98% of the mass (keeps the majority-fit certificate identifying)
+
+def show(report, w_star):
+    diagnostics = report.diagnostics
+    print(f"certified by: {diagnostics['certified_by']} "
+          f"(candidate rounds {diagnostics['irls_rounds']}, "
+          f"ellipsoid steps {diagnostics['steps']}, "
+          f"oracle calls {diagnostics['oracle_calls']})")
+    print("recovered:", report.w_snapped.to_floats(), " target:", w_star)
+    print(f"inlier fraction of the snapped parameter: {report.inlier_fraction:.3f}")
+    print("exact:", report.w_snapped.to_fractions() == tuple(map(int, w_star)))
+
+
+# 1. Shift the covariate mean along w* so the target's positive side carries
+#    ~98% of the mass: the candidate certifies the target before any cut.
+rng = np.random.default_rng(3)
+w_star = np.array([3.0, -4.0, 2.0])
 X = rng.standard_normal((m, d)) + 2.0 * w_star / np.linalg.norm(w_star)
 clean = LabeledDataset(X, np.maximum(X @ w_star, 0.0))
-corrupted, record = corrupt_massart(clean, MassartSpec(eta, FlipNegate(), 5))
-print(f"{m} samples in R^{d}, {record.mask.sum()} labels corrupted at eta={eta}")
+corrupted, record = corrupt_massart(clean, MassartSpec(0.3, FlipNegate(), 5))
+print(f"shifted: {m} samples in R^{d}, {record.mask.sum()} labels corrupted at eta=0.3")
+show(ellipsoid_recover_relu(corrupted, EllipsoidConfig(initial_radius=10.0,
+                                                       max_denominator=16)), w_star)
 
-config = EllipsoidConfig(initial_radius=10.0, max_denominator=16)
+# 2. Centered covariates: about half the labels are clean zeros, which the
+#    linear half fit cannot separate from the rest, so the candidate refuses
+#    and the ellipsoid cuts its way to the target. (On other centered draws
+#    w = 0 itself fits half the points and is certified at the first center,
+#    a known hole of the majority certificate.)
+rng = np.random.default_rng(7)
+w_star = rng.integers(-5, 6, size=d).astype(float)
+X = rng.standard_normal((m, d))
+corrupted, record = corrupt_massart(LabeledDataset(X, np.maximum(X @ w_star, 0.0)),
+                                    MassartSpec(0.2, FlipNegate(), 7))
+print(f"\ncentered: {m} samples in R^{d}, {record.mask.sum()} labels corrupted at eta=0.2")
+config = EllipsoidConfig(initial_radius=30.0, max_denominator=16)
 report = ellipsoid_recover_relu(corrupted, config, record_volumes=True)
+show(report, w_star)
 
 vols = np.array(report.diagnostics["volume_logs"])
 decreases = -np.diff(vols)
-print(f"\ncuts performed: {report.diagnostics['steps']}")
-print(f"log-volume: {vols[0]:.2f} -> {vols[-1]:.2f}")
+print(f"log-volume: {vols[0]:.2f} -> {vols[-1]:.2f} over {decreases.size} cuts")
 print(f"per-cut decrease: min {decreases.min():.4f}, mean {decreases.mean():.4f} "
       f"(guarantee: {1 / (2 * (d + 1)):.4f})")
-
-print("\nfirst cuts (log-volume after each):")
+print("first cuts (log-volume after each):")
 for i, v in enumerate(vols[1:9], start=1):
     print(f"  cut {i:2d}: {v:8.3f}")
-
-print("\nrecovered:", report.w_snapped.to_floats(), " target:", w_star)
-print(f"inlier fraction of the snapped parameter: {report.inlier_fraction:.3f}")
-print("exact:", report.w_snapped.to_fractions() == tuple(map(int, w_star)))

@@ -1,9 +1,10 @@
 """Exact linear and ReLU regression under Massart label corruption.
 
 The pipeline: rescale the covariates into approximate radial-isotropic
-position, minimize the l1 loss (a linear program for linear models, an
-ellipsoid method with a gradient separation oracle for ReLUs), and snap the
-minimizer to bounded-denominator rationals for exact recovery.
+position, minimize the l1 loss (a linear program for linear models; for
+ReLUs a certified least-squares half fit, else an ellipsoid method with a
+gradient separation oracle), and snap the minimizer to bounded-denominator
+rationals for exact recovery.
 """
 
 from .data import LabeledDataset, load_dataset_csv, save_dataset_csv

@@ -167,10 +167,12 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit_linear)
 
-    p = sub.add_parser("fit-relu", help="recover a ReLU parameter (ellipsoid)")
+    p = sub.add_parser("fit-relu",
+                       help="recover a ReLU parameter (certified candidate, then ellipsoid)")
     p.add_argument("--in", required=True)
     p.add_argument("--radius", type=float, default=100.0, help="bound on |w*|")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=int, default=None,
+                   help="ellipsoid steps only; the candidate before them is not one")
     p.add_argument("--max-denominator", type=int, default=10**6)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit_relu)

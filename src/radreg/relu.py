@@ -3,16 +3,20 @@ transformed subgradient-descent experiment, whose every mode steps by
 A^T mean_i(s_i u_i) with the signs s_i read from the raw rows.
 
 The l1 loss of a ReLU model is non-convex, so instead of direct minimization
-the search runs a central-cut ellipsoid method. The separation oracle accepts
-a query that already fits a majority of the samples; otherwise it restricts
-to the closed positive halfspace of the query, puts those covariates in
-radial-isotropic position, and returns the back-transformed rescaled-l1
-subgradient direction as a cutting hyperplane. When the positive-side points
-concentrate on a subspace V (fewer than d of them always do) the oracle
-recurses: first inside V, then (if the inside check accepts) on the
-deflated complement, with the level decision and V/V-perp split of
-``radreg.linear``. Acceptance and the ellipsoid's stop rule judge each
-point on (x/|x|, y/|x|).
+``ellipsoid_recover_relu`` looks for a parameter whose snap fits a majority
+of the points (x/|x|, y/|x|), in this order: the first center w = 0; an
+LP-free candidate, the least-squares fit on the half of those rows that
+reweighted least squares ranks best; then a central-cut ellipsoid method.
+The report's ``certified_by`` says which answered. The separation oracle
+accepts a query that already fits a majority of the samples; otherwise it
+restricts to the closed positive halfspace of the query, puts those
+covariates in radial-isotropic position, and returns the back-transformed
+rescaled-l1 subgradient direction as a cutting hyperplane. When the
+positive-side points concentrate on a subspace V (fewer than d of them
+always do) the oracle recurses: first inside V, then (if the inside check
+accepts) on the deflated complement, with the level decision and V/V-perp
+split of ``radreg.linear``. The oracle's acceptance and every certificate
+of the search use one per-point test, ``_fit_mask``.
 
 Consecutive ellipsoid centers see nearly the same positive side, so each
 top-level oracle call of ``ellipsoid_recover_relu`` starts the isotropy
@@ -36,8 +40,8 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractViolation, HalfspaceEmpty, InsufficientPoints, NoRecovery
 from .isotropy import RadialTransform, _unit_rows, certifying_gamma, radial_isotropize
-from .l1 import (_check_positive_finite, _check_positive_int, _row_scales, exact_fit_mask,
-                 snap_to_rational)
+from .l1 import (_best_rows, _check_positive_finite, _check_positive_int, _least_squares,
+                 _reweighted, _row_scales, exact_fit_mask, snap_to_rational)
 from .linear import RecoveryReport, _in_v, _off_v
 
 BOUNDARY_RTOL = 1e-12  # half-space test: w.x >= -BOUNDARY_RTOL * |x| * max(1, |w|)
@@ -78,9 +82,10 @@ class EllipsoidConfig:
     """Search ball radius, step budget, and snapping bound.
 
     ``initial_radius`` must upper-bound |w*| and be positive and finite, and
-    ``max_steps``, when given, an integer >= 1, else ContractViolation. The
-    default budget is the steps that shrink the ball to DELTA_MIN_RTOL *
-    initial_radius, a safety net: the operative stop is the majority-fit check.
+    ``max_steps``, when given, an integer >= 1, else ContractViolation.
+    ``max_steps`` counts ellipsoid steps only. The default budget is the
+    steps that shrink the ball to DELTA_MIN_RTOL * initial_radius, a safety
+    net: the operative stop is the majority-fit check.
     ``max_denominator`` encodes the caller's bit-complexity knowledge of the
     target: snapping resolves exactly once the center is within
     1/(2*max_denominator^2) of it. The oracle's gap is ``certifying_gamma``.
@@ -123,6 +128,54 @@ class SepResult:
     transform: np.ndarray | None = None
 
 
+def _fit_mask(z, rows):
+    """The majority certificates' per-point test: ReLU(z) fits y on
+    (x/|x|, y/|x|), for z = X @ w and rows = ``l1._row_scales(X, y)``."""
+    _, scales, y_scaled = rows
+    return exact_fit_mask(_relu(z) / scales, y_scaled)
+
+
+def _certify(X, w, rows, max_denominator):
+    """(w, snapped, fit mask) for the first snap of w that fits a majority,
+    else None. Coarse denominators go first (1, 10, 100, ... below
+    max_denominator, then max_denominator): a simpler rational reaches the
+    certificate from a farther w, and the certificate itself is what makes
+    any candidate trustworthy."""
+    ladder = [10**k for k in range(math.ceil(math.log10(max_denominator)))]
+    for denominator in ladder + [max_denominator]:
+        snapped = snap_to_rational(w, denominator)
+        fit_mask = _fit_mask(X @ snapped.to_floats(), rows)
+        if 2 * int(fit_mask.sum()) >= X.shape[0]:
+            return w, snapped, fit_mask
+    return None
+
+
+def _candidate(X, rows, max_denominator):
+    """The LP-free try of ``ellipsoid_recover_relu``: (certified, rounds).
+
+    After every second round of reweighted least squares on the rows
+    (x/|x|, y/|x|), the least-squares fit on the floor(m/2) best-ranked rows
+    goes to ``_certify``. ``certified`` is its first answer, or None once
+    the rounds run out or the rows, weighted or chosen, do not span;
+    ``rounds`` counts the rounds run. No ball bounds the try.
+    """
+    _, scales, y_scaled = rows
+    U = X / scales[:, None]
+    half = X.shape[0] // 2
+    rounds = 0
+    try:
+        for rounds, w in _reweighted(U, y_scaled):
+            if rounds % 2 == 0:
+                best = _best_rows(U, y_scaled, w, half)
+                certified = _certify(X, _least_squares(U[best], y_scaled[best]), rows,
+                                     max_denominator)
+                if certified is not None:
+                    return certified, rounds
+    except np.linalg.LinAlgError:
+        pass
+    return None, rounds
+
+
 def _tally(sub_results, iterations=0):
     """Work of one oracle call: itself, its own isotropy iterations and the
     work its sub-calls report."""
@@ -153,12 +206,12 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
         raise InsufficientPoints(f"no samples at depth {_depth}", level=_depth)
     w0 = np.asarray(w0, dtype=float)
     z = X @ w0
-    norms, scales, y_scaled = _row_scales(X, y) if _rows is None else _rows
-    fits = int(exact_fit_mask(_relu(z) / scales, y_scaled).sum())
+    rows = _row_scales(X, y) if _rows is None else _rows
+    fits = int(_fit_mask(z, rows).sum())
     if 2 * fits >= m:
         return SepResult(True, diagnostics={"fit_count": fits, "depth": _depth, **_tally(())})
 
-    mask = positive_side_mask(X, w0, norms, z)
+    mask = positive_side_mask(X, w0, rows[0], z)
     if not mask.any():
         raise HalfspaceEmpty(
             f"no sample on the closed positive side of the query at depth {_depth}"
@@ -271,25 +324,33 @@ def ellipsoid_cut(state, normal):
 
 
 def ellipsoid_recover_relu(samples, config, record_volumes=False):
-    """Exact ReLU parameter recovery by the ellipsoid method.
+    """Exact ReLU parameter recovery: the first center, an LP-free
+    candidate, then the ellipsoid method.
 
-    At every step the snapped center is tested against the majority-fit
-    certificate (on (x/|x|, y/|x|)) first; the oracle is only consulted
-    when that fails. Each oracle call starts from the previous cut's
-    transform (module docstring). The report's diagnostics hold ``steps``,
-    ``final_radius``, ``oracle_calls`` and ``isotropy_iterations``. Raises
-    NoRecovery when steps or the ellipsoid radius run out, when the oracle
-    accepts or has no cut, or when the shape stops being positive definite;
-    its JSON-safe ``diagnostics`` hold the final ``center`` (a list),
-    ``radius`` and ``steps``. HalfspaceEmpty from the oracle carries the same
-    ``diagnostics``. Raises InsufficientPoints on a dataset with no rows.
+    A parameter is kept when one of its snaps passes the majority-fit
+    certificate on (x/|x|, y/|x|). Tried in order: the center w = 0,
+    ``_candidate``, then each ellipsoid step's center before that step
+    consults the oracle, which starts from the previous cut's transform
+    (module docstring). ``config.max_steps`` counts ellipsoid steps only.
+
+    The report's diagnostics hold ``certified_by`` (``"candidate"``, or
+    ``"ellipsoid"`` for a center, the first one included), ``irls_rounds``
+    (the candidate's, 0 when it did not run), ``steps``, ``final_radius``,
+    ``oracle_calls`` and ``isotropy_iterations``. The candidate's path makes
+    no step: its counts are 0, its radius the initial one, and with
+    ``record_volumes`` its ``volume_logs`` hold the initial volume alone.
+    Raises NoRecovery when steps or the ellipsoid radius run out, when the
+    oracle accepts or has no cut, or when the shape stops being positive
+    definite; its JSON-safe ``diagnostics`` hold the final ``center`` (a
+    list), ``radius`` and ``steps``. HalfspaceEmpty from the oracle carries
+    the same ``diagnostics``. Raises InsufficientPoints on a dataset with no
+    rows.
     """
     X, y = samples.x, samples.y
     m, d = X.shape
     if m == 0:  # else the empty majority check would certify the first center
         raise InsufficientPoints("no samples to certify a parameter on")
     rows = _row_scales(X, y)
-    _, scales, y_scaled = rows
     state = EllipsoidState(
         center=np.zeros(d),
         shape=config.initial_radius ** 2 * np.eye(d),
@@ -298,30 +359,29 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     max_steps = config.resolved_max_steps(d)
     volumes = [state.volume_log] if record_volumes else None
     work = {"oracle_calls": 0, "isotropy_iterations": 0}
+    rounds = 0
     start = None  # the previous cut's transform
-    # try coarse denominators first: a simpler rational reaches the majority
-    # certificate from a farther center, and the certificate itself is what
-    # makes any candidate trustworthy
-    ladder = [10**k for k in range(math.ceil(math.log10(config.max_denominator)))]
-    ladder.append(config.max_denominator)
     for step in range(max_steps):
-        for denominator in ladder:
-            snapped = snap_to_rational(state.center, denominator)
-            ws = snapped.to_floats()
-            fit_mask = exact_fit_mask(_relu(X @ ws) / scales, y_scaled)
-            if 2 * int(fit_mask.sum()) >= m:
-                diagnostics = {"steps": step, "final_radius": radius, **work}
-                if record_volumes:
-                    diagnostics["volume_logs"] = volumes
-                return RecoveryReport(
-                    w_hat=state.center.copy(),
-                    w_snapped=snapped,
-                    inlier_fraction=float(fit_mask.mean()),
-                    recursion_trace=[],
-                    majority_certified=True,
-                    model="relu",
-                    diagnostics=diagnostics,
-                )
+        certified_by = "ellipsoid"
+        certified = _certify(X, state.center, rows, config.max_denominator)
+        if certified is None and step == 0:
+            certified_by = "candidate"
+            certified, rounds = _candidate(X, rows, config.max_denominator)
+        if certified is not None:
+            w_hat, snapped, fit_mask = certified
+            diagnostics = {"certified_by": certified_by, "irls_rounds": rounds,
+                           "steps": step, "final_radius": radius, **work}
+            if record_volumes:
+                diagnostics["volume_logs"] = volumes
+            return RecoveryReport(
+                w_hat=w_hat.copy(),
+                w_snapped=snapped,
+                inlier_fraction=float(fit_mask.mean()),
+                recursion_trace=[],
+                majority_certified=True,
+                model="relu",
+                diagnostics=diagnostics,
+            )
         try:
             result = sep_oracle(samples, state.center, _start=start, _rows=rows)
             for key in work:

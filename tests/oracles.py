@@ -11,8 +11,9 @@ do the work the library avoids: one SVD per heavy-subspace candidate, a
 rank SVD on every call, a symmetric polar factor after every fixed-point
 step (``sym_polar``), and fixed-point steps where the library takes Newton
 steps.
-``oracle_transform`` recomputes the transform behind a separation cut, and
-``recovery_rate`` reads one rate off a recovery-rate report.
+``oracle_transform`` recomputes the transform behind a separation cut,
+``recovery_rate`` reads one rate off a recovery-rate report, and
+``ellipsoid_only`` makes ``ellipsoid_recover_relu`` skip its candidate.
 """
 
 import itertools
@@ -35,6 +36,7 @@ from radreg.isotropy import (
 )
 from radreg.l1 import exact_fit_mask
 from radreg.linalg import matrix_rank, span_basis
+from radreg import relu
 from radreg.relu import positive_side_mask
 
 
@@ -282,3 +284,10 @@ def recovery_rate(report, method, grid_value=None):
         if row.method == method and (grid_value is None or row.grid_value == grid_value):
             return row.recovery_rate
     raise KeyError(method)
+
+
+def ellipsoid_only(monkeypatch):
+    """Make the LP-free candidate of ``ellipsoid_recover_relu`` refuse, so
+    that the search runs on the instances it would certify: every answer
+    then comes from an ellipsoid center, the first one included."""
+    monkeypatch.setattr(relu, "_candidate", lambda X, rows, max_denominator: (None, 0))

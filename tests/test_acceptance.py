@@ -31,8 +31,8 @@ from radreg.relu import (
     sep_oracle,
 )
 
-from oracles import (check_structural_condition, l0_fit_bruteforce, min_isotropy_eig,
-                     oracle_transform, recovery_rate)
+from oracles import (check_structural_condition, ellipsoid_only, l0_fit_bruteforce,
+                     min_isotropy_eig, oracle_transform, recovery_rate)
 
 
 def _report(num, desc, ok, detail=""):
@@ -265,23 +265,28 @@ def test_criterion_9_gd_transform_comparison():
             ok, f"wins={wins}/50")
 
 
-def test_criterion_10_ellipsoid_invariants():
+def test_criterion_10_ellipsoid_invariants(monkeypatch):
+    # the candidate certifies these instances before any cut, so the
+    # ellipsoid runs without it
+    ellipsoid_only(monkeypatch)
     min_decrease = np.inf
     certificates = True
+    cuts = 0
     for trial in range(5):
         corrupted, _, _ = _shifted_relu_instance(95_000 + trial)
         d = corrupted.d
         cfg = EllipsoidConfig(initial_radius=10.0, max_denominator=16)
         rep = ellipsoid_recover_relu(corrupted, cfg, record_volumes=True)
         decreases = -np.diff(rep.diagnostics["volume_logs"])
+        cuts += decreases.size
         if decreases.size:
             min_decrease = min(min_decrease, float(decreases.min()))
         pred = np.maximum(corrupted.x @ rep.w_snapped.to_floats(), 0.0)
         fits = np.abs(pred - corrupted.y) <= FIT_RTOL * (1 + np.abs(corrupted.y))
         certificates &= bool(2 * int(fits.sum()) >= corrupted.m)
     bound = 1.0 / (2 * (3 + 1)) - 1e-9
-    ok = min_decrease >= bound and certificates
+    ok = cuts > 0 and min_decrease >= bound and certificates
     _report(10, "every ellipsoid cut shrinks log-volume by >= 1/(2(d+1)) and "
                 "certified outputs fit a majority",
-            ok, f"min decrease={min_decrease:.4f} vs bound {bound:.4f}, "
+            ok, f"{cuts} cuts, min decrease={min_decrease:.4f} vs bound {bound:.4f}, "
                 f"certificates={certificates}")

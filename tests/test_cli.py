@@ -7,6 +7,8 @@ from radreg.cli import main
 from radreg.data import LabeledDataset, load_dataset_csv, save_dataset_csv
 from radreg.relu import GD_MODES
 
+from oracles import ellipsoid_only
+
 
 def strict_json(text):
     def reject(constant):
@@ -98,17 +100,37 @@ class TestFitCommands:
         save_dataset_csv(LabeledDataset(X, y), data)
         return data
 
-    def test_fit_relu(self, tmp_path, capsys):
+    def test_fit_relu(self, tmp_path, capsys, monkeypatch):
+        # the candidate certifies this set, so the ellipsoid runs without it
+        ellipsoid_only(monkeypatch)
         data = self.make_relu_csv(tmp_path)
         code, stdout, _ = run_cli(capsys, "fit-relu", "--in", str(data),
                                   "--radius", "5", "--max-denominator", "8")
         assert code == 0
         report = json.loads(stdout)
         assert report["w_snapped"]["values"] == [2.0, 1.0]
-        assert report["diagnostics"]["oracle_calls"] == report["diagnostics"]["steps"]
+        diagnostics = report["diagnostics"]
+        assert diagnostics["certified_by"] == "ellipsoid"
+        assert diagnostics["oracle_calls"] == diagnostics["steps"] > 0
 
-    def test_fit_relu_failure_carries_its_diagnostics(self, tmp_path, capsys):
-        # the origin does not certify, so one step ends the search uncertified
+    def test_fit_relu_certifies_the_candidate_before_any_step(self, tmp_path, capsys):
+        data = self.make_relu_csv(tmp_path)
+        code, stdout, _ = run_cli(capsys, "fit-relu", "--in", str(data),
+                                  "--radius", "5", "--max-denominator", "8",
+                                  "--max-steps", "1")
+        assert code == 0
+        report = strict_json(stdout)
+        assert report["w_snapped"]["values"] == [2.0, 1.0]
+        diagnostics = report["diagnostics"]
+        assert diagnostics["certified_by"] == "candidate"
+        assert type(diagnostics["irls_rounds"]) is int and diagnostics["irls_rounds"] >= 1
+        assert diagnostics["steps"] == diagnostics["oracle_calls"] == 0
+        assert diagnostics["isotropy_iterations"] == 0
+
+    def test_fit_relu_failure_carries_its_diagnostics(self, tmp_path, capsys, monkeypatch):
+        # without the candidate, which certifies this set, the origin does not
+        # certify and one step ends the search uncertified
+        ellipsoid_only(monkeypatch)
         data = self.make_relu_csv(tmp_path)
         code, _, stderr = run_cli(capsys, "fit-relu", "--in", str(data),
                                   "--radius", "5", "--max-denominator", "8",

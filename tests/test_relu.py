@@ -13,7 +13,7 @@ from radreg.data import LabeledDataset
 from radreg.errors import (ContractViolation, DimensionMismatch, HalfspaceEmpty,
                            InsufficientPoints, NoRecovery, RadregError)
 from radreg.isotropy import RadialTransform, _unit_rows
-from radreg.l1 import FIT_RTOL, snap_to_rational
+from radreg.l1 import FIT_RTOL, IRLS_ROUNDS, snap_to_rational
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
 from radreg.relu import (
     EllipsoidConfig,
@@ -26,7 +26,7 @@ from radreg.relu import (
     sep_oracle,
 )
 
-from oracles import l0_fit_bruteforce, oracle_transform, sym_polar
+from oracles import ellipsoid_only, l0_fit_bruteforce, oracle_transform, sym_polar
 
 
 def fractions_of(vec):
@@ -46,6 +46,17 @@ def shifted_relu_instance(seed, d=3, m=2000, eta=0.3, w_range=5):
         clean, MassartSpec(eta, FlipNegate(), seed + 7919)
     )
     return corrupted, record, w_star
+
+
+def centered_relu_instance(i, d=3, m=2000):
+    """ROADMAP item 2's repro: standard normal covariates with no mean
+    shift, so about half the labels are clean zeros."""
+    rng = np.random.default_rng(i)
+    w_star = rng.integers(-5, 6, size=d).astype(float)
+    X = rng.standard_normal((m, d))
+    corrupted, _ = corrupt_massart(LabeledDataset(X, np.maximum(X @ w_star, 0.0)),
+                                   MassartSpec(0.2, FlipNegate(), i))
+    return corrupted, w_star
 
 
 def two_points_on_the_query_side():
@@ -347,13 +358,17 @@ class TestEllipsoid:
         l0_w, _ = l0_fit_bruteforce(sub, model="relu")
         assert snap_to_rational(l0_w, 16) == report.w_snapped
 
-    def test_volume_decrease_and_certificate(self):
+    def test_volume_decrease_and_certificate(self, monkeypatch):
+        # the candidate certifies this instance, so the cuts are made without it
+        ellipsoid_only(monkeypatch)
         corrupted, _, _ = shifted_relu_instance(seed=9)
         cfg = EllipsoidConfig(initial_radius=10.0, max_denominator=16)
         report = ellipsoid_recover_relu(corrupted, cfg, record_volumes=True)
+        assert report.diagnostics["certified_by"] == "ellipsoid"
         vols = report.diagnostics["volume_logs"]
         d = corrupted.d
         decreases = -np.diff(vols)
+        assert decreases.size == report.diagnostics["steps"] > 0
         assert np.all(decreases >= 1.0 / (2 * (d + 1)) - 1e-9)
         # the certified output fits a majority
         pred = np.maximum(corrupted.x @ report.w_snapped.to_floats(), 0.0)
@@ -385,14 +400,19 @@ class TestEllipsoid:
         assert diagnostics["center"] == [-2.0] and diagnostics["radius"] == 2.0
         assert diagnostics["steps"] == 1
 
-    def test_norecovery_when_radius_too_small(self):
+    def test_norecovery_when_radius_too_small(self, monkeypatch):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((60, 2)) + 2.0
         w_star = np.array([5.0, 5.0])
         ds = LabeledDataset(X, np.maximum(X @ w_star, 0.0))
         cfg = EllipsoidConfig(initial_radius=1.0, max_denominator=4,
                               max_steps=200)
-        # |w*| > R: the target is outside the search ball
+        # the candidate searches no ball: its certified half fit is the target
+        report = ellipsoid_recover_relu(ds, cfg)
+        assert report.diagnostics["certified_by"] == "candidate"
+        assert report.w_snapped.to_fractions() == fractions_of(w_star)
+        # |w*| > R: the target is outside the ellipsoid's search ball
+        ellipsoid_only(monkeypatch)
         with pytest.raises((NoRecovery, HalfspaceEmpty)):
             ellipsoid_recover_relu(ds, cfg)
 
@@ -439,15 +459,17 @@ class TestEllipsoid:
                 assert quad <= 1.0 + 1e-9, "target cut away despite verified queries"
         assert checked_cuts >= 10  # the check must actually have bitten
 
-    def test_report_counts_oracle_work(self):
-        # the criterion-5 family at the benchmark's size: started from the
-        # previous cut, an oracle call takes at most 2 isotropy iterations on
-        # average (about 4 from the identity)
+    def test_report_counts_oracle_work(self, monkeypatch):
+        # the criterion-5 family at the benchmark's size, which the candidate
+        # certifies: without it, started from the previous cut, an oracle call
+        # takes at most 2 isotropy iterations on average (about 4 from the identity)
+        ellipsoid_only(monkeypatch)
         corrupted, _, w_star = shifted_relu_instance(seed=5, d=20, m=5000)
         cfg = EllipsoidConfig(initial_radius=30.0, max_denominator=16)
         report = ellipsoid_recover_relu(corrupted, cfg)
         assert report.w_snapped.to_fractions() == fractions_of(w_star)
         diagnostics = report.diagnostics
+        assert diagnostics["certified_by"] == "ellipsoid"
         assert diagnostics == ellipsoid_recover_relu(corrupted, cfg).diagnostics
         assert diagnostics["oracle_calls"] >= diagnostics["steps"] > 0
         assert diagnostics["isotropy_iterations"] <= 2 * diagnostics["oracle_calls"]
@@ -461,6 +483,8 @@ class TestEllipsoid:
         return ds, EllipsoidConfig(initial_radius=8.0, max_denominator=16)
 
     def test_indefinite_shape_raises_norecovery(self, monkeypatch):
+        ellipsoid_only(monkeypatch)  # the candidate certifies the instance
+
         def indefinite_cut(state, normal):
             return EllipsoidState(state.center - 0.1 * normal, np.diag([4.0, -1e-3]))
 
@@ -473,6 +497,8 @@ class TestEllipsoid:
         assert json.loads(json.dumps(diagnostics)) == diagnostics
 
     def test_failed_cut_reports_its_step(self, monkeypatch):
+        ellipsoid_only(monkeypatch)  # the candidate certifies the instance
+
         def zero_normal(samples, w0, **_):
             return SepResult(False, normal=np.zeros(2),
                              diagnostics={"oracle_calls": 1, "isotropy_iterations": 0})
@@ -522,17 +548,77 @@ class TestEllipsoid:
         assert new.radius == pytest.approx(state.radius / 2)
         assert new.center[0] == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("seed, d, m", [(0, 3, 2000), (1, 3, 2000), (5, 20, 5000)])
+    def test_candidate_certifies_the_shifted_family_before_any_step(self, seed, d, m):
+        corrupted, _, w_star = shifted_relu_instance(seed, d=d, m=m)
+        cfg = EllipsoidConfig(initial_radius=30.0, max_denominator=16)
+        report = ellipsoid_recover_relu(corrupted, cfg, record_volumes=True)
+        assert report.w_snapped.to_fractions() == fractions_of(w_star)
+        diagnostics = report.diagnostics
+        assert diagnostics["certified_by"] == "candidate"
+        assert 1 <= diagnostics["irls_rounds"] <= IRLS_ROUNDS
+        assert diagnostics["steps"] == diagnostics["oracle_calls"] == 0
+        assert diagnostics["isotropy_iterations"] == 0
+        assert diagnostics["final_radius"] == 30.0
+        assert len(diagnostics["volume_logs"]) == 1
+        assert report.majority_certified
+        assert report.inlier_fraction >= 0.5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_candidate_answers_as_the_ellipsoid_does_on_shifted_draws(self, seed, monkeypatch):
+        corrupted, _, _ = shifted_relu_instance(seed + 20)
+        cfg = EllipsoidConfig(initial_radius=10.0, max_denominator=16)
+        report = ellipsoid_recover_relu(corrupted, cfg)
+        assert report.diagnostics["certified_by"] == "candidate"
+        ellipsoid_only(monkeypatch)
+        alone = ellipsoid_recover_relu(corrupted, cfg)
+        assert alone.diagnostics["steps"] > 0
+        assert report.w_snapped == alone.w_snapped
+
+    def test_candidate_answers_as_the_ellipsoid_does_on_centered_draws(self, monkeypatch):
+        # ROADMAP item 2's draws: where step 0 does not certify w = 0, the
+        # candidate refuses after all its rounds and the ellipsoid answers
+        config = EllipsoidConfig(initial_radius=30, max_denominator=16)
+        refused = 0
+        for i in range(10):
+            corrupted, _ = centered_relu_instance(i)
+            report = ellipsoid_recover_relu(corrupted, config)
+            with monkeypatch.context() as patch:
+                ellipsoid_only(patch)
+                alone = ellipsoid_recover_relu(corrupted, config)
+            assert report.w_snapped == alone.w_snapped, f"instance {i}"
+            assert report.diagnostics["certified_by"] == "ellipsoid"
+            if alone.diagnostics["steps"] > 0:
+                refused += 1
+                assert report.diagnostics["irls_rounds"] == IRLS_ROUNDS
+                assert report.diagnostics["steps"] == alone.diagnostics["steps"]
+            else:  # step 0's check answers before the candidate runs
+                assert report.diagnostics["irls_rounds"] == 0
+        assert refused >= 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_candidate_refuses_fewer_than_2d_rows(self, seed):
+        # floor(m/2) = 2 rows cannot span R^3: the half fit after the second
+        # round raises LinAlgError and the ellipsoid answers
+        rng = np.random.default_rng(seed)
+        w_star = np.array([2.0, -1.0, 1.0])
+        X = rng.standard_normal((5, 3)) + 2.0 * w_star / np.linalg.norm(w_star)
+        ds = LabeledDataset(X, np.maximum(X @ w_star, 0.0))
+        report = ellipsoid_recover_relu(ds, EllipsoidConfig(initial_radius=5.0,
+                                                            max_denominator=4))
+        assert report.w_snapped.to_fractions() == fractions_of(w_star)
+        diagnostics = report.diagnostics
+        assert diagnostics["certified_by"] == "ellipsoid"
+        assert diagnostics["irls_rounds"] == 2
+        assert diagnostics["oracle_calls"] >= diagnostics["steps"] > 0
+
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "ROADMAP item 2: on centered covariates w = 0 fits every clean zero label, "
         "about half the points, and passes the majority certificate"))
     def test_centered_covariates_certify_the_target_or_raise(self):
         config = EllipsoidConfig(initial_radius=30, max_denominator=16)
         for i in range(10):
-            rng = np.random.default_rng(i)
-            w_star = rng.integers(-5, 6, size=3).astype(float)
-            X = rng.standard_normal((2000, 3))
-            corrupted, _ = corrupt_massart(LabeledDataset(X, np.maximum(X @ w_star, 0.0)),
-                                           MassartSpec(0.2, FlipNegate(), i))
+            corrupted, w_star = centered_relu_instance(i)
             try:
                 report = ellipsoid_recover_relu(corrupted, config)
             except RadregError:
