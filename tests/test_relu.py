@@ -548,8 +548,10 @@ class TestEllipsoid:
         assert new.radius == pytest.approx(state.radius / 2)
         assert new.center[0] == pytest.approx(-1.0)
 
-    @pytest.mark.parametrize("seed, d, m", [(0, 3, 2000), (1, 3, 2000), (5, 20, 5000)])
-    def test_candidate_certifies_the_shifted_family_before_any_step(self, seed, d, m):
+    @pytest.mark.parametrize("seed, d, m", [(0, 3, 2000), (1, 3, 2000), (20, 3, 2000),
+                                            (21, 3, 2000), (5, 20, 5000)])
+    def test_candidate_certifies_the_shifted_family_before_any_step(self, seed, d, m,
+                                                                    monkeypatch):
         corrupted, _, w_star = shifted_relu_instance(seed, d=d, m=m)
         cfg = EllipsoidConfig(initial_radius=30.0, max_denominator=16)
         report = ellipsoid_recover_relu(corrupted, cfg, record_volumes=True)
@@ -561,15 +563,8 @@ class TestEllipsoid:
         assert diagnostics["isotropy_iterations"] == 0
         assert diagnostics["final_radius"] == 30.0
         assert len(diagnostics["volume_logs"]) == 1
-        assert report.majority_certified
-        assert report.inlier_fraction >= 0.5
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_candidate_answers_as_the_ellipsoid_does_on_shifted_draws(self, seed, monkeypatch):
-        corrupted, _, _ = shifted_relu_instance(seed + 20)
-        cfg = EllipsoidConfig(initial_radius=10.0, max_denominator=16)
-        report = ellipsoid_recover_relu(corrupted, cfg)
-        assert report.diagnostics["certified_by"] == "candidate"
+        assert report.majority_certified and report.inlier_fraction >= 0.5
+        # the ellipsoid alone reaches the same snapped answer
         ellipsoid_only(monkeypatch)
         alone = ellipsoid_recover_relu(corrupted, cfg)
         assert alone.diagnostics["steps"] > 0
