@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from radreg import relu
 from radreg.errors import ContractViolation, RadregError
 from radreg.isotropy import (
     ANGULAR_TOL,
@@ -36,7 +37,6 @@ from radreg.isotropy import (
 )
 from radreg.l1 import exact_fit_mask
 from radreg.linalg import matrix_rank, span_basis
-from radreg import relu
 from radreg.relu import positive_side_mask
 
 
