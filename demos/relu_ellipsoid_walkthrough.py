@@ -1,14 +1,15 @@
 """Exact ReLU recovery: the certified candidate, then the ellipsoid method.
 
 A parameter is the answer once its snap fits a majority of the points
-(x/|x|, y/|x|). The search checks the first center w = 0, then an LP-free
-candidate (the least-squares fit on the half of those rows that reweighted
-least squares ranks best), and only then runs the ellipsoid method. The
-l1 loss of a ReLU is non-convex, so the ellipsoid keeps a region guaranteed
-to contain the target. At each center the oracle either certifies a
-majority fit or returns a cutting hyperplane: the rescaled subgradient of
-the positive-side points, mapped back through the transform. Every cut
-shrinks the log-volume by at least 1/(2(d+1)).
+(x/|x|, y/|x|) and a strict majority of those with w.x > 0. The search
+tries an LP-free candidate (the least-squares fit on the half of those rows
+that reweighted least squares ranks best), and only then runs the
+ellipsoid method. The l1 loss of a ReLU is
+non-convex, so the ellipsoid keeps a region guaranteed to contain the
+target. At each center the oracle either certifies a majority fit or
+returns a cutting hyperplane: the rescaled subgradient of the positive-side
+points, mapped back through the transform. Every cut shrinks the log-volume
+by at least 1/(2(d+1)).
 Run: python demos/relu_ellipsoid_walkthrough.py
 """
 
@@ -45,9 +46,9 @@ show(ellipsoid_recover_relu(corrupted, EllipsoidConfig(initial_radius=10.0,
 
 # 2. Centered covariates: about half the labels are clean zeros, which the
 #    linear half fit cannot separate from the rest, so the candidate refuses
-#    and the ellipsoid cuts its way to the target. (On other centered draws
-#    w = 0 itself fits half the points and is certified at the first center,
-#    a known hole of the majority certificate.)
+#    and the ellipsoid cuts its way to the target. (w = 0 fits about half
+#    the points here too, but it has no point with w.x > 0 to fit a majority
+#    of, so the first center is never the answer, and it is not checked.)
 rng = np.random.default_rng(7)
 w_star = rng.integers(-5, 6, size=d).astype(float)
 X = rng.standard_normal((m, d))

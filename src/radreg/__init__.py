@@ -59,13 +59,11 @@ from .relu import (
 from .bench import (
     BenchReport,
     SyntheticSpec,
-    default_sample_size,
     default_target,
     exact_recovery_bench,
     make_synthetic_dataset,
     margin_fraction,
     method_registry,
-    sample_synthetic_mixture,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractViolation, RadregError
 from .isotropy import _unit_rows
-from .l1 import _check_positive_finite, _check_positive_int, lad_fit, snap_to_rational
+from .l1 import _check_positive_int, lad_fit, snap_to_rational
 from .linear import recover_linear
 from .noise import MassartSpec, corrupt_massart, gated_flip
 
@@ -54,8 +54,12 @@ class SyntheticSpec:
             raise ContractViolation("w_star must have shape (d,)")
 
 
-def sample_synthetic_mixture(spec):
-    """Draw covariates from the two-level Gaussian mixture (see module doc)."""
+def make_synthetic_dataset(spec, model="linear"):
+    """Mixture covariates (see module doc) with clean labels w*.x, or
+    max(w*.x, 0) for the "relu" model; any other model is a
+    ContractViolation."""
+    if model not in ("linear", "relu"):
+        raise ContractViolation(f'model must be "linear" or "relu", got {model!r}')
     rng = np.random.default_rng(spec.seed)
     d, n = spec.d, spec.n
     pick_near = rng.random(n) < 0.5
@@ -65,26 +69,17 @@ def sample_synthetic_mixture(spec):
     means[pick_near, 0] = 1.0
     far = ~pick_near
     means[far, comps[far]] = float(d)
-    return means + noise
-
-
-def _labeled(X, w_star, model):
-    """Clean labels w*.x, or max(w*.x, 0) for the "relu" model."""
-    z = X @ w_star
+    X = means + noise
+    z = X @ spec.w_star
     return LabeledDataset(X, z if model == "linear" else np.maximum(z, 0.0))
-
-
-def make_synthetic_dataset(spec, model="linear"):
-    """Mixture covariates with clean labels from the planted parameter."""
-    return _labeled(sample_synthetic_mixture(spec), spec.w_star, model)
 
 
 OUTLIER_COUNT = 4      # far points of the outlier family
 OUTLIER_SCALE = 100.0  # their approximate norm
 
 
-def make_outlier_dataset(spec, model="linear"):
-    """Dense cluster at e1 plus OUTLIER_COUNT axis-aligned far outliers.
+def make_outlier_dataset(spec):
+    """Dense cluster at e1 plus OUTLIER_COUNT axis-aligned far outliers, labelled w*.x.
 
     The far points have norm ~OUTLIER_SCALE, so a single flipped far label
     can dominate the raw l1 objective along its axis while the clean cluster
@@ -100,20 +95,11 @@ def make_outlier_dataset(spec, model="linear"):
     comps = rng.integers(0, d, size=OUTLIER_COUNT)
     far = rng.standard_normal((OUTLIER_COUNT, d)) / d
     far[np.arange(OUTLIER_COUNT), comps] += OUTLIER_SCALE
-    return _labeled(np.vstack([near, far])[rng.permutation(n)], spec.w_star, model)
+    X = np.vstack([near, far])[rng.permutation(n)]
+    return LabeledDataset(X, X @ spec.w_star)
 
 
 INSTANCE_FAMILIES = ("mixture", "outlier")
-
-
-def default_sample_size(d, eta, rho=1.0, c=1.0):
-    """Sample-size suggestion c * d^3 / (rho (1 - 2 eta)^2); ``rho`` and ``c``
-    must be positive and finite, else ContractViolation."""
-    if not 0.0 <= eta < 0.5:
-        raise ContractViolation("eta must lie in [0, 1/2)")
-    _check_positive_finite(rho, "rho")
-    _check_positive_finite(c, "c")
-    return int(math.ceil(c * d**3 / (rho * (1.0 - 2.0 * eta) ** 2)))
 
 
 # --- fitting methods ----------------------------------------------------------
@@ -253,7 +239,7 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
             data_seed, noise_seed = _trial_seeds(seed, gi, trial)
             spec = SyntheticSpec(d=d, n=cur_n, seed=data_seed, w_star=w_star)
             if instance == "mixture":
-                clean = make_synthetic_dataset(spec, model="linear")
+                clean = make_synthetic_dataset(spec)
             else:
                 clean = make_outlier_dataset(spec)
             corrupted, _ = corrupt_massart(

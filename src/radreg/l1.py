@@ -58,7 +58,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import linprog
 
-from .errors import ContractViolation, SolverStalled
+from .errors import ContractViolation, InsufficientPoints, SolverStalled
 
 # |y - prediction| <= FIT_RTOL * (1 + |y|) counts as an exact fit. Certificates
 # judge each point on (x/|x|, y/|x|): on raw values the floor of 1e-7 passes
@@ -113,12 +113,15 @@ class L1FitResult:
 def l1_fit_linear(samples):
     """Global minimizer of sum |y_i - w.x_i| via the dual LP.
 
-    Raises SolverStalled when HiGHS reports no optimum, or when the primal
-    objective at the recovered w and the dual optimum disagree by more than
-    DUALITY_GAP_RTOL relative to 1 + sum |y|.
+    Raises InsufficientPoints on a dataset with no rows, and SolverStalled
+    when HiGHS reports no optimum, or when the primal objective at the
+    recovered w and the dual optimum disagree by more than DUALITY_GAP_RTOL
+    relative to 1 + sum |y|.
     """
     X, y = samples.x, samples.y
-    d = X.shape[1]
+    m, d = X.shape
+    if m == 0:  # else linprog rejects the empty LP with a bare ValueError
+        raise InsufficientPoints("no samples to fit")
     result = linprog(-y, A_eq=X.T, b_eq=np.zeros(d), bounds=(-1, 1), method="highs",
                      options={"presolve": False})
     if not result.success:
@@ -240,7 +243,7 @@ def lad_fit(samples):
     ``info`` holds ``lad``, the try that gave w, ``irls_rounds``, the
     reweighted rounds run, and ``lp_rows``, ``lp_solves`` and
     ``lp_iterations``, the LP's rows, solves and simplex iterations (0 when
-    no LP was solved). The LP raises SolverStalled as ``l1_fit_linear`` does.
+    no LP was solved). The LP raises what ``l1_fit_linear`` raises.
     """
     X, y = samples.x, samples.y
     n, d = X.shape

@@ -3,20 +3,31 @@ transformed subgradient-descent experiment, whose every mode steps by
 A^T mean_i(s_i u_i) with the signs s_i read from the raw rows.
 
 The l1 loss of a ReLU model is non-convex, so instead of direct minimization
-``ellipsoid_recover_relu`` looks for a parameter whose snap fits a majority
-of the points (x/|x|, y/|x|), in this order: the first center w = 0; an
-LP-free candidate, the least-squares fit on the half of those rows that
-reweighted least squares ranks best; then a central-cut ellipsoid method.
-The report's ``certified_by`` says which answered. The separation oracle
-accepts a query that already fits a majority of the samples; otherwise it
-restricts to the closed positive halfspace of the query, puts those
-covariates in radial-isotropic position, and returns the back-transformed
-rescaled-l1 subgradient direction as a cutting hyperplane. When the
-positive-side points concentrate on a subspace V (fewer than d of them
-always do) the oracle recurses: first inside V, then (if the inside check
-accepts) on the deflated complement, with the level decision and V/V-perp
-split of ``radreg.linear``. The oracle's acceptance and every certificate
-of the search use one per-point test, ``_fit_mask``.
+``ellipsoid_recover_relu`` looks for a parameter whose snap passes the
+majority certificate, in this order: an LP-free candidate, the
+least-squares fit on the half of the rows (x/|x|, y/|x|) that reweighted
+least squares ranks best; then the centers of a central-cut ellipsoid
+method, each after its cut. The report's ``certified_by`` says which
+answered.
+
+The certificate, ``_majority_fit``, judges each point on (x/|x|, y/|x|). A
+parameter w passes when it fits at least half of all the points and a
+strict majority of the nonempty set of points with w.x > 0. Under Massart
+noise w* fits about 1 - eta > 1/2 of its own positive side; a w != w* fits a
+clean point there only where w.x = w*.x, a null set under the paper's
+anti-concentration assumption. w = 0 fits every clean zero label, about
+half the points of centered covariates, but has no positive side, so it
+never passes: the search does not check its first center, w = 0, and a
+target w* = 0 ends in NoRecovery.
+
+The separation oracle accepts a query that passes the certificate;
+otherwise it restricts to the closed positive halfspace of the query, puts
+those covariates in radial-isotropic position, and returns the
+back-transformed rescaled-l1 subgradient direction as a cutting
+hyperplane. When the positive-side points concentrate on a subspace V
+(fewer than d of them always do) the oracle recurses: first inside V, then
+(if the inside check accepts) on the deflated complement, with the level
+decision and V/V-perp split of ``radreg.linear``.
 
 Consecutive ellipsoid centers see nearly the same positive side, so each
 top-level oracle call of ``ellipsoid_recover_relu`` starts the isotropy
@@ -54,20 +65,11 @@ def _relu(t):
 
 
 def relu_l1_loss(samples, w):
-    """Mean absolute ReLU residual and its subgradient.
-
-    The subgradient uses sgn(0) = 0 and treats the kink w.x = 0 as inactive,
-    so a fitted point and a point on the kink both contribute nothing.
-    """
-    X, y = samples.x, samples.y
+    """Mean absolute ReLU residual, as a float. Its subgradient is the step
+    of ``gd_relu_transformed``'s 'original' mode, scaled by n/m for the n
+    positive-side points of m."""
     w = np.asarray(w, dtype=float)
-    z = X @ w
-    pred = _relu(z)
-    resid = pred - y
-    loss = float(np.mean(np.abs(resid)))
-    active = (z > 0.0).astype(float)
-    grad = (X * (np.sign(resid) * active)[:, None]).mean(axis=0)
-    return loss, grad
+    return float(np.mean(np.abs(_relu(samples.x @ w) - samples.y)))
 
 
 def positive_side_mask(X, w, norms, z):
@@ -128,24 +130,29 @@ class SepResult:
     transform: np.ndarray | None = None
 
 
-def _fit_mask(z, rows):
-    """The majority certificates' per-point test: ReLU(z) fits y on
-    (x/|x|, y/|x|), for z = X @ w and rows = ``l1._row_scales(X, y)``."""
+def _majority_fit(z, rows):
+    """(fit mask, certified) for z = X @ w and rows = ``l1._row_scales(X, y)``:
+    where ReLU(z) fits y on (x/|x|, y/|x|), and whether w passes the majority
+    certificate of the module docstring."""
     _, scales, y_scaled = rows
-    return exact_fit_mask(_relu(z) / scales, y_scaled)
+    fit_mask = exact_fit_mask(_relu(z) / scales, y_scaled)
+    positive = z > 0.0
+    certified = (2 * int(fit_mask.sum()) >= len(z)
+                 and 0 < int(positive.sum()) < 2 * int((fit_mask * positive).sum()))
+    return fit_mask, certified
 
 
 def _certify(X, w, rows, max_denominator):
-    """(w, snapped, fit mask) for the first snap of w that fits a majority,
-    else None. Coarse denominators go first (1, 10, 100, ... below
+    """(w, snapped, fit mask) for the first snap of w that ``_majority_fit``
+    certifies, else None. Coarse denominators go first (1, 10, 100, ... below
     max_denominator, then max_denominator): a simpler rational reaches the
     certificate from a farther w, and the certificate itself is what makes
     any candidate trustworthy."""
     ladder = [10**k for k in range(math.ceil(math.log10(max_denominator)))]
     for denominator in ladder + [max_denominator]:
         snapped = snap_to_rational(w, denominator)
-        fit_mask = _fit_mask(X @ snapped.to_floats(), rows)
-        if 2 * int(fit_mask.sum()) >= X.shape[0]:
+        fit_mask, certified = _majority_fit(X @ snapped.to_floats(), rows)
+        if certified:
             return w, snapped, fit_mask
     return None
 
@@ -189,8 +196,8 @@ def _tally(sub_results, iterations=0):
 def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
     """Separation oracle for the ReLU l1 landscape at query w0.
 
-    Accepts when ReLU(w0 . x) fits at least half the samples (x/|x|, y/|x|)
-    within FIT_RTOL. Otherwise cuts using the rescaled subgradient of the
+    Accepts when w0 passes the majority certificate (``_majority_fit``) on
+    the samples. Otherwise cuts using the rescaled subgradient of the
     positive-side points; on subspace concentration, recurses as described
     in the module docstring. Raises InsufficientPoints on a dataset with no
     rows, and HalfspaceEmpty when no sample lies on the closed positive side
@@ -202,13 +209,14 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
     """
     X, y = samples.x, samples.y
     m, d = X.shape
-    if m == 0:  # else the empty majority check would accept any query
+    if m == 0:  # else the query would read as one with an empty positive side
         raise InsufficientPoints(f"no samples at depth {_depth}", level=_depth)
     w0 = np.asarray(w0, dtype=float)
     z = X @ w0
     rows = _row_scales(X, y) if _rows is None else _rows
-    fits = int(_fit_mask(z, rows).sum())
-    if 2 * fits >= m:
+    fit_mask, certified = _majority_fit(z, rows)
+    fits = int(fit_mask.sum())
+    if certified:
         return SepResult(True, diagnostics={"fit_count": fits, "depth": _depth, **_tally(())})
 
     mask = positive_side_mask(X, w0, rows[0], z)
@@ -324,18 +332,19 @@ def ellipsoid_cut(state, normal):
 
 
 def ellipsoid_recover_relu(samples, config, record_volumes=False):
-    """Exact ReLU parameter recovery: the first center, an LP-free
-    candidate, then the ellipsoid method.
+    """Exact ReLU parameter recovery: an LP-free candidate, then the
+    ellipsoid method.
 
     A parameter is kept when one of its snaps passes the majority-fit
-    certificate on (x/|x|, y/|x|). Tried in order: the center w = 0,
-    ``_candidate``, then each ellipsoid step's center before that step
-    consults the oracle, which starts from the previous cut's transform
-    (module docstring). ``config.max_steps`` counts ellipsoid steps only.
+    certificate on (x/|x|, y/|x|). Tried in order: ``_candidate``, then each
+    ellipsoid step's center before that step consults the oracle, which
+    starts from the previous cut's transform (module docstring); the first
+    center, w = 0, cannot pass. ``config.max_steps`` counts ellipsoid steps
+    only.
 
     The report's diagnostics hold ``certified_by`` (``"candidate"``, or
-    ``"ellipsoid"`` for a center, the first one included), ``irls_rounds``
-    (the candidate's, 0 when it did not run), ``steps``, ``final_radius``,
+    ``"ellipsoid"`` for a center), ``irls_rounds`` (the candidate's),
+    ``steps``, ``final_radius``,
     ``oracle_calls`` and ``isotropy_iterations``. The candidate's path makes
     no step: its counts are 0, its radius the initial one, and with
     ``record_volumes`` its ``volume_logs`` hold the initial volume alone.
@@ -348,7 +357,7 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     """
     X, y = samples.x, samples.y
     m, d = X.shape
-    if m == 0:  # else the empty majority check would certify the first center
+    if m == 0:  # raised here, so the candidate never runs on no rows
         raise InsufficientPoints("no samples to certify a parameter on")
     rows = _row_scales(X, y)
     state = EllipsoidState(
@@ -359,14 +368,13 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     max_steps = config.resolved_max_steps(d)
     volumes = [state.volume_log] if record_volumes else None
     work = {"oracle_calls": 0, "isotropy_iterations": 0}
-    rounds = 0
+    certified_by = "candidate"
+    certified, rounds = _candidate(X, rows, config.max_denominator)
     start = None  # the previous cut's transform
     for step in range(max_steps):
-        certified_by = "ellipsoid"
-        certified = _certify(X, state.center, rows, config.max_denominator)
-        if certified is None and step == 0:
-            certified_by = "candidate"
-            certified, rounds = _candidate(X, rows, config.max_denominator)
+        if step > 0:  # the first center, w = 0, has no positive side to certify
+            certified_by = "ellipsoid"
+            certified = _certify(X, state.center, rows, config.max_denominator)
         if certified is not None:
             w_hat, snapped, fit_mask = certified
             diagnostics = {"certified_by": certified_by, "irls_rounds": rounds,
@@ -453,10 +461,10 @@ def _gd_step(mode, Xp, s):
     return iso.matrix.T @ (s @ iso.images) / n
 
 
-def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
-                        w_star=None):
-    """Constant-step subgradient descent on the ReLU l1 loss, with the data
-    transform recomputed from the positive-side points at every iteration.
+def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_star=None):
+    """Constant-step subgradient descent on the ReLU l1 loss from w = 0, with
+    the data transform recomputed from the positive-side points at every
+    iteration.
 
     The update is w <- w - alpha * A^T mean_i(s_i u_i) on the positive
     side, for the images u_i = x_i ('original'), x_i/|x_i| ('normalized'),
@@ -465,7 +473,7 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
     on the images, mapped back by A^T (the oracle instead cuts with
     T^{-1} r); each image's residual is the raw w.x_i - y_i over a positive
     scale, so s_i is the raw sign.
-    ``w_init`` and ``w_star`` must have length d, else DimensionMismatch.
+    ``w_star`` must have length d, else DimensionMismatch.
     Raises InsufficientPoints on a dataset with no rows.
 
     ``alpha`` defaults to 1 for transformed modes and 1/mean(|x|^2) for
@@ -488,7 +496,7 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ContractViolation(f"alpha must be positive and finite, got {alpha} "
                                 "(mode 'original' defaults it to 1/mean|x|^2)")
-    w = np.zeros(d) if w_init is None else samples.parameter(w_init, "w_init").copy()
+    w = np.zeros(d)
     if w_star is not None:
         w_star = samples.parameter(w_star, "w_star")
 
@@ -500,7 +508,6 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_init=None,
         step = _gd_step(mode, X[mask], np.sign(z[mask] - y[mask])) if mask.any() else None
         if step is not None:
             w = w - alpha * step
-        loss, _ = relu_l1_loss(samples, w)
         dist = math.nan if w_star is None else float(np.linalg.norm(w - w_star))
-        trajectory.append(GdStep(it, w.copy(), dist, loss, step is None))
+        trajectory.append(GdStep(it, w.copy(), dist, relu_l1_loss(samples, w), step is None))
     return trajectory

@@ -12,6 +12,8 @@ rank SVD on every call, a symmetric polar factor after every fixed-point
 step (``sym_polar``), and fixed-point steps where the library takes Newton
 steps.
 ``oracle_transform`` recomputes the transform behind a separation cut,
+``gd_step`` and ``gd_subgradient`` read one descent step and the l1
+subgradient off the descent's step rule,
 ``recovery_rate`` reads one rate off a recovery-rate report, and
 ``ellipsoid_only`` makes ``ellipsoid_recover_relu`` skip its candidate.
 """
@@ -277,6 +279,24 @@ def isotropize_fixed_point(points, gamma, max_iters=2000):
     raise AssertionError(f"neither a transform nor a heavy subspace within {max_iters} iterations")
 
 
+def gd_step(samples, mode, w):
+    """The step ``gd_relu_transformed`` takes at w in ``mode``, None for a
+    skip: ``relu._gd_step`` on the closed positive side of w."""
+    X, y = samples.x, samples.y
+    z = X @ w
+    mask = positive_side_mask(X, w, np.linalg.norm(X, axis=1), z)
+    return relu._gd_step(mode, X[mask], np.sign(z - y)[mask])
+
+
+def gd_subgradient(samples, w):
+    """The subgradient of ``relu.relu_l1_loss`` at w that the library steps
+    along: the 'original' step at w times n/m, for the n of m points on the
+    closed positive side of w."""
+    X = samples.x
+    share = positive_side_mask(X, w, np.linalg.norm(X, axis=1), X @ w).mean()
+    return share * gd_step(samples, "original", w)
+
+
 def recovery_rate(report, method, grid_value=None):
     """The recovery rate of ``method`` in a ``BenchReport``, at ``grid_value``
     or at its first grid point."""
@@ -289,5 +309,5 @@ def recovery_rate(report, method, grid_value=None):
 def ellipsoid_only(monkeypatch):
     """Make the LP-free candidate of ``ellipsoid_recover_relu`` refuse, so
     that the search runs on the instances it would certify: every answer
-    then comes from an ellipsoid center, the first one included."""
+    then comes from an ellipsoid center after a cut."""
     monkeypatch.setattr(relu, "_candidate", lambda X, rows, max_denominator: (None, 0))

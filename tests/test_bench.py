@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -8,14 +7,12 @@ from radreg import bench
 from radreg.bench import (
     OUTLIER_COUNT,
     SyntheticSpec,
-    default_sample_size,
     default_target,
     exact_recovery_bench,
     make_outlier_dataset,
     make_synthetic_dataset,
     margin_fraction,
     method_registry,
-    sample_synthetic_mixture,
 )
 from radreg.data import LabeledDataset, load_dataset_csv, save_dataset_csv
 from radreg.errors import ContractViolation, DimensionMismatch, MalformedCsv
@@ -26,17 +23,17 @@ from oracles import recovery_rate
 
 class TestSyntheticMixture:
     def test_reference_configuration_shape(self):
-        X = sample_synthetic_mixture(SyntheticSpec(d=30, n=120, seed=0))
+        X = make_synthetic_dataset(SyntheticSpec(d=30, n=120, seed=0)).x
         assert X.shape == (120, 30)
 
     def test_deterministic(self):
-        a = sample_synthetic_mixture(SyntheticSpec(d=6, n=200, seed=5))
-        b = sample_synthetic_mixture(SyntheticSpec(d=6, n=200, seed=5))
+        a = make_synthetic_dataset(SyntheticSpec(d=6, n=200, seed=5)).x
+        b = make_synthetic_dataset(SyntheticSpec(d=6, n=200, seed=5)).x
         assert np.array_equal(a, b)
 
     def test_component_means_law_of_large_numbers(self):
         d, n = 5, 100000
-        X = sample_synthetic_mixture(SyntheticSpec(d=d, n=n, seed=9))
+        X = make_synthetic_dataset(SyntheticSpec(d=d, n=n, seed=9)).x
         far = np.any(X > d / 2.0, axis=1)
         near_mean = X[~far].mean(axis=0)
         e1 = np.zeros(d)
@@ -61,6 +58,12 @@ class TestSyntheticMixture:
         assert np.array_equal(lin.x, rel.x)
         assert np.array_equal(rel.y, np.maximum(lin.y, 0.0))
 
+    @pytest.mark.parametrize("model", ["Linear", "cubic"])
+    def test_unknown_model_is_rejected(self, model):
+        # a misspelt model must not fall through to ReLU labels
+        with pytest.raises(ContractViolation, match='"linear" or "relu"'):
+            make_synthetic_dataset(SyntheticSpec(d=3, n=10), model=model)
+
     @pytest.mark.parametrize("d, n", [(2.5, 10), (3, 10.0), (0, 10), (3, -1)])
     def test_sizes_must_be_integers_of_at_least_1(self, d, n):
         # a float d used to reach np.ones(d) and raise a bare TypeError
@@ -81,24 +84,6 @@ class TestSyntheticMixture:
         ds = make_outlier_dataset(spec)
         norms = np.linalg.norm(ds.x, axis=1)
         assert (norms > 50.0).sum() == 4
-
-
-class TestDefaultSampleSize:
-    def test_formula(self):
-        assert default_sample_size(5, 0.25) == 500  # 125 / 0.25
-        assert default_sample_size(5, 0.25, rho=0.5) == 1000
-        assert default_sample_size(5, 0.25, c=2.0) == 1000
-
-    def test_bad_eta(self):
-        with pytest.raises(ContractViolation):
-            default_sample_size(3, 0.5)
-
-    @pytest.mark.parametrize("name, value", [("rho", 0.0), ("rho", math.nan), ("rho", math.inf),
-                                             ("c", -1.0), ("c", math.nan)])
-    def test_scales_must_be_positive_and_finite(self, name, value):
-        # rho = 0 divided by zero, c = -1 gave a negative size, rho = nan a ValueError
-        with pytest.raises(ContractViolation, match=f"^{name} must be positive"):
-            default_sample_size(5, 0.2, **{name: value})
 
 
 class TestExactRecoveryBench:

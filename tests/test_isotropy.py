@@ -13,7 +13,7 @@ from oracles import (
     sym_polar,
 )
 from radreg import isotropy
-from radreg.bench import SyntheticSpec, sample_synthetic_mixture
+from radreg.bench import SyntheticSpec, make_synthetic_dataset
 from radreg.errors import ContractViolation, IsotropyStalled, RadregError
 from radreg.isotropy import (
     DEGENERATE_RTOL,
@@ -431,7 +431,7 @@ class TestNewtonPhase:
             "Gaussian cloud in R^5": lambda: on_subspace(np.random.default_rng(3), 60, 5, 1, 0),
             "Gaussian cloud in R^12": lambda: on_subspace(np.random.default_rng(3), 200, 12, 1, 0),
             "stretched cloud in R^8": TestFarFromIsotropic().points,
-            "120-point mixture in R^30": lambda: sample_synthetic_mixture(SyntheticSpec(30, 120)),
+            "120-point mixture in R^30": lambda: make_synthetic_dataset(SyntheticSpec(30, 120)).x,
         }[case]()
         gamma = certifying_gamma(*pts.shape)
         solves = self.count_newton_steps(monkeypatch)
@@ -465,7 +465,7 @@ class TestCholeskyStep:
         "Gaussian cloud in R^12": (
             lambda: on_subspace(np.random.default_rng(3), 200, 12, 1, 0), certifying_gamma(200, 12)),
         "120-point mixture in R^30": (
-            lambda: sample_synthetic_mixture(SyntheticSpec(30, 120)), certifying_gamma(120, 30)),
+            lambda: make_synthetic_dataset(SyntheticSpec(30, 120)).x, certifying_gamma(120, 30)),
         "heavy line in R^3": (
             lambda: on_subspace(np.random.default_rng(0), 100, 3, 1, 50), certifying_gamma(100, 3)),
         "heavy plane in R^8": (
@@ -490,7 +490,7 @@ class TestCholeskyStep:
     def test_one_eigendecomposition_on_the_mixture(self, monkeypatch):
         # 40 iterations: Cholesky steps at 0-23, the detector's eigh at 24,
         # Cholesky steps at 25-38 and the certified exit at 39
-        pts = sample_synthetic_mixture(SyntheticSpec(30, 120))
+        pts = make_synthetic_dataset(SyntheticSpec(30, 120)).x
         events = []
         eigh, cholesky = np.linalg.eigh, isotropy._cholesky_inverse
         monkeypatch.setattr(np.linalg, "eigh", lambda M: events.append("eigh") or eigh(M))

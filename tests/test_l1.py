@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 
 from radreg.bench import SyntheticSpec, make_synthetic_dataset
 from radreg.data import LabeledDataset
-from radreg.errors import ContractViolation, SolverStalled
+from radreg.errors import ContractViolation, InsufficientPoints, SolverStalled
 import radreg.l1
 from radreg.l1 import exact_fit_mask, l1_fit_linear, lad_fit, lad_optimal, snap_to_rational
 from radreg.isotropy import radial_isotropize
@@ -239,6 +239,12 @@ class TestL1FitLinear:
         ds = LabeledDataset(rng.standard_normal((30, 3)), rng.standard_normal(30))
         with pytest.raises(SolverStalled, match="duality gap"):
             l1_fit_linear(ds)
+
+    @pytest.mark.parametrize("fit", [l1_fit_linear, lad_fit])
+    def test_no_rows_raise_insufficient_points(self, fit):
+        # linprog rejects an empty LP with a bare ValueError
+        with pytest.raises(InsufficientPoints):
+            fit(LabeledDataset(np.zeros((0, 3)), np.zeros(0)))
 
 
 class TestLadOptimal:

@@ -26,7 +26,8 @@ from radreg.relu import (
     sep_oracle,
 )
 
-from oracles import ellipsoid_only, l0_fit_bruteforce, oracle_transform, sym_polar
+from oracles import (ellipsoid_only, gd_step, gd_subgradient, l0_fit_bruteforce,
+                     oracle_transform, sym_polar)
 
 
 def fractions_of(vec):
@@ -113,22 +114,15 @@ class TestReluL1Loss:
         X = rng.standard_normal((40, 3))
         w_star = np.array([1.0, -2.0, 0.5])
         ds = LabeledDataset(X, np.maximum(X @ w_star, 0.0))
-        loss, grad = relu_l1_loss(ds, w_star)
-        assert loss == 0.0
-        assert np.allclose(grad, 0.0)
+        loss = relu_l1_loss(ds, w_star)
+        assert type(loss) is float and loss == 0.0
+        assert np.allclose(gd_subgradient(ds, w_star), 0.0)
 
     def test_hand_case_d1(self):
         ds = LabeledDataset(np.array([[1.0], [1.0]]), np.array([2.0, 0.0]))
-        loss, grad = relu_l1_loss(ds, np.array([1.0]))
-        assert loss == pytest.approx(1.0)
+        assert relu_l1_loss(ds, np.array([1.0])) == pytest.approx(1.0)
         # residual signs cancel: (-1 + 1)/2 * x = 0
-        assert grad == pytest.approx([0.0])
-
-    def test_kink_convention(self):
-        # w.x = 0 contributes nothing to the subgradient
-        ds = LabeledDataset(np.array([[1.0, 0.0]]), np.array([5.0]))
-        _, grad = relu_l1_loss(ds, np.array([0.0, 1.0]))
-        assert np.allclose(grad, 0.0)
+        assert gd_subgradient(ds, np.array([1.0])) == pytest.approx([0.0])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_finite_difference_agreement(self, seed):
@@ -139,14 +133,14 @@ class TestReluL1Loss:
         z = X @ w
         if np.min(np.abs(z)) <= 1e-3 or np.min(np.abs(np.maximum(z, 0) - y)) <= 1e-4:
             pytest.skip("kink too close for finite differences")
-        _, grad = relu_l1_loss(LabeledDataset(X, y), w)
+        grad = gd_subgradient(LabeledDataset(X, y), w)
         h = 1e-6
         fd = np.zeros(4)
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            fd[j] = (relu_l1_loss(LabeledDataset(X, y), w + e)[0]
-                     - relu_l1_loss(LabeledDataset(X, y), w - e)[0]) / (2 * h)
+            fd[j] = (relu_l1_loss(LabeledDataset(X, y), w + e)
+                     - relu_l1_loss(LabeledDataset(X, y), w - e)) / (2 * h)
         assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
 
 
@@ -157,6 +151,16 @@ class TestSepOracle:
         w_star = np.array([2.0, 1.0, -1.0])
         ds = LabeledDataset(X, np.maximum(X @ w_star, 0.0))
         assert sep_oracle(ds, w_star).accepted
+
+    def test_acceptance_needs_a_strict_majority_of_the_query_side(self):
+        # w0 = 1 fits the 6 zero labels, a majority of all 10 points, but none
+        # of the 4 points with w0.x > 0; w0 = 2 fits 3 of those 4, and w0 = 0
+        # fits the 6 zero labels with no point on its side at all
+        X = np.array([[-1.0]] * 6 + [[1.0]] * 4)
+        ds = LabeledDataset(X, np.array([0.0] * 6 + [2.0, 2.0, 2.0, 5.0]))
+        assert not sep_oracle(ds, np.array([1.0])).accepted
+        assert sep_oracle(ds, np.array([2.0])).accepted
+        assert not sep_oracle(ds, np.array([0.0])).accepted
 
     def test_halfspace_empty(self):
         x = -np.linspace(0.5, 1.5, 10)[:, None]
@@ -316,6 +320,14 @@ class TestSepOracle:
 
 
 class TestEllipsoid:
+    def test_a_zero_target_ends_in_no_recovery(self):
+        # every label is ReLU(0 . x) = 0: w = 0 has no positive side to
+        # certify on, and any other w misses every label on its own side
+        X = np.random.default_rng(0).standard_normal((50, 3))
+        with pytest.raises(NoRecovery):
+            ellipsoid_recover_relu(LabeledDataset(X, np.zeros(50)),
+                                   EllipsoidConfig(initial_radius=5.0))
+
     @pytest.mark.parametrize("bound", [0, -3, 16.0])
     def test_bad_max_denominator_is_a_contract_violation(self, bound):
         with pytest.raises(ContractViolation, match="max_denominator"):
@@ -332,7 +344,7 @@ class TestEllipsoid:
             EllipsoidConfig(**{"initial_radius": 1.0, name: value})
 
     def test_no_rows_raise_insufficient_points(self):
-        # used to certify the first center, with inlier_fraction NaN
+        # used to certify w = 0, with inlier_fraction NaN
         with pytest.raises(InsufficientPoints):
             ellipsoid_recover_relu(LabeledDataset(np.zeros((0, 3)), np.zeros(0)),
                                    EllipsoidConfig(initial_radius=1.0))
@@ -476,7 +488,7 @@ class TestEllipsoid:
 
     @staticmethod
     def uncertified_at_the_origin():
-        # 40% of the labels are 0, so the first center does not certify
+        # 40% of the labels are 0; the search reaches the oracle once the candidate refuses
         rng = np.random.default_rng(4)
         X = rng.standard_normal((200, 2)) + np.array([1.0, 1.0])
         ds = LabeledDataset(X, np.maximum(X @ np.array([3.0, -2.0]), 0.0))
@@ -571,10 +583,9 @@ class TestEllipsoid:
         assert report.w_snapped == alone.w_snapped
 
     def test_candidate_answers_as_the_ellipsoid_does_on_centered_draws(self, monkeypatch):
-        # ROADMAP item 2's draws: where step 0 does not certify w = 0, the
-        # candidate refuses after all its rounds and the ellipsoid answers
+        # the centered draws: w = 0 has no positive side and never passes;
+        # the candidate refuses after all its rounds and the ellipsoid answers
         config = EllipsoidConfig(initial_radius=30, max_denominator=16)
-        refused = 0
         for i in range(10):
             corrupted, _ = centered_relu_instance(i)
             report = ellipsoid_recover_relu(corrupted, config)
@@ -583,13 +594,8 @@ class TestEllipsoid:
                 alone = ellipsoid_recover_relu(corrupted, config)
             assert report.w_snapped == alone.w_snapped, f"instance {i}"
             assert report.diagnostics["certified_by"] == "ellipsoid"
-            if alone.diagnostics["steps"] > 0:
-                refused += 1
-                assert report.diagnostics["irls_rounds"] == IRLS_ROUNDS
-                assert report.diagnostics["steps"] == alone.diagnostics["steps"]
-            else:  # step 0's check answers before the candidate runs
-                assert report.diagnostics["irls_rounds"] == 0
-        assert refused >= 3
+            assert report.diagnostics["irls_rounds"] == IRLS_ROUNDS
+            assert report.diagnostics["steps"] == alone.diagnostics["steps"] > 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_candidate_refuses_fewer_than_2d_rows(self, seed):
@@ -607,10 +613,9 @@ class TestEllipsoid:
         assert diagnostics["irls_rounds"] == 2
         assert diagnostics["oracle_calls"] >= diagnostics["steps"] > 0
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 2: on centered covariates w = 0 fits every clean zero label, "
-        "about half the points, and passes the majority certificate"))
     def test_centered_covariates_certify_the_target_or_raise(self):
+        # w = 0 fits every clean zero label, about half the points, but it
+        # has no positive side to fit a strict majority of
         config = EllipsoidConfig(initial_radius=30, max_denominator=16)
         for i in range(10):
             corrupted, w_star = centered_relu_instance(i)
@@ -690,14 +695,12 @@ class TestGdReluTransformed:
 
     def test_original_mode_is_plain_subgradient_descent(self):
         ds, w_star = self.make_instance(seed=1)
-        alpha = 0.05
-        traj = gd_relu_transformed(ds, "original", alpha=alpha, iters=1,
-                                   w_init=np.ones(4))
-        w0 = np.ones(4)
+        alpha, w0 = 0.05, np.ones(4)
+        step = gd_step(ds, "original", w0)
         mask = ds.x @ w0 >= 0
         Xp, yp = ds.x[mask], ds.y[mask]
         grad = (Xp * np.sign(Xp @ w0 - yp)[:, None]).mean(axis=0)
-        assert np.allclose(traj[0].w, w0 - alpha * grad)
+        assert np.allclose(w0 - alpha * step, w0 - alpha * grad)
 
     def test_trajectory_shape_and_distance(self):
         ds, w_star = self.make_instance(seed=2)
@@ -709,7 +712,7 @@ class TestGdReluTransformed:
 
     def test_reference_configuration_runs(self):
         # the published setup: d=30, 240 mixture samples, eta=0.4 gated flip,
-        # w_init=0, step 1 transformed / 1/465 original
+        # w = 0 at the start, step 1 transformed / 1/465 original
         from radreg.bench import SyntheticSpec, make_synthetic_dataset
         from radreg.noise import gated_flip
 
@@ -728,38 +731,34 @@ class TestGdReluTransformed:
     def test_normalized_mode_steps_on_unit_rows(self):
         ds, _ = self.make_instance(seed=1)
         alpha, w0 = 0.05, np.ones(4)
-        traj = gd_relu_transformed(ds, "normalized", alpha=alpha, iters=1, w_init=w0)
+        step = gd_step(ds, "normalized", w0)
         mask = ds.x @ w0 >= 0
         norms = np.linalg.norm(ds.x[mask], axis=1)
         Xt, yt = ds.x[mask] / norms[:, None], ds.y[mask] / norms
         grad = (Xt * np.sign(Xt @ w0 - yt)[:, None]).mean(axis=0)
-        assert np.allclose(traj[0].w, w0 - alpha * grad, rtol=0.0, atol=1e-12)
+        assert np.allclose(w0 - alpha * step, w0 - alpha * grad, rtol=0.0, atol=1e-12)
 
     def test_isotropic_mode_steps_in_whitened_coordinates(self):
         # A = S^{-1/2} for the positive side's second moment S; the step is
         # taken at w' = A^{-1} w and mapped back by A
         ds, _ = self.make_instance(seed=1)
         alpha, w0 = 0.05, np.ones(4)
-        traj = gd_relu_transformed(ds, "isotropic", alpha=alpha, iters=1, w_init=w0)
+        step = gd_step(ds, "isotropic", w0)
         mask = ds.x @ w0 >= 0
         Xp, yp = ds.x[mask], ds.y[mask]
         A = scipy.linalg.sqrtm(np.linalg.inv(Xp.T @ Xp / len(Xp))).real
         Xt, wp = Xp @ A.T, np.linalg.solve(A, w0)
         grad = (Xt * np.sign(Xt @ wp - yp)[:, None]).mean(axis=0)
-        assert not traj[0].skipped
-        assert np.allclose(traj[0].w, w0 - alpha * A @ grad, rtol=0.0, atol=1e-9)
+        assert step is not None
+        assert np.allclose(w0 - alpha * step, w0 - alpha * A @ grad, rtol=0.0, atol=1e-9)
 
     def test_fewer_than_d_positive_side_points_skip_the_step(self):
         ds, w_star = two_points_on_the_query_side()
-        traj = gd_relu_transformed(ds, "radial-isotropic", iters=1, w_init=-w_star)
-        assert traj[0].skipped
-        assert np.array_equal(traj[0].w, -w_star)
+        assert gd_step(ds, "radial-isotropic", -w_star) is None
 
     def test_isotropic_mode_skips_a_positive_side_that_does_not_span(self):
         ds, w_star = two_points_on_the_query_side()
-        traj = gd_relu_transformed(ds, "isotropic", iters=1, w_init=-w_star)
-        assert traj[0].skipped
-        assert np.array_equal(traj[0].w, -w_star)
+        assert gd_step(ds, "isotropic", -w_star) is None
 
     @pytest.mark.parametrize("ratio, skipped", [(0.99e-10, True), (1.01e-10, False)])
     def test_isotropic_mode_skips_a_step_at_the_eigenvalue_cutoff(self, ratio, skipped):
@@ -906,11 +905,10 @@ class TestGdReluTransformed:
             assert step.skipped == ref.skipped
             assert np.array_equal(step.w, ref.w)
 
-    @pytest.mark.parametrize("name", ["w_init", "w_star"])
-    def test_parameter_of_another_dimension_is_rejected(self, name):
+    def test_parameter_of_another_dimension_is_rejected(self):
         ds, _ = self.make_instance(d=4)
-        with pytest.raises(DimensionMismatch, match=name):
-            gd_relu_transformed(ds, "original", iters=1, **{name: np.ones(3)})
+        with pytest.raises(DimensionMismatch, match="w_star"):
+            gd_relu_transformed(ds, "original", iters=1, w_star=np.ones(3))
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
     def test_step_size_must_be_positive_and_finite(self, alpha):
