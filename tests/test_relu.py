@@ -124,6 +124,15 @@ class TestReluL1Loss:
         # residual signs cancel: (-1 + 1)/2 * x = 0
         assert gd_subgradient(ds, np.array([1.0])) == pytest.approx([0.0])
 
+    def test_kink_convention(self):
+        # w.x = 0 lies on the closed positive side, so the point at the kink
+        # steps: the descent's first step from w = 0 counts it
+        ds = LabeledDataset(np.array([[1.0, 0.0]]), np.array([5.0]))
+        assert np.array_equal(gd_subgradient(ds, np.array([0.0, 1.0])), [-1.0, 0.0])
+        first = gd_relu_transformed(ds, "original", alpha=1.0, iters=1)[0]
+        assert not first.skipped
+        assert np.array_equal(first.w, [1.0, 0.0])
+
     @pytest.mark.parametrize("seed", range(10))
     def test_finite_difference_agreement(self, seed):
         rng = np.random.default_rng(1000 + seed)
@@ -701,6 +710,18 @@ class TestGdReluTransformed:
         Xp, yp = ds.x[mask], ds.y[mask]
         grad = (Xp * np.sign(Xp @ w0 - yp)[:, None]).mean(axis=0)
         assert np.allclose(w0 - alpha * step, w0 - alpha * grad)
+
+    @pytest.mark.parametrize("mode", relu.GD_MODES)
+    def test_each_iterate_takes_the_single_step_at_the_last(self, mode):
+        # the single-step tests read gd_step; the descent must take that step
+        ds, _ = self.make_instance(seed=1)
+        w = np.zeros(4)
+        for it in gd_relu_transformed(ds, mode, alpha=0.05, iters=20):
+            step = gd_step(ds, mode, w)
+            assert it.skipped == (step is None)
+            if step is not None:
+                w = w - 0.05 * step
+            assert np.array_equal(it.w, w)
 
     def test_trajectory_shape_and_distance(self):
         ds, w_star = self.make_instance(seed=2)
