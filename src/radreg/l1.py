@@ -93,11 +93,11 @@ def exact_fit_mask(pred, y):
     return np.abs(np.asarray(pred) - y) <= FIT_RTOL * (1.0 + np.abs(y))
 
 
-def _row_scales(X, y):
-    """Row norms of X, the divisors made of them (0 read as 1), and y over
-    those: the majority certificates judge predictions p of the rows as
-    exact_fit_mask(p / scales, y_scaled), each point on (x/|x|, y/|x|)."""
-    norms = np.linalg.norm(X, axis=1)
+def _row_scales(X, y, out=None):
+    """Row norms of X (squares written to ``out``, summed as np.linalg.norm does),
+    the divisors made of them (0 read as 1), and y over those: the majority certificates
+    judge predictions p as exact_fit_mask(p / scales, y_scaled), each point on (x/|x|, y/|x|)."""
+    norms = np.sqrt(np.add.reduce(np.multiply(X, X, out=out), axis=1))
     scales = np.where(norms > 0.0, norms, 1.0)
     return norms, scales, y / scales
 
@@ -178,30 +178,32 @@ def lad_optimal(samples, w):
     return False
 
 
-def _least_squares(X, y, weights=None):
-    """argmin_w sum_i weights_i (y_i - w.x_i)^2 by the normal equations;
-    LinAlgError when the rows do not span."""
+def _least_squares(X, y, weights=None, out=None):
+    """argmin_w sum_i weights_i (y_i - w.x_i)^2 by the normal equations, the
+    weighted rows written to ``out``; LinAlgError when the rows do not span."""
     if X.shape[0] < X.shape[1]:  # the Cholesky factor of a singular Gram can pass
         raise LinAlgError(f"{X.shape[0]} rows cannot span dimension {X.shape[1]}")
-    Xw = X if weights is None else X * weights[:, None]
+    Xw = X if weights is None else np.multiply(X, weights[:, None], out=out)
     return cho_solve(cho_factor(Xw.T @ X), Xw.T @ y)
 
 
-def _reweighted(X, y):
+def _reweighted(X, y, scales=None, out=None):
     """(round, w) for rounds 1..IRLS_ROUNDS of reweighted least squares
     (Schlossmacher, JASA 1973) from the least-squares fit, with weights
     1 / max(|r_i|, FIT_RTOL * (1 + |y_i|)), so a row already fit exactly gets
-    the largest weight; LinAlgError when the weighted rows do not span."""
-    floor = FIT_RTOL * (1.0 + np.abs(y))
-    w = _least_squares(X, y)
+    the largest weight; LinAlgError when the weighted rows do not span. With ``scales`` s, on
+    (x_i/s_i, y_i/s_i) without forming them: each weight over s_i^2, weighted rows in ``out``."""
+    s = 1.0 if scales is None else scales
+    w = _least_squares(X, y, None if scales is None else 1.0 / s**2, out)
+    floor = FIT_RTOL * (1.0 + np.abs(y / s))
     for rounds in range(1, IRLS_ROUNDS + 1):
-        w = _least_squares(X, y, 1.0 / np.maximum(np.abs(y - X @ w), floor))
+        w = _least_squares(X, y, 1.0 / (s**2 * np.maximum(np.abs(y - X @ w) / s, floor)), out)
         yield rounds, w
 
 
-def _best_rows(X, y, w, k):
-    """Indices of the k rows with the smallest |y_i - w.x_i|."""
-    return np.argpartition(np.abs(y - X @ w), k - 1)[:k]
+def _best_rows(X, y, w, k, scales=1.0):
+    """Indices of the k rows with the smallest |y_i - w.x_i| / scales_i."""
+    return np.argpartition(np.abs(y - X @ w) / scales, k - 1)[:k]
 
 
 def _proven_fit(samples, rows):

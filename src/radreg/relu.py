@@ -157,25 +157,28 @@ def _certify(X, w, rows, max_denominator):
     return None
 
 
-def _candidate(X, rows, max_denominator):
+def _candidate(X, y, rows, max_denominator, buffer):
     """The LP-free try of ``ellipsoid_recover_relu``: (certified, rounds).
 
     After every second round of reweighted least squares on the rows
     (x/|x|, y/|x|), the least-squares fit on the floor(m/2) best-ranked rows
     goes to ``_certify``. ``certified`` is its first answer, or None once
     the rounds run out or the rows, weighted or chosen, do not span;
-    ``rounds`` counts the rounds run. No ball bounds the try.
+    ``rounds`` counts the rounds run. No ball bounds the try. ``buffer``, of X's shape, takes
+    every weighted copy of X, its halves the half fit's rows (``np.take`` mode "raise" would copy
+    them) and their weighted copy: with more arrays that large per fit, glibc returned the heap
+    top to the system after some fits but not others, and the next fit page-faulted it back in.
     """
-    _, scales, y_scaled = rows
-    U = X / scales[:, None]
+    _, scales, _ = rows
     half = X.shape[0] // 2
     rounds = 0
     try:
-        for rounds, w in _reweighted(U, y_scaled):
+        for rounds, w in _reweighted(X, y, scales, buffer):
             if rounds % 2 == 0:
-                best = _best_rows(U, y_scaled, w, half)
-                certified = _certify(X, _least_squares(U[best], y_scaled[best]), rows,
-                                     max_denominator)
+                best = _best_rows(X, y, w, half, scales)
+                Xb = np.take(X, best, axis=0, out=buffer[half:2 * half], mode="clip")
+                certified = _certify(X, _least_squares(Xb, y[best], 1.0 / scales[best]**2,
+                                                       buffer[:half]), rows, max_denominator)
                 if certified is not None:
                     return certified, rounds
     except np.linalg.LinAlgError:
@@ -343,9 +346,8 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     only.
 
     The report's diagnostics hold ``certified_by`` (``"candidate"``, or
-    ``"ellipsoid"`` for a center), ``irls_rounds`` (the candidate's),
-    ``steps``, ``final_radius``,
-    ``oracle_calls`` and ``isotropy_iterations``. The candidate's path makes
+    ``"ellipsoid"`` for a center), ``irls_rounds`` (the candidate's), ``steps``,
+    ``final_radius``, ``oracle_calls`` and ``isotropy_iterations``. The candidate's path makes
     no step: its counts are 0, its radius the initial one, and with
     ``record_volumes`` its ``volume_logs`` hold the initial volume alone.
     Raises NoRecovery when steps or the ellipsoid radius run out, when the
@@ -359,7 +361,8 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     m, d = X.shape
     if m == 0:  # raised here, so the candidate never runs on no rows
         raise InsufficientPoints("no samples to certify a parameter on")
-    rows = _row_scales(X, y)
+    buffer = np.empty(X.shape)  # see _candidate
+    rows = _row_scales(X, y, buffer)
     state = EllipsoidState(
         center=np.zeros(d),
         shape=config.initial_radius ** 2 * np.eye(d),
@@ -369,7 +372,7 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     volumes = [state.volume_log] if record_volumes else None
     work = {"oracle_calls": 0, "isotropy_iterations": 0}
     certified_by = "candidate"
-    certified, rounds = _candidate(X, rows, config.max_denominator)
+    certified, rounds = _candidate(X, y, rows, config.max_denominator, buffer)
     start = None  # the previous cut's transform
     for step in range(max_steps):
         if step > 0:  # the first center, w = 0, has no positive side to certify

@@ -310,4 +310,4 @@ def ellipsoid_only(monkeypatch):
     """Make the LP-free candidate of ``ellipsoid_recover_relu`` refuse, so
     that the search runs on the instances it would certify: every answer
     then comes from an ellipsoid center after a cut."""
-    monkeypatch.setattr(relu, "_candidate", lambda X, rows, max_denominator: (None, 0))
+    monkeypatch.setattr(relu, "_candidate", lambda X, y, rows, max_denominator, buffer: (None, 0))
