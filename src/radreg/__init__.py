@@ -33,7 +33,6 @@ from .l1 import L1FitResult, RationalVector, l1_fit_linear, lad_fit, snap_to_rat
 from .linalg import OrthonormalBasis, orthonormal_complement
 from .linear import RecoveryReport, recover_linear
 from .noise import (
-    AnyCoordAbove,
     Constant,
     CorruptionRecord,
     FlipNegate,

@@ -67,19 +67,13 @@ def _cmd_corrupt(args):
     spec = MassartSpec(args.eta, _parse_strategy(args.strategy), args.seed)
     corrupted, record = corrupt_massart(dataset, spec)
     save_dataset_csv(corrupted, args.out)
-    summary = {
+    print(json.dumps({
         "rows": corrupted.m,
         "corrupted": int(record.mask.sum()),
         "corruptible": int(record.corruptible.sum()),
         "spec": spec.to_json(),
         "path": args.out,
-    }
-    if args.record_out:
-        with open(args.record_out, "w") as fh:
-            json.dump({"mask": record.mask.tolist(),
-                       "corruptible": record.corruptible.tolist(),
-                       "originals": record.originals.tolist()}, fh)
-    print(json.dumps(summary))
+    }))
 
 
 def _cmd_fit_linear(args):
@@ -123,10 +117,7 @@ def _cmd_bench_recovery(args):
     report = bench.exact_recovery_bench(
         [m.strip() for m in args.methods.split(",")],
         d=args.d, n=args.n, eta=args.eta, eta_grid=grid, n_grid=n_grid,
-        trials=args.trials, seed=args.seed,
-        max_denominator=args.max_denominator,
-        w_star=_parse_vector(args.w_star) if args.w_star else None,
-        instance=args.instance,
+        trials=args.trials, seed=args.seed, instance=args.instance,
     )
     _emit(report.to_json(include_timing=args.timing), args.out)
 
@@ -158,7 +149,6 @@ def build_parser():
                    help="flip-negate | scale:C | constant:V | gated-flip:T | JSON")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--record-out", default=None)
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("fit-linear", help="recover a linear parameter")
@@ -196,8 +186,6 @@ def build_parser():
     p.add_argument("--n-grid", default=None)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-denominator", type=int, default=10**6)
-    p.add_argument("--w-star", default=None)
     p.add_argument("--methods", default="rescaled-l1,naive-l1,normalized-l1,least-squares")
     p.add_argument("--instance", choices=["mixture", "outlier"], default="mixture")
     p.add_argument("--timing", action="store_true")

@@ -10,12 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionMismatch, MalformedCsv
+from .errors import ContractViolation, DimensionMismatch, InsufficientPoints, MalformedCsv
 
 
 @dataclass
 class LabeledDataset:
-    """Covariates ``x`` (m, d) and labels ``y`` (m,), all finite."""
+    """Covariates ``x`` (m, d) and labels ``y`` (m,), all finite, with m >= 1
+    (else InsufficientPoints) and d >= 1 (else DimensionMismatch): every
+    fit, certificate and loss downstream relies on both."""
 
     x: np.ndarray
     y: np.ndarray
@@ -27,6 +29,10 @@ class LabeledDataset:
             raise ContractViolation(
                 f"{self.x.shape[0]} covariate rows vs {self.y.shape[0]} labels"
             )
+        if self.m == 0:
+            raise InsufficientPoints("a dataset needs at least one row")
+        if self.d == 0:
+            raise DimensionMismatch("a dataset needs at least one covariate column")
         bad = ~(np.isfinite(self.x).all(axis=1) & np.isfinite(self.y))
         if bad.any():
             raise ContractViolation(

@@ -82,7 +82,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import ContractViolation, IsotropyStalled
+from .errors import ContractViolation, InsufficientPoints, IsotropyStalled
 from .linalg import RANK_RTOL, OrthonormalBasis, matrix_rank, span_basis
 
 DEFAULT_GAMMA = 0.5
@@ -157,9 +157,13 @@ def _row_norms(V):
 
 
 def _unit_rows(points, labels=None):
-    """x / |x|, or the pair (x / |x|, y / |x|) when labels are given."""
+    """x / |x|, or the pair (x / |x|, y / |x|) when labels are given;
+    ContractViolation when some |x| is not finite or is zero."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     norms = _row_norms(X)
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        raise ContractViolation(f"input point {int(np.argmax(bad))} has a non-finite norm")
     if np.any(norms == 0.0):
         raise ContractViolation("zero vector among input points")
     if labels is None:
@@ -328,12 +332,16 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA):
     returns a verified HeavySubspace. Points that do not span R^d (fewer
     than d of them, say) come back as their span with fraction 1.0. Raises
     IsotropyStalled when ``default_max_iters(d, gamma)`` iterations,
-    fixed-point and Newton steps counted alike, reach neither.
+    fixed-point and Newton steps counted alike, reach neither. No points
+    raise InsufficientPoints, and a zero or non-finite one ContractViolation,
+    before the first iteration.
     """
     if not 0.0 < gamma < 1.0:
         raise ContractViolation(f"gamma must lie in (0, 1), got {gamma}")
     Xu = _unit_rows(points)
     n, d = Xu.shape
+    if n == 0:
+        raise InsufficientPoints("no points to put in radial-isotropic position")
     max_iters = default_max_iters(d, gamma)
 
     A = np.eye(d)
@@ -408,8 +416,11 @@ def find_heavy_subspace(points):
     ``certifying_gamma``; convergence certifies absence. Points that do not
     span the space return their span. A stall without a verified subspace
     proves nothing either way, so IsotropyStalled propagates at every d:
-    None always means "certified none".
+    None always means "certified none". Raises what ``radial_isotropize``
+    raises on its input.
     """
     n, d = np.atleast_2d(points).shape
+    if n == 0:  # before certifying_gamma divides by n
+        raise InsufficientPoints("no points to search")
     result = radial_isotropize(points, certifying_gamma(n, d))
     return result if isinstance(result, HeavySubspace) else None

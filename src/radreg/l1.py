@@ -58,7 +58,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import linprog
 
-from .errors import ContractViolation, InsufficientPoints, SolverStalled
+from .errors import ContractViolation, SolverStalled
 
 # |y - prediction| <= FIT_RTOL * (1 + |y|) counts as an exact fit. Certificates
 # judge each point on (x/|x|, y/|x|): on raw values the floor of 1e-7 passes
@@ -113,16 +113,12 @@ class L1FitResult:
 def l1_fit_linear(samples):
     """Global minimizer of sum |y_i - w.x_i| via the dual LP.
 
-    Raises InsufficientPoints on a dataset with no rows, and SolverStalled
-    when HiGHS reports no optimum, or when the primal objective at the
-    recovered w and the dual optimum disagree by more than DUALITY_GAP_RTOL
-    relative to 1 + sum |y|.
+    Raises SolverStalled when HiGHS reports no optimum, or when the primal
+    objective at the recovered w and the dual optimum disagree by more than
+    DUALITY_GAP_RTOL relative to 1 + sum |y|.
     """
     X, y = samples.x, samples.y
-    m, d = X.shape
-    if m == 0:  # else linprog rejects the empty LP with a bare ValueError
-        raise InsufficientPoints("no samples to fit")
-    result = linprog(-y, A_eq=X.T, b_eq=np.zeros(d), bounds=(-1, 1), method="highs",
+    result = linprog(-y, A_eq=X.T, b_eq=np.zeros(samples.d), bounds=(-1, 1), method="highs",
                      options={"presolve": False})
     if not result.success:
         raise SolverStalled(f"LP backend failed: {result.message}")
@@ -146,10 +142,11 @@ def lad_optimal(samples, w):
     CERTIFY_ROUNDS rounds, or before the projections stalled at a positive
     distance from the box. Rows fit to within FIT_RTOL count as fit
     exactly, so what is proven is that no w' lowers the objective by more
-    than twice the residuals of those rows.
+    than twice the residuals of those rows. A w of another length than d
+    raises DimensionMismatch.
     """
     X, y = samples.x, samples.y
-    pred = X @ w
+    pred = X @ samples.parameter(w)
     free = exact_fit_mask(pred, y)
     Xz = X[free]
     target = -X[~free].T @ np.sign(y[~free] - pred[~free])

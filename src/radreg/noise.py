@@ -23,21 +23,6 @@ from .errors import ContractViolation, InvalidNoiseRate, SimulationInfeasible
 from .l1 import _check_positive_int
 
 
-# --- gating predicates -------------------------------------------------------
-
-@dataclass
-class AnyCoordAbove:
-    """Selects samples with any covariate coordinate strictly above threshold."""
-
-    threshold: float
-
-    def __call__(self, x, y):
-        return np.any(x > self.threshold, axis=1)
-
-    def to_json(self):
-        return {"kind": "any-coord-above", "threshold": self.threshold}
-
-
 # --- corruption strategies ---------------------------------------------------
 #
 # A strategy answers two questions for the flagged samples: which of them the
@@ -92,13 +77,14 @@ class Constant:
 
 @dataclass
 class Gated:
-    """Apply ``inner`` only where ``predicate`` holds; decline elsewhere."""
+    """Apply ``inner`` only to samples with some covariate coordinate strictly
+    above ``threshold``; decline elsewhere."""
 
-    predicate: object
+    threshold: float
     inner: object
 
     def selects(self, x, y):
-        return self.predicate(x, y) & self.inner.selects(x, y)
+        return np.any(x > self.threshold, axis=1) & self.inner.selects(x, y)
 
     def target_labels(self, x, y):
         return self.inner.target_labels(x, y)
@@ -106,7 +92,7 @@ class Gated:
     def to_json(self):
         return {
             "kind": "gated",
-            "predicate": self.predicate.to_json(),
+            "predicate": {"kind": "any-coord-above", "threshold": self.threshold},
             "inner": self.inner.to_json(),
         }
 
@@ -137,15 +123,14 @@ def strategy_from_json(obj):
         if not (isinstance(predicate, dict) and predicate.get("kind") == "any-coord-above"):
             raise ContractViolation(
                 f"field 'predicate' of {obj!r} must be an any-coord-above predicate")
-        return Gated(AnyCoordAbove(_number(predicate, "threshold")),
-                     strategy_from_json(obj.get("inner")))
+        return Gated(_number(predicate, "threshold"), strategy_from_json(obj.get("inner")))
     raise ContractViolation(f"unknown strategy {obj!r}: its 'kind' is none of "
                             "flip-negate, scale, constant, gated")
 
 
 def gated_flip(threshold):
     """Flip-to-negative gated on any coordinate exceeding ``threshold``."""
-    return Gated(AnyCoordAbove(threshold), FlipNegate())
+    return Gated(threshold, FlipNegate())
 
 
 # --- Massart corruption ------------------------------------------------------
@@ -178,7 +163,6 @@ class CorruptionRecord:
 
     mask: np.ndarray
     corruptible: np.ndarray
-    originals: np.ndarray
 
 
 def corrupt_massart(clean, spec):
@@ -195,8 +179,7 @@ def corrupt_massart(clean, spec):
     chosen = flagged & spec.strategy.selects(clean.x, clean.y)
     targets = spec.strategy.target_labels(clean.x, clean.y)
     y_new = np.where(chosen, targets, clean.y)
-    record = CorruptionRecord(mask=chosen, corruptible=flagged, originals=clean.y.copy())
-    return LabeledDataset(clean.x.copy(), y_new), record
+    return LabeledDataset(clean.x.copy(), y_new), CorruptionRecord(chosen, flagged)
 
 
 # --- oblivious corruption ----------------------------------------------------

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ContractViolation, HalfspaceEmpty, InsufficientPoints, NoRecovery
+from .errors import ContractViolation, HalfspaceEmpty, NoRecovery
 from .isotropy import RadialTransform, _unit_rows, certifying_gamma, radial_isotropize
 from .l1 import (_best_rows, _check_positive_finite, _check_positive_int, _least_squares,
                  _reweighted, _row_scales, exact_fit_mask, snap_to_rational)
@@ -67,8 +67,9 @@ def _relu(t):
 def relu_l1_loss(samples, w):
     """Mean absolute ReLU residual, as a float. Its subgradient is the step
     of ``gd_relu_transformed``'s 'original' mode, scaled by n/m for the n
-    positive-side points of m."""
-    w = np.asarray(w, dtype=float)
+    positive-side points of m. A w of another length than d raises
+    DimensionMismatch."""
+    w = samples.parameter(w)
     return float(np.mean(np.abs(_relu(samples.x @ w) - samples.y)))
 
 
@@ -202,8 +203,8 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
     Accepts when w0 passes the majority certificate (``_majority_fit``) on
     the samples. Otherwise cuts using the rescaled subgradient of the
     positive-side points; on subspace concentration, recurses as described
-    in the module docstring. Raises InsufficientPoints on a dataset with no
-    rows, and HalfspaceEmpty when no sample lies on the closed positive side
+    in the module docstring. Raises DimensionMismatch when w0 is not of
+    length d, HalfspaceEmpty when no sample lies on the closed positive side
     (the halfspace-mass assumption is violated), and NoRecovery when the
     mean signed image of the positive side is zero. ``_start`` is
     the previous cut's transform (the warm start of the module docstring)
@@ -211,10 +212,7 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
     ``ellipsoid_recover_relu`` passes both at depth 0.
     """
     X, y = samples.x, samples.y
-    m, d = X.shape
-    if m == 0:  # else the query would read as one with an empty positive side
-        raise InsufficientPoints(f"no samples at depth {_depth}", level=_depth)
-    w0 = np.asarray(w0, dtype=float)
+    w0 = samples.parameter(w0, "w0")
     z = X @ w0
     rows = _row_scales(X, y) if _rows is None else _rows
     fit_mask, certified = _majority_fit(z, rows)
@@ -229,7 +227,7 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
         )
     XS, yS = X[mask], y[mask]
     n_S = XS.shape[0]
-    gamma = certifying_gamma(n_S, d)  # recurse iff a heavy subspace exists
+    gamma = certifying_gamma(n_S, samples.d)  # recurse iff a heavy subspace exists
     result = radial_isotropize(XS if _start is None else XS @ _start.T, gamma)
     if _start is not None and not isinstance(result, RadialTransform):
         # a heavy subspace: rerun cold, so the recursion is the one a cold call makes
@@ -354,13 +352,10 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     oracle accepts or has no cut, or when the shape stops being positive
     definite; its JSON-safe ``diagnostics`` hold the final ``center`` (a
     list), ``radius`` and ``steps``. HalfspaceEmpty from the oracle carries
-    the same ``diagnostics``. Raises InsufficientPoints on a dataset with no
-    rows.
+    the same ``diagnostics``.
     """
     X, y = samples.x, samples.y
-    m, d = X.shape
-    if m == 0:  # raised here, so the candidate never runs on no rows
-        raise InsufficientPoints("no samples to certify a parameter on")
+    d = samples.d
     buffer = np.empty(X.shape)  # see _candidate
     rows = _row_scales(X, y, buffer)
     state = EllipsoidState(
@@ -477,7 +472,6 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_star=None):
     T^{-1} r); each image's residual is the raw w.x_i - y_i over a positive
     scale, so s_i is the raw sign.
     ``w_star`` must have length d, else DimensionMismatch.
-    Raises InsufficientPoints on a dataset with no rows.
 
     ``alpha`` defaults to 1 for transformed modes and 1/mean(|x|^2) for
     'original' (keeping raw-point step magnitudes comparable to unit-norm
@@ -490,16 +484,13 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_star=None):
         raise ContractViolation(f"mode must be one of {GD_MODES}, got {mode!r}")
     iters = _check_positive_int(iters, "iters")
     X, y = samples.x, samples.y
-    m, d = X.shape
-    if m == 0:  # else every step is skipped and every loss is a mean of nothing
-        raise InsufficientPoints("no samples to descend on")
     if alpha is None:
         mean_sq = float(np.mean(np.sum(X * X, axis=1)))
         alpha = 1.0 if mode != "original" else 1.0 / mean_sq if mean_sq > 0.0 else math.inf
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ContractViolation(f"alpha must be positive and finite, got {alpha} "
                                 "(mode 'original' defaults it to 1/mean|x|^2)")
-    w = np.zeros(d)
+    w = np.zeros(samples.d)
     if w_star is not None:
         w_star = samples.parameter(w_star, "w_star")
 

@@ -5,6 +5,7 @@ import pytest
 
 from radreg.cli import main
 from radreg.data import LabeledDataset, load_dataset_csv, save_dataset_csv
+from radreg.noise import MassartSpec, corrupt_massart, gated_flip
 from radreg.relu import GD_MODES
 
 from oracles import ellipsoid_only
@@ -45,16 +46,24 @@ class TestSynthCorrupt:
         run_cli(capsys, "synth", "--d", "4", "--n", "200", "--seed", "1",
                 "--out", str(data))
         out = tmp_path / "noisy.csv"
-        record = tmp_path / "record.json"
         code, stdout, _ = run_cli(capsys, "corrupt", "--in", str(data),
                                   "--eta", "0.3", "--strategy", "gated-flip:2",
-                                  "--seed", "5", "--out", str(out),
-                                  "--record-out", str(record))
+                                  "--seed", "5", "--out", str(out))
         assert code == 0
         summary = json.loads(stdout)
-        assert 0 < summary["corrupted"] <= summary["corruptible"]
-        rec = json.loads(record.read_text())
-        assert sum(rec["mask"]) == summary["corrupted"]
+        assert 0 < summary["corrupted"] < summary["corruptible"]
+        clean = load_dataset_csv(data)
+        noisy, record = corrupt_massart(clean, MassartSpec(0.3, gated_flip(2.0), seed=5))
+        assert np.array_equal(load_dataset_csv(out).y, noisy.y)
+        assert int(record.mask.sum()) == summary["corrupted"]
+        assert np.all(np.any(clean.x[record.mask] > 2.0, axis=1))
+
+    def test_record_out_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["corrupt", "--in", "x.csv", "--eta", "0.3", "--out", "y.csv",
+                  "--record-out", "r.json"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --record-out" in capsys.readouterr().err
 
     @pytest.mark.parametrize("strategy, expected", [
         ("flip-negate", {"kind": "flip-negate"}),
@@ -255,12 +264,13 @@ class TestFitCommands:
 
 
 class TestBenchEval:
-    def test_bench_zero_max_denominator_is_a_contract_violation(self, capsys):
-        code, stdout, stderr = run_cli(capsys, "bench", "recovery-rate", "--d", "2", "--n", "10",
-                                       "--trials", "1", "--max-denominator", "0")
-        assert code == 2 and stdout == ""
-        error = strict_json(stderr)
-        assert error["error"] == "ContractViolation" and "max_denominator" in error["message"]
+    @pytest.mark.parametrize("flag, value", [("--max-denominator", "0"), ("--w-star", "1,1")])
+    def test_bench_target_is_not_an_option(self, flag, value, capsys):
+        # the sweep always targets default_target(d) at denominator 10**6
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "recovery-rate", "--d", "2", "--n", "10", "--trials", "1", flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_bench_recovery_rate(self, tmp_path, capsys):
         out = tmp_path / "bench.json"

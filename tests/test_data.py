@@ -2,13 +2,23 @@ import numpy as np
 import pytest
 
 from radreg.data import LabeledDataset, load_dataset_csv
-from radreg.errors import ContractViolation, DimensionMismatch, MalformedCsv
+from radreg.errors import ContractViolation, DimensionMismatch, InsufficientPoints, MalformedCsv
 
 
 def _finite_dataset():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((20, 3))
     return X, X @ np.array([1.0, 2.0, -1.0])
+
+
+@pytest.mark.parametrize("shape, error", [((0, 3), InsufficientPoints),
+                                          ((0, 0), InsufficientPoints),
+                                          ((3, 0), DimensionMismatch)])
+def test_a_dataset_needs_a_row_and_a_covariate(shape, error):
+    # on a (3, 0) set recover_linear used to raise a bare ZeroDivisionError
+    # and ellipsoid_recover_relu an IndexError
+    with pytest.raises(error):
+        LabeledDataset(np.zeros(shape), np.zeros(shape[0]))
 
 
 class TestNonFiniteRejected:

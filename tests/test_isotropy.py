@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +16,7 @@ from oracles import (
 )
 from radreg import isotropy
 from radreg.bench import SyntheticSpec, make_synthetic_dataset
-from radreg.errors import ContractViolation, IsotropyStalled, RadregError
+from radreg.errors import ContractViolation, InsufficientPoints, IsotropyStalled, RadregError
 from radreg.isotropy import (
     DEGENERATE_RTOL,
     DETECT_EVERY,
@@ -121,6 +123,28 @@ class TestRadialIsotropize:
         t = radial_isotropize(pts, gamma=0.5)
         U = t.apply(pts)
         assert np.trace(second_moment(U)) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("search", [radial_isotropize, find_heavy_subspace])
+class TestInputIsTyped:
+    def test_no_points_raise_insufficient_points(self, search):
+        # d / n used to raise a bare ZeroDivisionError
+        with pytest.raises(InsufficientPoints):
+            search(np.empty((0, 3)))
+
+    @pytest.mark.parametrize("n, d, value", [(200, 5, np.nan), (2, 2, np.nan), (2, 2, np.inf)])
+    def test_non_finite_point_is_refused_before_the_first_iteration(self, search, n, d, value,
+                                                                    monkeypatch):
+        # one NaN used to surface as a bare LinAlgError on a 200 x 5 set, and on
+        # a 2 x 2 set as IsotropyStalled after 1020 iterations; inf also warned
+        monkeypatch.setattr(isotropy, "_cholesky_inverse",
+                            lambda M: pytest.fail("an iteration ran"))
+        points = np.random.default_rng(0).standard_normal((n, d))
+        points[-1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation, match=f"point {n - 1} has a non-finite norm"):
+                search(points)
 
 
 class TestHeavySubspaceVerification:

@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 
 from radreg.bench import SyntheticSpec, make_synthetic_dataset
 from radreg.data import LabeledDataset
-from radreg.errors import ContractViolation, InsufficientPoints, SolverStalled
+from radreg.errors import ContractViolation, DimensionMismatch, InsufficientPoints, SolverStalled
 import radreg.l1
 from radreg.l1 import exact_fit_mask, l1_fit_linear, lad_fit, lad_optimal, snap_to_rational
 from radreg.isotropy import radial_isotropize
@@ -242,7 +242,8 @@ class TestL1FitLinear:
 
     @pytest.mark.parametrize("fit", [l1_fit_linear, lad_fit])
     def test_no_rows_raise_insufficient_points(self, fit):
-        # linprog rejects an empty LP with a bare ValueError
+        # linprog rejects an empty LP with a bare ValueError; the dataset
+        # refuses to exist before it gets there
         with pytest.raises(InsufficientPoints):
             fit(LabeledDataset(np.zeros((0, 3)), np.zeros(0)))
 
@@ -276,6 +277,13 @@ class TestLadOptimal:
         assert not lad_optimal(ds, wrong)
         assert lad_optimal(ds, np.array([1.0, 2.0]))
         assert is_unique_lad_minimizer(ds, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("w", [np.ones(1), np.ones(3), np.ones((1, 2))])
+    def test_parameter_of_another_length_is_a_dimension_mismatch(self, w):
+        # used to escape as numpy's "matmul: ... mismatch" ValueError
+        ds, _ = self.majority_on_a_line()
+        with pytest.raises(DimensionMismatch):
+            lad_optimal(ds, w)
 
     def test_certifies_through_a_gap_at_rounding_level(self):
         # a 60-row answer on 150 rescaled rows in R^20 certifies at round 29;

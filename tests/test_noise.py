@@ -65,12 +65,8 @@ class TestCorruptMassart:
 
     def test_gating_refines_never_extends(self):
         ds, _ = linear_dataset(500, 3, seed=12)
-        strategy = Gated(predicate=type("P", (), {
-            "__call__": lambda self, x, y: x[:, 0] > 0.5,
-            "to_json": lambda self: {"kind": "any-coord-above", "threshold": 0.5},
-        })(), inner=FlipNegate())
-        _, record = corrupt_massart(ds, MassartSpec(0.4, strategy, seed=13))
-        assert np.all(record.corruptible[record.mask])
+        _, record = corrupt_massart(ds, MassartSpec(0.4, Gated(0.5, FlipNegate()), seed=13))
+        assert np.array_equal(record.mask, record.corruptible & np.any(ds.x > 0.5, axis=1))
         assert record.mask.sum() < record.corruptible.sum()
 
     def test_deterministic_given_seed(self):

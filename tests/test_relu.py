@@ -153,6 +153,15 @@ class TestReluL1Loss:
         assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
 
 
+@pytest.mark.parametrize("function", [sep_oracle, relu_l1_loss])
+@pytest.mark.parametrize("w", [np.ones(2), np.ones(4), np.ones((1, 3))])
+def test_parameter_of_another_length_is_a_dimension_mismatch(function, w):
+    # used to escape as numpy's "matmul: ... mismatch" ValueError
+    ds = LabeledDataset(np.eye(3), np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        function(ds, w)
+
+
 class TestSepOracle:
     def test_accepts_target_on_realizable_data(self):
         rng = np.random.default_rng(2)
@@ -178,7 +187,8 @@ class TestSepOracle:
             sep_oracle(ds, np.array([1.0]))
 
     def test_no_rows_raise_insufficient_points(self):
-        # 2 * 0 fits >= 0 rows used to accept every query
+        # 2 * 0 fits >= 0 rows used to accept every query; the dataset now
+        # refuses to exist
         with pytest.raises(InsufficientPoints):
             sep_oracle(LabeledDataset(np.zeros((0, 3)), np.zeros(0)), np.ones(3))
 
@@ -353,7 +363,8 @@ class TestEllipsoid:
             EllipsoidConfig(**{"initial_radius": 1.0, name: value})
 
     def test_no_rows_raise_insufficient_points(self):
-        # used to certify w = 0, with inlier_fraction NaN
+        # used to certify w = 0, with inlier_fraction NaN; the dataset now
+        # refuses to exist
         with pytest.raises(InsufficientPoints):
             ellipsoid_recover_relu(LabeledDataset(np.zeros((0, 3)), np.zeros(0)),
                                    EllipsoidConfig(initial_radius=1.0))
@@ -946,10 +957,11 @@ class TestGdReluTransformed:
 
     @pytest.mark.parametrize("mode", relu.GD_MODES)
     def test_no_rows_raise_insufficient_points(self, mode):
-        # every step would be skipped and every loss a mean of no residuals
-        ds = LabeledDataset(np.zeros((0, 3)), np.zeros(0))
+        # every step would be skipped and every loss a mean of no residuals;
+        # the dataset refuses to exist before the descent sees it
         with pytest.raises(InsufficientPoints):
-            gd_relu_transformed(ds, mode, iters=1, alpha=1.0)
+            gd_relu_transformed(LabeledDataset(np.zeros((0, 3)), np.zeros(0)), mode,
+                                iters=1, alpha=1.0)
 
     @pytest.mark.parametrize("iters", [2.5, 0])
     def test_iteration_count_must_be_an_integer_of_at_least_1(self, iters):
