@@ -56,7 +56,7 @@ corrupted, record = corrupt_massart(LabeledDataset(X, np.maximum(X @ w_star, 0.0
                                     MassartSpec(0.2, FlipNegate(), 7))
 print(f"\ncentered: {m} samples in R^{d}, {record.mask.sum()} labels corrupted at eta=0.2")
 config = EllipsoidConfig(initial_radius=30.0, max_denominator=16)
-report = ellipsoid_recover_relu(corrupted, config, record_volumes=True)
+report = ellipsoid_recover_relu(corrupted, config)
 show(report, w_star)
 
 vols = np.array(report.diagnostics["volume_logs"])

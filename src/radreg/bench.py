@@ -24,7 +24,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractViolation, RadregError
 from .isotropy import _unit_rows
-from .l1 import _check_positive_int, lad_fit, snap_to_rational
+from .l1 import _check_positive_int, _check_seed, lad_fit, snap_to_rational
 from .linear import recover_linear
 from .noise import MassartSpec, corrupt_massart, gated_flip
 
@@ -47,6 +47,7 @@ class SyntheticSpec:
     def __post_init__(self):
         self.d = _check_positive_int(self.d, "d")
         self.n = _check_positive_int(self.n, "n")
+        self.seed = _check_seed(self.seed)
         if self.w_star is None:
             self.w_star = default_target(self.d)
         self.w_star = np.asarray(self.w_star, dtype=float)
@@ -200,6 +201,7 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
     takes ``method_registry``'s coefficient.
     """
     trials = _check_positive_int(trials, "trials")
+    seed = _check_seed(seed)
     if eta_grid is not None and n_grid is not None:
         raise ContractViolation("pass at most one of eta_grid / n_grid")
     if instance not in INSTANCE_FAMILIES:

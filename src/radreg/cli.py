@@ -84,11 +84,7 @@ def _cmd_fit_linear(args):
 
 def _cmd_fit_relu(args):
     dataset = load_dataset_csv(getattr(args, "in"))
-    config = EllipsoidConfig(
-        initial_radius=args.radius,
-        max_steps=args.max_steps,
-        max_denominator=args.max_denominator,
-    )
+    config = EllipsoidConfig(initial_radius=args.radius, max_denominator=args.max_denominator)
     report = ellipsoid_recover_relu(dataset, config)
     _emit(report.to_json(), args.out)
 
@@ -161,8 +157,6 @@ def build_parser():
                        help="recover a ReLU parameter (certified candidate, then ellipsoid)")
     p.add_argument("--in", required=True)
     p.add_argument("--radius", type=float, default=100.0, help="bound on |w*|")
-    p.add_argument("--max-steps", type=int, default=None,
-                   help="ellipsoid steps only; the candidate before them is not one")
     p.add_argument("--max-denominator", type=int, default=10**6)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit_relu)

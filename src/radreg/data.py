@@ -16,8 +16,8 @@ from .errors import ContractViolation, DimensionMismatch, InsufficientPoints, Ma
 @dataclass
 class LabeledDataset:
     """Covariates ``x`` (m, d) and labels ``y`` (m,), all finite, with m >= 1
-    (else InsufficientPoints) and d >= 1 (else DimensionMismatch): every
-    fit, certificate and loss downstream relies on both."""
+    (else InsufficientPoints), and ``x`` a matrix with d >= 1 (else
+    DimensionMismatch): every fit, certificate and loss downstream relies on both."""
 
     x: np.ndarray
     y: np.ndarray
@@ -31,6 +31,8 @@ class LabeledDataset:
             )
         if self.m == 0:
             raise InsufficientPoints("a dataset needs at least one row")
+        if self.x.ndim != 2:
+            raise DimensionMismatch(f"covariates must form an (m, d) matrix, got {self.x.shape}")
         if self.d == 0:
             raise DimensionMismatch("a dataset needs at least one covariate column")
         bad = ~(np.isfinite(self.x).all(axis=1) & np.isfinite(self.y))

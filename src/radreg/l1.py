@@ -297,16 +297,22 @@ class RationalVector:
         }
 
 
-def _check_positive_int(value, name):
-    """``value`` as an int, or ContractViolation naming ``name`` unless it is
-    an integer (``operator.index``: no floats, however integral) of at least 1."""
+def _check_positive_int(value, name, least=1):
+    """``value`` as an int, or ContractViolation naming ``name`` unless it is an
+    integer (``operator.index``: no floats, however integral) of at least ``least``."""
     try:
         bound = operator.index(value)
     except TypeError:
-        bound = 0
-    if bound < 1:
-        raise ContractViolation(f"{name} must be an integer >= 1, got {value!r}")
+        bound = least - 1
+    if bound < least:
+        raise ContractViolation(f"{name} must be an integer >= {least}, got {value!r}")
     return bound
+
+
+def _check_seed(seed):
+    """``seed`` as an int, or ContractViolation unless it is an integer >= 0,
+    as ``numpy.random`` needs."""
+    return _check_positive_int(seed, "seed", least=0)
 
 
 def _check_positive_finite(value, name):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ContractViolation, InvalidNoiseRate, SimulationInfeasible
-from .l1 import _check_positive_int
+from .l1 import _check_positive_int, _check_seed
 
 
 # --- corruption strategies ---------------------------------------------------
@@ -137,7 +137,7 @@ def gated_flip(threshold):
 
 @dataclass
 class MassartSpec:
-    """Noise rate, strategy and seed for one corruption pass. eta < 1/2."""
+    """Noise rate (eta < 1/2), strategy and seed (an integer >= 0) for one corruption pass."""
 
     eta: float
     strategy: object = field(default_factory=FlipNegate)
@@ -146,6 +146,7 @@ class MassartSpec:
     def __post_init__(self):
         if not 0.0 <= self.eta < 0.5:
             raise InvalidNoiseRate(f"eta must lie in [0, 1/2), got {self.eta}")
+        self.seed = _check_seed(self.seed)
 
     def to_json(self):
         return {"eta": self.eta, "strategy": self.strategy.to_json(), "seed": self.seed}
@@ -188,10 +189,11 @@ def corrupt_oblivious(clean_labels, eta, b_magnitude, seed=0):
     """Add an exactly floor(eta*m)-sparse +-b_magnitude vector to the labels.
 
     Positions and signs are drawn independently of everything else, which is
-    what makes this adversary oblivious. A rate outside [0, 1] or a
-    non-finite ``b_magnitude`` raises ContractViolation.
+    what makes this adversary oblivious. A rate outside [0, 1], a non-finite
+    ``b_magnitude`` or a seed that is not an integer >= 0 raises ContractViolation.
     """
     y = np.asarray(clean_labels, dtype=float).copy()
+    seed = _check_seed(seed)
     if not 0.0 <= eta <= 1.0:
         raise ContractViolation(f"oblivious rate must lie in [0, 1], got {eta}")
     if not math.isfinite(b_magnitude):

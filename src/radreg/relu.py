@@ -82,35 +82,25 @@ def positive_side_mask(X, w, norms, z):
 
 @dataclass
 class EllipsoidConfig:
-    """Search ball radius, step budget, and snapping bound.
+    """Search ball radius and snapping bound.
 
-    ``initial_radius`` must upper-bound |w*| and be positive and finite, and
-    ``max_steps``, when given, an integer >= 1, else ContractViolation.
-    ``max_steps`` counts ellipsoid steps only. The default budget is the
-    steps that shrink the ball to DELTA_MIN_RTOL * initial_radius, a safety
-    net: the operative stop is the majority-fit check.
+    ``initial_radius`` must upper-bound |w*| and be positive and finite, else
+    ContractViolation. The step budget is the steps that shrink the ball to
+    DELTA_MIN_RTOL * initial_radius, a safety net: the operative stop is the
+    majority-fit check.
     ``max_denominator`` encodes the caller's bit-complexity knowledge of the
     target: snapping resolves exactly once the center is within
     1/(2*max_denominator^2) of it. The oracle's gap is ``certifying_gamma``.
     """
 
     initial_radius: float
-    max_steps: int | None = None
     max_denominator: int = 10**6
 
     def __post_init__(self):
         _check_positive_finite(self.initial_radius, "initial_radius")
         _check_positive_finite(DELTA_MIN_RTOL * self.initial_radius,
                                "initial_radius * DELTA_MIN_RTOL")
-        if self.max_steps is not None:
-            self.max_steps = _check_positive_int(self.max_steps, "max_steps")
         self.max_denominator = _check_positive_int(self.max_denominator, "max_denominator")
-
-    def resolved_max_steps(self, d):
-        if self.max_steps is not None:
-            return self.max_steps
-        shrink = math.log(self.initial_radius / (DELTA_MIN_RTOL * self.initial_radius))
-        return int(math.ceil(2.0 * (d + 1) * d * shrink)) + 100
 
 
 @dataclass
@@ -287,25 +277,10 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
 
 @dataclass
 class EllipsoidState:
-    """Ellipsoid {w : (w - center)^T shape^{-1} (w - center) <= 1}.
-
-    ``volume_log`` is 0.5 * logdet(shape), the log-volume up to the constant
-    of the unit ball, which cancels in all decrease checks.
-    """
+    """Ellipsoid {w : (w - center)^T shape^{-1} (w - center) <= 1}."""
 
     center: np.ndarray
     shape: np.ndarray
-
-    @property
-    def volume_log(self):
-        sign, logdet = np.linalg.slogdet(self.shape)
-        if sign <= 0:
-            return -math.inf
-        return 0.5 * logdet
-
-    @property
-    def radius(self):
-        return float(np.sqrt(max(np.linalg.eigvalsh(self.shape)[-1], 0.0)))
 
 
 def _stopped(state, radius, steps):
@@ -332,7 +307,7 @@ def ellipsoid_cut(state, normal):
     return EllipsoidState(c_new, P_new)
 
 
-def ellipsoid_recover_relu(samples, config, record_volumes=False):
+def ellipsoid_recover_relu(samples, config):
     """Exact ReLU parameter recovery: an LP-free candidate, then the
     ellipsoid method.
 
@@ -340,14 +315,14 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     certificate on (x/|x|, y/|x|). Tried in order: ``_candidate``, then each
     ellipsoid step's center before that step consults the oracle, which
     starts from the previous cut's transform (module docstring); the first
-    center, w = 0, cannot pass. ``config.max_steps`` counts ellipsoid steps
-    only.
+    center, w = 0, cannot pass. The budget counts ellipsoid steps only.
 
     The report's diagnostics hold ``certified_by`` (``"candidate"``, or
     ``"ellipsoid"`` for a center), ``irls_rounds`` (the candidate's), ``steps``,
-    ``final_radius``, ``oracle_calls`` and ``isotropy_iterations``. The candidate's path makes
-    no step: its counts are 0, its radius the initial one, and with
-    ``record_volumes`` its ``volume_logs`` hold the initial volume alone.
+    ``final_radius``, ``oracle_calls``, ``isotropy_iterations`` and ``volume_logs``, the
+    log-volume 0.5 * logdet(shape) before the first cut and after each. The candidate's path
+    makes no step: its counts are 0, its radius the initial one, and its ``volume_logs`` hold
+    the initial volume alone.
     Raises NoRecovery when steps or the ellipsoid radius run out, when the
     oracle accepts or has no cut, or when the shape stops being positive
     definite; its JSON-safe ``diagnostics`` hold the final ``center`` (a
@@ -358,13 +333,11 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
     d = samples.d
     buffer = np.empty(X.shape)  # see _candidate
     rows = _row_scales(X, y, buffer)
-    state = EllipsoidState(
-        center=np.zeros(d),
-        shape=config.initial_radius ** 2 * np.eye(d),
-    )
-    radius = state.radius
-    max_steps = config.resolved_max_steps(d)
-    volumes = [state.volume_log] if record_volumes else None
+    radius = config.initial_radius
+    state = EllipsoidState(np.zeros(d), radius ** 2 * np.eye(d))
+    shrink = math.log(radius / (DELTA_MIN_RTOL * radius))
+    max_steps = int(math.ceil(2.0 * (d + 1) * d * shrink)) + 100
+    volumes = [d * math.log(radius)]
     work = {"oracle_calls": 0, "isotropy_iterations": 0}
     certified_by = "candidate"
     certified, rounds = _candidate(X, y, rows, config.max_denominator, buffer)
@@ -375,10 +348,6 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
             certified = _certify(X, state.center, rows, config.max_denominator)
         if certified is not None:
             w_hat, snapped, fit_mask = certified
-            diagnostics = {"certified_by": certified_by, "irls_rounds": rounds,
-                           "steps": step, "final_radius": radius, **work}
-            if record_volumes:
-                diagnostics["volume_logs"] = volumes
             return RecoveryReport(
                 w_hat=w_hat.copy(),
                 w_snapped=snapped,
@@ -386,7 +355,9 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
                 recursion_trace=[],
                 majority_certified=True,
                 model="relu",
-                diagnostics=diagnostics,
+                diagnostics={"certified_by": certified_by, "irls_rounds": rounds,
+                             "steps": step, "final_radius": radius, **work,
+                             "volume_logs": volumes},
             )
         try:
             result = sep_oracle(samples, state.center, _start=start, _rows=rows)
@@ -404,9 +375,7 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
             exc.diagnostics = {**_stopped(state, radius, step), **exc.diagnostics}
             raise
         start = result.transform
-        if record_volumes:
-            volumes.append(state.volume_log)
-        # one spectrum per step gives both the definiteness check and the radius
+        # one spectrum per step gives the definiteness check, the volume and the radius
         evals = np.linalg.eigvalsh(state.shape)
         if not evals[0] > 0.0:
             raise NoRecovery(
@@ -414,6 +383,7 @@ def ellipsoid_recover_relu(samples, config, record_volumes=False):
                 f"eigenvalue {evals[0]:.3e})",
                 _stopped(state, math.sqrt(max(evals[-1], 0.0)), step + 1),
             )
+        volumes.append(0.5 * float(np.log(evals).sum()))
         radius = math.sqrt(evals[-1])
         if radius < DELTA_MIN_RTOL * config.initial_radius:
             raise NoRecovery(

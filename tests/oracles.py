@@ -14,8 +14,9 @@ steps.
 ``oracle_transform`` recomputes the transform behind a separation cut,
 ``gd_step`` and ``gd_subgradient`` read one descent step and the l1
 subgradient off the descent's step rule,
-``recovery_rate`` reads one rate off a recovery-rate report, and
-``ellipsoid_only`` makes ``ellipsoid_recover_relu`` skip its candidate.
+``recovery_rate`` reads one rate off a recovery-rate report,
+``ellipsoid_only`` makes ``ellipsoid_recover_relu`` skip its candidate, and
+``cut_along`` makes its every oracle call cut with one fixed normal.
 """
 
 import itertools
@@ -311,3 +312,13 @@ def ellipsoid_only(monkeypatch):
     that the search runs on the instances it would certify: every answer
     then comes from an ellipsoid center after a cut."""
     monkeypatch.setattr(relu, "_candidate", lambda X, y, rows, max_denominator, buffer: (None, 0))
+
+
+def cut_along(monkeypatch, normal):
+    """Make every oracle call of ``ellipsoid_recover_relu`` refuse its query
+    with the cut normal ``normal``."""
+    def oracle(samples, w0, **_):
+        return relu.SepResult(False, normal=np.asarray(normal, dtype=float),
+                              diagnostics={"oracle_calls": 1, "isotropy_iterations": 0})
+
+    monkeypatch.setattr(relu, "sep_oracle", oracle)

@@ -276,7 +276,7 @@ def test_criterion_10_ellipsoid_invariants(monkeypatch):
         corrupted, _, _ = _shifted_relu_instance(95_000 + trial)
         d = corrupted.d
         cfg = EllipsoidConfig(initial_radius=10.0, max_denominator=16)
-        rep = ellipsoid_recover_relu(corrupted, cfg, record_volumes=True)
+        rep = ellipsoid_recover_relu(corrupted, cfg)
         decreases = -np.diff(rep.diagnostics["volume_logs"])
         cuts += decreases.size
         if decreases.size:

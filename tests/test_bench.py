@@ -141,6 +141,22 @@ class TestExactRecoveryBench:
         with pytest.raises(ContractViolation, match="trials"):
             exact_recovery_bench(["least-squares"], d=2, n=10, trials=trials, seed=0)
 
+    @pytest.mark.parametrize("seed", [-2, 1.0, None])
+    def test_seed_must_be_an_integer_of_at_least_0(self, seed):
+        # a negative seed used to raise numpy's untyped ValueError
+        with pytest.raises(ContractViolation, match="seed"):
+            exact_recovery_bench(["least-squares"], d=2, n=10, trials=1, seed=seed)
+        with pytest.raises(ContractViolation, match="seed"):
+            SyntheticSpec(d=2, n=10, seed=seed)
+
+    def test_a_uint64_seed_is_a_valid_seed(self):
+        # the benchmark's sweep seeds are drawn as uint64 values
+        seed = np.uint64(2**64 - 1)
+        rep = exact_recovery_bench(["least-squares"], d=2, n=10, trials=1, seed=seed)
+        assert rep.config["seed"] == 2**64 - 1 and type(rep.config["seed"]) is int
+        spec = SyntheticSpec(d=2, n=10, seed=seed)
+        assert spec.seed == 2**64 - 1 and type(spec.seed) is int
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ContractViolation):
             exact_recovery_bench(["magic"], d=2, n=10, trials=1, seed=0)

@@ -8,7 +8,7 @@ from radreg.data import LabeledDataset, load_dataset_csv, save_dataset_csv
 from radreg.noise import MassartSpec, corrupt_massart, gated_flip
 from radreg.relu import GD_MODES
 
-from oracles import ellipsoid_only
+from oracles import cut_along, ellipsoid_only
 
 
 def strict_json(text):
@@ -125,8 +125,7 @@ class TestFitCommands:
     def test_fit_relu_certifies_the_candidate_before_any_step(self, tmp_path, capsys):
         data = self.make_relu_csv(tmp_path)
         code, stdout, _ = run_cli(capsys, "fit-relu", "--in", str(data),
-                                  "--radius", "5", "--max-denominator", "8",
-                                  "--max-steps", "1")
+                                  "--radius", "5", "--max-denominator", "8")
         assert code == 0
         report = strict_json(stdout)
         assert report["w_snapped"]["values"] == [2.0, 1.0]
@@ -135,21 +134,22 @@ class TestFitCommands:
         assert type(diagnostics["irls_rounds"]) is int and diagnostics["irls_rounds"] >= 1
         assert diagnostics["steps"] == diagnostics["oracle_calls"] == 0
         assert diagnostics["isotropy_iterations"] == 0
+        assert diagnostics["volume_logs"] == [pytest.approx(2 * np.log(5.0))]
 
     def test_fit_relu_failure_carries_its_diagnostics(self, tmp_path, capsys, monkeypatch):
-        # without the candidate, which certifies this set, the origin does not
-        # certify and one step ends the search uncertified
+        # without the candidate, which certifies this set, and with every cut
+        # along e1, the shape grows along e2 until the 349-step budget of d = 2 runs out
         ellipsoid_only(monkeypatch)
+        cut_along(monkeypatch, [1.0, 0.0])
         data = self.make_relu_csv(tmp_path)
-        code, _, stderr = run_cli(capsys, "fit-relu", "--in", str(data),
-                                  "--radius", "5", "--max-denominator", "8",
-                                  "--max-steps", "1")
-        assert code == 2
-        error = json.loads(stderr)
-        assert error["error"] == "NoRecovery"
-        assert error["diagnostics"]["steps"] == 1
+        code, stdout, stderr = run_cli(capsys, "fit-relu", "--in", str(data),
+                                       "--radius", "5", "--max-denominator", "8")
+        assert code == 2 and stdout == ""
+        error = strict_json(stderr)
+        assert error["error"] == "NoRecovery" and "within 349 steps" in error["message"]
+        assert error["diagnostics"]["steps"] == 349
         assert len(error["diagnostics"]["center"]) == 2
-        assert error["diagnostics"]["radius"] > 0.0
+        assert error["diagnostics"]["radius"] > 5.0
 
     @pytest.mark.parametrize("radius, steps, message", [("8", 2, "mean signed image"),
                                                         ("7", 30, "fell below")])
@@ -231,11 +231,9 @@ class TestFitCommands:
         error = strict_json(stderr)
         assert error["error"] == "ContractViolation" and "alpha" in error["message"]
 
-    @pytest.mark.parametrize("flag, value", [("--radius", "nan"), ("--radius", "inf"),
-                                             ("--max-steps", "-3")])
+    @pytest.mark.parametrize("flag, value", [("--radius", "nan"), ("--radius", "inf")])
     def test_bad_search_bound_is_a_contract_violation(self, flag, value, tmp_path, capsys):
-        # NaN used to surface as LinAlgError or ValueError, and --max-steps -3
-        # as a NoRecovery after -3 steps
+        # NaN used to surface as LinAlgError or ValueError
         data = self.make_relu_csv(tmp_path)
         code, _, stderr = run_cli(capsys, "fit-relu", "--in", str(data), flag, value)
         assert code == 2
@@ -252,6 +250,13 @@ class TestFitCommands:
             main(command + ["--gamma", "0.5"])
         assert info.value.code == 2
         assert "--gamma" in capsys.readouterr().err
+
+    def test_max_steps_is_not_an_option(self, capsys):
+        # the step budget is always the one the radius floor derives
+        with pytest.raises(SystemExit) as info:
+            main(["fit-relu", "--in", "x.csv", "--max-steps", "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --max-steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fit-linear", "fit-relu"])
     def test_zero_max_denominator_is_a_contract_violation(self, command, tmp_path, capsys):
@@ -346,3 +351,18 @@ class TestErrorContract:
         err = json.loads(stderr)
         assert code == 2 and err["error"] == "ContractViolation"
         assert named in err["message"]
+
+    @pytest.mark.parametrize("command", [
+        ["synth", "--d", "2", "--n", "20", "--seed", "-1", "--out", "out.csv"],
+        ["corrupt", "--in", "clean.csv", "--eta", "0.2", "--seed", "-5", "--out", "out.csv"],
+        ["bench", "recovery-rate", "--trials", "1", "--seed", "-2"],
+    ])
+    def test_negative_seed_is_a_contract_violation(self, command, tmp_path, capsys,
+                                                   monkeypatch):
+        # these used to exit with numpy's untyped ValueError
+        monkeypatch.chdir(tmp_path)
+        run_cli(capsys, "synth", "--d", "2", "--n", "20", "--out", "clean.csv")
+        code, stdout, stderr = run_cli(capsys, *command)
+        assert code == 2 and stdout == ""
+        error = strict_json(stderr)
+        assert error["error"] == "ContractViolation" and "seed" in error["message"]

@@ -21,6 +21,12 @@ def test_a_dataset_needs_a_row_and_a_covariate(shape, error):
         LabeledDataset(np.zeros(shape), np.zeros(shape[0]))
 
 
+def test_covariates_of_three_axes_are_a_dimension_mismatch():
+    # used to raise numpy's untyped ValueError from broadcasting the finiteness masks
+    with pytest.raises(DimensionMismatch, match="matrix"):
+        LabeledDataset(np.zeros((3, 2, 2)), np.ones(3))
+
+
 class TestNonFiniteRejected:
     def test_nan_covariate_row(self):
         # a NaN row would otherwise pass as a zero covariate in recover_linear

@@ -122,6 +122,21 @@ class TestCorruptOblivious:
             corrupt_oblivious(np.zeros(10), eta, magnitude)
 
 
+@pytest.mark.parametrize("seed", [-1, -5, 2.0, "3", None])
+def test_a_seed_that_is_not_an_integer_of_at_least_0_is_a_contract_violation(seed):
+    # a negative seed used to raise numpy's untyped ValueError
+    with pytest.raises(ContractViolation, match="seed"):
+        MassartSpec(0.2, FlipNegate(), seed)
+    with pytest.raises(ContractViolation, match="seed"):
+        corrupt_oblivious(np.zeros(10), 0.0, 1.0, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 - 1, np.uint64(2**64 - 1), np.int64(7)])
+def test_seeds_of_every_integer_type_are_kept_as_ints(seed):
+    spec = MassartSpec(0.2, FlipNegate(), seed)
+    assert type(spec.seed) is int and spec.seed == int(seed)
+
+
 class TestInflatedRate:
     def test_delta_one_is_identity(self):
         assert inflated_massart_rate(0.3, 500, 1.0) == 0.3

@@ -26,7 +26,7 @@ from radreg.relu import (
     sep_oracle,
 )
 
-from oracles import (ellipsoid_only, gd_step, gd_subgradient, l0_fit_bruteforce,
+from oracles import (cut_along, ellipsoid_only, gd_step, gd_subgradient, l0_fit_bruteforce,
                      oracle_transform, sym_polar)
 
 
@@ -355,7 +355,6 @@ class TestEllipsoid:
     @pytest.mark.parametrize("name, value", [
         ("initial_radius", math.nan), ("initial_radius", math.inf), ("initial_radius", 0.0),
         ("initial_radius", 1e-320),
-        ("max_steps", 0), ("max_steps", -3), ("max_steps", 5.0),
     ])
     def test_bad_search_bound_is_a_contract_violation(self, name, value):
         # NaN passes a "<= 0" test; an infinite radius makes an infinite shape
@@ -395,7 +394,7 @@ class TestEllipsoid:
         ellipsoid_only(monkeypatch)
         corrupted, _, _ = shifted_relu_instance(seed=9)
         cfg = EllipsoidConfig(initial_radius=10.0, max_denominator=16)
-        report = ellipsoid_recover_relu(corrupted, cfg, record_volumes=True)
+        report = ellipsoid_recover_relu(corrupted, cfg)
         assert report.diagnostics["certified_by"] == "ellipsoid"
         vols = report.diagnostics["volume_logs"]
         d = corrupted.d
@@ -437,8 +436,7 @@ class TestEllipsoid:
         X = rng.standard_normal((60, 2)) + 2.0
         w_star = np.array([5.0, 5.0])
         ds = LabeledDataset(X, np.maximum(X @ w_star, 0.0))
-        cfg = EllipsoidConfig(initial_radius=1.0, max_denominator=4,
-                              max_steps=200)
+        cfg = EllipsoidConfig(initial_radius=1.0, max_denominator=4)
         # the candidate searches no ball: its certified half fit is the target
         report = ellipsoid_recover_relu(ds, cfg)
         assert report.diagnostics["certified_by"] == "candidate"
@@ -556,6 +554,36 @@ class TestEllipsoid:
         assert diagnostics["radius"] < relu.DELTA_MIN_RTOL * 7.0
         assert json.loads(json.dumps(diagnostics)) == diagnostics
 
+    def test_step_budget_stop_raises_norecovery(self, monkeypatch):
+        # every cut is along e1: the shape shrinks along e1 and grows along e2,
+        # so the radius never reaches its floor, and the budget
+        # ceil(2(d+1)d ln(1/DELTA_MIN_RTOL)) + 100, 349 steps at d = 2, ends the search
+        ellipsoid_only(monkeypatch)
+        cut_along(monkeypatch, [1.0, 0.0])
+        with pytest.raises(NoRecovery, match="no certified parameter within 349 steps") as info:
+            ellipsoid_recover_relu(*self.uncertified_at_the_origin())
+        diagnostics = info.value.diagnostics
+        assert diagnostics["steps"] == 349
+        assert diagnostics["radius"] > 8.0
+        assert json.loads(json.dumps(diagnostics)) == diagnostics
+
+    def test_volume_logs_are_half_the_logdet_after_each_cut(self, monkeypatch):
+        shapes = [30.0**2 * np.eye(3)]
+
+        def recording_cut(state, normal):
+            new = ellipsoid_cut(state, normal)
+            shapes.append(new.shape)
+            return new
+
+        monkeypatch.setattr(relu, "ellipsoid_cut", recording_cut)
+        corrupted, _ = centered_relu_instance(0)  # the candidate refuses here
+        report = ellipsoid_recover_relu(corrupted, EllipsoidConfig(30.0, max_denominator=16))
+        volumes = report.diagnostics["volume_logs"]
+        assert len(volumes) == report.diagnostics["steps"] + 1 == len(shapes) > 1
+        for volume, shape in zip(volumes, shapes):
+            sign, logdet = np.linalg.slogdet(shape)
+            assert sign == 1.0 and volume == pytest.approx(0.5 * logdet, abs=1e-9)
+
     def test_accepted_center_that_fails_its_snap_raises_norecovery(self):
         # the oracle accepts w = 1/2, which no integer snap (max_denominator 1) keeps
         ds = LabeledDataset(np.ones((3, 1)), np.full(3, 0.5))
@@ -570,14 +598,14 @@ class TestEllipsoid:
         state = EllipsoidState(np.zeros(2), 4.0 * np.eye(2))
         new = ellipsoid_cut(state, np.array([1.0, 0.0]))
         assert new.center[0] < 0  # moved away from the cut side
-        assert new.volume_log < state.volume_log
+        assert np.linalg.det(new.shape) < np.linalg.det(state.shape)
         # cut keeps {w1 <= 0}: the kept halfplane still intersects the ellipsoid
-        assert new.center[0] + new.radius > 0
+        assert new.center[0] + math.sqrt(new.shape[0, 0]) > 0
 
     def test_d1_cut_halves(self):
         state = EllipsoidState(np.zeros(1), np.array([[4.0]]))
         new = ellipsoid_cut(state, np.array([1.0]))
-        assert new.radius == pytest.approx(state.radius / 2)
+        assert new.shape[0, 0] == pytest.approx(1.0)  # the radius halves, 2 -> 1
         assert new.center[0] == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("seed, d, m", [(0, 3, 2000), (1, 3, 2000), (20, 3, 2000),
@@ -586,7 +614,7 @@ class TestEllipsoid:
                                                                     monkeypatch):
         corrupted, _, w_star = shifted_relu_instance(seed, d=d, m=m)
         cfg = EllipsoidConfig(initial_radius=30.0, max_denominator=16)
-        report = ellipsoid_recover_relu(corrupted, cfg, record_volumes=True)
+        report = ellipsoid_recover_relu(corrupted, cfg)
         assert report.w_snapped.to_fractions() == fractions_of(w_star)
         diagnostics = report.diagnostics
         assert diagnostics["certified_by"] == "candidate"
