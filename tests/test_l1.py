@@ -98,6 +98,50 @@ def is_unique_lad_minimizer(samples, w):
     return bool(result.success and -result.fun > 1.0 + 1e-9)
 
 
+def oracle_lp(kind, seed):
+    """(X, y) of a dual LAD LP of the given kind."""
+    rng = np.random.default_rng(700 + seed)
+    if kind == "mixture":
+        ds, _ = corrupt_massart(make_synthetic_dataset(SyntheticSpec(d=30, n=120, seed=seed)),
+                                MassartSpec(0.3, gated_flip(15.0), seed=seed + 1))
+        return ds.x, ds.y
+    if kind == "d=1":
+        return rng.standard_normal((25, 1)), rng.standard_normal(25)
+    X = rng.standard_normal((80, 6))
+    if kind == "zero column":
+        X[:, 2] = 0.0
+    elif kind == "scattered zeros":
+        X[rng.random(X.shape) < 0.5] = 0.0
+    elif kind == "duplicate columns":
+        X[:, 5] = X[:, 1]
+    elif kind == "huge entry":  # passModel rejects |x| >= 1e15
+        X[3, 4] = 1e300
+    return X, (rng.standard_cauchy(80) if kind == "cauchy labels" else X @ rng.integers(-4, 5, 6)
+               + (rng.random(80) < 0.3) * rng.standard_normal(80))
+
+
+class TestLinprog:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["mixture", "zero column", "scattered zeros",
+                                      "duplicate columns", "cauchy labels", "d=1", "huge entry"])
+    def test_matches_scipy_linprog_bit_for_bit(self, kind, seed):
+        # scipy's public linprog over the same HiGHS is the oracle: a scipy
+        # release that changes the private bindings fails here
+        X, y = oracle_lp(kind, seed)
+        result = radreg.l1.linprog(X, y)
+        expected = linprog(-y, A_eq=X.T, b_eq=np.zeros(X.shape[1]), bounds=(-1, 1),
+                           method="highs", options={"presolve": False})
+        assert result.success == expected.success == (kind != "huge entry")
+        if expected.success:
+            assert np.array_equal(result.w, -expected.eqlin.marginals)
+            assert (result.fun, result.nit) == (expected.fun, expected.nit)
+
+    def test_rejected_model_is_solver_stalled(self):
+        X, y = oracle_lp("huge entry", 0)
+        with pytest.raises(SolverStalled, match="LP backend failed"):
+            l1_fit_linear(LabeledDataset(X, y))
+
+
 class TestL1FitLinear:
     def test_noiseless_collinear(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
@@ -217,10 +261,10 @@ class TestL1FitLinear:
         assert fit.objective == pytest.approx(primal_lp_objective(ds), rel=1e-9)
 
     def test_failed_solve_is_solver_stalled(self, monkeypatch):
-        def failed(*args, **kwargs):
-            result = linprog(*args, **kwargs)
-            result.success, result.message = False, "injected failure"
-            return result
+        original = radreg.l1.linprog
+
+        def failed(X, y):
+            return original(X, y)._replace(success=False, message="injected failure")
 
         monkeypatch.setattr(radreg.l1, "linprog", failed)
         rng = np.random.default_rng(9)
@@ -229,10 +273,11 @@ class TestL1FitLinear:
             l1_fit_linear(ds)
 
     def test_flipped_marginal_sign_fails_the_duality_gap_check(self, monkeypatch):
-        def flipped(*args, **kwargs):
-            result = linprog(*args, **kwargs)
-            result.eqlin.marginals = -result.eqlin.marginals
-            return result
+        original = radreg.l1.linprog
+
+        def flipped(X, y):
+            result = original(X, y)
+            return result._replace(w=-result.w)
 
         monkeypatch.setattr(radreg.l1, "linprog", flipped)
         rng = np.random.default_rng(9)
@@ -242,7 +287,7 @@ class TestL1FitLinear:
 
     @pytest.mark.parametrize("fit", [l1_fit_linear, lad_fit])
     def test_no_rows_raise_insufficient_points(self, fit):
-        # linprog rejects an empty LP with a bare ValueError; the dataset
+        # an LP with no columns leaves HiGHS's model empty; the dataset
         # refuses to exist before it gets there
         with pytest.raises(InsufficientPoints):
             fit(LabeledDataset(np.zeros((0, 3)), np.zeros(0)))
