@@ -11,7 +11,6 @@ from .data import LabeledDataset, load_dataset_csv, save_dataset_csv
 from .errors import (
     ContractViolation,
     DimensionMismatch,
-    EmptyComplement,
     HalfspaceEmpty,
     InsufficientPoints,
     InvalidNoiseRate,

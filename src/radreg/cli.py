@@ -4,7 +4,7 @@ Subcommands: synth, corrupt, fit-linear, fit-relu, gd-relu,
 bench recovery-rate, eval margin. Datasets travel as x1..xd,y CSV files,
 reports as JSON, trajectories as (iter, loss, distance) CSV. Failures print
 a JSON error object on stderr and exit nonzero; the object carries the
-exception's ``diagnostics`` when it has any (NoRecovery does).
+exception's ``diagnostics`` when they are not empty.
 """
 
 import argparse

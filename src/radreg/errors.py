@@ -2,15 +2,16 @@
 
 
 class RadregError(Exception):
-    """Base class for all radreg-specific errors."""
+    """Base class for all radreg-specific errors. ``diagnostics`` hold the
+    error's context, JSON-safe and empty when it has none; the CLI prints them."""
+
+    def __init__(self, msg="", diagnostics=None):
+        self.diagnostics = diagnostics or {}
+        super().__init__(msg)
 
 
 class ContractViolation(RadregError, ValueError):
     """An input violates a documented precondition (e.g. a zero covariate row)."""
-
-
-class EmptyComplement(RadregError):
-    """Orthonormal complement requested for a basis that already spans the space."""
 
 
 class InvalidNoiseRate(RadregError, ValueError):
@@ -18,23 +19,17 @@ class InvalidNoiseRate(RadregError, ValueError):
 
 
 class SimulationInfeasible(RadregError):
-    """The inflated Massart rate needed to simulate oblivious noise reaches 1/2."""
+    """The inflated Massart rate needed to simulate oblivious noise, in
+    ``diagnostics["rate"]``, reaches 1/2."""
 
     def __init__(self, rate):
-        self.rate = rate
-        super().__init__(f"inflated rate {rate:.6f} >= 1/2; simulation infeasible")
+        super().__init__(f"inflated rate {rate:.6f} >= 1/2; simulation infeasible",
+                         {"rate": float(rate)})
 
 
 class InsufficientPoints(RadregError):
-    """Fewer points than the ambient dimension requires.
-
-    ``level`` records the recursion depth at which the shortage occurred
-    (0 = top-level call).
-    """
-
-    def __init__(self, msg, level=0):
-        self.level = level
-        super().__init__(msg)
+    """Fewer points than the ambient dimension requires. From ``recover_linear``,
+    ``diagnostics["level"]`` is the recursion depth of the shortage (0 = top)."""
 
 
 class IsotropyStalled(RadregError):
@@ -43,49 +38,35 @@ class IsotropyStalled(RadregError):
 
 
 class SolverStalled(RadregError):
-    """The LP backend failed to report an optimal solution."""
+    """The LP backend reported no optimum, or one it cannot certify for the
+    input given; ``diagnostics`` name an input out of the backend's range."""
 
 
 class NonIdentifiable(RadregError):
-    """Covariates do not span the ambient space; the target is not identifiable."""
-
-    def __init__(self, msg, level=0):
-        self.level = level
-        super().__init__(msg)
+    """Covariates do not span the ambient space; the target is not identifiable.
+    From ``recover_linear``, ``diagnostics["level"]`` is the recursion depth."""
 
 
 class HalfspaceEmpty(RadregError):
-    """No sample lies in the closed positive halfspace of the query.
-
-    When ``ellipsoid_recover_relu`` raises it, ``diagnostics`` hold where
-    the search stood, as for NoRecovery.
-    """
-
-    def __init__(self, msg, diagnostics=None):
-        self.diagnostics = diagnostics or {}
-        super().__init__(msg)
+    """No sample lies in the closed positive halfspace of the query."""
 
 
 class NoRecovery(RadregError):
     """Ellipsoid search terminated without a certified parameter.
 
-    When ``ellipsoid_recover_relu`` raises it, ``diagnostics`` is JSON-safe:
-    the final ``center`` as a list, its ``radius``, the ``steps`` taken, and
-    the oracle's answer when it accepted.
+    When ``ellipsoid_recover_relu`` raises it, or any typed error from within
+    a step, ``diagnostics`` hold the final ``center`` as a list, its
+    ``radius``, the ``steps`` taken, and the oracle's answer when it accepted.
     """
-
-    def __init__(self, msg, diagnostics=None):
-        self.diagnostics = diagnostics or {}
-        super().__init__(msg)
 
 
 class MalformedCsv(RadregError):
-    """Non-numeric or ragged cell in a dataset file (1-based row/col)."""
+    """Non-numeric or ragged cell in a dataset file, at the 1-based ``row`` and
+    ``column`` of ``diagnostics``."""
 
-    def __init__(self, row, col, detail=""):
-        self.row = row
-        self.col = col
-        super().__init__(f"malformed CSV cell at row {row}, column {col}: {detail}")
+    def __init__(self, row, column, detail=""):
+        super().__init__(f"malformed CSV cell at row {row}, column {column}: {detail}",
+                         {"row": row, "column": column})
 
 
 class DimensionMismatch(RadregError):

@@ -60,7 +60,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.optimize._highspy._core import HighsModelStatus, MatrixFormat, ObjSense, _Highs
+from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus, MatrixFormat, ObjSense,
+                                           _Highs)
 
 from .errors import ContractViolation, SolverStalled
 
@@ -107,8 +108,9 @@ def _row_scales(X, y, out=None):
 
 
 # success: HiGHS's model status is kOptimal; message: that status by name; fun: the
-# optimum of min -y.u; w: minus the duals of the d equality rows; nit: simplex iterations
-LinprogResult = namedtuple("LinprogResult", "success message fun w nit")
+# optimum of min -y.u; w: minus the duals of the d equality rows; nit: simplex iterations;
+# u: the dual point when passModel warned that it dropped entries of X, else None
+LinprogResult = namedtuple("LinprogResult", "success message fun w nit u")
 
 
 def linprog(X, y):
@@ -124,14 +126,15 @@ def linprog(X, y):
     highs.setOptionValue("simplex_strategy", 1)  # dual
     # passModel rejects an empty integrality array; after an error the
     # model is left empty and its status is not optimal
-    highs.passModel(m, d, len(cols), MatrixFormat.kColwise, ObjSense.kMinimize, 0.0, -y,
-                    np.full(m, -1.0), np.ones(m), np.zeros(d), np.zeros(d), starts,
-                    cols.astype(np.int32), X[rows, cols], np.zeros(m, dtype=np.int32))
+    passed = highs.passModel(m, d, len(cols), MatrixFormat.kColwise, ObjSense.kMinimize, 0.0, -y,
+                             np.full(m, -1.0), np.ones(m), np.zeros(d), np.zeros(d), starts,
+                             cols.astype(np.int32), X[rows, cols], np.zeros(m, dtype=np.int32))
     highs.run()
-    status, info = highs.getModelStatus(), highs.getInfo()
+    status, info, solution = highs.getModelStatus(), highs.getInfo(), highs.getSolution()
     return LinprogResult(status == HighsModelStatus.kOptimal, highs.modelStatusToString(status),
-                         info.objective_function_value, -np.asarray(highs.getSolution().row_dual),
-                         info.simplex_iteration_count)
+                         info.objective_function_value, -np.asarray(solution.row_dual),
+                         info.simplex_iteration_count,
+                         np.asarray(solution.col_value) if passed == HighsStatus.kWarning else None)
 
 
 @dataclass
@@ -142,25 +145,44 @@ class L1FitResult:
     iterations: int  # simplex iterations HiGHS reports (LinprogResult.nit)
 
 
+def _stalled(msg, name, values, option):
+    """SolverStalled(msg), naming the largest |entry| of ``values`` when it reaches
+    HiGHS's ``option``: an entry of X HiGHS refuses, or a cost it reads as infinite."""
+    limit = _Highs().getOptionValue(option)[1]
+    index = [int(i) for i in np.unravel_index(np.argmax(np.abs(values)), values.shape)]
+    magnitude = float(np.abs(values).max())
+    if magnitude < limit:
+        return SolverStalled(msg)
+    return SolverStalled(f"{msg}; |{name}{index}| = {magnitude:g} >= HiGHS's {option} {limit:g}",
+                         {"input": name, "index": index, "magnitude": magnitude, option: limit})
+
+
 def l1_fit_linear(samples):
     """Global minimizer of sum |y_i - w.x_i| via the dual LP.
 
-    Raises SolverStalled when HiGHS reports no optimum, or when the primal
-    objective at the recovered w and the dual optimum disagree by more than
-    DUALITY_GAP_RTOL relative to 1 + sum |y|.
+    Raises SolverStalled when HiGHS reports no optimum; when it dropped entries
+    of X at or below its small_matrix_value and its dual point u then leaves
+    |X_j^T u| > DUAL_FEAS_TOL * |X_j|_1 in a column j; or when the primal objective
+    at the recovered w and the dual optimum disagree by more than DUALITY_GAP_RTOL
+    relative to 1 + sum |y|. ``diagnostics`` name the input HiGHS could not take.
     """
     X, y = samples.x, samples.y
     result = linprog(X, y)
     if not result.success:
-        raise SolverStalled(f"LP backend failed: {result.message}")
+        raise _stalled(f"LP backend failed: {result.message}", "x", X, "large_matrix_value")
+    if result.u is not None:
+        bad = np.flatnonzero(np.abs(X.T @ result.u) > DUAL_FEAS_TOL * np.abs(X).sum(axis=0))
+        if bad.size:
+            raise SolverStalled(f"LP backend failed: HiGHS dropped entries of X at or below its "
+                                f"small_matrix_value; its dual point violates column {bad[0]}",
+                                {"column": int(bad[0])})
     residuals = y - X @ result.w
     objective = float(np.sum(np.abs(residuals)))
     gap = abs(objective + result.fun) / (1.0 + float(np.sum(np.abs(y))))
-    if gap > DUALITY_GAP_RTOL:
-        raise SolverStalled(
-            f"LAD duality gap {gap:.3g} exceeds {DUALITY_GAP_RTOL:g}: "
-            f"primal {objective:.17g}, dual {-result.fun:.17g}"
-        )
+    if not gap <= DUALITY_GAP_RTOL:
+        raise _stalled(f"LAD duality gap {gap:.3g} exceeds {DUALITY_GAP_RTOL:g}: "
+                       f"primal {objective:.17g}, dual {-result.fun:.17g}",
+                       "y", y, "infinite_cost")
     return L1FitResult(w=result.w, objective=objective, residuals=residuals,
                        iterations=result.nit)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ContractViolation, EmptyComplement
+from .errors import ContractViolation
 
 ORTHO_TOL = 1e-10      # orthonormality slack for basis validation
 RANK_RTOL = 1e-9       # singular-value cutoff for span/rank decisions
@@ -57,7 +57,7 @@ class OrthonormalBasis:
 def orthonormal_complement(basis):
     """Orthonormal basis of the orthogonal complement of an OrthonormalBasis."""
     if basis.size >= basis.ambient_dim:
-        raise EmptyComplement("basis already spans the ambient space")
+        raise ContractViolation("basis already spans the ambient space")
     comp = scipy.linalg.null_space(basis.vectors.T)
     return OrthonormalBasis(comp)
 

@@ -96,9 +96,8 @@ def _recover(X, y, depth, branch, trace):
     Xnz, ynz = X[nonzero], y[nonzero]
     n = Xnz.shape[0]
     if n < d:
-        raise InsufficientPoints(
-            f"{n} nonzero points in dim {d} at recursion level {depth}", level=depth
-        )
+        raise InsufficientPoints(f"{n} nonzero points in dim {d} at recursion level {depth}",
+                                 {"level": depth})
     entry = {
         "branch": branch,
         "depth": depth,
@@ -114,11 +113,8 @@ def _recover(X, y, depth, branch, trace):
 
     heavy = result
     if heavy.member_mask.all():
-        raise NonIdentifiable(
-            f"nonzero covariates span only rank {heavy.dim} in dim {d} "
-            f"at recursion level {depth}",
-            level=depth,
-        )
+        raise NonIdentifiable(f"nonzero covariates span only rank {heavy.dim} in dim {d} "
+                              f"at recursion level {depth}", {"level": depth})
     trace.append({**entry, "outcome": "heavy-subspace",
                   "heavy_dim": heavy.dim, "heavy_fraction": heavy.fraction})
     w_v = heavy.basis.vectors @ _recover(*_in_v(heavy, Xnz, ynz),

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ContractViolation, HalfspaceEmpty, NoRecovery
+from .errors import ContractViolation, HalfspaceEmpty, NoRecovery, RadregError
 from .isotropy import RadialTransform, _unit_rows, certifying_gamma, radial_isotropize
 from .l1 import (_best_rows, _check_positive_finite, _check_positive_int, _least_squares,
                  _reweighted, _row_scales, exact_fit_mask, snap_to_rational)
@@ -284,7 +284,7 @@ class EllipsoidState:
 
 
 def _stopped(state, radius, steps):
-    """JSON-safe NoRecovery diagnostics: where the search stopped."""
+    """JSON-safe diagnostics of a stop: where the search stood."""
     return {"center": state.center.tolist(), "radius": float(radius), "steps": steps}
 
 
@@ -326,8 +326,7 @@ def ellipsoid_recover_relu(samples, config):
     Raises NoRecovery when steps or the ellipsoid radius run out, when the
     oracle accepts or has no cut, or when the shape stops being positive
     definite; its JSON-safe ``diagnostics`` hold the final ``center`` (a
-    list), ``radius`` and ``steps``. HalfspaceEmpty from the oracle carries
-    the same ``diagnostics``.
+    list), ``radius`` and ``steps``, as do those of any typed error from within a step.
     """
     X, y = samples.x, samples.y
     d = samples.d
@@ -371,7 +370,7 @@ def ellipsoid_recover_relu(samples, config):
                     {"oracle": result.diagnostics},
                 )
             state = ellipsoid_cut(state, result.normal)
-        except (NoRecovery, HalfspaceEmpty) as exc:  # a stop within the step: where it stood
+        except RadregError as exc:  # a stop within the step: where it stood
             exc.diagnostics = {**_stopped(state, radius, step), **exc.diagnostics}
             raise
         start = result.transform

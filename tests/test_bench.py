@@ -225,8 +225,7 @@ class TestCsvRoundTrip:
         path.write_text("x1,y\n1.0,2.0\n1.0,oops\n")
         with pytest.raises(MalformedCsv) as exc_info:
             load_dataset_csv(path)
-        assert exc_info.value.row == 3
-        assert exc_info.value.col == 2
+        assert exc_info.value.diagnostics == {"row": 3, "column": 2}
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "ragged.csv"

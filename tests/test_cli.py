@@ -325,10 +325,19 @@ class TestErrorContract:
 
     def test_malformed_csv_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("x1,y\n1.0,zap\n")
+        bad.write_text("x1,y\n1.0,2.0\n1.0,zap\n")
         code, _, stderr = run_cli(capsys, "fit-linear", "--in", str(bad))
-        assert code != 0
-        assert json.loads(stderr)["error"] == "MalformedCsv"
+        error = json.loads(stderr)
+        assert code == 2 and error["error"] == "MalformedCsv"
+        assert error["diagnostics"] == {"row": 3, "column": 2}
+
+    def test_non_spanning_covariates_name_the_level(self, tmp_path, capsys):
+        data = tmp_path / "line.csv"
+        data.write_text("x1,x2,y\n1,1,2\n2,2,4\n3,3,6\n")
+        code, _, stderr = run_cli(capsys, "fit-linear", "--in", str(data))
+        error = json.loads(stderr)
+        assert code == 2 and error["error"] == "NonIdentifiable"
+        assert error["diagnostics"] == {"level": 0}
 
     @pytest.mark.parametrize("strategy, named", [
         ('{"kind": "scale"}', "'factor'"),

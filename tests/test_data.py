@@ -21,6 +21,18 @@ def test_a_dataset_needs_a_row_and_a_covariate(shape, error):
         LabeledDataset(np.zeros(shape), np.zeros(shape[0]))
 
 
+def test_rows_and_labels_of_other_counts_are_a_contract_violation():
+    with pytest.raises(ContractViolation, match="3 covariate rows vs 2 labels"):
+        LabeledDataset(np.zeros((3, 2)), np.zeros(2))
+
+
+def test_blank_lines_of_a_csv_are_skipped(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("x1,y\n1,2\n\n3,4\n")
+    ds = load_dataset_csv(path)
+    assert np.array_equal(ds.x, [[1.0], [3.0]]) and np.array_equal(ds.y, [2.0, 4.0])
+
+
 def test_covariates_of_three_axes_are_a_dimension_mismatch():
     # used to raise numpy's untyped ValueError from broadcasting the finiteness masks
     with pytest.raises(DimensionMismatch, match="matrix"):

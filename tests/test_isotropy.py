@@ -188,6 +188,11 @@ class TestHeavySubspaceVerification:
         assert out.dim == 2
         assert out.fraction == 1.0
 
+    def test_capture_set_spanning_the_space_is_refused(self):
+        # a capture set whose span is all of R^d holds no proper subspace to verify
+        Xu = _unit_rows(np.random.default_rng(25).standard_normal((20, 3)))
+        assert isotropy._verify_candidate(Xu, np.ones(20, dtype=bool)) is None
+
     def test_stall_is_inconclusive(self, monkeypatch):
         # a stall proves nothing, so it is not "none"
         monkeypatch.setattr(isotropy, "default_max_iters", lambda d, gamma: 0)
@@ -412,12 +417,19 @@ class TestNewtonPhase:
         monkeypatch.setattr(isotropy, "_newton_moment", counted)
         return solves
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_exactly_k_over_d_stops_crawling(self, seed):
-        # 200 of 700 points on 4 of 14 dims: only approximate transforms exist,
-        # and the fixed point alone takes about 370 iterations
-        Xu = on_subspace(np.random.default_rng(seed), 700, 14, 4, 200)
-        gamma = certifying_gamma(700, 14)
+    @pytest.mark.parametrize("n, d, k, heavy, seed", [
+        (700, 14, 4, 200, 0), (700, 14, 4, 200, 1),
+        (200, 20, 5, 50, 0), (200, 20, 5, 50, 1), (200, 20, 5, 50, 2),
+    ], ids=["0", "1", "direct-0", "direct-1", "direct-2"])
+    def test_exactly_k_over_d_stops_crawling(self, n, d, k, heavy, seed):
+        # exactly k/d of the points on k of d dims: only approximate transforms
+        # exist. The fixed point alone takes about 370 iterations on 200 of
+        # 700 points in R^14, about 96 on 50 of 200 in R^20. The Newton system
+        # is solved as it stands when n <= d(d+1)/2, through Woodbury otherwise:
+        # the 200-point sets take the one path, the 700-point sets the other
+        assert (n <= d * (d + 1) // 2) == (n == 200)
+        Xu = on_subspace(np.random.default_rng(seed), n, d, k, heavy)
+        gamma = certifying_gamma(n, d)
         t = radial_isotropize(Xu, gamma)
         assert isinstance(t, RadialTransform)
         assert t.iterations_used <= 3 * DETECT_EVERY

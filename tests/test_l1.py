@@ -10,7 +10,8 @@ from radreg.bench import SyntheticSpec, make_synthetic_dataset
 from radreg.data import LabeledDataset
 from radreg.errors import ContractViolation, DimensionMismatch, InsufficientPoints, SolverStalled
 import radreg.l1
-from radreg.l1 import exact_fit_mask, l1_fit_linear, lad_fit, lad_optimal, snap_to_rational
+from radreg.l1 import (RationalVector, exact_fit_mask, l1_fit_linear, lad_fit, lad_optimal,
+                       snap_to_rational)
 from radreg.isotropy import radial_isotropize
 from radreg.noise import FlipNegate, MassartSpec, Scale, corrupt_massart, gated_flip
 
@@ -138,8 +139,38 @@ class TestLinprog:
 
     def test_rejected_model_is_solver_stalled(self):
         X, y = oracle_lp("huge entry", 0)
-        with pytest.raises(SolverStalled, match="LP backend failed"):
+        with pytest.raises(SolverStalled, match="LP backend failed") as info:
             l1_fit_linear(LabeledDataset(X, y))
+        assert info.value.diagnostics == {"input": "x", "index": [3, 4], "magnitude": 1e300,
+                                          "large_matrix_value": 1e15}
+
+    def test_infinite_cost_label_is_solver_stalled_naming_the_label(self):
+        # HiGHS reads a cost at or above its infinite_cost as infinite and
+        # reports the LP optimal at -inf
+        X, y = oracle_lp("mixture", 0)
+        y[7] = -2e20
+        with pytest.raises(SolverStalled, match="duality gap") as info:
+            l1_fit_linear(LabeledDataset(X, y))
+        assert info.value.diagnostics == {"input": "y", "index": [7], "magnitude": 2e20,
+                                          "infinite_cost": 1e20}
+
+    def test_dropped_entries_are_solver_stalled_naming_the_column(self):
+        # HiGHS drops entries at or below its small_matrix_value, 1e-9, and
+        # solves the LP without them: its dual point is feasible for that LP,
+        # so the duality gap closes at a w with objective 7.7, where the
+        # minimizer interpolates every row
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((40, 3)) * [1.0, 1.0, 1e-10]
+        with pytest.raises(SolverStalled, match="small_matrix_value") as info:
+            l1_fit_linear(LabeledDataset(X, X @ [1.0, 2.0, 3e9]))
+        assert info.value.diagnostics == {"column": 2}
+
+    def test_small_column_above_the_drop_threshold_still_solves(self):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((40, 3)) * [1.0, 1.0, 1e-6]
+        fit = l1_fit_linear(LabeledDataset(X, X @ [1.0, 2.0, 3e6]))
+        assert fit.objective == pytest.approx(0.0, abs=1e-6)
+        assert fit.w == pytest.approx([1.0, 2.0, 3e6], rel=1e-9)
 
 
 class TestL1FitLinear:
@@ -473,6 +504,17 @@ class TestSnapToRational:
         assert r1.to_fractions() == tuple(vals)
         r2 = snap_to_rational(r1.to_floats(), 1000)
         assert r2 == r1
+
+    def test_equal_vectors_hash_alike_whatever_their_bound(self):
+        r1 = snap_to_rational([0.5, 2.0], 10)
+        r2 = RationalVector((1, 2), (2, 1), max_denominator=1000)
+        assert r1 == r2 and hash(r1) == hash(r2)
+        assert len({r1, r2}) == 1
+
+    def test_not_equal_to_other_types(self):
+        r = snap_to_rational([0.5, 2.0], 10)
+        assert r.__eq__(r.to_fractions()) is NotImplemented
+        assert r != r.to_fractions() and r != [0.5, 2.0]
 
     def test_denominator_bound_respected(self):
         r = snap_to_rational([np.pi], 50)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radreg.errors import ContractViolation, EmptyComplement
+from radreg.errors import ContractViolation
 from radreg.linalg import (
     OrthonormalBasis,
     matrix_rank,
@@ -32,7 +32,7 @@ class TestOrthonormalComplement:
         assert np.max(np.abs(gram - np.eye(5))) <= 1e-10
 
     def test_full_basis_raises(self):
-        with pytest.raises(EmptyComplement):
+        with pytest.raises(ContractViolation, match="already spans"):
             orthonormal_complement(OrthonormalBasis(np.eye(3)))
 
 

@@ -127,8 +127,9 @@ class TestRecoverLinearSimple:
         assert naive.to_fractions() != fractions_of(w_star)
 
     def test_too_few_points(self):
-        with pytest.raises(InsufficientPoints):
+        with pytest.raises(InsufficientPoints) as info:
             recover_linear(realizable(0, 2, 3, [1.0, 1.0, 1.0]))
+        assert info.value.diagnostics == {"level": 0}
 
     @pytest.mark.parametrize("scale", [1.0, 2.0 ** -30])
     def test_junk_labels_are_not_certified_at_any_scale(self, scale):
@@ -153,8 +154,9 @@ class TestRecoverLinearRecursive:
     def test_all_points_on_line_not_identifiable(self):
         x = np.column_stack([np.linspace(1, 3, 20), np.zeros(20)])
         ds = LabeledDataset(x, x @ np.array([3.0, -2.0]))
-        with pytest.raises(NonIdentifiable):
+        with pytest.raises(NonIdentifiable) as info:
             recover_linear(ds)
+        assert info.value.diagnostics == {"level": 0}
 
     def test_tiny_rows_still_span(self):
         # the rank of the rows is a property of their directions: rows

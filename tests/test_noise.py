@@ -146,8 +146,9 @@ class TestInflatedRate:
         assert abs(rate - 0.23393070212207556) < 1e-12
 
     def test_infeasible(self):
-        with pytest.raises(SimulationInfeasible):
+        with pytest.raises(SimulationInfeasible) as info:
             inflated_massart_rate(0.49, 100, 0.01)
+        assert info.value.diagnostics == {"rate": pytest.approx(0.49 + np.sqrt(np.log(100) / 200))}
 
     def test_bad_args(self):
         with pytest.raises(ContractViolation):

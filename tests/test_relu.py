@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from radreg import relu
 from radreg.data import LabeledDataset
 from radreg.errors import (ContractViolation, DimensionMismatch, HalfspaceEmpty,
-                           InsufficientPoints, NoRecovery, RadregError)
+                           InsufficientPoints, IsotropyStalled, NoRecovery, RadregError)
 from radreg.isotropy import RadialTransform, _unit_rows
 from radreg.l1 import FIT_RTOL, IRLS_ROUNDS, snap_to_rational
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
@@ -537,6 +537,28 @@ class TestEllipsoid:
         with pytest.raises(NoRecovery, match="non-positive ellipsoid norm") as info:
             ellipsoid_recover_relu(*self.uncertified_at_the_origin())
         assert info.value.diagnostics == {"center": [0.0, 0.0], "radius": 8.0, "steps": 0}
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_isotropy_stall_reports_where_the_search_stood(self, k, monkeypatch):
+        ellipsoid_only(monkeypatch)  # the candidate certifies the instance
+        calls = []
+
+        def stalls_at_step_k(samples, w0, **_):
+            calls.append(w0.copy())
+            if len(calls) > k:
+                raise IsotropyStalled("stub: no transform and no heavy subspace")
+            return SepResult(False, normal=np.array([1.0, 0.0]),
+                             diagnostics={"oracle_calls": 1, "isotropy_iterations": 0})
+
+        monkeypatch.setattr(relu, "sep_oracle", stalls_at_step_k)
+        with pytest.raises(IsotropyStalled) as info:
+            ellipsoid_recover_relu(*self.uncertified_at_the_origin())
+        diagnostics = info.value.diagnostics
+        assert set(diagnostics) == {"center", "radius", "steps"}
+        assert diagnostics["steps"] == k
+        assert diagnostics["center"] == calls[-1].tolist()
+        # each cut along e1 of a d = 2 ellipsoid stretches it by sqrt(4/3) along e2
+        assert diagnostics["radius"] == pytest.approx(8.0 * (4.0 / 3.0) ** (k / 2))
 
     THREE_POINTS = LabeledDataset(np.ones((3, 1)), [1.0, 2.0, 3.0])
 
