@@ -32,7 +32,8 @@ accuracy: fit on raw d=30, n=120 mixture instances with the gated flip at
 eta=0.3, w lies up to about 2e-11 from the vertex its interpolated rows
 define (up to about 7e-13 with presolve), far inside the +-5e-7 basin in
 which snapping at denominator 1e6 rounds to an integer target. The
-duality-gap check below is what stands behind an answer either way.
+duality-gap check below is what stands behind an answer either way, or,
+when HiGHS dropped entries of X, a ``lad_optimal`` proof on the X given.
 
 ``lad_optimal`` certifies a candidate w without the LP. By complementary
 slackness w is optimal exactly when a dual point u has u_i = sign(r_i) on
@@ -161,30 +162,35 @@ def l1_fit_linear(samples):
     """Global minimizer of sum |y_i - w.x_i| via the dual LP.
 
     Raises SolverStalled when HiGHS reports no optimum; when it dropped entries
-    of X at or below its small_matrix_value and its dual point u then leaves
-    |X_j^T u| > DUAL_FEAS_TOL * |X_j|_1 in a column j; or when the primal objective
-    at the recovered w and the dual optimum disagree by more than DUALITY_GAP_RTOL
-    relative to 1 + sum |y|. ``diagnostics`` name the input HiGHS could not take.
+    of X at or below its small_matrix_value, its dual point u then leaves
+    |X_j^T u| > DUAL_FEAS_TOL * |X_j|_1 in a column j, and ``lad_optimal`` does
+    not prove its w on the X given (a proof returns that w); or when the primal
+    objective at the recovered w and the dual optimum disagree by more than
+    DUALITY_GAP_RTOL relative to 1 + sum |y|. ``diagnostics`` name the input
+    HiGHS could not take.
     """
     X, y = samples.x, samples.y
     result = linprog(X, y)
     if not result.success:
         raise _stalled(f"LP backend failed: {result.message}", "x", X, "large_matrix_value")
+    residuals = y - X @ result.w
+    objective = float(np.sum(np.abs(residuals)))
+    fit = L1FitResult(w=result.w, objective=objective, residuals=residuals,
+                      iterations=result.nit)
     if result.u is not None:
         bad = np.flatnonzero(np.abs(X.T @ result.u) > DUAL_FEAS_TOL * np.abs(X).sum(axis=0))
         if bad.size:
+            if lad_optimal(samples, result.w):
+                return fit  # HiGHS's dual point is for the LP without the dropped entries
             raise SolverStalled(f"LP backend failed: HiGHS dropped entries of X at or below its "
                                 f"small_matrix_value; its dual point violates column {bad[0]}",
                                 {"column": int(bad[0])})
-    residuals = y - X @ result.w
-    objective = float(np.sum(np.abs(residuals)))
     gap = abs(objective + result.fun) / (1.0 + float(np.sum(np.abs(y))))
     if not gap <= DUALITY_GAP_RTOL:
         raise _stalled(f"LAD duality gap {gap:.3g} exceeds {DUALITY_GAP_RTOL:g}: "
                        f"primal {objective:.17g}, dual {-result.fun:.17g}",
                        "y", y, "infinite_cost")
-    return L1FitResult(w=result.w, objective=objective, residuals=residuals,
-                       iterations=result.nit)
+    return fit
 
 
 def lad_optimal(samples, w):

@@ -10,12 +10,12 @@ half of the rescaled rows, then at every size the vertex through the d
 best-ranked rows, each kept only when a dual point proves it a minimizer on
 all n rows, and otherwise the LAD LP on all n rows. The leaf's trace entry
 names the try that gave it (``lad``: ``half``, ``vertex`` or ``lp``). When
-the points concentrate on a subspace V instead, it recovers the projection
-of the target onto V from the points inside it (``_in_v``), subtracts that
+the points concentrate on a subspace V instead, ``_split`` recovers the
+projection of the target onto V from the points inside it, subtracts that
 component from the labels of the remaining points, and recurses on the
-orthogonal complement (``_off_v``). The ReLU separation oracle recurses
-with the same level decision and helpers. A subspace holding every point
-leaves the complement of the target unidentifiable.
+orthogonal complement. ``_split`` is the one subspace-recursion driver: the
+ReLU separation oracle splits its heavy levels with it too. A subspace
+holding every point leaves the complement of the target unidentifiable.
 
 The recovered parameter is snapped once to bounded-denominator rationals;
 reports carry the snapped vector, the fraction of samples it fits exactly
@@ -67,17 +67,25 @@ def _fit_leaf(transform, X, y):
     return transform.matrix.T @ w, info
 
 
-def _in_v(heavy, X, y):
-    """The members of a heavy subspace V in the coordinates of V's basis, and their labels."""
+def _split(heavy, X, y, descend):
+    """One heavy level: (answer, stop), from the points in V, then from those off it.
+
+    ``descend(X_sub, y_sub, basis, suffix)`` solves a sub-level given in the
+    coordinates of ``basis`` (B of V, then C of V-perp) and returns (v, stop) in
+    them; ``suffix`` (``/V``, ``/Vperp``) extends the branch name. A stop or a V
+    holding every point ends the level at u = B v. Otherwise the labels off V are
+    deflated by u, and the level answers u + C v_perp, or C v_perp on a stop.
+    """
     members = heavy.member_mask
-    return X[members] @ heavy.basis.vectors, y[members]
-
-
-def _off_v(heavy, X, y, w_v):
-    """The points off V in a basis C of V-perp, their labels deflated by w_v in V, and C."""
-    rest = ~heavy.member_mask
+    B = heavy.basis.vectors
+    v, stop = descend(X[members] @ B, y[members], B, "/V")
+    u = B @ v
+    if stop or members.all():
+        return u, stop
+    rest = ~members
     C = orthonormal_complement(heavy.basis).vectors
-    return X[rest] @ C, y[rest] - X[rest] @ w_v, C
+    v_perp, stop = descend(X[rest] @ C, y[rest] - X[rest] @ u, C, "/Vperp")
+    return (C @ v_perp if stop else u + C @ v_perp), stop
 
 
 def _recover(X, y, depth, branch, trace):
@@ -117,10 +125,11 @@ def _recover(X, y, depth, branch, trace):
                               f"at recursion level {depth}", {"level": depth})
     trace.append({**entry, "outcome": "heavy-subspace",
                   "heavy_dim": heavy.dim, "heavy_fraction": heavy.fraction})
-    w_v = heavy.basis.vectors @ _recover(*_in_v(heavy, Xnz, ynz),
-                                         depth + 1, branch + "/V", trace)
-    X_p, y_p, C = _off_v(heavy, Xnz, ynz, w_v)
-    return w_v + C @ _recover(X_p, y_p, depth + 1, branch + "/Vperp", trace)
+
+    def descend(X_sub, y_sub, _, suffix):
+        return _recover(X_sub, y_sub, depth + 1, branch + suffix, trace), False
+
+    return _split(heavy, Xnz, ynz, descend)[0]
 
 
 def recover_linear(samples, max_denominator=10**6):

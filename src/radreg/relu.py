@@ -25,9 +25,12 @@ otherwise it restricts to the closed positive halfspace of the query, puts
 those covariates in radial-isotropic position, and returns the
 back-transformed rescaled-l1 subgradient direction as a cutting
 hyperplane. When the positive-side points concentrate on a subspace V
-(fewer than d of them always do) the oracle recurses: first inside V, then
-(if the inside check accepts) on the deflated complement, with the level
-decision and V/V-perp split of ``radreg.linear``.
+(fewer than d of them always do) the oracle recurses through the one
+subspace-recursion driver, ``linear._split``: first inside V, then (if the
+inside check accepts) on the complement, its labels deflated by w0's
+component in V. The oracle's ``recursion_trace`` has the entries of
+``recover_linear``'s, one per call, with ``accepted`` for a query that
+passes the certificate and each level's ``fit_count``.
 
 Consecutive ellipsoid centers see nearly the same positive side, so each
 top-level oracle call of ``ellipsoid_recover_relu`` starts the isotropy
@@ -53,7 +56,7 @@ from .errors import ContractViolation, HalfspaceEmpty, NoRecovery, RadregError
 from .isotropy import RadialTransform, _unit_rows, certifying_gamma, radial_isotropize
 from .l1 import (_best_rows, _check_positive_finite, _check_positive_int, _least_squares,
                  _reweighted, _row_scales, exact_fit_mask, snap_to_rational)
-from .linear import RecoveryReport, _in_v, _off_v
+from .linear import RecoveryReport, _split
 
 BOUNDARY_RTOL = 1e-12  # half-space test: w.x >= -BOUNDARY_RTOL * |x| * max(1, |w|)
 PSD_RTOL = 1e-10  # 'isotropic' GD skips a step when lambda_min <= PSD_RTOL * lambda_max
@@ -111,8 +114,9 @@ class SepResult:
     ball around the target, so the cut through the query keeps
     {w : g.w <= g.w0}. ``transform`` is the matrix T of a cut made in
     radial-isotropic position (g = T^{-1} r), None for acceptance and for a
-    cut lifted from a subspace. ``diagnostics`` always carry
-    ``oracle_calls`` and ``isotropy_iterations``, sub-calls included.
+    cut lifted from a subspace. ``diagnostics`` hold the ``recursion_trace``
+    of the call, sub-calls included; ``oracle_calls``, its length; and
+    ``isotropy_iterations``, the sum over its ``isotropy`` entries.
     """
 
     accepted: bool
@@ -177,17 +181,17 @@ def _candidate(X, y, rows, max_denominator, buffer):
     return None, rounds
 
 
-def _tally(sub_results, iterations=0):
-    """Work of one oracle call: itself, its own isotropy iterations and the
-    work its sub-calls report."""
-    return {
-        "oracle_calls": 1 + sum(r.diagnostics["oracle_calls"] for r in sub_results),
-        "isotropy_iterations": iterations + sum(r.diagnostics["isotropy_iterations"]
-                                                for r in sub_results),
-    }
+def _answer(accepted, trace, normal=None, transform=None):
+    """The SepResult of one oracle call from its ``recursion_trace``."""
+    return SepResult(accepted, normal, {
+        "oracle_calls": len(trace),
+        "isotropy_iterations": sum(e["isotropy"]["iterations_used"] for e in trace
+                                   if "isotropy" in e),
+        "recursion_trace": trace,
+    }, transform)
 
 
-def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
+def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None, _branch="root"):
     """Separation oracle for the ReLU l1 landscape at query w0.
 
     Accepts when w0 passes the majority certificate (``_majority_fit``) on
@@ -199,24 +203,25 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
     mean signed image of the positive side is zero. ``_start`` is
     the previous cut's transform (the warm start of the module docstring)
     and ``_rows`` is ``l1._row_scales(samples.x, samples.y)``;
-    ``ellipsoid_recover_relu`` passes both at depth 0.
+    ``ellipsoid_recover_relu`` passes both at depth 0. ``_depth`` and
+    ``_branch`` place a sub-call in the recursion trace.
     """
     X, y = samples.x, samples.y
     w0 = samples.parameter(w0, "w0")
     z = X @ w0
     rows = _row_scales(X, y) if _rows is None else _rows
     fit_mask, certified = _majority_fit(z, rows)
-    fits = int(fit_mask.sum())
-    if certified:
-        return SepResult(True, diagnostics={"fit_count": fits, "depth": _depth, **_tally(())})
-
     mask = positive_side_mask(X, w0, rows[0], z)
-    if not mask.any():
+    n_S = int(mask.sum())
+    entry = {"branch": _branch, "depth": _depth, "dim": samples.d, "n_points": n_S,
+             "fit_count": int(fit_mask.sum())}
+    if certified:
+        return _answer(True, [{**entry, "outcome": "accepted"}])
+    if not n_S:
         raise HalfspaceEmpty(
             f"no sample on the closed positive side of the query at depth {_depth}"
         )
     XS, yS = X[mask], y[mask]
-    n_S = XS.shape[0]
     gamma = certifying_gamma(n_S, samples.d)  # recurse iff a heavy subspace exists
     result = radial_isotropize(XS if _start is None else XS @ _start.T, gamma)
     if _start is not None and not isinstance(result, RadialTransform):
@@ -232,47 +237,23 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None):
                 f"the mean signed image of the positive side is zero at depth {_depth}, "
                 "so the oracle has no cut although the majority check failed"
             )
-        g = np.linalg.solve(T, r)
-        return SepResult(
-            False,
-            normal=g,
-            diagnostics={
-                "depth": _depth,
-                "n_positive_side": n_S,
-                "fit_count": fits,
-                "transform": result.to_json(),
-                "r_norm": float(np.linalg.norm(r)),
-                **_tally((), result.iterations_used),
-            },
-            transform=T,
-        )
+        return _answer(False, [{**entry, "outcome": "transform", "isotropy": result.to_json()}],
+                       np.linalg.solve(T, r), T)
 
     heavy = result
-    B = heavy.basis.vectors
-    w0_v = B.T @ w0
-    inner = sep_oracle(LabeledDataset(*_in_v(heavy, XS, yS)), w0_v, _depth + 1)
-    if not inner.accepted:
-        return SepResult(
-            False, normal=B @ inner.normal,
-            diagnostics={"depth": _depth, "lifted_from": "V",
-                         "heavy_dim": heavy.dim, "inner": inner.diagnostics,
-                         **_tally((inner,))},
-        )
-    if heavy.member_mask.all():
-        # every positive-side point lies in V and the inside check accepted
-        return SepResult(True, diagnostics={"depth": _depth, "vacuous_complement": True,
-                                            **_tally((inner,))})
-    X_p, y_p, C = _off_v(heavy, XS, yS, B @ w0_v)
-    outer = sep_oracle(LabeledDataset(X_p, y_p), C.T @ w0, _depth + 1)
-    if not outer.accepted:
-        return SepResult(
-            False, normal=C @ outer.normal,
-            diagnostics={"depth": _depth, "lifted_from": "Vperp",
-                         "heavy_dim": heavy.dim, "inner": outer.diagnostics,
-                         **_tally((inner, outer))},
-        )
-    return SepResult(True, diagnostics={"depth": _depth, "both_recursions_accepted": True,
-                                        **_tally((inner, outer))})
+    trace = [{**entry, "outcome": "heavy-subspace",
+              "heavy_dim": heavy.dim, "heavy_fraction": heavy.fraction}]
+
+    def descend(X_sub, y_sub, basis, suffix):
+        # an accepting sub-call answers with its query, the coordinates of w0 in its basis
+        query = basis.T @ w0
+        sub = sep_oracle(LabeledDataset(X_sub, y_sub), query, _depth + 1,
+                         _branch=_branch + suffix)
+        trace.extend(sub.diagnostics["recursion_trace"])
+        return (query, False) if sub.accepted else (sub.normal, True)
+
+    normal, cut = _split(heavy, XS, yS, descend)
+    return _answer(not cut, trace, normal if cut else None)
 
 
 @dataclass

@@ -181,7 +181,7 @@ def test_criterion_6_separation_soundness():
             attempts += 1
             w0 = w_star + rng.standard_normal(2) * rng.uniform(0.5, 4.0)
             res = sep_oracle(corrupted, w0)
-            if res.accepted or "transform" not in res.diagnostics:
+            if res.accepted or res.transform is None:
                 continue
             A, mask = oracle_transform(corrupted, w0)
             XS, yS = corrupted.x[mask], corrupted.y[mask]

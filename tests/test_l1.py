@@ -165,6 +165,21 @@ class TestLinprog:
             l1_fit_linear(LabeledDataset(X, X @ [1.0, 2.0, 3e9]))
         assert info.value.diagnostics == {"column": 2}
 
+    def test_dropped_entries_keep_a_w_proven_on_the_given_rows(self):
+        # the 1e-6 column stays, but entries of it at or below 1e-9 are dropped:
+        # HiGHS's dual point then fails the column check while its w, 2.3e-9 from
+        # the target, is a minimizer that lad_optimal proves on X as given
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((60, 4)) * [1.0, 1.0, 1.0, 1e-6]
+        y = X @ [1.0, -2.0, 3.0, 4e6]
+        flipped = rng.random(60) < 0.2
+        y[flipped] = -y[flipped]
+        samples = LabeledDataset(X, y)
+        fit = l1_fit_linear(samples)
+        assert lad_optimal(samples, fit.w)
+        assert fit.w == pytest.approx([1.0, -2.0, 3.0, 4e6], rel=1e-12, abs=1e-8)
+        assert fit.objective == pytest.approx(np.abs(y - X @ fit.w).sum(), rel=1e-15)
+
     def test_small_column_above_the_drop_threshold_still_solves(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((40, 3)) * [1.0, 1.0, 1e-6]

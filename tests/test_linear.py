@@ -427,6 +427,35 @@ def test_per_point_rescaling_leaves_the_snapped_output_unchanged(seed, exponents
     assert recover_linear(rescaled).w_snapped == expected
 
 
+def rescale_one_row(samples, i, c):
+    x, y = samples.x.copy(), samples.y.copy()
+    x[i] *= c
+    y[i] *= c
+    return LabeledDataset(x, y)
+
+
+METAMORPHIC_DRAWS = {
+    "mixture": [lambda seed=seed: mixture_instance(seed, d=8, n=64) for seed in range(20)],
+    # a heavy root: 60% of the points on span(e1)
+    "heavy": [lambda seed=seed: planted_heavy_instance(seed) for seed in range(15)],
+}
+
+
+@pytest.mark.parametrize("c", [1e-3, 7.0, 1e3])
+@pytest.mark.parametrize("family", sorted(METAMORPHIC_DRAWS))
+def test_rescaling_one_row_by_c_leaves_the_snapped_output_unchanged(family, c):
+    # radial isotropy sees x_i / |x_i|, and every certificate judges the point
+    # on (x_i / |x_i|, y_i / |x_i|), so an inexact c > 0 on one row changes nothing
+    for k, draw in enumerate(METAMORPHIC_DRAWS[family]):
+        samples = draw()
+        i = int(np.random.default_rng(k).integers(samples.m))
+        expected = recover_linear(samples)
+        if family == "heavy":
+            assert expected.recursion_trace[0]["outcome"] == "heavy-subspace"
+        assert recover_linear(rescale_one_row(samples, i, c)).w_snapped == \
+            expected.w_snapped, f"draw {k}, row {i}"
+
+
 def assert_row_order_does_not_leak(seed, perm):
     corrupted = mixture_instance(seed, d=8, n=len(perm))
     permuted = LabeledDataset(corrupted.x[list(perm)], corrupted.y[list(perm)])

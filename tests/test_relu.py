@@ -14,6 +14,7 @@ from radreg.errors import (ContractViolation, DimensionMismatch, HalfspaceEmpty,
                            InsufficientPoints, IsotropyStalled, NoRecovery, RadregError)
 from radreg.isotropy import RadialTransform, _unit_rows
 from radreg.l1 import FIT_RTOL, IRLS_ROUNDS, snap_to_rational
+from radreg.linear import recover_linear
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
 from radreg.relu import (
     EllipsoidConfig,
@@ -215,8 +216,11 @@ class TestSepOracle:
         w0 = -w_star
         res = sep_oracle(ds, w0)
         assert not res.accepted
-        assert res.diagnostics["lifted_from"] == "V"
-        assert res.diagnostics["heavy_dim"] == 2
+        root, inner = res.diagnostics["recursion_trace"]
+        assert root["outcome"] == "heavy-subspace" and root["heavy_dim"] == 2
+        # the cut comes from V: the sub-call inside it cuts, and V-perp is never visited
+        assert (inner["branch"], inner["outcome"], inner["dim"]) == ("root/V", "transform", 2)
+        assert res.transform is None
         assert res.normal @ (w0 - w_star) > 0
 
     @pytest.mark.parametrize("seed", range(3))
@@ -227,9 +231,12 @@ class TestSepOracle:
         ds = line_and_cloud(seed, cloud_w=w_star)
         res = sep_oracle(ds, SPLIT_QUERY)
         assert not res.accepted
-        assert res.diagnostics["lifted_from"] == "Vperp"
-        assert res.diagnostics["heavy_dim"] == 1
+        root, inner, outer = res.diagnostics["recursion_trace"]
+        assert root["outcome"] == "heavy-subspace" and root["heavy_dim"] == 1
+        assert (inner["branch"], inner["outcome"]) == ("root/V", "accepted")
+        assert (outer["branch"], outer["outcome"], outer["dim"]) == ("root/Vperp", "transform", 2)
         assert res.diagnostics["oracle_calls"] == 3
+        assert res.transform is None
         assert abs(res.normal[0]) <= 1e-12 * np.linalg.norm(res.normal)  # from span(e2, e3)
         assert res.normal @ (SPLIT_QUERY - w_star) > 0
 
@@ -239,8 +246,14 @@ class TestSepOracle:
         ds = line_and_cloud(seed, n_cloud=0)
         res = sep_oracle(ds, SPLIT_QUERY)
         assert res.accepted
-        assert res.diagnostics == {"depth": 0, "vacuous_complement": True,
-                                   "oracle_calls": 2, "isotropy_iterations": 0}
+        assert res.normal is None
+        # V holds every positive-side point, so its check is the whole answer
+        assert [(e["branch"], e["depth"], e["outcome"])
+                for e in res.diagnostics["recursion_trace"]] == [
+            ("root", 0, "heavy-subspace"), ("root/V", 1, "accepted")]
+        assert res.diagnostics["recursion_trace"][0]["heavy_fraction"] == 1.0
+        assert res.diagnostics["oracle_calls"] == 2
+        assert res.diagnostics["isotropy_iterations"] == 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_both_recursions_accepting_accepts(self, seed):
@@ -249,8 +262,38 @@ class TestSepOracle:
         ds = line_and_cloud(seed, n_negative=90)
         res = sep_oracle(ds, SPLIT_QUERY)
         assert res.accepted
-        assert res.diagnostics == {"depth": 0, "both_recursions_accepted": True,
-                                   "oracle_calls": 3, "isotropy_iterations": 0}
+        assert res.normal is None
+        assert [(e["branch"], e["depth"], e["outcome"])
+                for e in res.diagnostics["recursion_trace"]] == [
+            ("root", 0, "heavy-subspace"), ("root/V", 1, "accepted"),
+            ("root/Vperp", 1, "accepted")]
+        assert res.diagnostics["oracle_calls"] == 3
+        assert res.diagnostics["isotropy_iterations"] == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_and_oracle_traces_share_one_schema(self, seed):
+        # both split a heavy root with linear._split and report it in one schema
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((120, 3))
+        X[:80, 1:] = 0.0  # 2/3 of the points on span(e1), more than 1/3
+        linear_trace = recover_linear(LabeledDataset(X, X @ [3.0, -2.0, 1.0])).recursion_trace
+        w_star = SPLIT_QUERY + np.array([0.0, 2.0, 1.0])
+        diagnostics = sep_oracle(line_and_cloud(seed, cloud_w=w_star), SPLIT_QUERY).diagnostics
+        oracle_trace = diagnostics["recursion_trace"]
+        for trace, outcomes in ((linear_trace, ["heavy-subspace", "transform", "transform"]),
+                                (oracle_trace, ["heavy-subspace", "accepted", "transform"])):
+            assert [(e["branch"], e["depth"], e["outcome"]) for e in trace] == list(zip(
+                ["root", "root/V", "root/Vperp"], [0, 1, 1], outcomes))
+            for e in trace:
+                assert {"branch", "depth", "dim", "n_points", "outcome"} <= set(e)
+                assert ("isotropy" in e) == (e["outcome"] == "transform")
+                assert ({"heavy_dim", "heavy_fraction"} <= set(e)) == \
+                    (e["outcome"] == "heavy-subspace")
+            assert [e["dim"] for e in trace] == [3, 1, 2]
+        assert diagnostics["oracle_calls"] == len(oracle_trace)
+        assert diagnostics["isotropy_iterations"] == sum(
+            e["isotropy"]["iterations_used"] for e in oracle_trace if "isotropy" in e) > 0
+        assert json.loads(json.dumps(diagnostics)) == diagnostics
 
     @pytest.mark.parametrize("seed", range(3))
     def test_recomputed_transform_reproduces_the_cut(self, seed):
@@ -262,12 +305,13 @@ class TestSepOracle:
         corrupted, _, w_star = shifted_relu_instance(seed, d=3, m=400, eta=0.25)
         w0 = w_star + np.random.default_rng(seed).standard_normal(3) * 3.0
         res = sep_oracle(corrupted, w0)
-        assert "transform" in res.diagnostics
+        (leaf,) = res.diagnostics["recursion_trace"]
+        assert leaf["outcome"] == "transform"
         A, mask = oracle_transform(corrupted, w0)
         XS, yS = corrupted.x[mask], corrupted.y[mask]
         sgn = np.sign(XS @ w0 - yS)
         r = sgn @ _unit_rows(_unit_rows(XS) @ A.T) / mask.sum()
-        assert mask.sum() == res.diagnostics["n_positive_side"]
+        assert mask.sum() == leaf["n_points"]
         assert np.array_equal(np.linalg.solve(A, r), res.normal)
         assert np.array_equal(res.transform, A)
         P = sym_polar(A)[0]
@@ -282,7 +326,8 @@ class TestSepOracle:
         start = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
         cold = sep_oracle(ds, w0)
         warm = sep_oracle(ds, w0, _start=start)
-        assert warm.diagnostics["lifted_from"] == "V"
+        assert [e["outcome"] for e in warm.diagnostics["recursion_trace"]] == [
+            "heavy-subspace", "transform"]
         assert warm.transform is None
         assert np.array_equal(warm.normal, cold.normal)
         assert warm.diagnostics == cold.diagnostics
@@ -309,8 +354,8 @@ class TestSepOracle:
         PS = sym_polar(np.linalg.solve(start.T, T.T).T)[0] @ start  # A = T S^{-1}
         r_P = (_unit_rows(XS @ PS.T) * np.sign(XS @ w0 - yS)[:, None]).mean(axis=0)
         np.testing.assert_allclose(res.normal, np.linalg.solve(PS, r_P), rtol=1e-9)
-        assert res.diagnostics["isotropy_iterations"] == \
-            res.diagnostics["transform"]["iterations_used"]
+        (leaf,) = res.diagnostics["recursion_trace"]
+        assert res.diagnostics["isotropy_iterations"] == leaf["isotropy"]["iterations_used"]
 
     @pytest.mark.parametrize("seed", range(25))
     def test_separation_soundness(self, seed):
@@ -319,7 +364,7 @@ class TestSepOracle:
         rng = np.random.default_rng(5000 + seed)
         w0 = w_star + rng.standard_normal(2) * 3.0
         res = sep_oracle(corrupted, w0)
-        if res.accepted or "transform" not in res.diagnostics:
+        if res.accepted or res.transform is None:
             pytest.skip("no full-dimensional cut at this query")
         margin = separation_margin(corrupted, record, w0, w_star)
         if margin <= 0:
@@ -474,7 +519,7 @@ class TestEllipsoid:
                 break
             res = sep_oracle(corrupted, state.center, _start=start)
             assert not res.accepted
-            if "transform" in res.diagnostics:
+            if res.transform is not None:
                 margin = separation_margin(corrupted, record, state.center,
                                            w_star, start)
                 all_verified &= margin > 0
@@ -613,7 +658,9 @@ class TestEllipsoid:
             ellipsoid_recover_relu(ds, EllipsoidConfig(initial_radius=2.0, max_denominator=1))
         diagnostics = info.value.diagnostics
         assert diagnostics["center"] == [0.5] and diagnostics["steps"] == 2
-        assert diagnostics["oracle"]["fit_count"] == 3
+        assert diagnostics["oracle"]["recursion_trace"] == [
+            {"branch": "root", "depth": 0, "dim": 1, "n_points": 3, "fit_count": 3,
+             "outcome": "accepted"}]
         assert json.loads(json.dumps(diagnostics)) == diagnostics
 
     def test_cut_geometry(self):
@@ -694,6 +741,34 @@ class TestEllipsoid:
             except RadregError:
                 continue  # a typed refusal is an answer
             assert report.w_snapped.to_fractions() == fractions_of(w_star), f"instance {i}"
+
+
+RESCALED_RELU_DRAWS = {
+    # the candidate answers
+    "shifted": ("candidate", [lambda seed=seed: shifted_relu_instance(seed)[0]
+                              for seed in range(10)]),
+    # the candidate refuses and the ellipsoid answers
+    "centered": ("ellipsoid", [lambda i=i: centered_relu_instance(i)[0] for i in range(6)]),
+}
+
+
+@pytest.mark.parametrize("c", [1e-3, 7.0, 1e3])
+@pytest.mark.parametrize("family", sorted(RESCALED_RELU_DRAWS))
+def test_rescaling_one_row_by_c_leaves_the_relu_output_unchanged(family, c):
+    # ReLU(w.(c x)) = c ReLU(w.x) for c > 0, and the certificate judges each
+    # point on (x/|x|, y/|x|), so scaling one (x_i, y_i) changes nothing
+    certified_by, draws = RESCALED_RELU_DRAWS[family]
+    config = EllipsoidConfig(initial_radius=30.0, max_denominator=16)
+    for k, draw in enumerate(draws):
+        samples = draw()
+        i = int(np.random.default_rng(k).integers(samples.m))
+        x, y = samples.x.copy(), samples.y.copy()
+        x[i] *= c
+        y[i] *= c
+        expected = ellipsoid_recover_relu(samples, config)
+        assert expected.diagnostics["certified_by"] == certified_by
+        assert ellipsoid_recover_relu(LabeledDataset(x, y), config).w_snapped == \
+            expected.w_snapped, f"draw {k}, row {i}"
 
 
 SMALL_CONFIG = EllipsoidConfig(initial_radius=10.0, max_denominator=16)
