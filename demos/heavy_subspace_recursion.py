@@ -35,7 +35,7 @@ print(f"{on_line}/{m} points on a line, {record.mask.sum()} labels flipped")
 
 heavy = find_heavy_subspace(corrupted.x)
 print(f"\ndetected heavy subspace: dim {heavy.dim}, "
-      f"fraction {heavy.fraction:.3f} > {heavy.dim}/{heavy.ambient_dim}")
+      f"fraction {heavy.fraction:.3f} > {heavy.dim}/{heavy.basis.ambient_dim}")
 print("basis direction:", np.round(heavy.basis.vectors.ravel(), 9))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractViolation, RadregError
 from .isotropy import _unit_rows
-from .l1 import _check_positive_int, _check_seed, lad_fit, snap_to_rational
+from .l1 import _check_positive_int, lad_fit, snap_to_rational
 from .linear import recover_linear
 from .noise import MassartSpec, corrupt_massart, gated_flip
 
@@ -47,7 +47,7 @@ class SyntheticSpec:
     def __post_init__(self):
         self.d = _check_positive_int(self.d, "d")
         self.n = _check_positive_int(self.n, "n")
-        self.seed = _check_seed(self.seed)
+        self.seed = _check_positive_int(self.seed, "seed", least=0)
         if self.w_star is None:
             self.w_star = default_target(self.d)
         self.w_star = np.asarray(self.w_star, dtype=float)
@@ -100,7 +100,10 @@ def make_outlier_dataset(spec):
     return LabeledDataset(X, X @ spec.w_star)
 
 
-INSTANCE_FAMILIES = ("mixture", "outlier")
+# name -> covariate family of exact_recovery_bench; each maker is looked up when a trial
+# runs, so a maker replaced on the module is the one that runs
+INSTANCE_FAMILIES = {"mixture": lambda spec: make_synthetic_dataset(spec),
+                     "outlier": lambda spec: make_outlier_dataset(spec)}
 
 
 # --- fitting methods ----------------------------------------------------------
@@ -201,11 +204,11 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
     takes ``method_registry``'s coefficient.
     """
     trials = _check_positive_int(trials, "trials")
-    seed = _check_seed(seed)
+    seed = _check_positive_int(seed, "seed", least=0)
     if eta_grid is not None and n_grid is not None:
         raise ContractViolation("pass at most one of eta_grid / n_grid")
     if instance not in INSTANCE_FAMILIES:
-        raise ContractViolation(f"instance must be one of {INSTANCE_FAMILIES}")
+        raise ContractViolation(f"instance must be one of {tuple(INSTANCE_FAMILIES)}")
     registry = method_registry()
     unknown = [name for name in methods if name not in registry]
     if unknown:
@@ -235,14 +238,8 @@ def exact_recovery_bench(methods, *, d, n=120, eta=0.25, eta_grid=None, n_grid=N
         elapsed = {name: 0.0 for name in methods}
         for trial in range(trials):
             data_seed, noise_seed = _trial_seeds(seed, gi, trial)
-            spec = SyntheticSpec(d=d, n=cur_n, seed=data_seed)
-            if instance == "mixture":
-                clean = make_synthetic_dataset(spec)
-            else:
-                clean = make_outlier_dataset(spec)
-            corrupted, _ = corrupt_massart(
-                clean, MassartSpec(cur_eta, strategy, noise_seed)
-            )
+            clean = INSTANCE_FAMILIES[instance](SyntheticSpec(d=d, n=cur_n, seed=data_seed))
+            corrupted, _ = corrupt_massart(clean, MassartSpec(cur_eta, strategy, noise_seed))
             for name in methods:
                 start = time.perf_counter()
                 try:

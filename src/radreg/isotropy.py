@@ -83,7 +83,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ContractViolation, InsufficientPoints, IsotropyStalled
-from .linalg import RANK_RTOL, OrthonormalBasis, matrix_rank, span_basis
+from .linalg import RANK_RTOL, OrthonormalBasis, _row_norms, matrix_rank, span_basis
 
 DEFAULT_GAMMA = 0.5
 ANGULAR_TOL = 1e-6      # loose capture radius around a candidate subspace
@@ -145,15 +145,6 @@ class HeavySubspace:
     @property
     def dim(self):
         return self.basis.size
-
-    @property
-    def ambient_dim(self):
-        return self.basis.ambient_dim
-
-
-def _row_norms(V):
-    """Euclidean norm of each row; the one kernel behind every unit image."""
-    return np.sqrt(np.einsum("ij,ij->i", V, V))
 
 
 def _unit_rows(points, labels=None):

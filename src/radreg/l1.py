@@ -65,6 +65,7 @@ from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus, Matrix
                                            _Highs)
 
 from .errors import ContractViolation, SolverStalled
+from .linalg import _row_norms
 
 # |y - prediction| <= FIT_RTOL * (1 + |y|) counts as an exact fit. Certificates
 # judge each point on (x/|x|, y/|x|): on raw values the floor of 1e-7 passes
@@ -99,13 +100,13 @@ def exact_fit_mask(pred, y):
     return np.abs(np.asarray(pred) - y) <= FIT_RTOL * (1.0 + np.abs(y))
 
 
-def _row_scales(X, y, out=None):
-    """Row norms of X (squares written to ``out``, summed as np.linalg.norm does),
-    the divisors made of them (0 read as 1), and y over those: the majority certificates
-    judge predictions p as exact_fit_mask(p / scales, y_scaled), each point on (x/|x|, y/|x|)."""
-    norms = np.sqrt(np.add.reduce(np.multiply(X, X, out=out), axis=1))
+def _row_scales(X, y):
+    """(scales, y_scaled): the row norms of X as divisors (0 read as 1), and y over them.
+    The majority certificates judge predictions p as exact_fit_mask(p / scales, y_scaled),
+    each point on (x/|x|, y/|x|)."""
+    norms = _row_norms(X)
     scales = np.where(norms > 0.0, norms, 1.0)
-    return norms, scales, y / scales
+    return scales, y / scales
 
 
 # success: HiGHS's model status is kOptimal; message: that status by name; fun: the
@@ -365,12 +366,6 @@ def _check_positive_int(value, name, least=1):
     if bound < least:
         raise ContractViolation(f"{name} must be an integer >= {least}, got {value!r}")
     return bound
-
-
-def _check_seed(seed):
-    """``seed`` as an int, or ContractViolation unless it is an integer >= 0,
-    as ``numpy.random`` needs."""
-    return _check_positive_int(seed, "seed", least=0)
 
 
 def _check_positive_finite(value, name):

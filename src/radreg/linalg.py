@@ -17,6 +17,12 @@ ORTHO_TOL = 1e-10      # orthonormality slack for basis validation
 RANK_RTOL = 1e-9       # singular-value cutoff for span/rank decisions
 
 
+def _row_norms(V):
+    """Euclidean norm of each row of V, summed without an m x d temporary:
+    the package's one row-norm kernel."""
+    return np.sqrt(np.einsum("ij,ij->i", V, V))
+
+
 @dataclass
 class OrthonormalBasis:
     """Columns of ``vectors`` (d, k) form an orthonormal set, k <= d."""
@@ -50,8 +56,7 @@ class OrthonormalBasis:
     def distance(self, x):
         """Euclidean distance of row vectors from the subspace."""
         x = np.asarray(x, dtype=float)
-        resid = x - self.project(x)
-        return np.linalg.norm(np.atleast_2d(resid), axis=1)
+        return _row_norms(np.atleast_2d(x - self.project(x)))
 
 
 def orthonormal_complement(basis):

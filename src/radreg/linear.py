@@ -31,7 +31,7 @@ from .errors import InsufficientPoints, NonIdentifiable
 from .isotropy import RadialTransform, certifying_gamma, radial_isotropize
 from .l1 import (RationalVector, _check_positive_int, _row_scales, exact_fit_mask, lad_fit,
                  snap_to_rational)
-from .linalg import orthonormal_complement
+from .linalg import _row_norms, orthonormal_complement
 
 
 @dataclass
@@ -100,7 +100,7 @@ def _recover(X, y, depth, branch, trace):
     take from a few corrupted points off the plane.
     """
     d = X.shape[1]
-    nonzero = np.linalg.norm(X, axis=1) > 0.0
+    nonzero = _row_norms(X) > 0.0
     Xnz, ynz = X[nonzero], y[nonzero]
     n = Xnz.shape[0]
     if n < d:
@@ -151,7 +151,7 @@ def recover_linear(samples, max_denominator=10**6):
     trace = []
     w_hat = _recover(samples.x, samples.y, 0, "root", trace)
     snapped = snap_to_rational(w_hat, max_denominator)
-    _, scales, y_scaled = _row_scales(samples.x, samples.y)
+    scales, y_scaled = _row_scales(samples.x, samples.y)
     fits = exact_fit_mask((samples.x @ snapped.to_floats()) / scales, y_scaled)
     frac = float(fits.mean())
     return RecoveryReport(

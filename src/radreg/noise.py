@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ContractViolation, InvalidNoiseRate, SimulationInfeasible
-from .l1 import _check_positive_int, _check_seed
+from .l1 import _check_positive_int
 
 
 # --- corruption strategies ---------------------------------------------------
@@ -29,12 +29,16 @@ from .l1 import _check_positive_int, _check_seed
 # adversary bothers to corrupt (``selects``), and what the rewritten label is
 # (``target_labels``). Both are deterministic functions of the full dataset.
 
-@dataclass
-class FlipNegate:
-    """Rewrite y to -y."""
+class _EverySample:
+    """A strategy that rewrites every flagged sample."""
 
     def selects(self, x, y):
         return np.ones(len(y), dtype=bool)
+
+
+@dataclass
+class FlipNegate(_EverySample):
+    """Rewrite y to -y."""
 
     def target_labels(self, x, y):
         return -y
@@ -44,13 +48,10 @@ class FlipNegate:
 
 
 @dataclass
-class Scale:
+class Scale(_EverySample):
     """Rewrite y to factor * y."""
 
     factor: float
-
-    def selects(self, x, y):
-        return np.ones(len(y), dtype=bool)
 
     def target_labels(self, x, y):
         return self.factor * y
@@ -60,13 +61,10 @@ class Scale:
 
 
 @dataclass
-class Constant:
+class Constant(_EverySample):
     """Rewrite y to a fixed value."""
 
     value: float
-
-    def selects(self, x, y):
-        return np.ones(len(y), dtype=bool)
 
     def target_labels(self, x, y):
         return np.full(len(y), self.value)
@@ -146,7 +144,7 @@ class MassartSpec:
     def __post_init__(self):
         if not 0.0 <= self.eta < 0.5:
             raise InvalidNoiseRate(f"eta must lie in [0, 1/2), got {self.eta}")
-        self.seed = _check_seed(self.seed)
+        self.seed = _check_positive_int(self.seed, "seed", least=0)
 
     def to_json(self):
         return {"eta": self.eta, "strategy": self.strategy.to_json(), "seed": self.seed}
@@ -193,7 +191,7 @@ def corrupt_oblivious(clean_labels, eta, b_magnitude, seed=0):
     ``b_magnitude`` or a seed that is not an integer >= 0 raises ContractViolation.
     """
     y = np.asarray(clean_labels, dtype=float).copy()
-    seed = _check_seed(seed)
+    seed = _check_positive_int(seed, "seed", least=0)
     if not 0.0 <= eta <= 1.0:
         raise ContractViolation(f"oblivious rate must lie in [0, 1], got {eta}")
     if not math.isfinite(b_magnitude):

@@ -20,6 +20,7 @@ from radreg.errors import ContractViolation, InsufficientPoints, IsotropyStalled
 from radreg.isotropy import (
     DEGENERATE_RTOL,
     DETECT_EVERY,
+    MEMBER_RTOL,
     NEWTON_AFTER,
     HeavySubspace,
     RadialTransform,
@@ -30,7 +31,7 @@ from radreg.isotropy import (
     find_heavy_subspace,
     radial_isotropize,
 )
-from radreg.linalg import RANK_RTOL
+from radreg.linalg import RANK_RTOL, span_basis
 
 
 def assert_valid_transform(t, points, gamma):
@@ -170,7 +171,7 @@ class TestHeavySubspaceVerification:
         dist = out.basis.distance(pts)
         members = dist <= 1e-9 * norms
         assert members.sum() / len(pts) == pytest.approx(out.fraction, abs=1e-12)
-        assert out.fraction * out.ambient_dim > out.dim  # strictly heavy
+        assert out.fraction * out.basis.ambient_dim > out.dim  # strictly heavy
         # every reported member is within the strict tolerance
         assert np.all(dist[out.member_mask] <= 1e-9 * norms[out.member_mask])
 
@@ -192,6 +193,33 @@ class TestHeavySubspaceVerification:
         # a capture set whose span is all of R^d holds no proper subspace to verify
         Xu = _unit_rows(np.random.default_rng(25).standard_normal((20, 3)))
         assert isotropy._verify_candidate(Xu, np.ones(20, dtype=bool)) is None
+
+    def test_capture_set_whose_span_holds_no_point_is_refused(self):
+        # four points 0.9e-9 off e1 along both other axes: their span drops
+        # singular values 0.9e-9 times the largest, below RANK_RTOL, so it is
+        # the line e1, and each point lies 1.3e-9 from it, beyond MEMBER_RTOL
+        offsets = 0.9e-9 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+        rng = np.random.default_rng(26)
+        Xu = _unit_rows(np.vstack([np.column_stack([np.ones(4), offsets]),
+                                   rng.standard_normal((16, 3))]))
+        loose = np.arange(20) < 4
+        fitted = span_basis(Xu[loose])
+        assert fitted.size == 1 and (fitted.distance(Xu) > MEMBER_RTOL).all()
+        assert isotropy._verify_candidate(Xu, loose) is None
+
+    def test_strict_members_spanning_the_space_are_refused(self):
+        # four captured points on the plane x3 = 0 span it exactly; twelve more
+        # points of the plane, each 0.99e-9 off it, are strict members too, and
+        # with them the members' third singular value is 1.2e-9 times the
+        # largest, above RANK_RTOL: they span R^3
+        angles = np.arange(16) * np.pi / 16
+        heights = np.r_[np.zeros(4), 0.99e-9 * (-1.0) ** np.arange(12)]
+        Xu = _unit_rows(np.column_stack([np.cos(angles), np.sin(angles), heights]))
+        loose = np.arange(16) < 4
+        fitted = span_basis(Xu[loose])
+        strict = fitted.distance(Xu) <= MEMBER_RTOL
+        assert fitted.size == 2 and strict.all() and span_basis(Xu[strict]).size == 3
+        assert isotropy._verify_candidate(Xu, loose) is None
 
     def test_stall_is_inconclusive(self, monkeypatch):
         # a stall proves nothing, so it is not "none"
@@ -455,6 +483,41 @@ class TestNewtonPhase:
         assert np.array_equal(found.basis.vectors, expected.basis.vectors)
         assert np.array_equal(found.member_mask, expected.member_mask)
         assert found.fraction == expected.fraction
+
+    @pytest.mark.parametrize("failure", ["singular system", "no Armijo decrease"])
+    @pytest.mark.parametrize("n, d, k, heavy", [(200, 20, 5, 50), (700, 14, 4, 200)],
+                             ids=["direct", "woodbury"])
+    def test_a_failed_newton_step_leaves_the_fixed_point(self, failure, n, d, k, heavy,
+                                                         monkeypatch):
+        # the exactly k/d sets above, where Newton steps normally settle the
+        # crawl. The first step fails, by a LinAlgError from its system or by
+        # trial moments whose potential is raised by 20 d, which no halving
+        # brings below f(0); the call then runs the fixed point to its end
+        Xu = on_subspace(np.random.default_rng(0), n, d, k, heavy)
+        gamma = certifying_gamma(n, d)
+        newton, eigh = isotropy._newton_moment, np.linalg.eigh
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        patched = {
+            "singular system": ("solve", singular),
+            "no Armijo decrease": ("eigh", lambda S: (np.exp(20.0) * eigh(S)[0], eigh(S)[1])),
+        }[failure]
+        results = []
+
+        def failing(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, *patched)
+                results.append(newton(*args))
+            return results[-1]
+
+        monkeypatch.setattr(isotropy, "_newton_moment", failing)
+        t = radial_isotropize(Xu, gamma)
+        expected = isotropize_fixed_point(Xu, gamma)
+        assert results == [None] and t.newton_steps == 0
+        assert t.iterations_used == expected.iterations_used > 3 * DETECT_EVERY
+        assert t.gamma_achieved == pytest.approx(expected.gamma_achieved, rel=0.0, abs=1e-14)
 
     @pytest.mark.parametrize("case", [
         "Gaussian cloud in R^5", "Gaussian cloud in R^12", "stretched cloud in R^8",

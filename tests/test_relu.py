@@ -730,6 +730,37 @@ class TestEllipsoid:
         assert diagnostics["irls_rounds"] == 2
         assert diagnostics["oracle_calls"] >= diagnostics["steps"] > 0
 
+    def test_the_warm_start_recovers_targets_a_cold_search_misses(self, monkeypatch):
+        # m = 5 rows give the candidate floor(m/2) = 2 < d rows, so the
+        # ellipsoid answers every draw. Each oracle call started from the
+        # previous cut's transform, it recovers 14 of 18 targets; every call
+        # started from the identity, 11, all among the 14
+        config = EllipsoidConfig(30.0, 16)
+
+        def recovered():
+            hits = set()
+            for seed in range(18):
+                corrupted, _, w_star = shifted_relu_instance(seed, d=3, m=5)
+                try:
+                    report = ellipsoid_recover_relu(corrupted, config)
+                except RadregError:
+                    continue
+                assert report.diagnostics["certified_by"] == "ellipsoid"
+                if report.w_snapped.to_fractions() == fractions_of(w_star):
+                    hits.add(seed)
+            return hits
+
+        warm = recovered()
+        oracle = relu.sep_oracle
+
+        def cold(samples, w0, _depth=0, _start=None, **kwargs):
+            return oracle(samples, w0, _depth, **kwargs)
+
+        monkeypatch.setattr(relu, "sep_oracle", cold)
+        cold_hits = recovered()
+        assert (len(warm), len(cold_hits)) == (14, 11)
+        assert cold_hits < warm
+
     def test_centered_covariates_certify_the_target_or_raise(self):
         # w = 0 fits every clean zero label, about half the points, but it
         # has no positive side to fit a strict majority of
@@ -990,7 +1021,7 @@ class TestGdReluTransformed:
         X, y = ds.x, ds.y
         w, ws = np.zeros(X.shape[1]), []
         for _ in range(iters):
-            mask = relu.positive_side_mask(X, w, np.linalg.norm(X, axis=1), X @ w)
+            mask = relu.positive_side_mask(X, w, X @ w)
             Xp, yp = X[mask], y[mask]
             A = None
             if mode in ("original", "normalized") and mask.any():
