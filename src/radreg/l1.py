@@ -101,12 +101,12 @@ def exact_fit_mask(pred, y):
 
 
 def _row_scales(X, y):
-    """(scales, y_scaled): the row norms of X as divisors (0 read as 1), and y over them.
-    The majority certificates judge predictions p as exact_fit_mask(p / scales, y_scaled),
-    each point on (x/|x|, y/|x|)."""
+    """(norms, scales, y_scaled): the row norms of X, the same as divisors (0 read as 1),
+    and y over those. The majority certificates judge predictions p as
+    exact_fit_mask(p / scales, y_scaled), each point on (x/|x|, y/|x|)."""
     norms = _row_norms(X)
     scales = np.where(norms > 0.0, norms, 1.0)
-    return scales, y / scales
+    return norms, scales, y / scales
 
 
 # success: HiGHS's model status is kOptimal; message: that status by name; fun: the

@@ -151,7 +151,7 @@ def recover_linear(samples, max_denominator=10**6):
     trace = []
     w_hat = _recover(samples.x, samples.y, 0, "root", trace)
     snapped = snap_to_rational(w_hat, max_denominator)
-    scales, y_scaled = _row_scales(samples.x, samples.y)
+    _, scales, y_scaled = _row_scales(samples.x, samples.y)
     fits = exact_fit_mask((samples.x @ snapped.to_floats()) / scales, y_scaled)
     frac = float(fits.mean())
     return RecoveryReport(

@@ -29,16 +29,16 @@ from .l1 import _check_positive_int
 # adversary bothers to corrupt (``selects``), and what the rewritten label is
 # (``target_labels``). Both are deterministic functions of the full dataset.
 
-class _EverySample:
-    """A strategy that rewrites every flagged sample."""
-
-    def selects(self, x, y):
-        return np.ones(len(y), dtype=bool)
+def _every_sample(self, x, y):
+    """``selects`` of a strategy that rewrites every flagged sample."""
+    return np.ones(len(y), dtype=bool)
 
 
 @dataclass
-class FlipNegate(_EverySample):
+class FlipNegate:
     """Rewrite y to -y."""
+
+    selects = _every_sample
 
     def target_labels(self, x, y):
         return -y
@@ -48,10 +48,11 @@ class FlipNegate(_EverySample):
 
 
 @dataclass
-class Scale(_EverySample):
+class Scale:
     """Rewrite y to factor * y."""
 
     factor: float
+    selects = _every_sample
 
     def target_labels(self, x, y):
         return self.factor * y
@@ -61,10 +62,11 @@ class Scale(_EverySample):
 
 
 @dataclass
-class Constant(_EverySample):
+class Constant:
     """Rewrite y to a fixed value."""
 
     value: float
+    selects = _every_sample
 
     def target_labels(self, x, y):
         return np.full(len(y), self.value)

@@ -77,10 +77,9 @@ def relu_l1_loss(samples, w):
     return float(np.mean(np.abs(_relu(samples.x @ w) - samples.y)))
 
 
-def positive_side_mask(X, w, z):
+def positive_side_mask(norms, w, z):
     """Closed halfspace w.x >= 0 with a relative slack band at the boundary,
-    given z = X @ w."""
-    norms = _row_norms(X)
+    given the row norms of X and z = X @ w."""
     slack = BOUNDARY_RTOL * norms * max(1.0, float(np.linalg.norm(w)))
     return (z >= -slack) & (norms > 0.0)
 
@@ -131,7 +130,7 @@ def _majority_fit(z, rows):
     """(fit mask, certified) for z = X @ w and rows = ``l1._row_scales(X, y)``:
     where ReLU(z) fits y on (x/|x|, y/|x|), and whether w passes the majority
     certificate of the module docstring."""
-    scales, y_scaled = rows
+    _, scales, y_scaled = rows
     fit_mask = exact_fit_mask(_relu(z) / scales, y_scaled)
     positive = z > 0.0
     certified = (2 * int(fit_mask.sum()) >= len(z)
@@ -166,7 +165,7 @@ def _candidate(X, y, rows, max_denominator, buffer):
     them) and their weighted copy: with more arrays that large per fit, glibc returned the heap
     top to the system after some fits but not others, and the next fit page-faulted it back in.
     """
-    scales, _ = rows
+    _, scales, _ = rows
     half = X.shape[0] // 2
     rounds = 0
     try:
@@ -193,7 +192,7 @@ def _answer(accepted, trace, normal=None, transform=None):
     }, transform)
 
 
-def sep_oracle(samples, w0, _depth=0, _start=None, _branch="root"):
+def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None, _branch="root"):
     """Separation oracle for the ReLU l1 landscape at query w0.
 
     Accepts when w0 passes the majority certificate (``_majority_fit``) on
@@ -203,15 +202,17 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _branch="root"):
     length d, HalfspaceEmpty when no sample lies on the closed positive side
     (the halfspace-mass assumption is violated), and NoRecovery when the
     mean signed image of the positive side is zero. ``_start`` is the
-    previous cut's transform (the warm start of the module docstring), which
-    ``ellipsoid_recover_relu`` passes at depth 0. ``_depth`` and ``_branch``
-    place a sub-call in the recursion trace.
+    previous cut's transform (the warm start of the module docstring) and
+    ``_rows`` is ``l1._row_scales(samples.x, samples.y)``, which
+    ``ellipsoid_recover_relu`` takes once per fit; it passes both at depth 0.
+    ``_depth`` and ``_branch`` place a sub-call in the recursion trace.
     """
     X, y = samples.x, samples.y
     w0 = samples.parameter(w0, "w0")
     z = X @ w0
-    fit_mask, certified = _majority_fit(z, _row_scales(X, y))
-    mask = positive_side_mask(X, w0, z)
+    rows = _row_scales(X, y) if _rows is None else _rows
+    fit_mask, certified = _majority_fit(z, rows)
+    mask = positive_side_mask(rows[0], w0, z)
     n_S = int(mask.sum())
     entry = {"branch": _branch, "depth": _depth, "dim": samples.d, "n_points": n_S,
              "fit_count": int(fit_mask.sum())}
@@ -340,7 +341,7 @@ def ellipsoid_recover_relu(samples, config):
                              "volume_logs": volumes},
             )
         try:
-            result = sep_oracle(samples, state.center, _start=start)
+            result = sep_oracle(samples, state.center, _start=start, _rows=rows)
             for key in work:
                 work[key] += result.diagnostics[key]
             if result.accepted:
@@ -444,10 +445,11 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_star=None):
     if w_star is not None:
         w_star = samples.parameter(w_star, "w_star")
 
+    norms = _row_norms(X)
     trajectory = []
     for it in range(iters):
         z = X @ w
-        mask = positive_side_mask(X, w, z)
+        mask = positive_side_mask(norms, w, z)
         step = _gd_step(mode, X[mask], np.sign(z[mask] - y[mask])) if mask.any() else None
         if step is not None:
             w = w - alpha * step

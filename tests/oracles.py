@@ -169,7 +169,7 @@ def oracle_transform(samples, w0, start=None):
     transform of the images S x, unless those hold a heavy subspace.
     """
     X = samples.x
-    mask = positive_side_mask(X, w0, X @ w0)
+    mask = positive_side_mask(np.linalg.norm(X, axis=1), w0, X @ w0)
     XS = X[mask]
     gamma = certifying_gamma(*XS.shape)
     if start is not None:
@@ -285,7 +285,7 @@ def gd_step(samples, mode, w):
     skip: ``relu._gd_step`` on the closed positive side of w."""
     X, y = samples.x, samples.y
     z = X @ w
-    mask = positive_side_mask(X, w, z)
+    mask = positive_side_mask(np.linalg.norm(X, axis=1), w, z)
     return relu._gd_step(mode, X[mask], np.sign(z - y)[mask])
 
 
@@ -294,7 +294,7 @@ def gd_subgradient(samples, w):
     along: the 'original' step at w times n/m, for the n of m points on the
     closed positive side of w."""
     X = samples.x
-    share = positive_side_mask(X, w, X @ w).mean()
+    share = positive_side_mask(np.linalg.norm(X, axis=1), w, X @ w).mean()
     return share * gd_step(samples, "original", w)
 
 

@@ -761,6 +761,23 @@ class TestEllipsoid:
         assert (len(warm), len(cold_hits)) == (14, 11)
         assert cold_hits < warm
 
+    def test_the_row_scales_are_taken_once_per_fit(self, monkeypatch):
+        # every step's oracle call reads the fit's row norms, scales and scaled
+        # labels; taken again per call they measurably slow a centered d=3 search
+        corrupted, _ = centered_relu_instance(0)
+        calls = []
+        row_scales = relu._row_scales
+
+        def counted(X, y):
+            calls.append(len(y))
+            return row_scales(X, y)
+
+        monkeypatch.setattr(relu, "_row_scales", counted)
+        report = ellipsoid_recover_relu(corrupted, EllipsoidConfig(30.0, max_denominator=16))
+        assert report.diagnostics["certified_by"] == "ellipsoid"
+        assert report.diagnostics["oracle_calls"] == report.diagnostics["steps"] >= 2
+        assert calls == [corrupted.m]
+
     def test_centered_covariates_certify_the_target_or_raise(self):
         # w = 0 fits every clean zero label, about half the points, but it
         # has no positive side to fit a strict majority of
@@ -877,6 +894,22 @@ class TestGdReluTransformed:
         Xp, yp = ds.x[mask], ds.y[mask]
         grad = (Xp * np.sign(Xp @ w0 - yp)[:, None]).mean(axis=0)
         assert np.allclose(w0 - alpha * step, w0 - alpha * grad)
+
+    @pytest.mark.parametrize("mode", relu.GD_MODES)
+    def test_the_row_norms_are_taken_once_per_descent(self, mode, monkeypatch):
+        # the positive side of each iterate is judged on the same row norms;
+        # taken again per iteration they measurably slow an 'original' descent
+        ds, _ = self.make_instance(seed=1)
+        calls = []
+        row_norms = relu._row_norms
+
+        def counted(V):
+            calls.append(V.shape)
+            return row_norms(V)
+
+        monkeypatch.setattr(relu, "_row_norms", counted)
+        gd_relu_transformed(ds, mode, alpha=0.05, iters=20)
+        assert calls == [ds.x.shape]
 
     @pytest.mark.parametrize("mode", relu.GD_MODES)
     def test_each_iterate_takes_the_single_step_at_the_last(self, mode):
@@ -1021,7 +1054,7 @@ class TestGdReluTransformed:
         X, y = ds.x, ds.y
         w, ws = np.zeros(X.shape[1]), []
         for _ in range(iters):
-            mask = relu.positive_side_mask(X, w, X @ w)
+            mask = relu.positive_side_mask(np.linalg.norm(X, axis=1), w, X @ w)
             Xp, yp = X[mask], y[mask]
             A = None
             if mode in ("original", "normalized") and mask.any():
