@@ -12,13 +12,9 @@ Run: python demos/heavy_subspace_recursion.py
 
 import numpy as np
 
-from radreg import (
-    FlipNegate,
-    MassartSpec,
-    find_heavy_subspace,
-    recover_linear,
-)
+from radreg import FlipNegate, MassartSpec, radial_isotropize, recover_linear
 from radreg.data import LabeledDataset
+from radreg.isotropy import certifying_gamma
 from radreg.noise import corrupt_massart
 from radreg.relu import sep_oracle
 
@@ -33,9 +29,10 @@ clean = LabeledDataset(X, X @ w_star)
 corrupted, record = corrupt_massart(clean, MassartSpec(0.2, FlipNegate(), 7))
 print(f"{on_line}/{m} points on a line, {record.mask.sum()} labels flipped")
 
-heavy = find_heavy_subspace(corrupted.x)
-print(f"\ndetected heavy subspace: dim {heavy.dim}, "
-      f"fraction {heavy.fraction:.3f} > {heavy.dim}/{heavy.basis.ambient_dim}")
+# at the gap of a recursion level, a HeavySubspace comes back exactly when one exists
+heavy = radial_isotropize(corrupted.x, certifying_gamma(m, 2))
+print(f"\ndetected heavy subspace: dim {heavy.basis.size}, "
+      f"fraction {heavy.fraction:.3f} > {heavy.basis.size}/{heavy.basis.ambient_dim}")
 print("basis direction:", np.round(heavy.basis.vectors.ravel(), 9))
 
 

@@ -22,12 +22,7 @@ from .errors import (
     SimulationInfeasible,
     SolverStalled,
 )
-from .isotropy import (
-    HeavySubspace,
-    RadialTransform,
-    find_heavy_subspace,
-    radial_isotropize,
-)
+from .isotropy import HeavySubspace, RadialTransform, radial_isotropize
 from .l1 import L1FitResult, RationalVector, l1_fit_linear, lad_fit, snap_to_rational
 from .linalg import OrthonormalBasis, orthonormal_complement
 from .linear import RecoveryReport, recover_linear
@@ -46,7 +41,6 @@ from .noise import (
 )
 from .relu import (
     EllipsoidConfig,
-    EllipsoidState,
     SepResult,
     ellipsoid_cut,
     ellipsoid_recover_relu,

@@ -136,15 +136,11 @@ class RadialTransform:
 
 @dataclass
 class HeavySubspace:
-    """A subspace holding strictly more than dim/d of the (nonzero) points."""
+    """A subspace holding strictly more than basis.size / d of the (nonzero) points."""
 
     basis: OrthonormalBasis
     fraction: float
-    member_mask: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def dim(self):
-        return self.basis.size
+    member_mask: np.ndarray = field(repr=False)
 
 
 def _unit_rows(points, labels=None):
@@ -399,19 +395,3 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA):
         A = (evecs * (1.0 / np.sqrt(np.maximum(evals, 1e-300)))) @ (evecs.T @ A)
     raise AssertionError("unreachable")
 
-
-def find_heavy_subspace(points):
-    """Locate a heavy subspace, or return None when none exists.
-
-    Runs the isotropy fixed point past the certifying gap of
-    ``certifying_gamma``; convergence certifies absence. Points that do not
-    span the space return their span. A stall without a verified subspace
-    proves nothing either way, so IsotropyStalled propagates at every d:
-    None always means "certified none". Raises what ``radial_isotropize``
-    raises on its input.
-    """
-    n, d = np.atleast_2d(points).shape
-    if n == 0:  # before certifying_gamma divides by n
-        raise InsufficientPoints("no points to search")
-    result = radial_isotropize(points, certifying_gamma(n, d))
-    return result if isinstance(result, HeavySubspace) else None

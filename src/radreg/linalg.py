@@ -48,15 +48,10 @@ class OrthonormalBasis:
     def size(self):
         return self.vectors.shape[1]
 
-    def project(self, x):
-        """Orthogonal projection of row vectors onto the spanned subspace."""
-        x = np.asarray(x, dtype=float)
-        return (x @ self.vectors) @ self.vectors.T
-
     def distance(self, x):
         """Euclidean distance of row vectors from the subspace."""
         x = np.asarray(x, dtype=float)
-        return _row_norms(np.atleast_2d(x - self.project(x)))
+        return _row_norms(np.atleast_2d(x - (x @ self.vectors) @ self.vectors.T))
 
 
 def orthonormal_complement(basis):

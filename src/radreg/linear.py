@@ -121,10 +121,10 @@ def _recover(X, y, depth, branch, trace):
 
     heavy = result
     if heavy.member_mask.all():
-        raise NonIdentifiable(f"nonzero covariates span only rank {heavy.dim} in dim {d} "
+        raise NonIdentifiable(f"nonzero covariates span only rank {heavy.basis.size} in dim {d} "
                               f"at recursion level {depth}", {"level": depth})
     trace.append({**entry, "outcome": "heavy-subspace",
-                  "heavy_dim": heavy.dim, "heavy_fraction": heavy.fraction})
+                  "heavy_dim": heavy.basis.size, "heavy_fraction": heavy.fraction})
 
     def descend(X_sub, y_sub, _, suffix):
         return _recover(X_sub, y_sub, depth + 1, branch + suffix, trace), False

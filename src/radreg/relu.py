@@ -243,7 +243,7 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None, _branch="root"):
 
     heavy = result
     trace = [{**entry, "outcome": "heavy-subspace",
-              "heavy_dim": heavy.dim, "heavy_fraction": heavy.fraction}]
+              "heavy_dim": heavy.basis.size, "heavy_fraction": heavy.fraction}]
 
     def descend(X_sub, y_sub, basis, suffix):
         # an accepting sub-call answers with its query, the coordinates of w0 in its basis
@@ -257,36 +257,25 @@ def sep_oracle(samples, w0, _depth=0, _start=None, _rows=None, _branch="root"):
     return _answer(not cut, trace, normal if cut else None)
 
 
-@dataclass
-class EllipsoidState:
-    """Ellipsoid {w : (w - center)^T shape^{-1} (w - center) <= 1}."""
-
-    center: np.ndarray
-    shape: np.ndarray
-
-
-def _stopped(state, radius, steps):
+def _stopped(center, radius, steps):
     """JSON-safe diagnostics of a stop: where the search stood."""
-    return {"center": state.center.tolist(), "radius": float(radius), "steps": steps}
+    return {"center": center.tolist(), "radius": float(radius), "steps": steps}
 
 
-def ellipsoid_cut(state, normal):
-    """Central cut keeping {w : normal . w <= normal . center}; NoRecovery
-    when the normal has no positive norm in the ellipsoid's shape."""
-    c, P = state.center, state.shape
-    d = c.shape[0]
-    Pg = P @ normal
+def ellipsoid_cut(center, shape, normal):
+    """Central cut of the ellipsoid {w : (w - center)^T shape^{-1} (w - center) <= 1}
+    keeping {w : normal . w <= normal . center}: the new (center, shape).
+    NoRecovery when the normal has no positive norm in the shape."""
+    d = center.shape[0]
+    Pg = shape @ normal
     denom = float(normal @ Pg)
     if not denom > 0.0:
         raise NoRecovery("cut direction has non-positive ellipsoid norm")
     b = Pg / math.sqrt(denom)
-    c_new = c - b / (d + 1)
     if d == 1:
-        P_new = P / 4.0
-    else:
-        P_new = (d * d / (d * d - 1.0)) * (P - (2.0 / (d + 1)) * np.outer(b, b))
-        P_new = 0.5 * (P_new + P_new.T)
-    return EllipsoidState(c_new, P_new)
+        return center - b / 2, shape / 4.0
+    P_new = (d * d / (d * d - 1.0)) * (shape - (2.0 / (d + 1)) * np.outer(b, b))
+    return center - b / (d + 1), 0.5 * (P_new + P_new.T)
 
 
 def ellipsoid_recover_relu(samples, config):
@@ -315,9 +304,8 @@ def ellipsoid_recover_relu(samples, config):
     buffer = np.empty(X.shape)  # see _candidate
     rows = _row_scales(X, y)
     radius = config.initial_radius
-    state = EllipsoidState(np.zeros(d), radius ** 2 * np.eye(d))
-    shrink = math.log(radius / (DELTA_MIN_RTOL * radius))
-    max_steps = int(math.ceil(2.0 * (d + 1) * d * shrink)) + 100
+    center, shape = np.zeros(d), radius ** 2 * np.eye(d)
+    max_steps = int(math.ceil(2.0 * (d + 1) * d * -math.log(DELTA_MIN_RTOL))) + 100
     volumes = [d * math.log(radius)]
     work = {"oracle_calls": 0, "isotropy_iterations": 0}
     certified_by = "candidate"
@@ -326,7 +314,7 @@ def ellipsoid_recover_relu(samples, config):
     for step in range(max_steps):
         if step > 0:  # the first center, w = 0, has no positive side to certify
             certified_by = "ellipsoid"
-            certified = _certify(X, state.center, rows, config.max_denominator)
+            certified = _certify(X, center, rows, config.max_denominator)
         if certified is not None:
             w_hat, snapped, fit_mask = certified
             return RecoveryReport(
@@ -341,7 +329,7 @@ def ellipsoid_recover_relu(samples, config):
                              "volume_logs": volumes},
             )
         try:
-            result = sep_oracle(samples, state.center, _start=start, _rows=rows)
+            result = sep_oracle(samples, center, _start=start, _rows=rows)
             for key in work:
                 work[key] += result.diagnostics[key]
             if result.accepted:
@@ -351,18 +339,18 @@ def ellipsoid_recover_relu(samples, config):
                     "target's bit complexity",
                     {"oracle": result.diagnostics},
                 )
-            state = ellipsoid_cut(state, result.normal)
+            center, shape = ellipsoid_cut(center, shape, result.normal)
         except RadregError as exc:  # a stop within the step: where it stood
-            exc.diagnostics = {**_stopped(state, radius, step), **exc.diagnostics}
+            exc.diagnostics = {**_stopped(center, radius, step), **exc.diagnostics}
             raise
         start = result.transform
         # one spectrum per step gives the definiteness check, the volume and the radius
-        evals = np.linalg.eigvalsh(state.shape)
+        evals = np.linalg.eigvalsh(shape)
         if not evals[0] > 0.0:
             raise NoRecovery(
                 f"ellipsoid shape lost positive definiteness (smallest "
                 f"eigenvalue {evals[0]:.3e})",
-                _stopped(state, math.sqrt(max(evals[-1], 0.0)), step + 1),
+                _stopped(center, math.sqrt(max(evals[-1], 0.0)), step + 1),
             )
         volumes.append(0.5 * float(np.log(evals).sum()))
         radius = math.sqrt(evals[-1])
@@ -370,10 +358,10 @@ def ellipsoid_recover_relu(samples, config):
             raise NoRecovery(
                 f"ellipsoid radius {radius:.3e} fell below DELTA_MIN_RTOL * initial_radius "
                 f"without a certified parameter",
-                _stopped(state, radius, step + 1),
+                _stopped(center, radius, step + 1),
             )
     raise NoRecovery(f"no certified parameter within {max_steps} steps",
-                     _stopped(state, radius, max_steps))
+                     _stopped(center, radius, max_steps))
 
 
 # --- transformed subgradient descent -----------------------------------------
@@ -435,8 +423,9 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_star=None):
         raise ContractViolation(f"mode must be one of {GD_MODES}, got {mode!r}")
     iters = _check_positive_int(iters, "iters")
     X, y = samples.x, samples.y
+    norms = _row_norms(X)
     if alpha is None:
-        mean_sq = float(np.mean(np.sum(X * X, axis=1)))
+        mean_sq = float(np.mean(norms ** 2))
         alpha = 1.0 if mode != "original" else 1.0 / mean_sq if mean_sq > 0.0 else math.inf
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ContractViolation(f"alpha must be positive and finite, got {alpha} "
@@ -445,7 +434,6 @@ def gd_relu_transformed(samples, mode, alpha=None, iters=100, w_star=None):
     if w_star is not None:
         w_star = samples.parameter(w_star, "w_star")
 
-    norms = _row_norms(X)
     trajectory = []
     for it in range(iters):
         z = X @ w

@@ -152,7 +152,7 @@ def check_forster_condition(points):
             count = int(members.sum())
             if count * d > r * n:
                 cand = HeavySubspace(basis, count / n, member_mask=members)
-                if best is None or cand.fraction - cand.dim / d > best.fraction - best.dim / d:
+                if best is None or cand.fraction - r / d > best.fraction - best.basis.size / d:
                     best = cand
         if best is not None:
             return False, best

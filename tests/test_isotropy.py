@@ -28,7 +28,6 @@ from radreg.isotropy import (
     _detect_heavy,
     _unit_rows,
     certifying_gamma,
-    find_heavy_subspace,
     radial_isotropize,
 )
 from radreg.linalg import RANK_RTOL, span_basis
@@ -61,7 +60,7 @@ class TestRadialIsotropize:
         pts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         out = radial_isotropize(pts, gamma=0.25)
         assert isinstance(out, HeavySubspace)
-        assert out.dim == 1
+        assert out.basis.size == 1
         assert out.fraction == pytest.approx(2.0 / 3.0)
         assert np.allclose(np.abs(out.basis.vectors.ravel()), [1.0, 0.0])
 
@@ -92,7 +91,7 @@ class TestRadialIsotropize:
         # fewer than d points never span R^d: their span is the heavy subspace
         out = radial_isotropize(np.eye(3)[:2], gamma=0.5)
         assert isinstance(out, HeavySubspace)
-        assert out.dim == 2
+        assert out.basis.size == 2
         assert out.fraction == 1.0
 
     def test_zero_vector_rejected(self):
@@ -115,7 +114,7 @@ class TestRadialIsotropize:
         basis = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         out = radial_isotropize(coeff @ basis, gamma=0.5)
         assert isinstance(out, HeavySubspace)
-        assert out.dim == 2
+        assert out.basis.size == 2
         assert out.fraction == 1.0
 
     def test_second_moment_trace(self):
@@ -126,15 +125,14 @@ class TestRadialIsotropize:
         assert np.trace(second_moment(U)) == pytest.approx(4.0)
 
 
-@pytest.mark.parametrize("search", [radial_isotropize, find_heavy_subspace])
 class TestInputIsTyped:
-    def test_no_points_raise_insufficient_points(self, search):
+    def test_no_points_raise_insufficient_points(self):
         # d / n used to raise a bare ZeroDivisionError
         with pytest.raises(InsufficientPoints):
-            search(np.empty((0, 3)))
+            radial_isotropize(np.empty((0, 3)))
 
     @pytest.mark.parametrize("n, d, value", [(200, 5, np.nan), (2, 2, np.nan), (2, 2, np.inf)])
-    def test_non_finite_point_is_refused_before_the_first_iteration(self, search, n, d, value,
+    def test_non_finite_point_is_refused_before_the_first_iteration(self, n, d, value,
                                                                     monkeypatch):
         # one NaN used to surface as a bare LinAlgError on a 200 x 5 set, and on
         # a 2 x 2 set as IsotropyStalled after 1020 iterations; inf also warned
@@ -145,7 +143,7 @@ class TestInputIsTyped:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ContractViolation, match=f"point {n - 1} has a non-finite norm"):
-                search(points)
+                radial_isotropize(points)
 
 
 class TestHeavySubspaceVerification:
@@ -158,35 +156,36 @@ class TestHeavySubspaceVerification:
 
     def test_planted_line_found(self):
         pts, k = self.plant(seed=21, m=100, d=3, frac=0.5)
-        out = find_heavy_subspace(pts)
-        assert out is not None
-        assert out.dim == 1
+        out = radial_isotropize(pts, certifying_gamma(*pts.shape))
+        assert isinstance(out, HeavySubspace)
+        assert out.basis.size == 1
         assert out.fraction == pytest.approx(k / 100)
         assert np.allclose(np.abs(out.basis.vectors.ravel()), [1.0, 0.0, 0.0])
 
     def test_fraction_recount_matches(self):
         pts, _ = self.plant(seed=22)
-        out = find_heavy_subspace(pts)
+        out = radial_isotropize(pts, certifying_gamma(*pts.shape))
         norms = np.linalg.norm(pts, axis=1)
         dist = out.basis.distance(pts)
         members = dist <= 1e-9 * norms
         assert members.sum() / len(pts) == pytest.approx(out.fraction, abs=1e-12)
-        assert out.fraction * out.basis.ambient_dim > out.dim  # strictly heavy
+        assert out.fraction * out.basis.ambient_dim > out.basis.size  # strictly heavy
         # every reported member is within the strict tolerance
         assert np.all(dist[out.member_mask] <= 1e-9 * norms[out.member_mask])
 
     def test_isotropic_cloud_has_none(self):
         rng = np.random.default_rng(23)
-        assert find_heavy_subspace(rng.standard_normal((80, 4))) is None
+        assert isinstance(radial_isotropize(rng.standard_normal((80, 4)), certifying_gamma(80, 4)),
+                          RadialTransform)
 
     def test_degenerate_full_span(self):
         rng = np.random.default_rng(24)
         coeff = rng.standard_normal((30, 2))
         basis = np.zeros((2, 4))
         basis[0, 0] = basis[1, 2] = 1.0
-        out = find_heavy_subspace(coeff @ basis)
-        assert out is not None
-        assert out.dim == 2
+        out = radial_isotropize(coeff @ basis, certifying_gamma(30, 4))
+        assert isinstance(out, HeavySubspace)
+        assert out.basis.size == 2
         assert out.fraction == 1.0
 
     def test_capture_set_spanning_the_space_is_refused(self):
@@ -225,24 +224,25 @@ class TestHeavySubspaceVerification:
         # a stall proves nothing, so it is not "none"
         monkeypatch.setattr(isotropy, "default_max_iters", lambda d, gamma: 0)
         with pytest.raises(IsotropyStalled):
-            find_heavy_subspace(stretched_cloud())
+            radial_isotropize(stretched_cloud(), certifying_gamma(200, 8))
 
     def test_stall_at_desk_scale_is_inconclusive(self, monkeypatch):
         # the same contract at d = 3
         monkeypatch.setattr(isotropy, "default_max_iters", lambda d, gamma: 0)
         with pytest.raises(IsotropyStalled):
-            find_heavy_subspace(stretched_cloud()[:40, :3])
+            radial_isotropize(stretched_cloud()[:40, :3], certifying_gamma(40, 3))
 
     def test_one_dim_has_no_heavy(self):
-        assert find_heavy_subspace(np.array([[1.0], [-2.0], [3.0]])) is None
+        out = radial_isotropize(np.array([[1.0], [-2.0], [3.0]]), certifying_gamma(3, 1))
+        assert isinstance(out, RadialTransform)
 
     def test_fewer_points_than_dimensions(self):
         # certifying_gamma(1, 2) is capped at DEFAULT_GAMMA: the margin, 1.0,
         # lies outside the (0, 1) radial_isotropize accepts
-        one = find_heavy_subspace(np.array([[3.0, 4.0]]))
-        assert one.dim == 1 and one.fraction == 1.0
-        two = find_heavy_subspace(np.eye(3)[:2])
-        assert two.dim == 2 and two.fraction == 1.0
+        one = radial_isotropize(np.array([[3.0, 4.0]]), certifying_gamma(1, 2))
+        assert one.basis.size == 1 and one.fraction == 1.0
+        two = radial_isotropize(np.eye(3)[:2], certifying_gamma(2, 3))
+        assert two.basis.size == 2 and two.fraction == 1.0
 
 
 def iterates(Xu, steps):
@@ -479,7 +479,7 @@ class TestNewtonPhase:
         found = radial_isotropize(Xu, gamma)
         expected = isotropize_fixed_point(Xu, gamma)
         assert solves[0] and solves.count(False) == 1 and not solves[-1]
-        assert isinstance(found, HeavySubspace) and found.dim == k
+        assert isinstance(found, HeavySubspace) and found.basis.size == k
         assert np.array_equal(found.basis.vectors, expected.basis.vectors)
         assert np.array_equal(found.member_mask, expected.member_mask)
         assert found.fraction == expected.fraction
@@ -583,7 +583,7 @@ class TestCholeskyStep:
             assert got.iterations_used == expected.iterations_used
             assert got.newton_steps == 0
         else:
-            assert got.dim == expected.dim and got.fraction == expected.fraction
+            assert got.basis.size == expected.basis.size and got.fraction == expected.fraction
             assert np.array_equal(got.member_mask, expected.member_mask)
 
     def test_one_eigendecomposition_on_the_mixture(self, monkeypatch):
@@ -635,7 +635,7 @@ class TestCheckForsterCondition:
         pts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         ok, witness = check_forster_condition(pts)
         assert not ok
-        assert witness.dim == 1
+        assert witness.basis.size == 1
         assert np.allclose(np.abs(witness.basis.vectors.ravel()), [1.0, 0.0])
 
     def test_random_general_position(self):
@@ -651,8 +651,8 @@ class TestCheckForsterCondition:
             if seed % 2:
                 pts[:14, 1:] = 0.0  # plant a heavy line
             ok, witness = check_forster_condition(pts)
-            found = find_heavy_subspace(pts)
-            assert ok == (found is None)
+            found = radial_isotropize(pts, certifying_gamma(24, 3))
+            assert ok == isinstance(found, RadialTransform)
 
 
 class TestCertifyingGamma:

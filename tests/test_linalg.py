@@ -46,14 +46,13 @@ class TestOrthonormalBasis:
         with pytest.raises(ContractViolation, match="is not k <= d columns"):
             OrthonormalBasis(vectors)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_projection_idempotent(self, seed):
-        rng = np.random.default_rng(seed)
+    def test_distance_is_the_norm_off_the_span(self):
+        rng = np.random.default_rng(0)
         B = span_basis(rng.standard_normal((3, 6)))
-        x = rng.standard_normal((10, 6))
-        once = B.project(x)
-        twice = B.project(once)
-        assert np.max(np.abs(twice - once)) <= 1e-12
+        inside = rng.standard_normal((10, 3)) @ B.vectors.T
+        off = rng.standard_normal((10, 3)) @ orthonormal_complement(B).vectors.T
+        assert np.max(B.distance(inside)) <= 1e-12
+        assert np.allclose(B.distance(inside + off), np.linalg.norm(off, axis=1), atol=1e-12)
 
 
 class TestAllZeroPoints:

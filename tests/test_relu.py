@@ -18,7 +18,6 @@ from radreg.linear import recover_linear
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
 from radreg.relu import (
     EllipsoidConfig,
-    EllipsoidState,
     SepResult,
     ellipsoid_cut,
     ellipsoid_recover_relu,
@@ -507,30 +506,30 @@ class TestEllipsoid:
                                                           eta=0.25)
         # generic start: at the origin every point sits on the query's kink,
         # so the gated statistic is vacuous there by construction
-        state = EllipsoidState(np.array([3.7, -1.3]), 400.0 * np.eye(2))
+        center, shape = np.array([3.7, -1.3]), 400.0 * np.eye(2)
         all_verified = True
         checked_cuts = 0
         start = None
         for _ in range(200):
-            snapped = snap_to_rational(state.center, 16).to_floats()
+            snapped = snap_to_rational(center, 16).to_floats()
             pred = np.maximum(corrupted.x @ snapped, 0.0)
             fits = np.abs(pred - corrupted.y) <= FIT_RTOL * (1 + np.abs(corrupted.y))
             if 2 * fits.sum() >= corrupted.m:
                 break
-            res = sep_oracle(corrupted, state.center, _start=start)
+            res = sep_oracle(corrupted, center, _start=start)
             assert not res.accepted
             if res.transform is not None:
-                margin = separation_margin(corrupted, record, state.center,
+                margin = separation_margin(corrupted, record, center,
                                            w_star, start)
                 all_verified &= margin > 0
-            state = ellipsoid_cut(state, res.normal)
+            center, shape = ellipsoid_cut(center, shape, res.normal)
             if warm:
                 start = res.transform
             # the guarantee is conditional on every query so far verifying
             if all_verified:
                 checked_cuts += 1
-                gap = state.center - w_star
-                quad = gap @ np.linalg.solve(state.shape, gap)
+                gap = center - w_star
+                quad = gap @ np.linalg.solve(shape, gap)
                 assert quad <= 1.0 + 1e-9, "target cut away despite verified queries"
         assert checked_cuts >= 10  # the check must actually have bitten
 
@@ -560,8 +559,8 @@ class TestEllipsoid:
     def test_indefinite_shape_raises_norecovery(self, monkeypatch):
         ellipsoid_only(monkeypatch)  # the candidate certifies the instance
 
-        def indefinite_cut(state, normal):
-            return EllipsoidState(state.center - 0.1 * normal, np.diag([4.0, -1e-3]))
+        def indefinite_cut(center, shape, normal):
+            return center - 0.1 * normal, np.diag([4.0, -1e-3])
 
         monkeypatch.setattr(relu, "ellipsoid_cut", indefinite_cut)
         with pytest.raises(NoRecovery, match="positive definiteness") as info:
@@ -637,9 +636,9 @@ class TestEllipsoid:
     def test_volume_logs_are_half_the_logdet_after_each_cut(self, monkeypatch):
         shapes = [30.0**2 * np.eye(3)]
 
-        def recording_cut(state, normal):
-            new = ellipsoid_cut(state, normal)
-            shapes.append(new.shape)
+        def recording_cut(center, shape, normal):
+            new = ellipsoid_cut(center, shape, normal)
+            shapes.append(new[1])
             return new
 
         monkeypatch.setattr(relu, "ellipsoid_cut", recording_cut)
@@ -664,18 +663,41 @@ class TestEllipsoid:
         assert json.loads(json.dumps(diagnostics)) == diagnostics
 
     def test_cut_geometry(self):
-        state = EllipsoidState(np.zeros(2), 4.0 * np.eye(2))
-        new = ellipsoid_cut(state, np.array([1.0, 0.0]))
-        assert new.center[0] < 0  # moved away from the cut side
-        assert np.linalg.det(new.shape) < np.linalg.det(state.shape)
+        shape = 4.0 * np.eye(2)
+        center, new_shape = ellipsoid_cut(np.zeros(2), shape, np.array([1.0, 0.0]))
+        assert center[0] < 0  # moved away from the cut side
+        assert np.linalg.det(new_shape) < np.linalg.det(shape)
         # cut keeps {w1 <= 0}: the kept halfplane still intersects the ellipsoid
-        assert new.center[0] + math.sqrt(new.shape[0, 0]) > 0
+        assert center[0] + math.sqrt(new_shape[0, 0]) > 0
 
     def test_d1_cut_halves(self):
-        state = EllipsoidState(np.zeros(1), np.array([[4.0]]))
-        new = ellipsoid_cut(state, np.array([1.0]))
-        assert new.shape[0, 0] == pytest.approx(1.0)  # the radius halves, 2 -> 1
-        assert new.center[0] == pytest.approx(-1.0)
+        center, shape = ellipsoid_cut(np.zeros(1), np.array([[4.0]]), np.array([1.0]))
+        assert shape[0, 0] == pytest.approx(1.0)  # the radius halves, 2 -> 1
+        assert center[0] == pytest.approx(-1.0)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8))
+    def test_cut_keeps_the_half_ellipsoid_at_the_minimal_volume(self, seed, d):
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((d, d))
+        shape = 10.0 ** rng.uniform(-2, 2) * (G @ G.T + 0.1 * np.eye(d))
+        center = rng.standard_normal(d) * 10.0 ** rng.uniform(-2, 2)
+        normal = rng.standard_normal(d)
+        new_center, new_shape = ellipsoid_cut(center, shape, normal)
+        # points of the old ellipsoid, half of them on its boundary, on the kept side
+        u = rng.standard_normal((400, d))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        u[200:] *= rng.uniform(size=(200, 1)) ** (1.0 / d)
+        w = center + u @ np.linalg.cholesky(shape).T
+        kept = w[(w - center) @ normal <= 0.0]
+        gap = kept - new_center
+        quad = np.einsum("ij,ij->i", gap, np.linalg.solve(new_shape, gap.T).T)
+        assert np.all(quad <= 1.0 + 1e-9)
+        # the Lowner-John ellipsoid of the half: det ratio ((d/(d+1)) (d^2/(d^2-1))^((d-1)/2))^2
+        ratio = 0.25 if d == 1 else ((d / (d + 1)) * (d * d / (d * d - 1.0)) ** ((d - 1) / 2)) ** 2
+        sign, logdet = np.linalg.slogdet(new_shape)
+        assert sign == 1.0
+        assert logdet - np.linalg.slogdet(shape)[1] == pytest.approx(math.log(ratio), abs=1e-10)
 
     @pytest.mark.parametrize("seed, d, m", [(0, 3, 2000), (1, 3, 2000), (20, 3, 2000),
                                             (21, 3, 2000), (5, 20, 5000)])
