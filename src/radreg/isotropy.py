@@ -302,8 +302,10 @@ def certifying_gamma(n, d):
     subspace pass, so every recursion level asks for this one. Returned with
     a factor-2 margin, capped at DEFAULT_GAMMA where that cannot matter: for
     n, d >= 2 the margin is at most 1/2, and at d = 1 or n = 1 a level
-    settles at iteration 0.
+    settles at iteration 0. No points raise InsufficientPoints.
     """
+    if n < 1:  # before d / n divides by zero
+        raise InsufficientPoints("no points to certify a gap for")
     if d < 2:
         return DEFAULT_GAMMA
     return min(DEFAULT_GAMMA, d / (2.0 * n * (d - 1)))

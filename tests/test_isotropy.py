@@ -125,14 +125,20 @@ class TestRadialIsotropize:
         assert np.trace(second_moment(U)) == pytest.approx(4.0)
 
 
+def at_certifying_gap(points):
+    """The search every recursion level of the library runs."""
+    return radial_isotropize(points, certifying_gamma(*np.atleast_2d(points).shape))
+
+
+@pytest.mark.parametrize("search", [radial_isotropize, at_certifying_gap])
 class TestInputIsTyped:
-    def test_no_points_raise_insufficient_points(self):
+    def test_no_points_raise_insufficient_points(self, search):
         # d / n used to raise a bare ZeroDivisionError
         with pytest.raises(InsufficientPoints):
-            radial_isotropize(np.empty((0, 3)))
+            search(np.empty((0, 3)))
 
     @pytest.mark.parametrize("n, d, value", [(200, 5, np.nan), (2, 2, np.nan), (2, 2, np.inf)])
-    def test_non_finite_point_is_refused_before_the_first_iteration(self, n, d, value,
+    def test_non_finite_point_is_refused_before_the_first_iteration(self, search, n, d, value,
                                                                     monkeypatch):
         # one NaN used to surface as a bare LinAlgError on a 200 x 5 set, and on
         # a 2 x 2 set as IsotropyStalled after 1020 iterations; inf also warned
@@ -143,7 +149,7 @@ class TestInputIsTyped:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ContractViolation, match=f"point {n - 1} has a non-finite norm"):
-                radial_isotropize(points)
+                search(points)
 
 
 class TestHeavySubspaceVerification:

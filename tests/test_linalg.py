@@ -54,6 +54,19 @@ class TestOrthonormalBasis:
         assert np.max(B.distance(inside)) <= 1e-12
         assert np.allclose(B.distance(inside + off), np.linalg.norm(off, axis=1), atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_projection_idempotent(self, seed):
+        # distance is the norm of x minus its projection onto the span: the
+        # projection lies in the span, and what is left lies off it
+        rng = np.random.default_rng(seed)
+        B = span_basis(rng.standard_normal((3, 6)))
+        x = rng.standard_normal((10, 6))
+        once = (x @ B.vectors) @ B.vectors.T
+        off = x - once
+        assert np.max(B.distance(once)) <= 1e-12
+        assert np.allclose(B.distance(off), np.linalg.norm(off, axis=1), atol=1e-12)
+        assert np.allclose(B.distance(x), np.linalg.norm(off, axis=1), atol=1e-12)
+
 
 class TestAllZeroPoints:
     def test_span_basis_raises(self):
