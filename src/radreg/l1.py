@@ -244,13 +244,14 @@ def _least_squares(X, y, weights=None, out=None):
 
 
 def _reweighted(X, y, scales=None, out=None):
-    """(round, w) for rounds 1..IRLS_ROUNDS of reweighted least squares
-    (Schlossmacher, JASA 1973) from the least-squares fit, with weights
-    1 / max(|r_i|, FIT_RTOL * (1 + |y_i|)), so a row already fit exactly gets
+    """(round, w) for rounds 0..IRLS_ROUNDS of reweighted least squares
+    (Schlossmacher, JASA 1973): round 0 is the least-squares fit, and each later round weighs
+    by 1 / max(|r_i|, FIT_RTOL * (1 + |y_i|)), so a row already fit exactly gets
     the largest weight; LinAlgError when the weighted rows do not span. With ``scales`` s, on
     (x_i/s_i, y_i/s_i) without forming them: each weight over s_i^2, weighted rows in ``out``."""
     s = 1.0 if scales is None else scales
     w = _least_squares(X, y, None if scales is None else 1.0 / s**2, out)
+    yield 0, w
     floor = FIT_RTOL * (1.0 + np.abs(y / s))
     for rounds in range(1, IRLS_ROUNDS + 1):
         w = _least_squares(X, y, 1.0 / (s**2 * np.maximum(np.abs(y - X @ w) / s, floor)), out)
@@ -311,7 +312,7 @@ def lad_fit(samples):
             if n < HALF_ROWS_PER_DIM * d:
                 if rounds == VERTEX_IRLS_ROUNDS:
                     break
-            elif rounds % 2 == 0:
+            elif rounds and rounds % 2 == 0:
                 half = _proven_fit(samples, _best_rows(X, y, w, n // 2))
                 if half is not None:
                     return half, _lad_info("half", rounds)

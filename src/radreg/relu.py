@@ -4,11 +4,12 @@ A^T mean_i(s_i u_i) with the signs s_i read from the raw rows.
 
 The l1 loss of a ReLU model is non-convex, so instead of direct minimization
 ``ellipsoid_recover_relu`` looks for a parameter whose snap passes the
-majority certificate, in this order: an LP-free candidate, the
-least-squares fit on the half of the rows (x/|x|, y/|x|) that reweighted
-least squares ranks best; then the centers of a central-cut ellipsoid
-method, each after its cut. The report's ``certified_by`` says which
-answered.
+majority certificate, in this order: an LP-free candidate, least squares
+on the rows (x/|x|, y/|x|) with positive labels, where the ReLU of w* is
+linear (their fit when it fits every one of them, else the fit on the half
+that reweighted least squares ranks best); then the centers of a
+central-cut ellipsoid method, each after its cut. The report's
+``certified_by`` says which answered.
 
 The certificate, ``_majority_fit``, judges each point on (x/|x|, y/|x|). A
 parameter w passes when it fits at least half of all the points and a
@@ -156,27 +157,35 @@ def _certify(X, w, rows, max_denominator):
 def _candidate(X, y, rows, max_denominator, buffer):
     """The LP-free try of ``ellipsoid_recover_relu``: (certified, rounds).
 
-    After every second round of reweighted least squares on the rows
-    (x/|x|, y/|x|), the least-squares fit on the floor(m/2) best-ranked rows
-    goes to ``_certify``. ``certified`` is its first answer, or None once
-    the rounds run out or the rows, weighted or chosen, do not span;
-    ``rounds`` counts the rounds run. No ball bounds the try. ``buffer``, of X's shape, takes
-    every weighted copy of X, its halves the half fit's rows (``np.take`` mode "raise" would copy
-    them) and their weighted copy: with more arrays that large per fit, glibc returned the heap
-    top to the system after some fits but not others, and the next fit page-faulted it back in.
+    It fits the k rows with y > 0 on (x/|x|, y/|x|): on w*'s positive side a ReLU is linear, and a
+    row with a positive label lies there unless the adversary wrote it. Their least-squares fit
+    goes to ``_certify`` when it fits every one of them; after every second round of reweighted
+    least squares, so does the least-squares fit on the floor(k/2) rows it ranks best. ``_certify``
+    judges each w on all m rows. ``certified`` is its first answer, or None once the rounds run
+    out or the rows, weighted or chosen, do not span; ``rounds`` counts the rounds run, 0 when the
+    start certified. No ball bounds the try. ``buffer``, of 2m rows, takes the k rows, then every
+    weighted copy of them, the half fit's rows (``np.take`` mode "raise" would copy them) and their
+    weighted copy: with more arrays that large per fit, glibc returned the heap top to the system
+    after some fits but not others, and the next fit page-faulted it back in.
     """
-    _, scales, _ = rows
-    half = X.shape[0] // 2
+    _, scales, y_scaled = rows
+    positive = y_scaled > 0.0
+    k = int(np.count_nonzero(positive))
+    Xp = np.compress(positive, X, axis=0, out=buffer[:k])
+    yp, sp = y[positive], scales[positive]
+    half = k // 2
     rounds = 0
     try:
-        for rounds, w in _reweighted(X, y, scales, buffer):
-            if rounds % 2 == 0:
-                best = _best_rows(X, y, w, half, scales)
-                Xb = np.take(X, best, axis=0, out=buffer[half:2 * half], mode="clip")
-                certified = _certify(X, _least_squares(Xb, y[best], 1.0 / scales[best]**2,
-                                                       buffer[:half]), rows, max_denominator)
-                if certified is not None:
-                    return certified, rounds
+        for rounds, w in _reweighted(Xp, yp, sp, buffer[k:2 * k]):
+            if rounds and rounds % 2 == 0:  # the least-squares fit on the best-ranked half
+                best = _best_rows(Xp, yp, w, half, sp)
+                Xb = np.take(Xp, best, axis=0, out=buffer[k + half:k + 2 * half], mode="clip")
+                w = _least_squares(Xb, yp[best], 1.0 / sp[best]**2, buffer[k:k + half])
+            elif rounds or not exact_fit_mask(Xp @ w / sp, y_scaled[positive]).all():
+                continue
+            certified = _certify(X, w, rows, max_denominator)
+            if certified is not None:
+                return certified, rounds
     except np.linalg.LinAlgError:
         pass
     return None, rounds
@@ -289,7 +298,8 @@ def ellipsoid_recover_relu(samples, config):
     center, w = 0, cannot pass. The budget counts ellipsoid steps only.
 
     The report's diagnostics hold ``certified_by`` (``"candidate"``, or
-    ``"ellipsoid"`` for a center), ``irls_rounds`` (the candidate's), ``steps``,
+    ``"ellipsoid"`` for a center), ``irls_rounds`` (the candidate's reweighted rounds: 0 with
+    ``"candidate"`` means its least-squares start certified), ``steps``,
     ``final_radius``, ``oracle_calls``, ``isotropy_iterations`` and ``volume_logs``, the
     log-volume 0.5 * logdet(shape) before the first cut and after each. The candidate's path
     makes no step: its counts are 0, its radius the initial one, and its ``volume_logs`` hold
@@ -301,7 +311,7 @@ def ellipsoid_recover_relu(samples, config):
     """
     X, y = samples.x, samples.y
     d = samples.d
-    buffer = np.empty(X.shape)  # see _candidate
+    buffer = np.empty((2 * X.shape[0], d))  # see _candidate
     rows = _row_scales(X, y)
     radius = config.initial_radius
     center, shape = np.zeros(d), radius ** 2 * np.eye(d)

@@ -131,7 +131,7 @@ class TestFitCommands:
         assert report["w_snapped"]["values"] == [2.0, 1.0]
         diagnostics = report["diagnostics"]
         assert diagnostics["certified_by"] == "candidate"
-        assert type(diagnostics["irls_rounds"]) is int and diagnostics["irls_rounds"] >= 1
+        assert type(diagnostics["irls_rounds"]) is int and diagnostics["irls_rounds"] == 0
         assert diagnostics["steps"] == diagnostics["oracle_calls"] == 0
         assert diagnostics["isotropy_iterations"] == 0
         assert diagnostics["volume_logs"] == [pytest.approx(2 * np.log(5.0))]

@@ -435,6 +435,16 @@ class TestLadCandidate:
         assert info["lad"] == "half" and info["irls_rounds"] % 2 == 0
         assert info["lp_solves"] == 0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_half_fit_waits_for_round_2_on_clean_labels(self, seed):
+        # round 0, the least-squares start, already fits every row of an eta = 0
+        # set with n = 20d; the half fit is still tried first after round 2
+        X = np.random.default_rng(seed).standard_normal((60, 3))
+        w_star = np.array([3.0, -2.0, 1.0])
+        w, info = lad_fit(LabeledDataset(X, X @ w_star))
+        assert (info["lad"], info["irls_rounds"], info["lp_solves"]) == ("half", 2, 0)
+        np.testing.assert_allclose(w, w_star, rtol=0.0, atol=1e-12)
+
     @staticmethod
     def zero_third_column():
         X = np.random.default_rng(3).standard_normal((60, 3))

@@ -15,7 +15,7 @@ from radreg.errors import (ContractViolation, DimensionMismatch, HalfspaceEmpty,
 from radreg.isotropy import RadialTransform, _unit_rows
 from radreg.l1 import FIT_RTOL, IRLS_ROUNDS, snap_to_rational
 from radreg.linear import recover_linear
-from radreg.noise import FlipNegate, MassartSpec, corrupt_massart
+from radreg.noise import Constant, FlipNegate, MassartSpec, corrupt_massart
 from radreg.relu import (
     EllipsoidConfig,
     SepResult,
@@ -49,15 +49,21 @@ def shifted_relu_instance(seed, d=3, m=2000, eta=0.3, w_range=5):
     return corrupted, record, w_star
 
 
-def centered_relu_instance(i, d=3, m=2000):
-    """ROADMAP item 2's repro: standard normal covariates with no mean
-    shift, so about half the labels are clean zeros."""
+def centered_relu_instance(i, d=3, m=2000, eta=0.2, strategy=FlipNegate()):
+    """Standard normal covariates with no mean shift, so about half the
+    labels are clean zeros."""
     rng = np.random.default_rng(i)
     w_star = rng.integers(-5, 6, size=d).astype(float)
     X = rng.standard_normal((m, d))
     corrupted, _ = corrupt_massart(LabeledDataset(X, np.maximum(X @ w_star, 0.0)),
-                                   MassartSpec(0.2, FlipNegate(), i))
+                                   MassartSpec(eta, strategy, i))
     return corrupted, w_star
+
+
+def constant_relu_instance(i):
+    """A centered draw with 40% of the labels set to 1: those are about 4/7
+    of the positive labels, and the candidate refuses on i = 0-5 and 7-11."""
+    return centered_relu_instance(i, eta=0.4, strategy=Constant(1.0))
 
 
 def two_points_on_the_query_side():
@@ -642,7 +648,7 @@ class TestEllipsoid:
             return new
 
         monkeypatch.setattr(relu, "ellipsoid_cut", recording_cut)
-        corrupted, _ = centered_relu_instance(0)  # the candidate refuses here
+        corrupted, _ = constant_relu_instance(0)  # the candidate refuses here
         report = ellipsoid_recover_relu(corrupted, EllipsoidConfig(30.0, max_denominator=16))
         volumes = report.diagnostics["volume_logs"]
         assert len(volumes) == report.diagnostics["steps"] + 1 == len(shapes) > 1
@@ -708,8 +714,9 @@ class TestEllipsoid:
         report = ellipsoid_recover_relu(corrupted, cfg)
         assert report.w_snapped.to_fractions() == fractions_of(w_star)
         diagnostics = report.diagnostics
+        # the least-squares start on the positive labels fits them all and certifies
         assert diagnostics["certified_by"] == "candidate"
-        assert 1 <= diagnostics["irls_rounds"] <= IRLS_ROUNDS
+        assert diagnostics["irls_rounds"] == 0
         assert diagnostics["steps"] == diagnostics["oracle_calls"] == 0
         assert diagnostics["isotropy_iterations"] == 0
         assert diagnostics["final_radius"] == 30.0
@@ -721,12 +728,44 @@ class TestEllipsoid:
         assert alone.diagnostics["steps"] > 0
         assert report.w_snapped == alone.w_snapped
 
+    @pytest.mark.parametrize("seed, d, m", [(0, 3, 2000), (1, 3, 2000), (20, 3, 2000),
+                                            (21, 3, 2000), (5, 20, 5000)])
+    def test_a_rewritten_positive_label_defers_the_candidate_to_a_half_fit(self, seed, d, m):
+        # the start then misses a row it was fit on, so round 0 certifies nothing;
+        # the reweighted rounds rank that row out and a half fit answers alike
+        corrupted, _, w_star = shifted_relu_instance(seed, d=d, m=m)
+        y = corrupted.y.copy()
+        y[np.flatnonzero(y > 0.0)[0]] *= 3.0
+        cfg = EllipsoidConfig(initial_radius=30.0, max_denominator=16)
+        report = ellipsoid_recover_relu(LabeledDataset(corrupted.x, y), cfg)
+        diagnostics = report.diagnostics
+        assert diagnostics["certified_by"] == "candidate" and diagnostics["steps"] == 0
+        assert diagnostics["irls_rounds"] >= 2 and diagnostics["irls_rounds"] % 2 == 0
+        assert report.w_snapped == ellipsoid_recover_relu(corrupted, cfg).w_snapped
+        assert report.w_snapped.to_fractions() == fractions_of(w_star)
+
     def test_candidate_answers_as_the_ellipsoid_does_on_centered_draws(self, monkeypatch):
-        # the centered draws: w = 0 has no positive side and never passes;
-        # the candidate refuses after all its rounds and the ellipsoid answers
+        # 20% of the labels negated: a negated label is not positive, so the
+        # start fits only clean rows; w = 0 has no positive side and never passes
         config = EllipsoidConfig(initial_radius=30, max_denominator=16)
         for i in range(10):
             corrupted, _ = centered_relu_instance(i)
+            report = ellipsoid_recover_relu(corrupted, config)
+            with monkeypatch.context() as patch:
+                ellipsoid_only(patch)
+                alone = ellipsoid_recover_relu(corrupted, config)
+            assert report.w_snapped == alone.w_snapped, f"instance {i}"
+            assert report.diagnostics["certified_by"] == "candidate"
+            assert report.diagnostics["irls_rounds"] == report.diagnostics["steps"] == 0
+            assert alone.diagnostics["steps"] > 0
+
+    def test_candidate_refuses_constant_labels_and_the_ellipsoid_answers(self, monkeypatch):
+        # 40% of the labels set to 1, about 4/7 of the positive ones: the
+        # candidate refuses after all its rounds and the ellipsoid answers
+        # (draw 6 is left out: there a half fit certifies the target at round 2)
+        config = EllipsoidConfig(initial_radius=30, max_denominator=16)
+        for i in [0, 1, 2, 3, 4, 5, 7, 8, 9, 10]:
+            corrupted, _ = constant_relu_instance(i)
             report = ellipsoid_recover_relu(corrupted, config)
             with monkeypatch.context() as patch:
                 ellipsoid_only(patch)
@@ -737,26 +776,30 @@ class TestEllipsoid:
             assert report.diagnostics["steps"] == alone.diagnostics["steps"] > 0
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_candidate_refuses_fewer_than_2d_rows(self, seed):
-        # floor(m/2) = 2 rows cannot span R^3: the half fit after the second
-        # round raises LinAlgError and the ellipsoid answers
+    def test_candidate_refuses_positive_labels_that_do_not_span(self, seed):
+        # two rows 4 units along w*/|w*| and three 4 units against it: the two
+        # positive labels cannot span R^3, the start raises LinAlgError and the
+        # ellipsoid answers
         rng = np.random.default_rng(seed)
         w_star = np.array([2.0, -1.0, 1.0])
-        X = rng.standard_normal((5, 3)) + 2.0 * w_star / np.linalg.norm(w_star)
+        side = np.array([1.0, 1.0, -1.0, -1.0, -1.0])[:, None]
+        X = rng.standard_normal((5, 3)) + 4.0 * side * w_star / np.linalg.norm(w_star)
         ds = LabeledDataset(X, np.maximum(X @ w_star, 0.0))
+        assert np.count_nonzero(ds.y > 0.0) == 2
         report = ellipsoid_recover_relu(ds, EllipsoidConfig(initial_radius=5.0,
                                                             max_denominator=4))
         assert report.w_snapped.to_fractions() == fractions_of(w_star)
         diagnostics = report.diagnostics
         assert diagnostics["certified_by"] == "ellipsoid"
-        assert diagnostics["irls_rounds"] == 2
+        assert diagnostics["irls_rounds"] == 0
         assert diagnostics["oracle_calls"] >= diagnostics["steps"] > 0
 
     def test_the_warm_start_recovers_targets_a_cold_search_misses(self, monkeypatch):
-        # m = 5 rows give the candidate floor(m/2) = 2 < d rows, so the
-        # ellipsoid answers every draw. Each oracle call started from the
-        # previous cut's transform, it recovers 14 of 18 targets; every call
-        # started from the identity, 11, all among the 14
+        # on m = 5 rows, without the candidate, the ellipsoid answers every
+        # draw. Each oracle call started from the previous cut's transform, it
+        # recovers 14 of 18 targets; every call started from the identity, 11,
+        # all among the 14
+        ellipsoid_only(monkeypatch)
         config = EllipsoidConfig(30.0, 16)
 
         def recovered():
@@ -786,7 +829,7 @@ class TestEllipsoid:
     def test_the_row_scales_are_taken_once_per_fit(self, monkeypatch):
         # every step's oracle call reads the fit's row norms, scales and scaled
         # labels; taken again per call they measurably slow a centered d=3 search
-        corrupted, _ = centered_relu_instance(0)
+        corrupted, _ = constant_relu_instance(0)
         calls = []
         row_scales = relu._row_scales
 
@@ -817,8 +860,9 @@ RESCALED_RELU_DRAWS = {
     # the candidate answers
     "shifted": ("candidate", [lambda seed=seed: shifted_relu_instance(seed)[0]
                               for seed in range(10)]),
+    "centered-flip": ("candidate", [lambda i=i: centered_relu_instance(i)[0] for i in range(6)]),
     # the candidate refuses and the ellipsoid answers
-    "centered": ("ellipsoid", [lambda i=i: centered_relu_instance(i)[0] for i in range(6)]),
+    "centered": ("ellipsoid", [lambda i=i: constant_relu_instance(i)[0] for i in range(6)]),
 }
 
 
