@@ -28,10 +28,11 @@ where the rank and degeneracy tests decide (see ``_cholesky_inverse``).
 
 The fixed point converges linearly, and it crawls where only approximate
 transforms exist, as when a k-dimensional subspace holds exactly k/d of the
-points. So once two scheduled detector runs (iterations DETECT_EVERY - 1
-and 2 DETECT_EVERY - 1) have found no heavy subspace, each iteration takes
-a damped Newton step on Barthe's convex potential (Barthe, *Invent. Math.*
-1998) at the current images v_i instead:
+points. So from the scheduled detector run that verifies such a span
+(count * d == k * n, in integers), or else from the second run (iteration
+2 DETECT_EVERY - 1) once two runs have found no heavy subspace, each
+iteration takes a damped Newton step on Barthe's convex potential (Barthe,
+*Invent. Math.* 1998) at the current images v_i instead:
 
     f(delta) = log det S(delta) - (d/n) sum delta_i,
     S(delta) = (d/n) sum e^{delta_i} v_i v_i^T,   A <- S(delta)^{-1/2} A.
@@ -51,12 +52,17 @@ subspace's points collapse and the system stays singular. The switch waits
 for the detector because f has no minimizer on a set with a heavy
 subspace, and Newton steps there are wasted work: taken from iteration 0,
 they made a 1000-point set in R^16 with a heavy plane about 7 times slower
-to settle. It waits for a second run because many sets converge at the
-fixed point's own pace within a few dozen iterations. Newton steps would
-hand those a different certified transform, and a different transform can
-make a different LAD vertex optimal, which changes which noisy instances
-are recovered exactly. Sets that converge before the second detector run
-follow the fixed point exactly, up to a left rotation.
+to settle. A verified exactly-k/d span marks the crawl, and the detector
+run that verifies it runs anyway, so the mark costs nothing: on 200 of 700
+points on 4 of 14 dims the first run verifies the span and the call ends
+after 27 iterations, not 52. Without one the switch waits for a second
+run, because many sets converge at the fixed point's own pace within a
+few dozen iterations. Newton steps would hand those a different certified
+transform, and a different transform can make a different LAD vertex
+optimal, which changes which noisy instances are recovered exactly. Sets
+that converge before the second detector run, and on which no run
+verified an exactly-k/d span, follow the fixed point exactly, up to a
+left rotation.
 
 No transform exists exactly when some k-dimensional subspace holds strictly
 more than a k/d fraction of the points (Hardt & Moitra, COLT 2013). When
@@ -111,7 +117,8 @@ class RadialTransform:
     number of A (about 1e-8 at 1e8). A is not symmetric in general; a
     parameter w' of the images maps back as w = A^T w'.
     ``iterations_used`` counts fixed-point and Newton steps alike;
-    ``newton_steps`` counts the Newton steps among them.
+    ``newton_steps`` counts the Newton steps among them, and
+    ``newton_from`` is the iteration of the first one (None without one).
     """
 
     matrix: np.ndarray
@@ -120,6 +127,7 @@ class RadialTransform:
     log_condition_number: float
     images: np.ndarray = field(repr=False, compare=False)
     newton_steps: int = 0
+    newton_from: int | None = None
 
     def apply(self, points, labels=None):
         """Map (x, y) to (A x / |A x|, y / |A x|); returns images or a pair."""
@@ -131,6 +139,7 @@ class RadialTransform:
             "iterations_used": self.iterations_used,
             "log_condition_number": self.log_condition_number,
             "newton_steps": self.newton_steps,
+            "newton_from": self.newton_from,
         }
 
 
@@ -160,41 +169,47 @@ def _unit_rows(points, labels=None):
 
 def _verify_candidate(Xu, loose):
     """Snap the captured points onto their own span and verify it is heavy.
-    Returns a HeavySubspace or None; a non-None result is always a certified
-    answer, and the verdict depends on Xu and the capture set alone."""
+    Returns (HeavySubspace or None, exact): a non-None subspace is always a
+    certified answer, and ``exact`` says the span holds exactly k/d of the
+    points, where the fixed point crawls. Both verdicts depend on Xu and
+    the capture set alone."""
     n, d = Xu.shape
     fitted = span_basis(Xu[loose])
     if fitted.size >= d:
-        return None
+        return None, False
     strict = fitted.distance(Xu) <= MEMBER_RTOL
     if not strict.any():
-        return None
+        return None, False
     refit = span_basis(Xu[strict])
     if refit.size >= d:
-        return None
+        return None, False
     members = refit.distance(Xu) <= MEMBER_RTOL
     count, k = int(members.sum()), refit.size
     if count * d > k * n:  # strict fraction test in integer arithmetic
-        return HeavySubspace(refit, count / n, member_mask=members)
-    return None
+        return HeavySubspace(refit, count / n, member_mask=members), False
+    return None, count * d == k * n
 
 
 def _detect_heavy(Xu, A, evecs):
     """Try every top-k eigenspace of M, mapped back through A, as a candidate.
 
-    ``evecs`` are the eigenvectors of M in ascending order.
+    ``evecs`` are the eigenvectors of M in ascending order. Returns the
+    first heavy subspace found (or None), and whether some candidate tried
+    before it verified a span of exactly k/d of the points.
     """
     n, d = Xu.shape
     Q, _ = np.linalg.qr(np.linalg.solve(A, evecs[:, ::-1]))
     # tail[:, k]: squared distance of each point to the span of Q[:, :k]
     tail = np.cumsum(((Xu @ Q) ** 2)[:, ::-1], axis=1)[:, ::-1]
+    crawl = False
     for k in range(1, d):
         loose = tail[:, k] <= ANGULAR_TOL ** 2
         if loose.any():
-            found = _verify_candidate(Xu, loose)
+            found, exact = _verify_candidate(Xu, loose)
             if found is not None:
-                return found
-    return None
+                return found, crawl
+            crawl = crawl or exact
+    return None, crawl
 
 
 def _newton_moment(U, evals, evecs):
@@ -273,7 +288,7 @@ def _cholesky_inverse(M):
     return L_inv
 
 
-def _certified(A, lam_min, it, newton_steps, U):
+def _certified(A, lam_min, it, newton_steps, newton_from, U):
     """The RadialTransform of iterate A, whose images U certified lam_min."""
     sig = np.linalg.svd(A, compute_uv=False)
     return RadialTransform(
@@ -282,6 +297,7 @@ def _certified(A, lam_min, it, newton_steps, U):
         iterations_used=it,
         log_condition_number=float(np.log(sig[0] / sig[-1])),
         newton_steps=newton_steps,
+        newton_from=newton_from,
         images=U,
     )
 
@@ -335,7 +351,8 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA):
 
     A = np.eye(d)
     target = 1.0 - gamma
-    newton_steps = 0
+    newton_steps, newton_from = 0, None
+    newton_at = NEWTON_AFTER  # sooner from a detector run that verifies an exactly-k/d span
     newton = True  # until a Newton step fails
     U = Xu  # already unit, and A is still the identity at it == 0
     for it in range(max_iters + 1):
@@ -344,7 +361,7 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA):
             U = V / _row_norms(V)[:, None]
         M = (d / n) * (U.T @ U)
         detect = it % DETECT_EVERY == DETECT_EVERY - 1 or it == max_iters
-        if not (detect or newton and it >= NEWTON_AFTER):
+        if not (detect or newton and it >= newton_at):
             L_inv = _cholesky_inverse(M)
             if L_inv is not None:
                 # no rank or degeneracy decision here (see _cholesky_inverse),
@@ -352,7 +369,7 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA):
                 if lapack.dpotrf(M - target * np.eye(d), lower=1)[1] == 0:
                     evals = np.linalg.eigvalsh(M)
                     if evals[0] >= target:
-                        return _certified(A, evals[0], it, newton_steps, U)
+                        return _certified(A, evals[0], it, newton_steps, newton_from, U)
                 A = L_inv @ A
                 continue
         evals, evecs = np.linalg.eigh(M)
@@ -376,24 +393,28 @@ def radial_isotropize(points, gamma=DEFAULT_GAMMA):
             A = math.sqrt(n / d) * np.linalg.inv(R.T)
             continue
         if evals[0] >= target:
-            return _certified(A, evals[0], it, newton_steps, U)
+            return _certified(A, evals[0], it, newton_steps, newton_from, U)
         degenerate = evals[0] <= DEGENERATE_RTOL * max(evals[-1], 1.0)
         if degenerate or detect:
-            found = _detect_heavy(Xu, A, evecs)
+            found, crawl = _detect_heavy(Xu, A, evecs)
             if found is not None:
                 return found
+            if crawl:
+                newton_at = min(newton_at, it)
             if degenerate or it == max_iters:
                 raise IsotropyStalled(
                     f"no transform reached gamma={gamma} within {max_iters} "
                     "iterations and no heavy subspace could be verified"
                 )
-        if newton and it >= NEWTON_AFTER:  # two detector runs found nothing: a stall
+        if newton and it >= newton_at:  # a crawl, or two detector runs found nothing
             step = _newton_moment(U, evals, evecs)
             if step is None:
                 newton = False
             else:
                 evals, evecs = step
                 newton_steps += 1
+                if newton_from is None:
+                    newton_from = it
         A = (evecs * (1.0 / np.sqrt(np.maximum(evals, 1e-300)))) @ (evecs.T @ A)
     raise AssertionError("unreachable")
 

@@ -187,10 +187,12 @@ def detect_heavy_per_candidate(Xu, A, M):
 
     Every top-k eigenspace of M, mapped back through A, gets its own
     orthonormal basis from ``span_basis``; the points within ANGULAR_TOL of
-    it are verified, the first heavy span found wins.
+    it are verified, the first heavy span found wins. Returns it (or None)
+    and whether a candidate before it verified exactly k/d of the points.
     """
     n, d = Xu.shape
     _, evecs = np.linalg.eigh(M)
+    crawl = False
     for k in range(1, d):
         back = np.linalg.solve(A, evecs[:, d - k:])
         try:
@@ -199,10 +201,11 @@ def detect_heavy_per_candidate(Xu, A, M):
             continue
         loose = cand.distance(Xu) <= ANGULAR_TOL
         if loose.any():
-            found = _verify_candidate(Xu, loose)
+            found, exact = _verify_candidate(Xu, loose)
             if found is not None:
-                return found
-    return None
+                return found, crawl
+            crawl = crawl or exact
+    return None, crawl
 
 
 def second_moment(points):
@@ -273,7 +276,7 @@ def isotropize_fixed_point(points, gamma, max_iters=2000):
             return RadialTransform(A, max(0.0, 1.0 - float(evals[0])), it,
                                    float(np.log(sig[0] / sig[-1])), images=U)
         if it % DETECT_EVERY == DETECT_EVERY - 1:
-            found = _detect_heavy(Xu, A, evecs)
+            found, _ = _detect_heavy(Xu, A, evecs)
             if found is not None:
                 return found
         A = (evecs * (1.0 / np.sqrt(np.maximum(evals, 1e-300)))) @ (evecs.T @ A)

@@ -197,7 +197,7 @@ class TestHeavySubspaceVerification:
     def test_capture_set_spanning_the_space_is_refused(self):
         # a capture set whose span is all of R^d holds no proper subspace to verify
         Xu = _unit_rows(np.random.default_rng(25).standard_normal((20, 3)))
-        assert isotropy._verify_candidate(Xu, np.ones(20, dtype=bool)) is None
+        assert isotropy._verify_candidate(Xu, np.ones(20, dtype=bool)) == (None, False)
 
     def test_capture_set_whose_span_holds_no_point_is_refused(self):
         # four points 0.9e-9 off e1 along both other axes: their span drops
@@ -210,7 +210,7 @@ class TestHeavySubspaceVerification:
         loose = np.arange(20) < 4
         fitted = span_basis(Xu[loose])
         assert fitted.size == 1 and (fitted.distance(Xu) > MEMBER_RTOL).all()
-        assert isotropy._verify_candidate(Xu, loose) is None
+        assert isotropy._verify_candidate(Xu, loose) == (None, False)
 
     def test_strict_members_spanning_the_space_are_refused(self):
         # four captured points on the plane x3 = 0 span it exactly; twelve more
@@ -224,7 +224,7 @@ class TestHeavySubspaceVerification:
         fitted = span_basis(Xu[loose])
         strict = fitted.distance(Xu) <= MEMBER_RTOL
         assert fitted.size == 2 and strict.all() and span_basis(Xu[strict]).size == 3
-        assert isotropy._verify_candidate(Xu, loose) is None
+        assert isotropy._verify_candidate(Xu, loose) == (None, False)
 
     def test_stall_is_inconclusive(self, monkeypatch):
         # a stall proves nothing, so it is not "none"
@@ -297,9 +297,9 @@ class TestDetectorMatchesPerCandidateSVDs:
             # A is not symmetric after the first step; a rotation on the left
             # makes it less so and must change neither answer
             for A_, M_ in ((A, M), (rotation @ A, rotation @ M @ rotation.T)):
-                new = _detect_heavy(Xu, A_, np.linalg.eigh(M_)[1])
-                old = detect_heavy_per_candidate(Xu, A_, M_)
-                assert (new is None) == (old is None)
+                new, new_crawl = _detect_heavy(Xu, A_, np.linalg.eigh(M_)[1])
+                old, old_crawl = detect_heavy_per_candidate(Xu, A_, M_)
+                assert (new is None) == (old is None) and new_crawl == old_crawl
                 if new is not None:
                     found_any = True
                     assert np.array_equal(new.basis.vectors, old.basis.vectors)
@@ -434,7 +434,8 @@ class TestCertifiedImages:
 
 
 class TestNewtonPhase:
-    """Damped Newton steps on Barthe's potential once two detector runs miss."""
+    """Damped Newton steps on Barthe's potential once a detector run verifies
+    a span of exactly k/d of the points, or once two detector runs miss."""
 
     @staticmethod
     def count_newton_steps(monkeypatch):
@@ -460,18 +461,58 @@ class TestNewtonPhase:
         # exist. The fixed point alone takes about 370 iterations on 200 of
         # 700 points in R^14, about 96 on 50 of 200 in R^20. The Newton system
         # is solved as it stands when n <= d(d+1)/2, through Woodbury otherwise:
-        # the 200-point sets take the one path, the 700-point sets the other
+        # the 200-point sets take the one path, the 700-point sets the other.
+        # The first detector run verifies the 4-dim span of the 700-point sets,
+        # and the Newton steps start there; it misses the 5-dim span of the
+        # 200-point sets, which wait for the second run
         assert (n <= d * (d + 1) // 2) == (n == 200)
         Xu = on_subspace(np.random.default_rng(seed), n, d, k, heavy)
         gamma = certifying_gamma(n, d)
         t = radial_isotropize(Xu, gamma)
         assert isinstance(t, RadialTransform)
         assert t.iterations_used <= 3 * DETECT_EVERY
-        assert 1 <= t.newton_steps <= t.iterations_used - NEWTON_AFTER
+        if n == 700:
+            assert t.newton_from == DETECT_EVERY - 1 and t.iterations_used < NEWTON_AFTER
+        else:
+            assert t.newton_from == NEWTON_AFTER
+        assert 1 <= t.newton_steps <= t.iterations_used - t.newton_from
         assert t.gamma_achieved <= gamma
         slack = np.finfo(float).eps * np.linalg.cond(t.matrix)
         assert min_isotropy_eig(t.apply(Xu)) >= 1.0 - t.gamma_achieved - slack
         assert isotropize_fixed_point(Xu, gamma).iterations_used > 3 * DETECT_EVERY
+
+    def test_one_point_short_of_k_over_d_waits_for_the_second_run(self, monkeypatch):
+        # the exactly-k/d signal is integer equality: with 199 of 700 points
+        # on the 4 dims no span verifies, and the iterates up to the first
+        # Newton step, at the second detector run, are the fixed point's up
+        # to a left rotation
+        Xu = on_subspace(np.random.default_rng(0), 700, 14, 4, 199)
+        gamma = certifying_gamma(700, 14)
+        images = []
+        newton = isotropy._newton_moment
+        monkeypatch.setattr(isotropy, "_newton_moment",
+                            lambda U, *rest: images.append(U) or newton(U, *rest))
+        t = radial_isotropize(Xu, gamma)
+        assert isinstance(t, RadialTransform)
+        assert t.newton_from == NEWTON_AFTER and t.newton_steps >= 1
+        (A, _), = iterates(Xu, (NEWTON_AFTER,))
+        expected = _unit_rows(Xu @ A.T)
+        np.testing.assert_allclose(images[0] @ images[0].T, expected @ expected.T,
+                                   rtol=0.0, atol=1e-9)
+
+    def test_one_point_past_k_over_d_is_heavy(self, monkeypatch):
+        # with 201 of 700 points on the 4 dims, the detector returns the same
+        # heavy subspace as the fixed point's, before any Newton step
+        Xu = on_subspace(np.random.default_rng(0), 700, 14, 4, 201)
+        gamma = certifying_gamma(700, 14)
+        solves = self.count_newton_steps(monkeypatch)
+        found = radial_isotropize(Xu, gamma)
+        expected = isotropize_fixed_point(Xu, gamma)
+        assert solves == []
+        assert isinstance(found, HeavySubspace) and found.basis.size == 4
+        assert np.array_equal(found.basis.vectors, expected.basis.vectors)
+        assert np.array_equal(found.member_mask, expected.member_mask)
+        assert found.fraction == expected.fraction == 201 / 700
 
     @pytest.mark.parametrize("n, d, k", [(200, 4, 2), (200, 6, 1)])
     def test_barely_heavy_set_found_after_newton_steps(self, n, d, k, monkeypatch):

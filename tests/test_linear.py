@@ -9,7 +9,13 @@ from radreg import l1, linear
 from radreg.bench import SyntheticSpec, make_synthetic_dataset
 from radreg.data import LabeledDataset
 from radreg.errors import ContractViolation, InsufficientPoints, NonIdentifiable
-from radreg.isotropy import _unit_rows, certifying_gamma, radial_isotropize
+from radreg.isotropy import (
+    DETECT_EVERY,
+    NEWTON_AFTER,
+    _unit_rows,
+    certifying_gamma,
+    radial_isotropize,
+)
 from radreg.l1 import l1_fit_linear, snap_to_rational
 from radreg.linear import recover_linear
 from radreg.noise import FlipNegate, MassartSpec, corrupt_massart, gated_flip
@@ -35,6 +41,20 @@ def planted_heavy_instance(seed, m=300, on_line=180, w_star=(3.0, -2.0),
     X = X[rng.permutation(m)]
     clean = LabeledDataset(X, X @ np.asarray(w_star))
     return corrupt_massart(clean, MassartSpec(eta, FlipNegate(), seed + 1))[0]
+
+
+def heavy_recursion_instance(seed, d=16, m=1000):
+    """The benchmark's recursion family: 30% of the rows in span(e1, e2) and
+    20% more in span(e1..e6), so the root's heavy plane leaves 200 of 700
+    rows on 4 of the 14 dims of V-perp, exactly 4/14."""
+    rng = np.random.default_rng(seed)
+    w_star = rng.integers(-5, 6, size=d).astype(float)
+    X = rng.standard_normal((m, d))
+    X[:3 * m // 10, 2:] = 0.0
+    X[3 * m // 10:m // 2, 6:] = 0.0
+    X = X[rng.permutation(m)]
+    clean = LabeledDataset(X, X @ w_star)
+    return corrupt_massart(clean, MassartSpec(0.2, FlipNegate(), seed + 1))[0], w_star
 
 
 def mixture_instance(seed, d, n, eta=0.2):
@@ -222,7 +242,19 @@ class TestRecoverLinearRecursive:
         assert [(e["lad"], e["irls_rounds"], e["lp_rows"], e["lp_solves"], e["lp_iterations"])
                 for e in leaves] == [("half", 2, 0, 0, 0), ("half", 2, 0, 0, 0)]
         # dim-1 leaves converge long before the first detector run
-        assert [e["isotropy"]["newton_steps"] for e in leaves] == [0, 0]
+        assert [(e["isotropy"]["newton_steps"], e["isotropy"]["newton_from"])
+                for e in leaves] == [(0, None), (0, None)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exactly_k_over_d_leaf_takes_newton_steps_from_the_first_detector_run(self, seed):
+        ds, w_star = heavy_recursion_instance(seed)
+        report = recover_linear(ds)
+        (vperp,) = [e for e in report.recursion_trace if e["branch"] == "root/Vperp"]
+        assert (vperp["dim"], vperp["n_points"]) == (14, 700)
+        iso = vperp["isotropy"]
+        assert iso["newton_from"] == DETECT_EVERY - 1
+        assert iso["newton_steps"] >= 1 and iso["iterations_used"] < NEWTON_AFTER
+        assert report.w_snapped.to_fractions() == fractions_of(w_star)
 
 
 class TestCandidateAndCertify:
