@@ -46,11 +46,12 @@ it solves the LP. When more than half of the rows are fit exactly by one w,
 as under Massart noise with eta < 1/2, a least-squares fit on a half of the
 rows that holds only such rows is that w to rounding; with fewer rows, the
 minimizer is a vertex that interpolates d of them, and the w that
-interpolates d independent rows it fits is that vertex. Iteratively
-reweighted least squares (Schlossmacher, JASA 1973) ranks the rows by
-residual for either choice. The half fit is tried from HALF_ROWS_PER_DIM
-rows per dimension on, then the vertex at every size; each is kept only
-when ``lad_optimal`` proves it, and HiGHS solves the LP when neither is.
+interpolates d independent rows it fits is that vertex. From HALF_ROWS_PER_DIM
+rows per dimension on, the concentration steps of FAST-LTS (Rousseeuw & Van
+Driessen, Data Min. Knowl. Discov. 2006) refit on the half of the rows with the
+smallest residuals under the last fit. The vertex, tried at every size, starts
+from the last C-step, or below from reweighted least squares (Schlossmacher,
+JASA 1973). A try is kept only when ``lad_optimal`` proves it, else HiGHS solves the LP.
 """
 
 import math
@@ -80,15 +81,14 @@ DUALITY_GAP_RTOL = 1e-8
 DUAL_FEAS_TOL = 1e-7
 # Rounds of alternating projections before lad_optimal gives up. The
 # half-fit answers of the benchmark's 1560 leaves with n >= 6d (seeds
-# 0-19) certify within 36 rounds, 1384 of them in one.
+# 0-19) certify within 37 rounds, 1384 of them in one.
 CERTIFY_ROUNDS = 100
-# Reweighted rounds before the half fit of lad_fit gives up. On those 1560
-# leaves it certified at round 2 to 12.
+# Reweighted rounds before the ReLU candidate gives up, and C-steps before the
+# half fit of lad_fit does. On those 1560 leaves it certified at C-step 1 to 6.
 IRLS_ROUNDS = 16
 # Rows per dimension from which lad_fit tries the half fit, before the vertex.
-# On d=30, n=120 mixture leaves (4d rows) a half fit took 11 ms against 9 ms
-# for the LP and certified 24 of 40. On d=100, n=750 leaves the half fit
-# certified 6 of 6 and the vertex 3 of them, so there the half fit goes first.
+# On 40 d=30, n=120 mixture leaves (4d rows) the C-steps certify 28 of the 29
+# leaves the vertex certifies, and no other, so below it the vertex goes first.
 HALF_ROWS_PER_DIM = 6
 # Reweighted rounds that rank the rows for the vertex below HALF_ROWS_PER_DIM
 # rows per dimension.
@@ -235,12 +235,16 @@ def lad_optimal(samples, w):
 
 
 def _least_squares(X, y, weights=None, out=None):
-    """argmin_w sum_i weights_i (y_i - w.x_i)^2 by the normal equations, the
-    weighted rows written to ``out``; LinAlgError when the rows do not span."""
+    """argmin_w sum_i weights_i (y_i - w.x_i)^2 by the normal equations, the weighted rows
+    written to ``out``; LinAlgError when the rows do not span or the equations overflow."""
     if X.shape[0] < X.shape[1]:  # the Cholesky factor of a singular Gram can pass
         raise LinAlgError(f"{X.shape[0]} rows cannot span dimension {X.shape[1]}")
     Xw = X if weights is None else np.multiply(X, weights[:, None], out=out)
-    return cho_solve(cho_factor(Xw.T @ X), Xw.T @ y)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows of |x| near 1e155 and up
+        gram, rhs = Xw.T @ X, Xw.T @ y
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise LinAlgError("the normal equations overflow")
+    return cho_solve(cho_factor(gram, check_finite=False), rhs, check_finite=False)
 
 
 def _reweighted(X, y, scales=None, out=None):
@@ -258,24 +262,34 @@ def _reweighted(X, y, scales=None, out=None):
         yield rounds, w
 
 
+def _c_steps(X, y):
+    """(step, w, exact) per C-step: least squares on the floor(n/2) rows with the smallest |r_i|
+    under the last fit (first on all rows), in one work array; ``exact`` when w fits its whole
+    half. A caller resumes only after refusing w. The steps end when the half repeats, when
+    a refused exact w fits the next half too (ties among over n/2 exact fits), or at IRLS_ROUNDS."""
+    half = X.shape[0] // 2
+    work = np.empty((half, X.shape[1]))
+    tol = FIT_RTOL * (1.0 + np.abs(y))
+    r = np.abs(y - X @ _least_squares(X, y))
+    for step in range(1, IRLS_ROUNDS + 1):
+        new = np.zeros(len(y), dtype=bool)  # a mask: sorted indices raised the peak RSS
+        new[np.argpartition(r, half - 1)[:half]] = True
+        if step > 1 and (rows[new].all() or exact and (r[new] <= tol[new]).all()):
+            return
+        rows = new
+        w = _least_squares(np.compress(rows, X, axis=0, out=work), y[rows])
+        r = np.abs(y - X @ w)
+        exact = bool((r[rows] <= tol[rows]).all())
+        yield step, w, exact
+
+
 def _best_rows(X, y, w, k, scales=1.0):
     """Indices of the k rows with the smallest |y_i - w.x_i| / scales_i."""
     return np.argpartition(np.abs(y - X @ w) / scales, k - 1)[:k]
 
 
-def _proven_fit(samples, rows):
-    """The least-squares fit on ``rows`` when it fits every one of them
-    exactly and ``lad_optimal`` proves it a minimizer on all rows, else None;
-    LinAlgError when ``rows`` do not span."""
-    Xr, yr = samples.x[rows], samples.y[rows]
-    w = _least_squares(Xr, yr)
-    if exact_fit_mask(Xr @ w, yr).all() and lad_optimal(samples, w):
-        return w
-    return None
-
-
 def _lad_info(lad, rounds, lp_rows=0, lp_iterations=0):
-    return {"lad": lad, "irls_rounds": rounds, "lp_rows": lp_rows,
+    return {"lad": lad, "rounds": rounds, "lp_rows": lp_rows,
             "lp_solves": int(lp_rows > 0), "lp_iterations": lp_iterations}
 
 
@@ -284,12 +298,11 @@ def lad_fit(samples):
 
     Three tries, in order; the first that gives a w returns it.
 
-    - ``"half"``, with n >= HALF_ROWS_PER_DIM * d rows: after every second
-      reweighted round (``_reweighted``, at most IRLS_ROUNDS), the
-      least-squares fit on the floor(n/2) rows with the smallest |r_i|.
-    - ``"vertex"``: after VERTEX_IRLS_ROUNDS rounds, or after the half fit's
-      last round, the w' that interpolates the d rows with the smallest
-      |r_i|, refit by least squares on every row w' fits exactly.
+    - ``"half"``, with n >= HALF_ROWS_PER_DIM * d rows: each C-step of FAST-LTS (Rousseeuw &
+      Van Driessen 2006; ``_c_steps``), least squares on the floor(n/2) rows of smallest |r_i|.
+    - ``"vertex"``: from the last C-step, or below that size after VERTEX_IRLS_ROUNDS
+      reweighted rounds (``_reweighted``), the w' that interpolates the d rows
+      with the smallest |r_i|, refit on every row w' fits exactly.
     - ``"lp"``: ``l1_fit_linear`` on all n rows.
 
     The first two keep a fit only when it fits every row it was fit on
@@ -297,29 +310,31 @@ def lad_fit(samples):
     proof counts residuals within FIT_RTOL as exact fits, so without the
     first test a fit that misses a rewritten row with a small residual,
     and lies 1e-7 or so off the target, could pass. When the rows, weighted
-    or chosen, do not span, the LP is solved. No randomness is used.
+    or chosen, do not span or overflow, the LP is solved. No randomness is used.
 
-    ``info`` holds ``lad``, the try that gave w, ``irls_rounds``, the
-    reweighted rounds run, and ``lp_rows``, ``lp_solves`` and
-    ``lp_iterations``, the LP's rows, solves and simplex iterations (0 when
-    no LP was solved). The LP raises what ``l1_fit_linear`` raises.
+    ``info`` holds ``lad``, the try that gave w, ``rounds``, the C-steps or
+    (below HALF_ROWS_PER_DIM * d rows) reweighted rounds run, and ``lp_rows``,
+    ``lp_solves`` and ``lp_iterations``, the LP's rows, solves and simplex
+    iterations (0 when no LP was solved). The LP raises what ``l1_fit_linear`` raises.
     """
     X, y = samples.x, samples.y
     n, d = X.shape
     rounds = 0
     try:
-        for rounds, w in _reweighted(X, y):
-            if n < HALF_ROWS_PER_DIM * d:
+        if n < HALF_ROWS_PER_DIM * d:
+            for rounds, w in _reweighted(X, y):
                 if rounds == VERTEX_IRLS_ROUNDS:
                     break
-            elif rounds and rounds % 2 == 0:
-                half = _proven_fit(samples, _best_rows(X, y, w, n // 2))
-                if half is not None:
-                    return half, _lad_info("half", rounds)
+        else:
+            for rounds, w, exact in _c_steps(X, y):
+                if exact and lad_optimal(samples, w):
+                    return w, _lad_info("half", rounds)
         best = _best_rows(X, y, w, d)
-        vertex = _proven_fit(samples, exact_fit_mask(X @ np.linalg.solve(X[best], y[best]), y))
-        if vertex is not None:
-            return vertex, _lad_info("vertex", rounds)
+        rows = exact_fit_mask(X @ np.linalg.solve(X[best], y[best]), y)
+        Xr, yr = X[rows], y[rows]
+        w = _least_squares(Xr, yr)
+        if exact_fit_mask(Xr @ w, yr).all() and lad_optimal(samples, w):
+            return w, _lad_info("vertex", rounds)
     except LinAlgError:
         pass
     fit = l1_fit_linear(samples)

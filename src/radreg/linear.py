@@ -5,11 +5,11 @@ Each recursion level drops the zero covariates and asks
 a gap no set with a heavy subspace passes. When one exists, the level
 minimizes the rescaled least-absolute-deviations loss and maps the
 minimizer w' back as w = A^T w', A the transform. The minimizer comes from
-``l1.lad_fit``: with n >= 6d points a least-squares fit on the best-ranked
-half of the rescaled rows, then at every size the vertex through the d
+``l1.lad_fit``: from 6d points C-steps (least squares on the half of the
+rescaled rows the last fit ranks best), then the vertex through the d
 best-ranked rows, each kept only when a dual point proves it a minimizer on
-all n rows, and otherwise the LAD LP on all n rows. The leaf's trace entry
-names the try that gave it (``lad``: ``half``, ``vertex`` or ``lp``). When
+all n rows, else the LAD LP. The leaf's trace entry names the try (``lad``:
+``half``, ``vertex`` or ``lp``) and its ranking ``rounds``. When
 the points concentrate on a subspace V instead, ``_split`` recovers the
 projection of the target onto V from the points inside it, subtracts that
 component from the labels of the remaining points, and recurses on the

@@ -425,24 +425,25 @@ class TestLadCandidate:
         y[rewritten] = -y[rewritten]
         return LabeledDataset(X, y)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_a_half_holding_a_rewritten_row_is_refused(self, seed):
+    @pytest.mark.parametrize("seed, steps", [(0, 3), (1, 4), (2, 3), (3, 4)])
+    def test_a_half_holding_a_rewritten_row_is_refused(self, seed, steps):
         # least squares on a half that holds one of the ten rows misses that
         # row and lands up to about 3e-7 from the target, which lad_optimal
-        # still passes within FIT_RTOL; a half fit must fit its whole half
+        # still passes within FIT_RTOL; a half fit must fit its whole half,
+        # and the C-steps go on after one that does not
         w, info = lad_fit(self.tiny_rewritten_labels(seed))
         np.testing.assert_allclose(w, self.W_STAR, rtol=0.0, atol=1e-12)
-        assert info["lad"] == "half" and info["irls_rounds"] % 2 == 0
+        assert (info["lad"], info["rounds"]) == ("half", steps)
         assert info["lp_solves"] == 0
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_the_half_fit_waits_for_round_2_on_clean_labels(self, seed):
-        # round 0, the least-squares start, already fits every row of an eta = 0
-        # set with n = 20d; the half fit is still tried first after round 2
+    def test_the_half_fit_is_first_tried_at_step_1_on_clean_labels(self, seed):
+        # step 0, the least-squares start, already fits every row of an eta = 0
+        # set with n = 20d; only the refit on a half, step 1, goes to the proof
         X = np.random.default_rng(seed).standard_normal((60, 3))
         w_star = np.array([3.0, -2.0, 1.0])
         w, info = lad_fit(LabeledDataset(X, X @ w_star))
-        assert (info["lad"], info["irls_rounds"], info["lp_solves"]) == ("half", 2, 0)
+        assert (info["lad"], info["rounds"], info["lp_solves"]) == ("half", 1, 0)
         np.testing.assert_allclose(w, w_star, rtol=0.0, atol=1e-12)
 
     @staticmethod
@@ -460,8 +461,25 @@ class TestLadCandidate:
     def test_rows_that_do_not_span_give_no_candidate(self, rows):
         X = getattr(self, rows)()
         w, info = lad_fit(LabeledDataset(X, X @ np.arange(1.0, X.shape[1] + 1)))
-        assert (info["lad"], info["irls_rounds"], info["lp_rows"], info["lp_solves"]) == (
+        assert (info["lad"], info["rounds"], info["lp_rows"], info["lp_solves"]) == (
             "lp", 0, X.shape[0], 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [60, 12])
+    def test_rows_near_1e200_reach_the_lp_and_stall_naming_the_entry(self, n):
+        # the Gram matrix of such rows overflows; the C-steps (60 rows) and the
+        # vertex's reweighted rounds (12) give up at step 0 without a warning,
+        # and HiGHS refuses the entries
+        X = np.random.default_rng(0).standard_normal((n, 3)) * 1e200
+        with pytest.raises(np.linalg.LinAlgError, match="overflow"):
+            radreg.l1._least_squares(X, X @ [1.0, 2.0, 3.0])
+        with pytest.raises(SolverStalled, match="large_matrix_value") as info:
+            lad_fit(LabeledDataset(X, X @ [1.0, 2.0, 3.0]))
+        index = info.value.diagnostics["index"]
+        assert info.value.diagnostics == {"input": "x", "index": index,
+                                          "magnitude": float(np.abs(X).max()),
+                                          "large_matrix_value": 1e15}
+        assert np.abs(X[tuple(index)]) == np.abs(X).max()
 
 
 class TestL0Bruteforce:

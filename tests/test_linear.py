@@ -18,7 +18,7 @@ from radreg.isotropy import (
 )
 from radreg.l1 import l1_fit_linear, snap_to_rational
 from radreg.linear import recover_linear
-from radreg.noise import FlipNegate, MassartSpec, corrupt_massart, gated_flip
+from radreg.noise import FlipNegate, MassartSpec, Scale, corrupt_massart, gated_flip
 
 from oracles import l0_fit_bruteforce
 
@@ -55,6 +55,15 @@ def heavy_recursion_instance(seed, d=16, m=1000):
     X = X[rng.permutation(m)]
     clean = LabeledDataset(X, X @ w_star)
     return corrupt_massart(clean, MassartSpec(0.2, FlipNegate(), seed + 1))[0], w_star
+
+
+def highdim_instance(seed, d=100, m=750):
+    """The benchmark's LAD family: Gaussian rows, an integer target in
+    [-3, 3], labels scaled by -100 at eta 0.2."""
+    rng = np.random.default_rng(seed)
+    w_star = rng.integers(-3, 4, size=d).astype(float)
+    X = rng.standard_normal((m, d))
+    return corrupt_massart(LabeledDataset(X, X @ w_star), MassartSpec(0.2, Scale(-100.0), seed))[0]
 
 
 def mixture_instance(seed, d, n, eta=0.2):
@@ -236,11 +245,11 @@ class TestRecoverLinearRecursive:
         assert obj["model"] == "linear"
         assert obj["recursion_depth"] == 1
         assert obj["w_snapped"]["values"] == [3.0, -2.0]
-        # both dim-1 leaves (180 and 120 points) certify a half fit at the
-        # first check, round 2, and solve no LP
+        # both dim-1 leaves (180 and 120 points) certify a half fit, at
+        # C-steps 1 and 2, and solve no LP
         leaves = [e for e in obj["recursion_trace"] if e["outcome"] == "transform"]
-        assert [(e["lad"], e["irls_rounds"], e["lp_rows"], e["lp_solves"], e["lp_iterations"])
-                for e in leaves] == [("half", 2, 0, 0, 0), ("half", 2, 0, 0, 0)]
+        assert [(e["lad"], e["rounds"], e["lp_rows"], e["lp_solves"], e["lp_iterations"])
+                for e in leaves] == [("half", 1, 0, 0, 0), ("half", 2, 0, 0, 0)]
         # dim-1 leaves converge long before the first detector run
         assert [(e["isotropy"]["newton_steps"], e["isotropy"]["newton_from"])
                 for e in leaves] == [(0, None), (0, None)]
@@ -266,18 +275,17 @@ class TestCandidateAndCertify:
         ds = mixture_instance(seed, d=5, n=200)
         report = recover_linear(ds)
         (leaf,) = report.recursion_trace
-        assert leaf["lad"] == "half" and leaf["irls_rounds"] >= 2
+        assert (leaf["lad"], leaf["rounds"]) == ("half", 1)
         assert (leaf["lp_rows"], leaf["lp_solves"], leaf["lp_iterations"]) == (0, 0, 0)
         assert report.w_snapped == full_lp_snapped(ds)
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("eta", [0.0, 0.1, 0.3, 0.45])
-    def test_the_candidate_is_the_full_lp_answer_up_to_eta_045(self, eta, seed):
+    @pytest.mark.parametrize("eta, steps", [(0.0, 1), (0.1, 1), (0.3, 2), (0.45, 2)])
+    def test_the_candidate_is_the_full_lp_answer_up_to_eta_045(self, eta, steps, seed):
         ds = mixture_instance(seed, d=5, n=200, eta=eta)
         transform, rescaled = leaf_data(ds)
         w, info = l1.lad_fit(rescaled)
-        assert info["lad"] == "half"
-        assert 2 <= info["irls_rounds"] <= l1.IRLS_ROUNDS and info["irls_rounds"] % 2 == 0
+        assert (info["lad"], info["rounds"]) == ("half", steps)
         assert snap_to_rational(transform.matrix.T @ w, 10**6) == full_lp_snapped(ds)
 
     @pytest.mark.parametrize("seed, eta", [(0, 0.0), (1, 0.0), (2, 0.0), (0, 0.1), (1, 0.1),
@@ -288,7 +296,7 @@ class TestCandidateAndCertify:
         ds = mixture_instance(seed, d=10, n=40, eta=eta)
         transform, rescaled = leaf_data(ds)
         w, info = l1.lad_fit(rescaled)
-        assert (info["lad"], info["irls_rounds"]) == ("vertex", l1.VERTEX_IRLS_ROUNDS)
+        assert (info["lad"], info["rounds"]) == ("vertex", l1.VERTEX_IRLS_ROUNDS)
         assert snap_to_rational(transform.matrix.T @ w, 10**6) == full_lp_snapped(ds)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -305,15 +313,15 @@ class TestCandidateAndCertify:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_a_majority_fit_off_the_optimum_is_refused(self, seed):
-        # the best-ranked half of the rows lies on the plane, where every
-        # third coordinate fits, so the half fit gives none at its first
-        # check and the LP on all 200 rows takes the third coordinate from
-        # the points off the plane, not from the rewritten ones
+        # the half that the least-squares start ranks best lies on the plane,
+        # where every third coordinate fits, so C-step 1 has rows that do not
+        # span; the LP on all 200 rows takes the third coordinate from the
+        # points off the plane, not from the rewritten ones
         ds = plane_instance(seed)
         report = recover_linear(ds)
         (leaf,) = report.recursion_trace
-        assert (leaf["lad"], leaf["irls_rounds"], leaf["lp_rows"], leaf["lp_solves"]) == (
-            "lp", 2, 200, 1)
+        assert (leaf["lad"], leaf["rounds"], leaf["lp_rows"], leaf["lp_solves"]) == (
+            "lp", 0, 200, 1)
         assert report.w_snapped == full_lp_snapped(ds)
         assert report.w_snapped.to_fractions() == fractions_of(PLANE_TARGET)
 
@@ -325,14 +333,16 @@ class TestCandidateAndCertify:
         ds = plane_instance(seed, n=17, on_plane=11)
         report = recover_linear(ds)
         (leaf,) = report.recursion_trace
-        assert (leaf["lad"], leaf["irls_rounds"], leaf["lp_rows"], leaf["lp_solves"]) == (
+        assert (leaf["lad"], leaf["rounds"], leaf["lp_rows"], leaf["lp_solves"]) == (
             "lp", l1.VERTEX_IRLS_ROUNDS, 17, 1)
         assert report.w_snapped == full_lp_snapped(ds)
 
-    @pytest.mark.parametrize("n, rounds", [(200, l1.IRLS_ROUNDS), (25, l1.VERTEX_IRLS_ROUNDS)])
+    @pytest.mark.parametrize("n, rounds", [(200, 1), (25, l1.VERTEX_IRLS_ROUNDS)])
     def test_failed_certificate_falls_back_to_the_full_lp(self, n, rounds, monkeypatch):
-        # from 6d rows the half fit runs every round first; below, the vertex
-        # tries once; either way one LP on all n rows follows
+        # from 6d rows the C-steps run first: C-step 1 fits its half exactly,
+        # and with its proof refused they stop, since it fits the next half
+        # too (181 of the 200 rows); below, the vertex tries once; either way
+        # one LP on all n rows follows
         rows, iterations = [], []
 
         def recorded(samples):
@@ -347,20 +357,20 @@ class TestCandidateAndCertify:
         report = recover_linear(ds)
         (leaf,) = report.recursion_trace
         assert rows == [n]
-        assert (leaf["lad"], leaf["irls_rounds"]) == ("lp", rounds)
+        assert (leaf["lad"], leaf["rounds"]) == ("lp", rounds)
         assert (leaf["lp_rows"], leaf["lp_solves"]) == (n, 1)
         assert leaf["lp_iterations"] == iterations[0] > 0
         assert report.w_snapped == full_lp_snapped(ds)
 
     @pytest.mark.parametrize("n, lad, rounds", [(29, "vertex", l1.VERTEX_IRLS_ROUNDS),
-                                                (30, "half", 2)])
+                                                (30, "half", 1)])
     def test_the_candidate_needs_6d_rows(self, n, lad, rounds):
         # below 6d rows the vertex is the first try, from 6d the half fit;
         # on noiseless rows either is proven and no LP is solved
         w_star = [2.0, -1.0, 3.0, 0.0, 5.0]
         report = recover_linear(realizable(n, n, 5, w_star))
         (leaf,) = report.recursion_trace
-        assert (leaf["lad"], leaf["irls_rounds"]) == (lad, rounds)
+        assert (leaf["lad"], leaf["rounds"]) == (lad, rounds)
         assert (leaf["lp_rows"], leaf["lp_solves"], leaf["lp_iterations"]) == (0, 0, 0)
         assert report.w_snapped.to_fractions() == fractions_of(w_star)
 
@@ -373,13 +383,51 @@ class TestCandidateAndCertify:
             return best_rows(X, y, w, k)
 
         monkeypatch.setattr(l1, "_best_rows", recorded)
+        monkeypatch.setattr(l1, "_c_steps", None)  # calling it would raise TypeError
         ds = mixture_instance(0, d=30, n=120)
         report = recover_linear(ds)
         (leaf,) = report.recursion_trace
-        assert chosen == [30]  # the vertex's d rows, never a half of 60
-        assert (leaf["lad"], leaf["irls_rounds"], leaf["lp_rows"], leaf["lp_solves"]) == (
+        assert chosen == [30]  # the vertex's d rows, never a C-step
+        assert (leaf["lad"], leaf["rounds"], leaf["lp_rows"], leaf["lp_solves"]) == (
             "vertex", l1.VERTEX_IRLS_ROUNDS, 0, 0)
         assert report.w_snapped == full_lp_snapped(ds)
+
+    def test_c_steps_stop_when_the_half_repeats(self):
+        # raw rows with labels negated at rate 0.45: neither refit fits its
+        # own half, and the half C-step 2 fit is the one its w ranks best;
+        # the vertex from that w is refused and the LP answers
+        ds = flipped_instance(9, 200, 5, eta=0.45)
+        steps = list(l1._c_steps(ds.x, ds.y))
+        assert [(step, exact) for step, _, exact in steps] == [(1, False), (2, False)]
+        halves = [set(l1._best_rows(ds.x, ds.y, w, 100).tolist()) for _, w, _ in steps]
+        assert halves[0] == halves[1]
+        _, info = l1.lad_fit(ds)
+        assert (info["lad"], info["rounds"], info["lp_solves"]) == ("lp", 2, 1)
+
+    def test_c_steps_stop_when_a_refused_exact_fit_fits_the_next_half(self):
+        # 181 of the 200 rescaled rows fit the target; C-step 1 fits its half
+        # exactly, and with its proof refused (unpacking resumes the steps
+        # without one) they end because it fits the next half exactly too,
+        # although that half is another one
+        rescaled = leaf_data(mixture_instance(0, d=5, n=200))[1]
+        X, y = rescaled.x, rescaled.y
+        ((step, w, exact),) = l1._c_steps(X, y)
+        assert (step, exact) == (1, True)
+        fitted = set(l1._best_rows(X, y, l1._least_squares(X, y), 100).tolist())
+        following = l1._best_rows(X, y, w, 100)
+        assert set(following.tolist()) != fitted
+        assert l1.exact_fit_mask(X[following] @ w, y[following]).all()
+
+    @pytest.mark.parametrize("seed, steps", [(0, 4), (1, 3), (2, 4)])
+    def test_c_steps_solve_fewer_least_squares_than_reweighting(self, seed, steps, monkeypatch):
+        # reweighted least squares certified its half fit on these 100 x 750
+        # leaves at round 6: 7 weighted solves and 3 half fits, 10 in all
+        sizes = []
+        solve = l1._least_squares
+        monkeypatch.setattr(l1, "_least_squares", lambda X, y: sizes.append(len(X)) or solve(X, y))
+        _, info = l1.lad_fit(leaf_data(highdim_instance(seed))[1])
+        assert (info["lad"], info["rounds"]) == ("half", steps)
+        assert sizes == [750] + [375] * steps and len(sizes) < 10
 
 
 def flipped_instance(seed, m, d, eta=0.25):
@@ -394,7 +442,7 @@ TURNED_LEAVES = {
     "mixture, 120 x 5": lambda seed: mixture_instance(seed, 5, 120),
     # below 6d rows: the vertex certified
     "flipped, 20 x 4": lambda seed: flipped_instance(seed, 20, 4),
-    # the half fit certified at round 4
+    # the half fit certified at C-step 2 or 3
     "flipped, 200 x 6": lambda seed: flipped_instance(seed, 200, 6),
     # the best half of the rows does not span; one solve
     "plane, 200 x 3": plane_instance,
@@ -418,7 +466,7 @@ class TestEquivariance:
         np.testing.assert_allclose(w_turned, w, rtol=0.0, atol=1e-9)
         assert snap_to_rational(w_turned, 10**6) == snap_to_rational(w, 10**6)
         # only the simplex's iteration count depends on the orientation
-        same = ("lad", "irls_rounds", "lp_rows", "lp_solves")
+        same = ("lad", "rounds", "lp_rows", "lp_solves")
         assert [lp_turned[k] for k in same] == [lp[k] for k in same]
 
     @pytest.mark.parametrize("seed", range(4))
