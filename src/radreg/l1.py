@@ -1,67 +1,60 @@
-"""Least-absolute-deviations fitting, the exact-fit test and rational
-snapping.
+"""Least-absolute-deviations fitting, the exact-fit test and rational snapping.
 
 The LAD problem min_w sum_i |y_i - w.x_i| is solved through its LP dual
 
     max y.u   s.t.  X^T u = 0,  -1 <= u_i <= 1,
 
-which has d equality rows and m boxed variables, where the primal epigraph
-LP has 2m inequality rows and m + d variables. ``linprog`` hands it to
-HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018;
-deterministic, reports true optima) through the bindings scipy ships,
-without the input checks and conversions ``scipy.optimize.linprog`` runs
-on every call (1.7 ms against 3.4 ms on a d=30, n=120 sweep LP). The LAD
-minimizer is the vector of multipliers of the d equality rows: w = -row
-duals (HiGHS reports them for its minimization of -y.u, hence the sign).
+which has d equality rows and m boxed variables, where the primal epigraph LP has 2m inequality
+rows and m + d variables. ``linprog`` hands it to HiGHS's dual simplex (Huangfu & Hall, Math.
+Prog. Comp. 2018; deterministic, reports true optima) through the bindings scipy ships, without
+the input checks and conversions ``scipy.optimize.linprog`` runs on every call, on one HiGHS
+instance per thread, its options set once and its model cleared before each LP: over the 103 LPs
+of three d=30, n=120 sweep calls, about 0.2 ms before the first pivot (0.4 ms on a new instance,
+2.3 ms through scipy's checks) and 17 us a pivot. The LAD minimizer is the vector of multipliers
+of the d equality rows: w = -row duals (the duals of HiGHS's min -y.u).
 
-When X has full column rank the simplex returns an optimal basis of the
-dual: d basic variables u_i with linearly independent rows x_i, every other
-u_i at a bound. The multipliers w make the reduced cost y_i - w.x_i of each
-basic u_i zero, so w interpolates those d samples exactly. It is therefore
-a vertex of the primal: the kind of basic solution every LAD optimum can be
-taken from, and the one rational snapping recovers the target from.
+When X has full column rank the simplex returns an optimal basis of the dual: d basic variables
+u_i with linearly independent rows x_i, every other u_i at a bound. The multipliers w make the
+reduced cost y_i - w.x_i of each basic u_i zero, so w interpolates those d samples exactly. It
+is therefore a vertex of the primal: the kind of basic solution every LAD optimum can be taken
+from, and the one rational snapping recovers the target from.
 
-HiGHS runs without presolve. On the dense dual of Gaussian-like data it
-removes nothing (the 100 x 750 LP of a d=100 benchmark leaf: "Not reduced",
-0.12 s with presolve against 0.08 s without) or a few rows (4 of 30 on a
-d=30, n=120 sweep LP, after which HiGHS re-solves the original LP from the
-postsolved point, about 7.5 ms with presolve against 1.6 ms without; one
-thread of a 2-vCPU x86-64 VM). The multipliers then come from the simplex's
-own final factorization rather than from that re-solve, which costs
-accuracy: fit on raw d=30, n=120 mixture instances with the gated flip at
-eta=0.3, w lies up to about 2e-11 from the vertex its interpolated rows
-define (up to about 7e-13 with presolve), far inside the +-5e-7 basin in
-which snapping at denominator 1e6 rounds to an integer target. The
-duality-gap check below is what stands behind an answer either way, or,
+HiGHS runs without presolve. On the dense dual of Gaussian-like data it removes nothing (the 100
+x 750 LP of a d=100 benchmark leaf: "Not reduced", 0.12 s with presolve against 0.08 s without)
+or a few rows (4 of 30 on a d=30, n=120 sweep LP, after which HiGHS re-solves the original LP
+from the postsolved point, 7.5 ms against 1.6 ms, times on one thread of a 2-vCPU x86-64 VM).
+The multipliers then come from the simplex's own final factorization rather than from that
+re-solve, which costs accuracy: fit on raw d=30, n=120 mixture instances with the gated flip at
+eta=0.3, w lies up to about 2e-11 from the vertex its interpolated rows define (up to about
+7e-13 with presolve), far inside the +-5e-7 basin in which snapping at denominator 1e6 rounds to
+an integer target. The duality-gap check below is what stands behind an answer either way, or,
 when HiGHS dropped entries of X, a ``lad_optimal`` proof on the X given.
 
-``lad_optimal`` certifies a candidate w without the LP. By complementary
-slackness w is optimal exactly when a dual point u has u_i = sign(r_i) on
-every row with a nonzero residual r_i; the rows w fits exactly are free in
-[-1, 1] and must cancel the rest, X_Z^T u_Z = -X_N^T sign(r_N). Alternating
-projections between that affine set and the box look for such a u.
+``lad_optimal`` certifies a candidate w without the LP. By complementary slackness w is optimal
+exactly when a dual point u has u_i = sign(r_i) on every row with a nonzero residual r_i; the
+rows w fits exactly are free in [-1, 1] and must cancel the rest, X_Z^T u_Z = -X_N^T sign(r_N).
+Alternating projections seek such a u, or a Farkas certificate that none exists.
 
-``lad_fit`` is the one LAD entry point. It looks for a w to certify before
-it solves the LP. When more than half of the rows are fit exactly by one w,
-as under Massart noise with eta < 1/2, a least-squares fit on a half of the
-rows that holds only such rows is that w to rounding; with fewer rows, the
-minimizer is a vertex that interpolates d of them, and the w that
-interpolates d independent rows it fits is that vertex. From HALF_ROWS_PER_DIM
-rows per dimension on, the concentration steps of FAST-LTS (Rousseeuw & Van
-Driessen, Data Min. Knowl. Discov. 2006) refit on the half of the rows with the
-smallest residuals under the last fit. The vertex, tried at every size, starts
-from the last C-step, or below from reweighted least squares (Schlossmacher,
-JASA 1973). A try is kept only when ``lad_optimal`` proves it, else HiGHS solves the LP.
-"""
+``lad_fit`` is the one LAD entry point. It looks for a w to certify before it solves the LP.
+When more than half of the rows are fit exactly by one w, as under Massart noise with eta < 1/2,
+a least-squares fit on a half of the rows that holds only such rows is that w to rounding; with
+fewer rows, the minimizer is a vertex that interpolates d of them, and the w that interpolates d
+independent rows it fits is that vertex. From HALF_ROWS_PER_DIM rows per dimension on, the
+concentration steps of FAST-LTS (Rousseeuw & Van Driessen, Data Min. Knowl. Discov. 2006) refit
+on the half of the rows with the smallest residuals under the last fit. The vertex, tried at
+every size, starts from the last C-step, or below from reweighted least squares (Schlossmacher,
+JASA 1973). A try is kept only when ``lad_optimal`` proves it, else HiGHS solves the LP."""
 
 import math
 import operator
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus, MatrixFormat, ObjSense,
                                            _Highs)
 
@@ -79,9 +72,9 @@ DUALITY_GAP_RTOL = 1e-8
 # |X^T u| a certifying dual point may leave: HiGHS's default primal
 # feasibility tolerance, which the LP's own dual point meets.
 DUAL_FEAS_TOL = 1e-7
-# Rounds of alternating projections before lad_optimal gives up. The
-# half-fit answers of the benchmark's 1560 leaves with n >= 6d (seeds
-# 0-19) certify within 37 rounds, 1384 of them in one.
+# Rounds of alternating projections before lad_optimal gives up. The half-fit answers of
+# the benchmark's 1560 leaves with n >= 6d (seeds 0-19) certify within 37 rounds, 1384 of
+# them in one. Of the refusals that reach it, a Farkas certificate ends most far sooner.
 CERTIFY_ROUNDS = 100
 # Reweighted rounds before the ReLU candidate gives up, and C-steps before the
 # half fit of lad_fit does. On those 1560 leaves it certified at C-step 1 to 6.
@@ -115,22 +108,34 @@ def _row_scales(X, y):
 LinprogResult = namedtuple("LinprogResult", "success message fun w nit u")
 
 
+_THREAD = threading.local()  # per thread, the one HiGHS instance of its linprog calls
+
+
+def _highs():
+    if not hasattr(_THREAD, "highs"):
+        _THREAD.highs = _Highs()
+        for option, value in (("output_flag", False), ("presolve", "off"), ("simplex_strategy", 1)):
+            _THREAD.highs.setOptionValue(option, value)  # simplex_strategy 1 is the dual simplex
+    return _THREAD.highs
+
+
 def linprog(X, y):
     """The LAD dual LP by HiGHS, with the column-wise X^T (zeros dropped)
     and options of ``scipy.optimize.linprog(-y, A_eq=X.T, b_eq=0,
     bounds=(-1, 1), method="highs", options={"presolve": False})``."""
     m, d = X.shape
-    rows, cols = np.nonzero(X)
-    starts = np.concatenate(([0], np.bincount(rows, minlength=m).cumsum())).astype(np.int32)
-    highs = _Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("presolve", "off")
-    highs.setOptionValue("simplex_strategy", 1)  # dual
+    if X.all():  # the arrays np.nonzero would give, without its passes over X
+        starts, cols, values = np.arange(0, m * d + 1, d), np.tile(np.arange(d), m), X.ravel()
+    else:
+        rows, cols = np.nonzero(X)
+        starts, values = np.concatenate(([0], np.bincount(rows, minlength=m).cumsum())), X[rows, cols]
+    highs = _highs()
+    highs.clearModel()
     # passModel rejects an empty integrality array; after an error the
     # model is left empty and its status is not optimal
     passed = highs.passModel(m, d, len(cols), MatrixFormat.kColwise, ObjSense.kMinimize, 0.0, -y,
                              np.full(m, -1.0), np.ones(m), np.zeros(d), np.zeros(d), starts,
-                             cols.astype(np.int32), X[rows, cols], np.zeros(m, dtype=np.int32))
+                             cols, values, np.zeros(m, dtype=np.int32))
     highs.run()
     status, info, solution = highs.getModelStatus(), highs.getInfo(), highs.getSolution()
     return LinprogResult(status == HighsModelStatus.kOptimal, highs.modelStatusToString(status),
@@ -150,7 +155,7 @@ class L1FitResult:
 def _stalled(msg, name, values, option):
     """SolverStalled(msg), naming the largest |entry| of ``values`` when it reaches
     HiGHS's ``option``: an entry of X HiGHS refuses, or a cost it reads as infinite."""
-    limit = _Highs().getOptionValue(option)[1]
+    limit = _highs().getOptionValue(option)[1]
     index = [int(i) for i in np.unravel_index(np.argmax(np.abs(values)), values.shape)]
     magnitude = float(np.abs(values).max())
     if magnitude < limit:
@@ -197,26 +202,28 @@ def l1_fit_linear(samples):
 def lad_optimal(samples, w):
     """Whether a dual point proves w a global minimizer of sum |y_i - w.x_i|.
 
-    True is a proof; False only means no proof was found within
-    CERTIFY_ROUNDS rounds, or before the projections stalled at a positive
-    distance from the box. Rows fit to within FIT_RTOL count as fit
-    exactly, so what is proven is that no w' lowers the objective by more
-    than twice the residuals of those rows. A w of another length than d
-    raises DimensionMismatch.
-    """
+    A proof is a u in [-1, 1]^Z with |X_Z^T u - t| <= DUAL_FEAS_TOL, for the rows Z that w fits
+    and t = ``target``. False only means that none was found within CERTIFY_ROUNDS rounds, or
+    that none can be: the projections stalled off the box, or a Farkas certificate v showed it.
+    Every such u has v.t <= sum_Z |x_i.v| + DUAL_FEAS_TOL |v|_1, so a v that breaks this by more
+    than rounding leaves no round that could return True: returning False moves no decision. v =
+    G^{-1} X_Z^T (u - clip(u)) is one at the projections' fixed point, tried where the box gap
+    shrank by less than half, so fast proofs pay nothing. Rows fit within FIT_RTOL count as fit
+    exactly: no w' lowers the objective by more than twice their residuals. A w not of length d
+    raises DimensionMismatch."""
     X, y = samples.x, samples.y
     pred = X @ samples.parameter(w)
     free = exact_fit_mask(pred, y)
     Xz = X[free]
     target = -X[~free].T @ np.sign(y[~free] - pred[~free])
-    try:
-        gram = cho_factor(Xz.T @ Xz)
-    except LinAlgError:  # the exactly fit rows do not span
+    gram = Xz.T @ Xz
+    factor, info = dpotrf(gram, clean=0)  # cho_factor's LAPACK call, without its wrapper
+    if info:  # the exactly fit rows do not span
         return False
-    # projection onto {X_Z^T u = target}: u += X_Z G^{-1} (target - X_Z^T u)
-    # for G = X_Z^T X_Z. With G^{-1} formed once, a round is matrix-vector
-    # products, where a cho_solve call per round costs about 20 us of wrapper.
-    inverse = cho_solve(gram, np.eye(Xz.shape[1]))
+    inverse = dpotrs(factor, np.eye(len(gram)))[0]  # projecting: u += X_Z G^-1 (t - X_Z^T u)
+    # a Farkas test's rounding per unit |v|, as sum_Z |x_i| |v| <= sqrt(|Z| trace G) |v|
+    rounding = 4 * np.finfo(float).eps * sum(Xz.shape) * (math.sqrt(len(Xz) * np.trace(gram))
+                                                          + np.linalg.norm(target) + len(gram))
     u = np.zeros(Xz.shape[0])
     gap = np.inf
     for _ in range(CERTIFY_ROUNDS):
@@ -230,6 +237,11 @@ def lad_optimal(samples, w):
         last, gap = gap, float(np.linalg.norm(u - clipped))
         if DUAL_FEAS_TOL < gap >= last:
             return False
+        if 2.0 * gap > last:
+            v = inverse @ (Xz.T @ (u - clipped))
+            bound = DUAL_FEAS_TOL * np.abs(v).sum() + rounding * np.linalg.norm(v)
+            if target @ v - np.abs(Xz @ v).sum() > bound:
+                return False
         u = clipped
     return False
 
@@ -244,7 +256,10 @@ def _least_squares(X, y, weights=None, out=None):
         gram, rhs = Xw.T @ X, Xw.T @ y
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise LinAlgError("the normal equations overflow")
-    return cho_solve(cho_factor(gram, check_finite=False), rhs, check_finite=False)
+    factor, info = dpotrf(gram, clean=0)  # cho_factor's and cho_solve's LAPACK calls
+    if info:
+        raise LinAlgError(f"leading minor {info} of the Gram matrix is not positive definite")
+    return dpotrs(factor, rhs)[0]
 
 
 def _reweighted(X, y, scales=None, out=None):

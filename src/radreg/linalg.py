@@ -18,9 +18,14 @@ RANK_RTOL = 1e-9       # singular-value cutoff for span/rank decisions
 
 
 def _row_norms(V):
-    """Euclidean norm of each row of V, summed without an m x d temporary:
-    the package's one row-norm kernel."""
-    return np.sqrt(np.einsum("ij,ij->i", V, V))
+    """Euclidean norm of each row of V, summed without an m x d temporary: the package's
+    one row-norm kernel. Only rows whose squares may leave the float range, a norm
+    outside [1e-150, 1e150], are summed again by ``np.hypot``, which scales."""
+    norms = np.sqrt(np.einsum("ij,ij->i", V, V))
+    if not (norms.min(initial=1.0) >= 1e-150 and norms.max(initial=1.0) <= 1e150):
+        far = ~((norms >= 1e-150) & (norms <= 1e150))
+        norms[far] = np.hypot.reduce(V[far], axis=1)
+    return norms
 
 
 @dataclass

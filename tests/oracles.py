@@ -15,6 +15,7 @@ steps.
 ``gd_step`` and ``gd_subgradient`` read one descent step and the l1
 subgradient off the descent's step rule,
 ``recovery_rate`` reads one rate off a recovery-rate report,
+``lad_optimal_by_projections`` is ``l1.lad_optimal`` without its Farkas exit,
 ``ellipsoid_only`` makes ``ellipsoid_recover_relu`` skip its candidate, and
 ``cut_along`` makes its every oracle call cut with one fixed normal.
 """
@@ -23,6 +24,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from radreg import relu
 from radreg.errors import ContractViolation, RadregError
@@ -38,7 +40,7 @@ from radreg.isotropy import (
     certifying_gamma,
     radial_isotropize,
 )
-from radreg.l1 import exact_fit_mask
+from radreg.l1 import CERTIFY_ROUNDS, DUAL_FEAS_TOL, exact_fit_mask
 from radreg.linalg import matrix_rank, span_basis
 from radreg.relu import positive_side_mask
 
@@ -308,6 +310,34 @@ def recovery_rate(report, method, grid_value=None):
         if row.method == method and (grid_value is None or row.grid_value == grid_value):
             return row.recovery_rate
     raise KeyError(method)
+
+
+def lad_optimal_by_projections(samples, w):
+    """(decision, rounds) of ``l1.lad_optimal`` without its Farkas exit: the
+    alternating projections run until they prove w, stall at a positive
+    distance from the box, or reach CERTIFY_ROUNDS rounds."""
+    X, y = samples.x, samples.y
+    pred = X @ samples.parameter(w)
+    free = exact_fit_mask(pred, y)
+    Xz = X[free]
+    target = -X[~free].T @ np.sign(y[~free] - pred[~free])
+    try:
+        gram = cho_factor(Xz.T @ Xz)
+    except LinAlgError:
+        return False, 0
+    inverse = cho_solve(gram, np.eye(Xz.shape[1]))
+    u = np.zeros(Xz.shape[0])
+    gap = np.inf
+    for rounds in range(1, CERTIFY_ROUNDS + 1):
+        u += Xz @ (inverse @ (target - Xz.T @ u))
+        if np.abs(u).max(initial=0.0) <= 1.0:
+            return bool(np.abs(Xz.T @ u - target).max(initial=0.0) <= DUAL_FEAS_TOL), rounds
+        clipped = np.clip(u, -1.0, 1.0)
+        last, gap = gap, float(np.linalg.norm(u - clipped))
+        if DUAL_FEAS_TOL < gap >= last:
+            return False, rounds
+        u = clipped
+    return False, CERTIFY_ROUNDS
 
 
 def ellipsoid_only(monkeypatch):

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -12,10 +14,11 @@ from radreg.errors import ContractViolation, DimensionMismatch, InsufficientPoin
 import radreg.l1
 from radreg.l1 import (RationalVector, exact_fit_mask, l1_fit_linear, lad_fit, lad_optimal,
                        snap_to_rational)
-from radreg.isotropy import radial_isotropize
+from radreg.isotropy import _unit_rows, radial_isotropize
 from radreg.noise import FlipNegate, MassartSpec, Scale, corrupt_massart, gated_flip
 
-from oracles import Degenerate, check_structural_condition, l0_fit_bruteforce
+from oracles import (Degenerate, check_structural_condition, l0_fit_bruteforce,
+                     lad_optimal_by_projections)
 
 
 def basic_solution_oracle(samples):
@@ -99,12 +102,28 @@ def is_unique_lad_minimizer(samples, w):
     return bool(result.success and -result.fun > 1.0 + 1e-9)
 
 
+def mixture_rows(seed, eta=0.3, unit=False):
+    """A d=30, n=120 mixture instance under the sweep's gated flip, its rows raw
+    (what naive-l1 fits) or unit (normalized-l1)."""
+    ds, _ = corrupt_massart(make_synthetic_dataset(SyntheticSpec(d=30, n=120, seed=seed)),
+                            MassartSpec(eta, gated_flip(15.0), seed=seed + 1))
+    return LabeledDataset(*_unit_rows(ds.x, ds.y)) if unit else ds
+
+
+def proof_queries(samples):
+    """Every w that ``lad_fit`` asks ``lad_optimal`` to prove on ``samples``, in order."""
+    queries = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radreg.l1, "lad_optimal", lambda s, w: queries.append(w) or lad_optimal(s, w))
+        lad_fit(samples)
+    return queries
+
+
 def oracle_lp(kind, seed):
     """(X, y) of a dual LAD LP of the given kind."""
     rng = np.random.default_rng(700 + seed)
     if kind == "mixture":
-        ds, _ = corrupt_massart(make_synthetic_dataset(SyntheticSpec(d=30, n=120, seed=seed)),
-                                MassartSpec(0.3, gated_flip(15.0), seed=seed + 1))
+        ds = mixture_rows(seed)
         return ds.x, ds.y
     if kind == "d=1":
         return rng.standard_normal((25, 1)), rng.standard_normal(25)
@@ -136,6 +155,47 @@ class TestLinprog:
         if expected.success:
             assert np.array_equal(result.w, -expected.eqlin.marginals)
             assert (result.fun, result.nit) == (expected.fun, expected.nit)
+
+    def test_the_reused_instance_solves_as_a_fresh_one(self, monkeypatch):
+        # linprog keeps one HiGHS instance per thread: a model HiGHS rejected
+        # in between leaves nothing behind
+        X, y = oracle_lp("mixture", 0)
+        first = radreg.l1.linprog(X, y)
+        assert not radreg.l1.linprog(*oracle_lp("huge entry", 0)).success
+        again = radreg.l1.linprog(X, y)
+        monkeypatch.setattr(radreg.l1, "_THREAD", threading.local())
+        fresh = radreg.l1.linprog(X, y)
+        for result in (first, again):
+            assert np.array_equal(result.w, fresh.w)
+            assert (result.fun, result.nit) == (fresh.fun, fresh.nit)
+
+    def test_threads_solve_as_the_main_thread(self):
+        # more threads than cores, switching often, each on its own instance
+        lps = [oracle_lp(kind, seed) for kind in ("mixture", "scattered zeros", "huge entry")
+               for seed in range(2)]
+        expected = [radreg.l1.linprog(X, y) for X, y in lps]
+        results = {}
+
+        def solve(k):
+            results[k] = [radreg.l1.linprog(X, y) for X, y in lps[k % 2::2]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(4):
+            assert len(results[k]) == 3
+            for result, want in zip(results[k], expected[k % 2::2]):
+                assert result.success == want.success
+                assert np.array_equal(result.w, want.w)
+                assert (result.fun, result.nit) == (want.fun, want.nit)
 
     def test_rejected_model_is_solver_stalled(self):
         X, y = oracle_lp("huge entry", 0)
@@ -398,6 +458,46 @@ class TestLadOptimal:
         ds, wrong = self.majority_on_a_line()
         assert not lad_optimal(ds, wrong)
         assert len(rounds) <= 3 < radreg.l1.CERTIFY_ROUNDS
+
+    def test_the_farkas_exit_moves_no_decision_on_sweep_rows(self):
+        # the rows the sweep's naive-l1 and normalized-l1 fit, where refused
+        # vertices run the projections alone to CERTIFY_ROUNDS
+        capped = 0
+        for seed, eta, unit in itertools.product(range(7), (0.2, 0.3), (False, True)):
+            samples = mixture_rows(seed, eta, unit)
+            for w in proof_queries(samples):
+                decision, rounds = lad_optimal_by_projections(samples, w)
+                assert lad_optimal(samples, w) == decision
+                capped += rounds == radreg.l1.CERTIFY_ROUNDS
+        assert capped >= 10
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), extra=st.integers(0, 40),
+           eta=st.sampled_from([0.0, 0.2, 0.4, 0.6]))
+    def test_the_farkas_exit_moves_no_decision_on_random_instances(self, seed, d, extra, eta):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((d + extra, d))
+        w_star = rng.integers(-3, 4, d).astype(float)
+        y = X @ w_star
+        rewritten = rng.random(len(y)) < eta
+        y[rewritten] *= -3.0
+        samples = LabeledDataset(X, y)
+        rows = rng.choice(len(y), d, replace=False)
+        vertex = np.linalg.lstsq(X[rows], y[rows], rcond=None)[0]
+        for w in [w_star, w_star + 1e-3 * rng.standard_normal(d), vertex,
+                  *proof_queries(samples)]:
+            assert lad_optimal(samples, w) == lad_optimal_by_projections(samples, w)[0]
+
+    def test_a_refusal_at_the_round_cap_ends_at_a_farkas_certificate(self, monkeypatch):
+        samples = mixture_rows(3, eta=0.2)
+        w = next(w for w in proof_queries(samples)
+                 if lad_optimal_by_projections(samples, w)[1] == radreg.l1.CERTIFY_ROUNDS)
+        assert not lad_optimal_by_projections(samples, w)[0]
+        rounds = []
+        clip = np.clip
+        monkeypatch.setattr(np, "clip", lambda *a: rounds.append(1) or clip(*a))
+        assert not lad_optimal(samples, w)
+        assert len(rounds) <= 3
 
     def test_exact_fits_that_do_not_span_prove_nothing(self):
         X = np.array([[1, 0], [2, 0], [0, 1], [0, 2]], dtype=float)

@@ -4,6 +4,7 @@ import pytest
 from radreg.errors import ContractViolation
 from radreg.linalg import (
     OrthonormalBasis,
+    _row_norms,
     matrix_rank,
     orthonormal_complement,
     span_basis,
@@ -75,3 +76,12 @@ class TestAllZeroPoints:
 
     def test_matrix_rank_is_zero(self):
         assert matrix_rank(np.zeros((4, 3))) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_row_norms_hold_across_the_float_range_and_keep_the_fast_norm_in_range():
+    rng = np.random.default_rng(0)
+    V = rng.standard_normal((6, 5)) * np.array([1e200, 1e-200, 1e-160, 1.0, 1e149, 0.0])[:, None]
+    norms = _row_norms(V)
+    np.testing.assert_allclose(norms, np.hypot.reduce(V, axis=1), rtol=1e-15, atol=0.0)
+    assert np.array_equal(norms[3:], np.sqrt(np.einsum("ij,ij->i", V, V))[3:])

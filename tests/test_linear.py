@@ -521,19 +521,22 @@ METAMORPHIC_DRAWS = {
 }
 
 
-@pytest.mark.parametrize("c", [1e-3, 7.0, 1e3])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [1e-200, 1e-3, 7.0, 1e3, 1e200])
 @pytest.mark.parametrize("family", sorted(METAMORPHIC_DRAWS))
 def test_rescaling_one_row_by_c_leaves_the_snapped_output_unchanged(family, c):
     # radial isotropy sees x_i / |x_i|, and every certificate judges the point
-    # on (x_i / |x_i|, y_i / |x_i|), so an inexact c > 0 on one row changes nothing
+    # on (x_i / |x_i|, y_i / |x_i|), so an inexact c > 0 on one row changes nothing;
+    # at 1e-200 and 1e200 the squares of the row's entries under- and overflow
     for k, draw in enumerate(METAMORPHIC_DRAWS[family]):
         samples = draw()
         i = int(np.random.default_rng(k).integers(samples.m))
         expected = recover_linear(samples)
         if family == "heavy":
             assert expected.recursion_trace[0]["outcome"] == "heavy-subspace"
-        assert recover_linear(rescale_one_row(samples, i, c)).w_snapped == \
-            expected.w_snapped, f"draw {k}, row {i}"
+        report = recover_linear(rescale_one_row(samples, i, c))
+        assert report.w_snapped == expected.w_snapped, f"draw {k}, row {i}"
+        assert report.recursion_trace[0]["n_points"] == samples.m  # the row is not read as 0
 
 
 def assert_row_order_does_not_leak(seed, perm):
