@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 import threading
@@ -12,8 +13,8 @@ from radreg.bench import SyntheticSpec, make_synthetic_dataset
 from radreg.data import LabeledDataset
 from radreg.errors import ContractViolation, DimensionMismatch, InsufficientPoints, SolverStalled
 import radreg.l1
-from radreg.l1 import (RationalVector, exact_fit_mask, l1_fit_linear, lad_fit, lad_optimal,
-                       snap_to_rational)
+from radreg.l1 import (DUALITY_GAP_RTOL, RationalVector, exact_fit_mask, l1_fit_linear, lad_fit,
+                       lad_optimal, snap_to_rational)
 from radreg.isotropy import _unit_rows, radial_isotropize
 from radreg.noise import FlipNegate, MassartSpec, Scale, corrupt_massart, gated_flip
 
@@ -119,6 +120,30 @@ def proof_queries(samples):
     return queries
 
 
+def lad_fit_lps(samples):
+    """The arguments (X, y, start) of every ``linprog`` call ``lad_fit`` makes on ``samples``."""
+    calls, original = [], radreg.l1.linprog
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radreg.l1, "linprog", lambda X, y, start=None:
+                      calls.append((X, y, start)) or original(X, y, start))
+        lad_fit(samples)
+    return calls
+
+
+@functools.cache
+def refused_vertex_lps():
+    """The LPs ``lad_fit`` solves on d=30, n=120 mixture rows under the gated flip, raw and unit,
+    at eta 0.1-0.4 and seeds 0-9; each follows a refused vertex."""
+    return [call for seed, eta, unit in itertools.product(range(10), (0.1, 0.2, 0.3, 0.4),
+                                                          (False, True))
+            for call in lad_fit_lps(mixture_rows(seed, eta, unit))]
+
+
+def vertex_start(X, y, rows):
+    """The start ``lad_fit`` passes after refusing the vertex that interpolates ``rows``."""
+    return rows, y >= X @ np.linalg.solve(X[rows], y[rows])
+
+
 def oracle_lp(kind, seed):
     """(X, y) of a dual LAD LP of the given kind."""
     rng = np.random.default_rng(700 + seed)
@@ -158,10 +183,11 @@ class TestLinprog:
 
     def test_the_reused_instance_solves_as_a_fresh_one(self, monkeypatch):
         # linprog keeps one HiGHS instance per thread: a model HiGHS rejected
-        # in between leaves nothing behind
+        # in between, or a warm start, leaves nothing behind
         X, y = oracle_lp("mixture", 0)
         first = radreg.l1.linprog(X, y)
         assert not radreg.l1.linprog(*oracle_lp("huge entry", 0)).success
+        assert radreg.l1.linprog(X, y, vertex_start(X, y, np.arange(30))).success
         again = radreg.l1.linprog(X, y)
         monkeypatch.setattr(radreg.l1, "_THREAD", threading.local())
         fresh = radreg.l1.linprog(X, y)
@@ -170,14 +196,17 @@ class TestLinprog:
             assert (result.fun, result.nit) == (fresh.fun, fresh.nit)
 
     def test_threads_solve_as_the_main_thread(self):
-        # more threads than cores, switching often, each on its own instance
-        lps = [oracle_lp(kind, seed) for kind in ("mixture", "scattered zeros", "huge entry")
-               for seed in range(2)]
-        expected = [radreg.l1.linprog(X, y) for X, y in lps]
+        # more threads than cores, switching often, each on its own instance,
+        # cold and from a start
+        problems = [oracle_lp(kind, seed) for kind in ("mixture", "scattered zeros", "huge entry")
+                    for seed in range(2)]
+        lps = [(X, y, None) for X, y in problems] + [
+            (X, y, vertex_start(X, y, np.arange(X.shape[1], 2 * X.shape[1]))) for X, y in problems]
+        expected = [radreg.l1.linprog(*lp) for lp in lps]
         results = {}
 
         def solve(k):
-            results[k] = [radreg.l1.linprog(X, y) for X, y in lps[k % 2::2]]
+            results[k] = [radreg.l1.linprog(*lp) for lp in lps[k % 2::2]]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -191,11 +220,29 @@ class TestLinprog:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         for k in range(4):
-            assert len(results[k]) == 3
+            assert len(results[k]) == 6
             for result, want in zip(results[k], expected[k % 2::2]):
                 assert result.success == want.success
                 assert np.array_equal(result.w, want.w)
                 assert (result.fun, result.nit) == (want.fun, want.nit)
+
+    @pytest.mark.parametrize("kind", ["identical basic rows", "zero column"])
+    def test_a_singular_start_ends_at_the_cold_optimum(self, kind):
+        # HiGHS factors the start's basis and swaps slacks in for the
+        # dependent columns; l1_fit_linear's checks all pass
+        if kind == "zero column":
+            X, y = oracle_lp(kind, 0)
+            start = np.arange(6), y >= X @ np.linalg.lstsq(X[:6], y[:6], rcond=None)[0]
+        else:
+            X, y = oracle_lp("mixture", 0)
+            X[1] = X[0]
+            start = np.arange(30), vertex_start(X, y, np.arange(1, 31))[1]
+        samples = LabeledDataset(X, y)
+        warm, cold = radreg.l1.linprog(X, y, start), radreg.l1.linprog(X, y)
+        assert warm.success and warm.message == "Optimal"
+        assert abs(warm.fun - cold.fun) <= DUALITY_GAP_RTOL * (1.0 + np.abs(y).sum())
+        fit = l1_fit_linear(samples, start)
+        assert fit.objective == pytest.approx(l1_fit_linear(samples).objective, rel=1e-9)
 
     def test_rejected_model_is_solver_stalled(self):
         X, y = oracle_lp("huge entry", 0)
@@ -369,8 +416,8 @@ class TestL1FitLinear:
     def test_failed_solve_is_solver_stalled(self, monkeypatch):
         original = radreg.l1.linprog
 
-        def failed(X, y):
-            return original(X, y)._replace(success=False, message="injected failure")
+        def failed(X, y, start=None):
+            return original(X, y, start)._replace(success=False, message="injected failure")
 
         monkeypatch.setattr(radreg.l1, "linprog", failed)
         rng = np.random.default_rng(9)
@@ -381,8 +428,8 @@ class TestL1FitLinear:
     def test_flipped_marginal_sign_fails_the_duality_gap_check(self, monkeypatch):
         original = radreg.l1.linprog
 
-        def flipped(X, y):
-            result = original(X, y)
+        def flipped(X, y, start=None):
+            result = original(X, y, start)
             return result._replace(w=-result.w)
 
         monkeypatch.setattr(radreg.l1, "linprog", flipped)
@@ -397,6 +444,57 @@ class TestL1FitLinear:
         # refuses to exist before it gets there
         with pytest.raises(InsufficientPoints):
             fit(LabeledDataset(np.zeros((0, 3)), np.zeros(0)))
+
+
+class TestWarmStart:
+    """``lad_fit`` starts the LP at the basis of the vertex it refused."""
+
+    def test_lad_fit_starts_the_lp_at_the_refused_vertex(self):
+        lps = refused_vertex_lps()
+        assert len(lps) >= 60
+        for X, y, (basic, upper) in lps:
+            assert len(set(basic.tolist())) == X.shape[1]
+            assert np.array_equal(upper, vertex_start(X, y, basic)[1])
+
+    @pytest.mark.parametrize("case", ["certified", "reweighted rows", "C-step rows",
+                                      "vertex rows"])
+    def test_the_lp_starts_cold_without_a_vertex(self, case):
+        rng = np.random.default_rng(3)
+        if case == "certified":  # the vertex is proven: no LP
+            assert lad_fit_lps(mixture_rows(0, 0.1, unit=True)) == []
+            return
+        if case == "vertex rows":
+            # five copies of one row, fit exactly: the vertex's two rows are
+            # copies, and solving for it raises LinAlgError
+            X = np.array([[1.0, 0.0]] * 5 + [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
+            y = np.array([1.0] * 5 + [1.0, 5.0, -2.0])
+        else:  # a zero column: the rounds or C-steps raise LinAlgError
+            X = rng.standard_normal((8 if case == "reweighted rows" else 40, 3))
+            X[:, 1] = 0.0
+            y = X @ [1.0, 2.0, -1.0]
+            y[::4] *= -2.0
+        assert [start for _, _, start in lad_fit_lps(LabeledDataset(X, y))] == [None]
+
+    def test_the_warm_lp_agrees_with_the_cold_one_in_fewer_pivots(self):
+        warm_pivots = cold_pivots = 0
+        offsets = []
+        for X, y, start in refused_vertex_lps():
+            warm, cold = radreg.l1.linprog(X, y, start), radreg.l1.linprog(X, y)
+            assert warm.success and cold.success
+            assert abs(warm.fun - cold.fun) <= DUALITY_GAP_RTOL * (1.0 + np.abs(y).sum())
+            warm_pivots += warm.nit
+            cold_pivots += cold.nit
+            rows = np.argsort(np.abs(y - X @ warm.w) / (1.0 + np.abs(y)))[:X.shape[1]]
+            offset = np.abs(warm.w - np.linalg.solve(X[rows], y[rows])).max()
+            offsets.append((offset, X[rows], y[rows], warm.w))
+        assert warm_pivots <= 0.7 * cold_pivots
+        # HiGHS's own duals lay up to 2e-8 off this vertex; the float solve
+        # ranks the LPs, and the farthest are checked exactly
+        offsets.sort(key=lambda entry: entry[0])
+        assert offsets[-1][0] <= 1e-9
+        for _, A, b, w in offsets[-3:]:
+            vertex = exact_solution(A, b)
+            assert np.abs(w - np.array([float(v) for v in vertex])).max() <= 1e-9
 
 
 class TestLadOptimal:

@@ -345,8 +345,8 @@ class TestCandidateAndCertify:
         # one LP on all n rows follows
         rows, iterations = [], []
 
-        def recorded(samples):
-            fit = l1_fit_linear(samples)
+        def recorded(samples, _start=None):
+            fit = l1_fit_linear(samples, _start)
             rows.append(samples.m)
             iterations.append(fit.iterations)
             return fit
